@@ -39,7 +39,8 @@ class DriveSpec:
 
     ``f_cav`` and ``f_mat`` are the reduced oscillator strengths of the two
     constituents.  The drive forces ``F_alpha = sqrt(f_alpha) |E_inc|`` are
-    derived quantities (real, in phase), never stored.
+    derived quantities (real, in phase), never stored.  ``omega`` may be an
+    array of drive frequencies; the solvers then return arrays over it.
     """
 
     E_inc: float
@@ -50,7 +51,8 @@ class DriveSpec:
     def __post_init__(self):
         if not math.isfinite(self.E_inc):
             raise PolaritonError(f"E_inc must be finite, got {self.E_inc}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
+        omega = np.asarray(self.omega, dtype=float)
+        if not np.all(np.isfinite(omega) & (omega > 0)):
             raise PolaritonError(f"drive frequency must be positive, got {self.omega}")
         if not (math.isfinite(self.f_cav) and self.f_cav >= 0):
             raise PolaritonError(f"f_cav must be >= 0, got {self.f_cav}")
@@ -68,29 +70,42 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class ResponseAmplitudes:
+    """Complex steady-state amplitudes; arrays when the drive frequency was."""
+
     x_cav: complex
     x_mat: complex
     d_cav: complex
     d_mat: complex
 
 
-def _solve_response(matrix: np.ndarray, drive: DriveSpec) -> ResponseAmplitudes:
-    det = matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
-    scale = math.sqrt(
-        (abs(matrix[0, 0]) ** 2 + abs(matrix[0, 1]) ** 2)
-        * (abs(matrix[1, 0]) ** 2 + abs(matrix[1, 1]) ** 2)
+def _solve_response(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes:
+    """Steady state at every drive frequency: one stacked 2x2 solve."""
+    omega = np.asarray(drive.omega, dtype=float)
+    matrix = frequency_domain_matrix(model, omega)
+    m00, m01 = matrix[..., 0, 0], matrix[..., 0, 1]
+    m10, m11 = matrix[..., 1, 0], matrix[..., 1, 1]
+    det = m00 * m11 - m01 * m10
+    scale = np.sqrt(
+        (np.abs(m00) ** 2 + np.abs(m01) ** 2) * (np.abs(m10) ** 2 + np.abs(m11) ** 2)
     )
-    if abs(det) <= 1e-12 * max(scale, np.finfo(float).tiny):
+    poles = np.flatnonzero(np.abs(det) <= 1e-12 * np.maximum(scale, np.finfo(float).tiny))
+    if poles.size:
+        i = int(poles[0])
+        where = f" (grid row {i})" if omega.ndim else ""
         raise PoleError(
-            "driven response diverges: drive frequency sits on an undamped hybrid mode"
+            "driven response diverges: drive frequency "
+            f"{float(omega.flat[i])!r} eV{where} sits on an undamped hybrid mode"
         )
-    rhs = np.array([drive.F_cav, drive.F_mat], dtype=complex)
-    x = np.linalg.solve(matrix, rhs)
+    rhs = np.broadcast_to(np.array([drive.F_cav, drive.F_mat], dtype=complex), matrix.shape[:-1])
+    x = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+    x_cav, x_mat = x[..., 0], x[..., 1]
+    if omega.ndim == 0:
+        x_cav, x_mat = complex(x_cav), complex(x_mat)
     return ResponseAmplitudes(
-        x_cav=complex(x[0]),
-        x_mat=complex(x[1]),
-        d_cav=math.sqrt(drive.f_cav) * complex(x[0]),
-        d_mat=math.sqrt(drive.f_mat) * complex(x[1]),
+        x_cav=x_cav,
+        x_mat=x_mat,
+        d_cav=math.sqrt(drive.f_cav) * x_cav,
+        d_mat=math.sqrt(drive.f_mat) * x_mat,
     )
 
 
@@ -98,14 +113,14 @@ def driven_spc(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes:
     """Amplitude-coupled steady state under the drive."""
     if model.variant is not ModelVariant.SPC:
         raise PolaritonError(f"driven_spc needs an SpC model, got {model.variant.value}")
-    return _solve_response(frequency_domain_matrix(model, drive.omega), drive)
+    return _solve_response(model, drive)
 
 
 def driven_mc(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes:
     """Velocity-coupled steady state under the drive."""
     if model.variant is not ModelVariant.MOC:
         raise PolaritonError(f"driven_mc needs an MoC model, got {model.variant.value}")
-    return _solve_response(frequency_domain_matrix(model, drive.omega), drive)
+    return _solve_response(model, drive)
 
 
 def scattering_cross_section(
@@ -113,23 +128,26 @@ def scattering_cross_section(
     n_dcav,
     n_dmat,
     E_inc: float,
-    omega: float,
+    omega,
     units: UnitSystem = UNITS,
-) -> float:
+):
     """Dipole-radiation scattering cross section in nm^2.
 
     The two induced dipoles add vectorially along their orientation axes; the
     cross section is ``(8 pi / 3) (omega / hbar c)^4 |d_tot / E_inc|^2``.
+    Array-valued responses and frequencies give an array of cross sections.
     """
     if not E_inc > 0:
         raise PolaritonError(f"E_inc must be positive, got {E_inc}")
-    if omega <= 0:
-        raise PolaritonError(f"omega must be positive, got {omega}")
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0):
+        raise PolaritonError(f"omega must be positive, got {omega.min()}")
     nc = _unit_vector("n_dcav", n_dcav)
     nm_ = _unit_vector("n_dmat", n_dmat)
-    total = resp.d_cav * nc + resp.d_mat * nm_
+    total = np.multiply.outer(resp.d_cav, nc) + np.multiply.outer(resp.d_mat, nm_)
     k = omega / units.hbar_c
-    return (8.0 * math.pi / 3.0) * k**4 * float(np.sum(np.abs(total / E_inc) ** 2))
+    sigma = (8.0 * math.pi / 3.0) * k**4 * np.sum(np.abs(total / E_inc) ** 2, axis=-1)
+    return float(sigma) if sigma.ndim == 0 else sigma
 
 
 def polarizability_oracle(
@@ -144,7 +162,7 @@ def polarizability_oracle(
     n_dcav,
     n_dmat,
     E_inc: float,
-    omega: float,
+    omega,
 ) -> ResponseAmplitudes:
     """Coupled-dipole steady state built only from Lorentzian polarizabilities.
 
@@ -156,10 +174,12 @@ def polarizability_oracle(
     carries in the coupled-oscillator picture (for lossless constituents it
     reduces to the bare geometric kernel).  This shares no code with the
     model solvers and serves as an independent check on ``driven_spc``.
+    An array of drive frequencies gives array-valued amplitudes.
     """
+    omega = np.asarray(omega, dtype=float)
     if f_cav <= 0 or f_mat <= 0:
         raise PolaritonError("oscillator strengths must be positive")
-    if omega <= 0 or omega_cav <= 0 or omega_mat <= 0:
+    if np.any(omega <= 0) or omega_cav <= 0 or omega_mat <= 0:
         raise PolaritonError("frequencies must be positive")
     if kappa < 0 or gamma < 0:
         raise PolaritonError("decay rates must be >= 0")
@@ -178,19 +198,29 @@ def polarizability_oracle(
     # dressed by the loss convention of the sqrt(w_cav w_mat) coupling factor
     dressing = cmath.sqrt(wc * wm) / math.sqrt(omega_cav * omega_mat)
     coupling_kernel = -angular_factor(nc, nm_, axis) / dist**3 * dressing
-    inv_alpha_c = (wc * wc - omega**2) / f_cav
-    inv_alpha_m = (wm * wm - omega**2) / f_mat
-    matrix = np.array(
-        [[inv_alpha_c, -coupling_kernel], [-coupling_kernel, inv_alpha_m]], dtype=complex
-    )
-    det = matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
-    scale = abs(matrix[0, 0] * matrix[1, 1]) + abs(matrix[0, 1] * matrix[1, 0])
-    if abs(det) <= 1e-12 * max(scale, np.finfo(float).tiny):
-        raise PoleError("coupled-dipole system is singular at this frequency")
-    d = np.linalg.solve(matrix, np.array([abs(E_inc), abs(E_inc)], dtype=complex))
+    matrix = np.empty(omega.shape + (2, 2), dtype=complex)
+    matrix[..., 0, 0] = (wc * wc - omega**2) / f_cav
+    matrix[..., 0, 1] = -coupling_kernel
+    matrix[..., 1, 0] = -coupling_kernel
+    matrix[..., 1, 1] = (wm * wm - omega**2) / f_mat
+    det = matrix[..., 0, 0] * matrix[..., 1, 1] - matrix[..., 0, 1] * matrix[..., 1, 0]
+    scale = np.abs(matrix[..., 0, 0] * matrix[..., 1, 1]) + np.abs(matrix[..., 0, 1] * matrix[..., 1, 0])
+    singular = np.flatnonzero(np.abs(det) <= 1e-12 * np.maximum(scale, np.finfo(float).tiny))
+    if singular.size:
+        i = int(singular[0])
+        where = f" (grid row {i})" if omega.ndim else ""
+        raise PoleError(
+            "coupled-dipole system is singular at drive frequency "
+            f"{float(omega.flat[i])!r} eV{where}"
+        )
+    rhs = np.full(omega.shape + (2, 1), abs(E_inc), dtype=complex)
+    d = np.linalg.solve(matrix, rhs)[..., 0]
+    d_cav, d_mat = d[..., 0], d[..., 1]
+    if omega.ndim == 0:
+        d_cav, d_mat = complex(d_cav), complex(d_mat)
     return ResponseAmplitudes(
-        x_cav=complex(d[0]) / math.sqrt(f_cav),
-        x_mat=complex(d[1]) / math.sqrt(f_mat),
-        d_cav=complex(d[0]),
-        d_mat=complex(d[1]),
+        x_cav=d_cav / math.sqrt(f_cav),
+        x_mat=d_mat / math.sqrt(f_mat),
+        d_cav=d_cav,
+        d_mat=d_mat,
     )

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import PolaritonError
-from .models import CoupledModel, ModelVariant, OscillatorPair, eigenfrequencies
+from .models import ModelVariant, branch_frequencies, mode_ratio
 from .units import UNITS, OscillatorStrength, _unit_vector
 
 __all__ = [
@@ -25,10 +26,13 @@ __all__ = [
     "BoxCavityScene",
     "NanoparticleScene",
     "FieldSample",
+    "FieldArrays",
     "mode_profile_box",
     "hybrid_field_map_dielectric",
+    "dielectric_field_arrays",
     "contribution_fractions",
     "quasistatic_field_map",
+    "quasistatic_field_arrays",
 ]
 
 # Relative weight of the emitter's near-field term against the cavity-mode
@@ -59,7 +63,9 @@ class BoxCavityScene:
     ``V_eff`` is an independent input (nm^3), never derived from ``L``; the
     fundamental mode is polarized along z with the in-plane profile of
     :func:`mode_profile_box`.  Box coordinates are centered: the walls sit at
-    +/- L/2 on each axis.
+    +/- L/2 on each axis.  ``omega_mat`` may be a 1-D array (a detuning
+    sweep), which :func:`contribution_fractions` evaluates at once; field
+    maps need a single value.
     """
 
     L: tuple
@@ -79,7 +85,8 @@ class BoxCavityScene:
             raise PolaritonError(f"V_eff must be positive, got {self.V_eff}")
         if not (math.isfinite(self.omega_cav) and self.omega_cav > 0):
             raise PolaritonError(f"omega_cav must be positive, got {self.omega_cav}")
-        if not (math.isfinite(self.omega_mat) and self.omega_mat > 0):
+        omega_mat = np.asarray(self.omega_mat, dtype=float)
+        if omega_mat.ndim > 1 or not np.all(np.isfinite(omega_mat) & (omega_mat > 0)):
             raise PolaritonError(f"omega_mat must be positive, got {self.omega_mat}")
         object.__setattr__(self, "r_mat", _as_vec(self.r_mat, "r_mat"))
         object.__setattr__(self, "n_d", _unit_vector("n_d", self.n_d))
@@ -136,84 +143,139 @@ class FieldSample:
     excluded: bool = False
 
 
+class FieldArrays(NamedTuple):
+    """A field map over N positions: (N, 3) field arrays and an (N,) mask.
+
+    Excluded positions hold zero fields.
+    """
+
+    E_total: np.ndarray
+    E_cav: np.ndarray
+    E_mat: np.ndarray
+    excluded: np.ndarray
+
+
+def _positions(positions) -> np.ndarray:
+    pos = np.asarray(positions, dtype=float)
+    if pos.size == 0:
+        pos = pos.reshape(0, 3)
+    if pos.ndim != 2 or pos.shape[1] != 3 or not np.all(np.isfinite(pos)):
+        raise PolaritonError(f"positions must be finite 3-vectors, got an array of shape {pos.shape}")
+    return pos
+
+
+def _box_profile(scene: BoxCavityScene, pos: np.ndarray) -> np.ndarray:
+    """cos(pi x / L_x) cos(pi y / L_y) at each row of ``pos``."""
+    lx, ly, _ = scene.L
+    outside = np.flatnonzero(np.any(np.abs(pos) > np.asarray(scene.L) / 2, axis=1))
+    if outside.size:
+        i = int(outside[0])
+        raise PolaritonError(f"position {pos[i]} (row {i}) lies outside the box")
+    return np.cos(math.pi * pos[:, 0] / lx) * np.cos(math.pi * pos[:, 1] / ly)
+
+
 def mode_profile_box(scene: BoxCavityScene, r) -> float:
     """Normalized in-plane mode profile cos(pi x / L_x) cos(pi y / L_y).
 
     Equals 1 at the box center and vanishes on the x and y walls; constant
     along z (fundamental mode with no z variation).
     """
-    vec = _as_vec(r, "r")
-    lx, ly, lz = scene.L
-    if abs(vec[0]) > lx / 2 or abs(vec[1]) > ly / 2 or abs(vec[2]) > lz / 2:
-        raise PolaritonError(f"position {vec} lies outside the box")
-    return math.cos(math.pi * vec[0] / lx) * math.cos(math.pi * vec[1] / ly)
+    return float(_box_profile(scene, _as_vec(r, "r")[None, :])[0])
 
 
 def _dipole_pattern(n: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """Static dipole angular pattern (3 (n.rhat) rhat - n) / r^3 for a unit dipole."""
-    dist = float(np.linalg.norm(rel))
+    """Static dipole pattern (3 (n.rhat) rhat - n) / r^3 of a unit dipole, per row of ``rel``."""
+    dist = np.linalg.norm(rel, axis=-1, keepdims=True)
     rhat = rel / dist
-    return (3.0 * float(np.dot(n, rhat)) * rhat - n) / dist**3
+    return (3.0 * (rhat @ n)[:, None] * rhat - n) / dist**3
 
 
-def _dielectric_terms(scene: BoxCavityScene, g: float, branch: int, positions, core_radius):
-    """Per-position raw field terms for unit matter amplitude, plus branch data.
-
-    Returns (samples_raw, upper_cav_peak, rho_plus) where samples_raw holds
-    (position, E_cav_raw, E_mat_raw, excluded) and upper_cav_peak is the
-    largest |E_cav| the *upper* branch attains over the included positions
-    (used by the caller for normalization).
-    """
+def _check_branch(branch: int) -> None:
     if branch not in (+1, -1):
         raise PolaritonError(f"branch must be +1 or -1, got {branch!r}")
-    pair = OscillatorPair(scene.omega_cav, scene.omega_mat)
-    f_red = scene.f_mat_reduced
+
+
+def _branch_amplitudes(scene: BoxCavityScene, g: float, branch: int):
+    """Cavity-term prefactors of one branch for unit matter amplitude.
+
+    Returns ``(cav, cav_upper, matter, anchor)``, each shaped like
+    ``scene.omega_mat``: ``cav`` times the box profile is the branch's cavity
+    field (along z), ``cav_upper`` the same for the upper branch (the
+    normalization anchor), ``matter`` whether the branch carries the
+    emitter's dipole term, and ``anchor`` the branch's amplitude relative to
+    the normalized upper branch under the cross-amplitude convention.  With
+    ``g = 0`` the cavity-like branch is a pure cavity mode and the other a
+    pure matter mode; ``cav_upper`` and ``anchor`` are then None.
+    """
+    omega_cav = scene.omega_cav
+    omega_mat = np.asarray(scene.omega_mat, dtype=float)
     cav_unit = math.sqrt(4.0 * math.pi / scene.V_eff)
-    zhat = np.array([0.0, 0.0, 1.0])
-
     if g == 0.0:
-        cavity_like = +1 if scene.omega_cav >= scene.omega_mat else -1
-        omega_b = {+1: max(scene.omega_cav, scene.omega_mat), -1: min(scene.omega_cav, scene.omega_mat)}[branch]
-        rho_b = None  # not meaningful; one of the two terms vanishes identically
-        rho_plus = None
+        cavity_like = np.where(omega_cav >= omega_mat, +1, -1)
+        pick = np.maximum if branch == +1 else np.minimum
+        matter = cavity_like != branch
+        cav = np.where(matter, 0.0, pick(omega_cav, omega_mat) * cav_unit)
+        return cav, None, matter, None
+    if g < 0:
+        raise PolaritonError(f"MoC coupling must be >= 0, got {g}")
+    plus, minus = branch_frequencies(ModelVariant.MOC, omega_cav, omega_mat, g)
+    if np.any(np.isnan(minus)):
+        raise PolaritonError("branch eigenfrequencies must be real for a field map")
+    # realified amplitude ratio: x_cav/x_mat is purely imaginary for this
+    # model; the plotted (real) cavity field carries its imaginary part
+    rho_plus = mode_ratio(ModelVariant.MOC, omega_cav, omega_mat, g, plus).imag
+    if branch == +1:
+        omega_b, rho_b, anchor = plus, rho_plus, 1.0
     else:
-        model = CoupledModel(pair, ModelVariant.MOC, g)
-        modes = eigenfrequencies(model)
-        if not modes.lower_branch_real:
-            raise PolaritonError("branch eigenfrequencies must be real for a field map")
-        omega_b = (modes.omega_plus if branch == +1 else modes.omega_minus).real
-        # realified amplitude ratio: x_cav/x_mat is purely imaginary for this
-        # model; the plotted (real) cavity field carries its imaginary part
-        rho_plus = modes.ratio_plus.imag
-        rho_b = (modes.ratio_plus if branch == +1 else modes.ratio_minus).imag
-        omega_plus = modes.omega_plus.real
+        omega_b = minus
+        rho_b = mode_ratio(ModelVariant.MOC, omega_cav, omega_mat, g, minus).imag
+        anchor = np.sqrt(omega_cav / omega_mat) * rho_plus
+    matter = np.ones(omega_mat.shape, dtype=bool)
+    return omega_b * cav_unit * rho_b, plus * cav_unit * rho_plus, matter, anchor
 
-    samples_raw = []
-    cav_mags_upper = []
-    for pos in positions:
-        vec = _as_vec(pos, "position")
-        xi = mode_profile_box(scene, vec)
-        rel = vec - scene.r_mat
-        if float(np.linalg.norm(rel)) <= core_radius:
-            samples_raw.append((vec, None, None, True))
-            continue
-        if g == 0.0:
-            if branch == cavity_like:
-                e_cav = omega_b * cav_unit * xi * zhat
-                e_mat = np.zeros(3)
-            else:
-                e_cav = np.zeros(3)
-                e_mat = (
-                    NEAR_FIELD_CALIBRATION * math.sqrt(f_red) * _dipole_pattern(scene.n_d, rel)
-                )
-            cav_mags_upper.append(float(np.max(np.abs(e_cav))))
-        else:
-            e_cav = omega_b * cav_unit * rho_b * xi * zhat
-            e_mat = NEAR_FIELD_CALIBRATION * math.sqrt(f_red) * _dipole_pattern(scene.n_d, rel)
-            cav_mags_upper.append(abs(omega_plus * cav_unit * rho_plus * xi))
-        samples_raw.append((vec, e_cav, e_mat, False))
-    upper_cav_peak = max(cav_mags_upper, default=0.0)
-    return samples_raw, upper_cav_peak, rho_plus
+
+def dielectric_field_arrays(
+    scene: BoxCavityScene,
+    g: float,
+    branch: int,
+    positions,
+    core_radius: float = 0.1,
+) -> FieldArrays:
+    """Array form of :func:`hybrid_field_map_dielectric` over (N, 3) positions."""
+    _check_branch(branch)
+    if np.ndim(scene.omega_mat):
+        raise PolaritonError("a field map needs a single omega_mat")
+    pos = _positions(positions)
+    xi = _box_profile(scene, pos)
+    rel = pos - scene.r_mat
+    excluded = np.linalg.norm(rel, axis=1) <= core_radius
+    keep = ~excluded
+    cav, cav_upper, matter, anchor = _branch_amplitudes(scene, g, branch)
+    zhat = np.array([0.0, 0.0, 1.0])
+    e_cav = (cav * xi[keep])[:, None] * zhat
+    if matter:
+        f_red = scene.f_mat_reduced
+        e_mat = NEAR_FIELD_CALIBRATION * math.sqrt(f_red) * _dipole_pattern(scene.n_d, rel[keep])
+    else:
+        e_mat = np.zeros_like(e_cav)
+    if g == 0.0:
+        # normalize whichever single term is present to peak 1
+        peak = float(np.max(np.abs(e_cav + e_mat), initial=0.0))
+        if peak == 0.0:
+            raise PolaritonError("fields vanish at every supplied position; cannot normalize")
+        scale = 1.0 / peak
+    else:
+        upper_cav_peak = float(np.max(np.abs(cav_upper * xi[keep]), initial=0.0))
+        if upper_cav_peak == 0.0:
+            raise PolaritonError(
+                "upper-branch cavity term vanishes at every supplied position; cannot normalize"
+            )
+        scale = anchor * (1.0 / upper_cav_peak)
+    out_cav = np.zeros(pos.shape)
+    out_mat = np.zeros(pos.shape)
+    out_cav[keep] = scale * e_cav
+    out_mat[keep] = scale * e_mat
+    return FieldArrays(out_cav + out_mat, out_cav, out_mat, excluded)
 
 
 def hybrid_field_map_dielectric(
@@ -236,59 +298,59 @@ def hybrid_field_map_dielectric(
     requested branch is a pure cavity or pure matter mode and is normalized
     to a peak of 1 on its own.
     """
-    samples_raw, upper_cav_peak, rho_plus = _dielectric_terms(
-        scene, g, branch, positions, core_radius
-    )
-    if g == 0.0:
-        # normalize whichever single term is present to peak 1
-        peak = max(
-            (float(np.max(np.abs(np.asarray(e_cav) + np.asarray(e_mat))))
-             for _, e_cav, e_mat, excl in samples_raw if not excl),
-            default=0.0,
-        )
-        if peak == 0.0:
-            raise PolaritonError("fields vanish at every supplied position; cannot normalize")
-        scale = 1.0 / peak
-    else:
-        if upper_cav_peak == 0.0:
-            raise PolaritonError(
-                "upper-branch cavity term vanishes at every supplied position; cannot normalize"
-            )
-        t_plus = 1.0 / upper_cav_peak
-        if branch == +1:
-            scale = t_plus
-        else:
-            scale = math.sqrt(scene.omega_cav / scene.omega_mat) * rho_plus * t_plus
-    out = []
-    for vec, e_cav, e_mat, excl in samples_raw:
-        if excl:
-            zero = np.zeros(3)
-            out.append(FieldSample(vec, zero, zero.copy(), zero.copy(), excluded=True))
-        else:
-            ec = scale * e_cav
-            em = scale * e_mat
-            out.append(FieldSample(vec, ec + em, ec, em, excluded=False))
-    return out
+    fields = dielectric_field_arrays(scene, g, branch, positions, core_radius)
+    return _samples(positions, fields)
 
 
 def contribution_fractions(
     scene: BoxCavityScene, g: float, branch: int, position, core_radius: float = 0.1
-) -> tuple[float, float]:
+):
     """Normalized cavity/matter weights (sigma_cav, sigma_mat) at one point.
 
     The overall mode amplitude cancels in the ratio, so no normalization
-    anchor is involved; the two weights sum to 1 exactly.
+    anchor is involved; the two weights sum to 1 exactly.  A scene whose
+    ``omega_mat`` is an array gives a pair of arrays over it.
     """
-    samples_raw, _, _ = _dielectric_terms(scene, g, branch, [position], core_radius)
-    vec, e_cav, e_mat, excl = samples_raw[0]
-    if excl:
+    _check_branch(branch)
+    vec = _as_vec(position, "position")
+    xi = _box_profile(scene, vec[None, :])[0]
+    rel = (vec - scene.r_mat)[None, :]
+    if np.linalg.norm(rel) <= core_radius:
         raise PolaritonError(f"position {vec} is inside the emitter core; fractions undefined")
-    cav_sq = float(np.sum(np.abs(e_cav) ** 2))
-    mat_sq = float(np.sum(np.abs(e_mat) ** 2))
-    if cav_sq + mat_sq == 0.0:
-        raise PolaritonError(f"both field contributions vanish at {vec}; fractions undefined")
-    sigma_cav = cav_sq / (cav_sq + mat_sq)
+    cav, _, matter, _ = _branch_amplitudes(scene, g, branch)
+    e_mat = NEAR_FIELD_CALIBRATION * math.sqrt(scene.f_mat_reduced) * _dipole_pattern(scene.n_d, rel)[0]
+    cav_sq = np.abs(cav * xi) ** 2
+    total = cav_sq + np.where(matter, float(np.sum(np.abs(e_mat) ** 2)), 0.0)
+    vanish = np.flatnonzero(total == 0.0)
+    if vanish.size:
+        i = int(vanish[0])
+        where = f" at omega_mat = {np.ravel(scene.omega_mat)[i]} (row {i})" if np.ndim(total) else ""
+        raise PolaritonError(f"both field contributions vanish at {vec}{where}; fractions undefined")
+    sigma_cav = cav_sq / total
+    if np.ndim(sigma_cav) == 0:
+        sigma_cav = float(sigma_cav)
     return sigma_cav, 1.0 - sigma_cav
+
+
+def quasistatic_field_arrays(
+    scene: NanoparticleScene,
+    resp,
+    positions,
+    core_radius: float = 0.1,
+) -> FieldArrays:
+    """Array form of :func:`quasistatic_field_map` over (N, 3) positions."""
+    pos = _positions(positions)
+    rel_cav = pos - scene.r_cav
+    rel_mat = pos - scene.r_mat
+    excluded = (np.linalg.norm(rel_cav, axis=1) <= scene.R_cav) | (
+        np.linalg.norm(rel_mat, axis=1) <= core_radius
+    )
+    keep = ~excluded
+    e_cav = np.zeros(pos.shape, dtype=complex)
+    e_mat = np.zeros(pos.shape, dtype=complex)
+    e_cav[keep] = resp.d_cav * _dipole_pattern(scene.n_dcav, rel_cav[keep])
+    e_mat[keep] = resp.d_mat * _dipole_pattern(scene.n_dmat, rel_mat[keep])
+    return FieldArrays(e_cav + e_mat, e_cav, e_mat, excluded)
 
 
 def quasistatic_field_map(
@@ -304,19 +366,11 @@ def quasistatic_field_map(
     inside the nanoparticle or within ``core_radius`` of the emitter are
     zeroed with ``excluded=True``.
     """
-    out = []
-    for pos in positions:
-        vec = _as_vec(pos, "position")
-        rel_cav = vec - scene.r_cav
-        rel_mat = vec - scene.r_mat
-        if (
-            float(np.linalg.norm(rel_cav)) <= scene.R_cav
-            or float(np.linalg.norm(rel_mat)) <= core_radius
-        ):
-            zero = np.zeros(3, dtype=complex)
-            out.append(FieldSample(vec, zero, zero.copy(), zero.copy(), excluded=True))
-            continue
-        e_cav = resp.d_cav * _dipole_pattern(scene.n_dcav, rel_cav)
-        e_mat = resp.d_mat * _dipole_pattern(scene.n_dmat, rel_mat)
-        out.append(FieldSample(vec, e_cav + e_mat, e_cav, e_mat, excluded=False))
-    return out
+    return _samples(positions, quasistatic_field_arrays(scene, resp, positions, core_radius))
+
+
+def _samples(positions, fields: FieldArrays) -> list[FieldSample]:
+    return [
+        FieldSample(pos, e_tot, e_cav, e_mat, excluded=bool(excl))
+        for pos, e_tot, e_cav, e_mat, excl in zip(_positions(positions), *fields)
+    ]

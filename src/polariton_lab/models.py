@@ -38,6 +38,10 @@ __all__ = [
     "spc_lower_branch_exists",
     "alternative_model_equivalence",
     "linearized_eigenfrequencies",
+    "branch_frequencies",
+    "mode_ratio",
+    "dressed_parameters",
+    "determinant_residual",
 ]
 
 
@@ -119,6 +123,8 @@ class HybridModes:
 
 
 class MinSplitting(NamedTuple):
+    """Minimum splitting and where it sits; arrays when ``g`` was an array."""
+
     Omega_min: float
     omega_cav_at_min: float
 
@@ -139,7 +145,7 @@ def _amplitude_modes_sq(wc, wm, g):
     """Branch frequencies squared of the amplitude-coupled quartic (stable forms)."""
     a, b = wc * wc, wm * wm
     rad = (a - b) ** 2 + 16.0 * g * g * wc * wm
-    root = np.sqrt(rad) if isinstance(rad, np.ndarray) else cmath.sqrt(rad)
+    root = np.sqrt(rad)
     s_plus = 0.5 * (a + b + root)
     # (a + b)^2 - rad = 4 wc wm (wc wm - 4 g^2): cancellation-free lower branch
     s_minus = 2.0 * wc * wm * (wc * wm - 4.0 * g * g) / (a + b + root)
@@ -151,7 +157,7 @@ def _velocity_modes_sq(wc, wm, g):
     a, b = wc * wc, wm * wm
     s = a + b + 4.0 * g * g
     rad = ((wc - wm) ** 2 + 4.0 * g * g) * ((wc + wm) ** 2 + 4.0 * g * g)
-    root = np.sqrt(rad) if isinstance(rad, np.ndarray) else cmath.sqrt(rad)
+    root = np.sqrt(rad)
     s_plus = 0.5 * (s + root)
     s_minus = 2.0 * a * b / (s + root)  # product identity s+ s- = a b
     return s_plus, s_minus
@@ -167,22 +173,52 @@ def _branch_sqrt(s):
     return complex(0.0, math.sqrt(-s))
 
 
-def frequency_domain_matrix(model: CoupledModel, omega: complex) -> np.ndarray:
-    """2x2 matrix M(omega) with M @ (x_cav, x_mat) = 0 on an eigenmode."""
-    wc, wm = model.pair.complex_cav, model.pair.complex_mat
-    g = model.g
-    if model.variant in _AMPLITUDE_FORM:
+def _fd_matrix(variant: ModelVariant, wc, wm, g, omega) -> np.ndarray:
+    """Stacked 2x2 matrices M(omega), shape ``broadcast(...) + (2, 2)``.
+
+    ``wc`` and ``wm`` may be complex (lossy) bare frequencies.
+    """
+    wc, wm, g, omega = np.broadcast_arrays(wc, wm, g, omega)
+    m = np.empty(wc.shape + (2, 2), dtype=complex)
+    if variant in _AMPLITUDE_FORM:
         cross = 2.0 * g * np.sqrt(wc * wm + 0j)
-        return np.array(
-            [[wc * wc - omega**2, cross], [cross, wm * wm - omega**2]], dtype=complex
-        )
-    if model.variant in _VELOCITY_FORM:
+        m[..., 0, 1] = cross
+        m[..., 1, 0] = cross
+    elif variant in _VELOCITY_FORM:
         cross = 2.0j * omega * g
-        return np.array(
-            [[wc * wc - omega**2, cross], [-cross, wm * wm - omega**2]], dtype=complex
-        )
-    # linearized: first order in omega
-    return np.array([[wc - omega, g], [g, wm - omega]], dtype=complex)
+        m[..., 0, 1] = cross
+        m[..., 1, 0] = -cross
+    else:
+        # linearized: first order in omega
+        m[..., 0, 0] = wc - omega
+        m[..., 1, 1] = wm - omega
+        m[..., 0, 1] = g
+        m[..., 1, 0] = g
+        return m
+    m[..., 0, 0] = wc * wc - omega**2
+    m[..., 1, 1] = wm * wm - omega**2
+    return m
+
+
+def frequency_domain_matrix(model: CoupledModel, omega) -> np.ndarray:
+    """2x2 matrix M(omega) with M @ (x_cav, x_mat) = 0 on an eigenmode.
+
+    An array of frequencies gives the stacked matrices, shape ``omega.shape +
+    (2, 2)``.
+    """
+    return _fd_matrix(model.variant, model.pair.complex_cav, model.pair.complex_mat, model.g, omega)
+
+
+def determinant_residual(variant: ModelVariant, omega_cav, omega_mat, g, omega) -> np.ndarray:
+    """Relative residual ``|det M(omega)| / max(1, max |M_ij|)^2`` over arrays.
+
+    At an eigenfrequency the determinant vanishes, so this is a self-check of
+    any branch computation; NaN rows (masked points) give NaN.
+    """
+    m = _fd_matrix(variant, omega_cav, omega_mat, g, omega)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return np.abs(det) / (scale * scale)
 
 
 def generic_eigenfrequencies(model: CoupledModel) -> tuple[complex, complex]:
@@ -214,24 +250,38 @@ def generic_eigenfrequencies(model: CoupledModel) -> tuple[complex, complex]:
     return omegas[1], omegas[0]
 
 
-def _mode_ratio(model: CoupledModel, omega: complex) -> complex:
-    """x_cav / x_mat on the branch with eigenfrequency ``omega``."""
-    wc, wm = model.pair.complex_cav, model.pair.complex_mat
-    g = model.g
-    if model.variant is ModelVariant.LINEARIZED:
+def mode_ratio(variant: ModelVariant, omega_cav, omega_mat, g, omega):
+    """x_cav / x_mat on the branch with eigenfrequency ``omega``, over arrays.
+
+    Bare frequencies may be complex (lossy).  Raises :class:`PoleError` where
+    the branch frequency coincides with the bare cavity frequency.
+    """
+    wc, wm, g, omega = (np.asarray(v) for v in (omega_cav, omega_mat, g, omega))
+    if variant is ModelVariant.LINEARIZED:
         den = wc - omega
         num = -g
-    elif model.variant in _AMPLITUDE_FORM:
+    elif variant in _AMPLITUDE_FORM:
         den = wc * wc - omega * omega
-        num = -2.0 * g * cmath.sqrt(wc * wm)
+        num = -2.0 * g * np.sqrt(wc * wm + 0j)
     else:
         den = wc * wc - omega * omega
         num = -2.0j * omega * g
-    if den == 0:
+    poles = np.flatnonzero(den == 0)
+    if poles.size:
+        i = int(poles[0])
+        where = f" (grid row {i})" if np.ndim(den) else ""
         raise PoleError(
-            "eigenvector ratio has a pole: branch frequency coincides with the bare cavity frequency"
+            "eigenvector ratio has a pole: branch frequency "
+            f"{np.broadcast_to(omega, den.shape).flat[i]} coincides with the bare cavity "
+            f"frequency{where}"
         )
     return num / den
+
+
+def _mode_ratio(model: CoupledModel, omega: complex) -> complex:
+    """x_cav / x_mat on the branch with eigenfrequency ``omega``."""
+    pair = model.pair
+    return complex(mode_ratio(model.variant, pair.complex_cav, pair.complex_mat, model.g, omega))
 
 
 def eigenfrequencies(model: CoupledModel) -> HybridModes:
@@ -291,6 +341,26 @@ def eigenvector_ratio(model: CoupledModel, branch: int) -> complex:
     return _mode_ratio(model, omega)
 
 
+def branch_frequencies(variant: ModelVariant, omega_cav, omega_mat, g):
+    """Lossless branch frequencies ``(omega_plus, omega_minus)`` over arrays.
+
+    The arguments broadcast against each other.  These are the closed forms
+    :func:`eigenfrequencies` uses for lossless parameters, evaluated on a
+    whole grid at once.  ``omega_minus`` is NaN wherever the lower branch is
+    not a real frequency: below the amplitude-coupled cutoff, or where the
+    linearized lower branch turns negative.  NaN parameters give NaN rows.
+    """
+    wc, wm, g = (np.asarray(v, dtype=float) for v in (omega_cav, omega_mat, g))
+    if variant is ModelVariant.LINEARIZED:
+        plus, minus = linearized_eigenfrequencies(wc, wm, g)
+        return plus, np.where(minus >= 0.0, minus, np.nan)
+    modes_sq = _amplitude_modes_sq if variant in _AMPLITUDE_FORM else _velocity_modes_sq
+    s_plus, s_minus = modes_sq(wc, wm, g)
+    hi = np.sqrt(s_plus)
+    lo = np.sqrt(np.where(s_minus >= 0.0, s_minus, np.nan))
+    return np.fmax(hi, lo), np.minimum(hi, lo)
+
+
 def _splitting_curve(
     variant: ModelVariant, g: float, omega_mat: float, omega_cavs: np.ndarray
 ) -> np.ndarray:
@@ -312,7 +382,7 @@ def _splitting_curve(
 
 def min_splitting(
     variant: ModelVariant,
-    g: float,
+    g,
     omega_mat: float,
     sweep=None,
 ) -> MinSplitting:
@@ -321,7 +391,9 @@ def min_splitting(
     The sweep grid must span at least [0.2, 3] * omega_mat with >= 1000
     points; the coarse grid minimum is then refined by a golden-section search
     to an abscissa tolerance of 1e-6 * omega_mat.  Only cavity frequencies
-    where both branches are real contribute.
+    where both branches are real contribute.  ``g`` may be an array of
+    couplings: the searches then run in lockstep, each element stopping once
+    its own bracket has converged, and the result holds arrays of g's shape.
     """
     if omega_mat <= 0:
         raise PolaritonError("omega_mat must be positive")
@@ -333,33 +405,78 @@ def min_splitting(
             raise PolaritonError(
                 "sweep grid must span at least [0.2, 3] * omega_mat with >= 1000 points"
             )
-    split = _splitting_curve(variant, g, omega_mat, grid)
-    if np.all(np.isnan(split)):
-        raise PolaritonError("no cavity frequency in the sweep has two real branches")
-    i = int(np.nanargmin(split))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
+    g_in = np.asarray(g, dtype=float)
+    gs = g_in.ravel()
+    a = np.empty(gs.size)
+    b = np.empty(gs.size)
+    # coarse scan one coupling at a time: a full len(g) x len(grid) table
+    # would cost far more memory than the scan saves
+    for k, g_k in enumerate(gs):
+        split = _splitting_curve(variant, g_k, omega_mat, grid)
+        if np.all(np.isnan(split)):
+            raise PolaritonError(
+                f"no cavity frequency in the sweep has two real branches at g = {float(g_k)!r}"
+            )
+        i = int(np.nanargmin(split))
+        a[k] = grid[max(i - 1, 0)]
+        b[k] = grid[min(i + 1, grid.size - 1)]
 
-    def f(wc: float) -> float:
-        val = _splitting_curve(variant, g, omega_mat, np.array([wc]))[0]
-        return math.inf if math.isnan(val) else val
+    def f(wc, g_sel):
+        val = _splitting_curve(variant, g_sel, omega_mat, wc)
+        return np.where(np.isnan(val), np.inf, val)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-6 * omega_mat:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    fc, fd = f(c, gs), f(d, gs)
+    tol = 1e-6 * omega_mat
+    active = np.flatnonzero(b - a > tol)
+    while active.size:
+        left = fc[active] < fd[active]
+        lt, rt = active[left], active[~left]
+        # minimum in [a, d]: d becomes the new b, c the new d
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
+        # minimum in [c, b]: c becomes the new a, d the new c
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
+        probe = np.where(left, c[active], d[active])
+        f_probe = f(probe, gs[active])
+        fc[lt] = f_probe[left]
+        fd[rt] = f_probe[~left]
+        active = active[b[active] - a[active] > tol]
     best = 0.5 * (a + b)
-    return MinSplitting(Omega_min=f(best), omega_cav_at_min=best)
+    omega_min = f(best, gs)
+    if g_in.ndim == 0:
+        return MinSplitting(Omega_min=float(omega_min[0]), omega_cav_at_min=float(best[0]))
+    return MinSplitting(
+        Omega_min=omega_min.reshape(g_in.shape), omega_cav_at_min=best.reshape(g_in.shape)
+    )
+
+
+def dressed_parameters(base: ModelVariant, target: ModelVariant, omega_cav, omega_mat, g):
+    """Bare frequencies and coupling ``(omega_cav, omega_mat, g)`` of a dressed model.
+
+    The array form of :func:`alternative_model_equivalence` for lossless
+    parameters: the arguments broadcast, and the dressed cavity frequency is
+    NaN wherever the SpC dressing is invalid (``omega_cav^2 - 4 g'^2 <= 0``).
+    """
+    wc, wm, g = (np.asarray(v, dtype=float) for v in (omega_cav, omega_mat, g))
+    if base is ModelVariant.MOC:
+        if target is ModelVariant.ALT_COULOMB_DRESSED_CAVITY:
+            wc_dressed = np.sqrt(wc * wc + 4.0 * g * g)
+            return wc_dressed, wm, -g * np.sqrt(wm / wc_dressed)
+        if target is ModelVariant.ALT_DIPOLE_DRESSED_MATTER:
+            wm_dressed = np.sqrt(wm * wm + 4.0 * g * g)
+            return wc, wm_dressed, g * np.sqrt(wc / wm_dressed)
+        raise PolaritonError(f"no MoC dressing for target {target}")
+    if base is ModelVariant.SPC:
+        if target is not ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY:
+            raise PolaritonError(f"no SpC dressing for target {target}")
+        g_dressed = g * np.sqrt(wc / wm)
+        wc_sq = wc * wc - 4.0 * g_dressed * g_dressed
+        return np.sqrt(np.where(wc_sq > 0.0, wc_sq, np.nan)), wm, g_dressed
+    raise PolaritonError("equivalence mapping starts from an SpC or MoC model")
 
 
 def alternative_model_equivalence(
@@ -376,42 +493,30 @@ def alternative_model_equivalence(
         raise PolaritonError("equivalence mapping starts from an SpC or MoC model")
     if not base.pair.lossless:
         raise PolaritonError("dressing transformations are defined for lossless models")
-    wc, wm, g = base.pair.omega_cav, base.pair.omega_mat, base.g
-    if base.variant is ModelVariant.MOC:
-        if target is None:
-            target = ModelVariant.ALT_COULOMB_DRESSED_CAVITY
-        if target is ModelVariant.ALT_COULOMB_DRESSED_CAVITY:
-            wc_dressed = math.sqrt(wc * wc + 4.0 * g * g)
-            g_dressed = -g * math.sqrt(wm / wc_dressed)
-            return CoupledModel(OscillatorPair(wc_dressed, wm), target, g_dressed)
-        if target is ModelVariant.ALT_DIPOLE_DRESSED_MATTER:
-            wm_dressed = math.sqrt(wm * wm + 4.0 * g * g)
-            g_dressed = g * math.sqrt(wc / wm_dressed)
-            return CoupledModel(OscillatorPair(wc, wm_dressed), target, g_dressed)
-        raise PolaritonError(f"no MoC dressing for target {target}")
-    # amplitude-coupled base
-    if target not in (None, ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY):
-        raise PolaritonError(f"no SpC dressing for target {target}")
-    g_dressed = g * math.sqrt(wc / wm)
-    wc_sq = wc * wc - 4.0 * g_dressed * g_dressed
-    if wc_sq <= 0.0:
-        raise PolaritonError(
-            "invalid dressing: dressed cavity frequency squared "
-            f"omega_cav^2 - 4 g'^2 = {wc_sq:.6g} is not positive"
+    if target is None:
+        target = (
+            ModelVariant.ALT_COULOMB_DRESSED_CAVITY
+            if base.variant is ModelVariant.MOC
+            else ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY
         )
-    return CoupledModel(
-        OscillatorPair(math.sqrt(wc_sq), wm),
-        ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY,
-        g_dressed,
+    wc, wm, g = dressed_parameters(
+        base.variant, target, base.pair.omega_cav, base.pair.omega_mat, base.g
     )
+    if np.isnan(wc):
+        raise PolaritonError(
+            "invalid dressing: dressed cavity frequency squared omega_cav^2 - 4 g'^2 "
+            f"is not positive (omega_cav = {base.pair.omega_cav}, g' = {float(g):.6g})"
+        )
+    return CoupledModel(OscillatorPair(float(wc), float(wm)), target, float(g))
 
 
-def linearized_eigenfrequencies(
-    omega_cav: float, omega_mat: float, g_lin: complex
-) -> tuple[float, float]:
-    """Branch frequencies of the model linear in omega (valid outside USC)."""
-    if omega_cav <= 0 or omega_mat <= 0:
+def linearized_eigenfrequencies(omega_cav, omega_mat, g_lin) -> tuple[float, float]:
+    """Branch frequencies of the model linear in omega (valid outside USC).
+
+    Array arguments broadcast and give arrays of branch frequencies.
+    """
+    if np.any(np.asarray(omega_cav) <= 0) or np.any(np.asarray(omega_mat) <= 0):
         raise PolaritonError("frequencies must be positive")
-    gabs = abs(g_lin)
-    root = math.sqrt((omega_cav - omega_mat) ** 2 + 4.0 * gabs * gabs)
+    gabs = np.abs(g_lin)
+    root = np.sqrt((omega_cav - omega_mat) ** 2 + 4.0 * gabs * gabs)
     return 0.5 * (omega_cav + omega_mat + root), 0.5 * (omega_cav + omega_mat - root)

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from ._parallel import ordered_map
 from ._version import __version__
 from .driven import (
     DriveSpec,
@@ -42,8 +41,8 @@ from .fields import (
     BoxCavityScene,
     NanoparticleScene,
     contribution_fractions,
-    hybrid_field_map_dielectric,
-    quasistatic_field_map,
+    dielectric_field_arrays,
+    quasistatic_field_arrays,
 )
 from .hopfield import (
     HopfieldParams,
@@ -65,10 +64,11 @@ from .models import (
     CoupledModel,
     ModelVariant,
     OscillatorPair,
-    alternative_model_equivalence,
+    branch_frequencies,
+    determinant_residual,
+    dressed_parameters,
     eigenfrequencies,
     eigenvector_ratio,
-    frequency_domain_matrix,
     min_splitting,
 )
 from .units import UNITS, OscillatorStrength, coupling_dipole_dipole
@@ -237,15 +237,23 @@ class _Table:
         return len(self.columns[0][1])
 
 
-def _check_det_residual(model: CoupledModel, omega: complex) -> None:
-    """Assert the frequency-domain determinant vanishes at an eigenfrequency."""
-    m = frequency_domain_matrix(model, omega)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) > 1e-8 * scale * scale:
+_DET_RESIDUAL_BOUND = 1e-8
+
+
+def _check_det_residual(variant: ModelVariant, omega_cav, omega_mat, g, omega, label: str) -> None:
+    """Assert the frequency-domain determinant vanishes at every eigenfrequency.
+
+    Masked (NaN) points are skipped; the error names the first sweep row
+    that fails.
+    """
+    residual = determinant_residual(variant, omega_cav, omega_mat, g, omega)
+    bad = np.flatnonzero(residual > _DET_RESIDUAL_BOUND)
+    if bad.size:
+        i = int(bad[0])
         raise PolaritonError(
-            f"internal inconsistency: frequency-domain determinant {abs(det):.3e} "
-            f"does not vanish at eigenfrequency {omega}"
+            f"internal inconsistency: {label} frequency-domain determinant residual "
+            f"{residual[i]:.3e} exceeds {_DET_RESIDUAL_BOUND:g} at eigenfrequency "
+            f"{omega[i]} (sweep row {i})"
         )
 
 
@@ -263,11 +271,11 @@ def _coupling_spec(value, path: str) -> tuple:
     return scaling, strength
 
 
-def _coupling_value(spec: tuple, omega_cav: float, omega_mat: float) -> float:
+def _coupling_value(spec: tuple, omega_cav: np.ndarray, omega_mat: float):
     scaling, strength = spec
     if scaling == "fixed":
         return strength * omega_mat
-    return strength * math.sqrt(omega_cav * omega_mat)
+    return strength * np.sqrt(omega_cav * omega_mat)
 
 
 def _run_eigen_sweep(params: dict) -> _Table:
@@ -299,55 +307,26 @@ def _run_eigen_sweep(params: dict) -> _Table:
                 f"{alt} is a dressed form of {base_variant.value}; add it to variants",
             )
 
-    ratios = sweep
-    columns = [("omega_cav/omega_mat (1)", ratios)]
-    checked = set()
+    omega_cav = sweep * omega_mat
+    columns = [("omega_cav/omega_mat (1)", sweep)]
 
-    def branch_arrays(make_model):
-        plus = np.empty(ratios.size)
-        minus = np.empty(ratios.size)
-        for i, ratio in enumerate(ratios):
-            omega_cav = ratio * omega_mat
-            try:
-                model = make_model(omega_cav)
-                modes = eigenfrequencies(model)
-            except PolaritonError:
-                plus[i] = np.nan
-                minus[i] = np.nan
-                continue
-            if model.variant not in checked:
-                _check_det_residual(model, modes.omega_plus)
-                checked.add(model.variant)
-            plus[i] = modes.omega_plus.real / omega_mat
-            minus[i] = modes.omega_minus.real / omega_mat if modes.lower_branch_real else np.nan
-        return plus, minus
+    def branch_columns(variant, wc, wm, g, label, tag):
+        plus, minus = branch_frequencies(variant, wc, wm, g)
+        _check_det_residual(variant, wc, wm, g, plus, f"{label} upper branch")
+        _check_det_residual(variant, wc, wm, g, minus, f"{label} lower branch")
+        columns.append((f"omega_plus_{tag} (omega_mat)", plus / omega_mat))
+        columns.append((f"omega_minus_{tag} (omega_mat)", minus / omega_mat))
 
     for name in variant_names:
-        spec = overrides.get(name, coupling)
-        variant = _VARIANTS[name]
-
-        def make(omega_cav, variant=variant, spec=spec):
-            g = _coupling_value(spec, omega_cav, omega_mat)
-            return CoupledModel(OscillatorPair(omega_cav, omega_mat), variant, g)
-
-        plus, minus = branch_arrays(make)
-        tag = _VARIANT_TAGS[name]
-        columns.append((f"omega_plus_{tag} (omega_mat)", plus))
-        columns.append((f"omega_minus_{tag} (omega_mat)", minus))
+        g = _coupling_value(overrides.get(name, coupling), omega_cav, omega_mat)
+        branch_columns(_VARIANTS[name], omega_cav, omega_mat, g, name, _VARIANT_TAGS[name])
 
     for alt in alt_names:
         base_variant, target = _ALTERNATIVES[alt]
-        spec = overrides.get(base_variant.value, coupling)
-
-        def make(omega_cav, base_variant=base_variant, target=target, spec=spec):
-            g = _coupling_value(spec, omega_cav, omega_mat)
-            base = CoupledModel(OscillatorPair(omega_cav, omega_mat), base_variant, g)
-            return alternative_model_equivalence(base, target)
-
-        plus, minus = branch_arrays(make)
-        tag = alt.lower()
-        columns.append((f"omega_plus_{tag} (omega_mat)", plus))
-        columns.append((f"omega_minus_{tag} (omega_mat)", minus))
+        g = _coupling_value(overrides.get(base_variant.value, coupling), omega_cav, omega_mat)
+        # an invalid dressing gives NaN parameters, which mask both branches
+        wc, wm, g_dressed = dressed_parameters(base_variant, target, omega_cav, omega_mat, g)
+        branch_columns(target, wc, wm, g_dressed, alt, alt.lower())
 
     return _Table(columns, extras={"omega_mat_eV": omega_mat})
 
@@ -370,14 +349,8 @@ def _run_min_splitting(params: dict) -> _Table:
 
     columns = [("g/omega_mat (1)", g_grid)]
     for name in variant_names:
-        variant = _VARIANTS[name]
-
-        def one(g_rel, variant=variant):
-            result = min_splitting(variant, g_rel * omega_mat, omega_mat, sweep=sweep)
-            return result.Omega_min / omega_mat
-
-        values = np.array(ordered_map(one, g_grid))
-        columns.append((f"Omega_min_{_VARIANT_TAGS[name]} (omega_mat)", values))
+        result = min_splitting(_VARIANTS[name], g_grid * omega_mat, omega_mat, sweep=sweep)
+        columns.append((f"Omega_min_{_VARIANT_TAGS[name]} (omega_mat)", result.Omega_min / omega_mat))
     return _Table(columns, extras={"omega_mat_eV": omega_mat})
 
 
@@ -438,15 +411,10 @@ def _run_spectrum(params: dict) -> _Table:
         variant = _VARIANTS[curve["variant"]]
         model = CoupledModel(pair, variant, curve["g"])
         solver = driven_spc if variant is ModelVariant.SPC else driven_mc
-        f_cav_red = _reduced(curve["f_cav"])
-        f_mat_red = _reduced(curve["f_mat"])
-
-        def one(omega, model=model, solver=solver, f_cav_red=f_cav_red, f_mat_red=f_mat_red):
-            drive = DriveSpec(E_inc=e_inc, omega=float(omega), f_cav=f_cav_red, f_mat=f_mat_red)
-            resp = solver(model, drive)
-            return scattering_cross_section(resp, n_cav, n_mat, e_inc, float(omega))
-
-        sigma = np.array(ordered_map(one, omega_grid))
+        drive = DriveSpec(
+            E_inc=e_inc, omega=omega_grid, f_cav=_reduced(curve["f_cav"]), f_mat=_reduced(curve["f_mat"])
+        )
+        sigma = scattering_cross_section(solver(model, drive), n_cav, n_mat, e_inc, omega_grid)
         columns.append((f"sigma_{curve['label']} (nm^2)", sigma))
         if curve["R_cav"] is not None:
             geometric = math.pi * curve["R_cav"] ** 2
@@ -543,17 +511,10 @@ def _run_fieldmap(params: dict) -> _Table:
         extras["omega_minus_eV"] = modes.omega_minus.real
         extras["rho_plus"] = float(eigenvector_ratio(model, +1).imag)
         for name in branch_names:
-            samples = hybrid_field_map_dielectric(
+            fields = dielectric_field_arrays(
                 scene, g, _BRANCHES[name], positions, core_radius=core_radius
             )
-            e_cav = np.array([s.E_cav[comp] for s in samples])
-            e_mat = np.array([s.E_mat[comp] for s in samples])
-            e_tot = np.array([s.E_total[comp] for s in samples])
-            excluded = np.array([1 if s.excluded else 0 for s in samples])
-            columns.append((f"E_cav_{component}_{name} (arb)", e_cav))
-            columns.append((f"E_mat_{component}_{name} (arb)", e_mat))
-            columns.append((f"E_total_{component}_{name} (arb)", e_tot))
-            columns.append((f"excluded_{name} (1)", excluded))
+            _field_columns(columns, fields, comp, component, name)
         return _Table(columns, extras=extras)
 
     np_spec_raw = _pop(p, "nanoparticle", path)
@@ -603,16 +564,17 @@ def _run_fieldmap(params: dict) -> _Table:
         resp = driven_spc(
             lossy, DriveSpec(E_inc=e_inc, omega=omega_drive, f_cav=f_cav_red, f_mat=f_mat_red)
         )
-        samples = quasistatic_field_map(scene, resp, positions, core_radius=core_radius)
-        e_cav = np.array([s.E_cav[comp].real for s in samples])
-        e_mat = np.array([s.E_mat[comp].real for s in samples])
-        e_tot = np.array([s.E_total[comp].real for s in samples])
-        excluded = np.array([1 if s.excluded else 0 for s in samples])
-        columns.append((f"E_cav_{component}_{name} (arb)", e_cav))
-        columns.append((f"E_mat_{component}_{name} (arb)", e_mat))
-        columns.append((f"E_total_{component}_{name} (arb)", e_tot))
-        columns.append((f"excluded_{name} (1)", excluded))
+        fields = quasistatic_field_arrays(scene, resp, positions, core_radius=core_radius)
+        _field_columns(columns, fields, comp, component, name)
     return _Table(columns, extras=extras)
+
+
+def _field_columns(columns: list, fields, comp: int, component: str, name: str) -> None:
+    """Append the real parts of one field component, and the exclusion mask."""
+    columns.append((f"E_cav_{component}_{name} (arb)", fields.E_cav[:, comp].real))
+    columns.append((f"E_mat_{component}_{name} (arb)", fields.E_mat[:, comp].real))
+    columns.append((f"E_total_{component}_{name} (arb)", fields.E_total[:, comp].real))
+    columns.append((f"excluded_{name} (1)", fields.excluded.astype(int)))
 
 
 def _run_fractions(params: dict) -> _Table:
@@ -635,17 +597,14 @@ def _run_fractions(params: dict) -> _Table:
             f"omega_mat = omega_cav + detuning must stay positive; got detuning {bad[0]}",
         )
 
+    scene = _make_box_scene(box, omega_cav + detuning)
     columns = [("detuning (eV)", detuning)]
     for name in branch_names:
-        branch = _BRANCHES[name]
-
-        def one(delta, branch=branch):
-            scene = _make_box_scene(box, omega_cav + float(delta))
-            return contribution_fractions(scene, g, branch, position, core_radius=core_radius)
-
-        pairs = ordered_map(one, detuning)
-        columns.append((f"Sigma_cav_{name} (1)", np.array([a for a, _ in pairs])))
-        columns.append((f"Sigma_mat_{name} (1)", np.array([b for _, b in pairs])))
+        sigma_cav, sigma_mat = contribution_fractions(
+            scene, g, _BRANCHES[name], position, core_radius=core_radius
+        )
+        columns.append((f"Sigma_cav_{name} (1)", sigma_cav))
+        columns.append((f"Sigma_mat_{name} (1)", sigma_mat))
     return _Table(columns)
 
 
@@ -866,7 +825,7 @@ def _run_oracle(params: dict) -> _Table:
             "D_eV": diamagnetic,
         }
         if not rwa:
-            w_minus, w_plus = hopfield_quartic_eigen(hp)
+            w_plus, w_minus = hopfield_quartic_eigen(hp)
             extras["omega_minus_quartic_eV"] = w_minus
             extras["omega_plus_quartic_eV"] = w_plus
         if frame_check:
@@ -907,27 +866,20 @@ def _run_oracle(params: dict) -> _Table:
     )
     f_cav_red = _reduced(f_cav)
     f_mat_red = _reduced(f_mat)
-
-    def one(omega):
-        w = float(omega)
-        reference = polarizability_oracle(
-            f_cav_red, f_mat_red, omega_cav, omega_mat, kappa, gamma,
-            r_cav, r_mat, n_dcav, n_dmat, e_inc, w,
-        )
-        resp = driven_spc(model, DriveSpec(E_inc=e_inc, omega=w, f_cav=f_cav_red, f_mat=f_mat_red))
-        scale = max(abs(reference.x_cav), abs(reference.x_mat))
-        dev = max(abs(resp.x_cav - reference.x_cav), abs(resp.x_mat - reference.x_mat))
-        return resp, dev / scale if scale > 0 else math.inf
-
-    results = ordered_map(one, omega_grid)
-    responses = [r for r, _ in results]
-    deviations = np.array([d for _, d in results])
+    reference = polarizability_oracle(
+        f_cav_red, f_mat_red, omega_cav, omega_mat, kappa, gamma,
+        r_cav, r_mat, n_dcav, n_dmat, e_inc, omega_grid,
+    )
+    resp = driven_spc(model, DriveSpec(E_inc=e_inc, omega=omega_grid, f_cav=f_cav_red, f_mat=f_mat_red))
+    scale = np.maximum(np.abs(reference.x_cav), np.abs(reference.x_mat))
+    dev = np.maximum(np.abs(resp.x_cav - reference.x_cav), np.abs(resp.x_mat - reference.x_mat))
+    deviations = np.divide(dev, scale, out=np.full(dev.shape, math.inf), where=scale > 0)
     columns = [
         ("omega (eV)", omega_grid),
-        ("x_cav_re (arb)", np.array([r.x_cav.real for r in responses])),
-        ("x_cav_im (arb)", np.array([r.x_cav.imag for r in responses])),
-        ("x_mat_re (arb)", np.array([r.x_mat.real for r in responses])),
-        ("x_mat_im (arb)", np.array([r.x_mat.imag for r in responses])),
+        ("x_cav_re (arb)", resp.x_cav.real),
+        ("x_cav_im (arb)", resp.x_cav.imag),
+        ("x_mat_re (arb)", resp.x_mat.real),
+        ("x_mat_im (arb)", resp.x_mat.imag),
         ("oracle_deviation (1)", deviations),
     ]
     extras = {"g_coupling_eV": g_geo, "max_oracle_deviation": float(np.max(deviations))}
@@ -957,12 +909,9 @@ SCENARIO_KINDS = tuple(_HANDLERS)
 # the scenario layer.
 KIND_OPERATIONS = {
     "eigen_sweep": (
-        "models.eigenfrequencies",
-        "models.frequency_domain_matrix",
-        "models.generic_eigenfrequencies",
-        "models.linearized_eigenfrequencies",
-        "models.alternative_model_equivalence",
-        "models.spc_lower_branch_exists",
+        "models.branch_frequencies",
+        "models.dressed_parameters",
+        "models.determinant_residual",
     ),
     "min_splitting": ("models.min_splitting",),
     "spectrum": (
@@ -971,10 +920,11 @@ KIND_OPERATIONS = {
         "driven.scattering_cross_section",
     ),
     "fieldmap": (
-        "fields.hybrid_field_map_dielectric",
-        "fields.mode_profile_box",
-        "fields.quasistatic_field_map",
+        "fields.dielectric_field_arrays",
+        "fields.quasistatic_field_arrays",
+        "models.eigenfrequencies",
         "models.eigenvector_ratio",
+        "driven.driven_spc",
     ),
     "fractions": ("fields.contribution_fractions",),
     "ensemble": (
@@ -996,6 +946,7 @@ KIND_OPERATIONS = {
         "hopfield.hopfield_quartic_eigen",
         "hopfield.frame_equivalence_check",
         "driven.polarizability_oracle",
+        "driven.driven_spc",
         "units.coupling_dipole_dipole",
     ),
 }

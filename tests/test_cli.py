@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, artifact reporting."""
 
+import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from polariton_lab import __version__
+from polariton_lab import __version__, scenarios
 from polariton_lab.cli import main
 
 _SWEEP = """\
@@ -75,6 +77,53 @@ def test_physics_error_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "physics error:" in err
     assert "unstable" in err
+
+
+def test_pole_error_names_the_grid_point(tmp_path, capsys):
+    # lossless and uncoupled: the drive at row 2 (omega = 3.0) sits on the
+    # bare cavity mode
+    spectrum = """\
+kind: spectrum
+schema: 1
+parameters:
+  omega_grid: {start: 2.0, stop: 4.0, num: 5}
+  curves:
+    - {label: bare, variant: SpC, omega_cav: 3.0, omega_mat: 2.2, g: 0.0,
+       f_cav: 100.0, f_mat: 10.0}
+"""
+    scenario = _write(tmp_path, "pole.yaml", spectrum)
+    code = main(["run", str(scenario), "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "3.0 eV (grid row 2)" in err
+
+
+def test_determinant_check_covers_every_sweep_point(tmp_path, capsys, monkeypatch):
+    exact = scenarios.branch_frequencies
+
+    def corrupted(*args):
+        plus, minus = exact(*args)
+        plus = plus.copy()
+        plus[17] *= 1.001
+        return plus, minus
+
+    monkeypatch.setattr(scenarios, "branch_frequencies", corrupted)
+    scenario = _write(tmp_path, "sweep.yaml", _SWEEP)
+    code = main(["run", str(scenario), "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "determinant residual" in err
+    assert "sweep row 17" in err
+
+
+def test_quantum_oracle_labels_the_quartic_roots(tmp_path):
+    oracle = _write(tmp_path, "check.yaml", _ORACLE)
+    assert main(["oracle", str(oracle), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "oracle.summary.json").read_text())
+    lower, upper = summary["omega_minus_quartic_eV"], summary["omega_plus_quartic_eV"]
+    assert lower < upper
+    levels = np.loadtxt(tmp_path / "oracle.csv", delimiter=",", skiprows=1)
+    assert abs(levels[0, 1] - lower) < 1e-5
 
 
 def test_io_error_exits_4(tmp_path, capsys):

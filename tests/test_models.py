@@ -206,6 +206,31 @@ def test_min_splitting_custom_sweep():
         min_splitting(ModelVariant.SPC, 0.3, 1.0, sweep=np.linspace(0.2, 3.0, 50))
 
 
+@pytest.mark.parametrize("variant", [ModelVariant.SPC, ModelVariant.MOC, ModelVariant.LINEARIZED])
+def test_min_splitting_over_a_g_grid_matches_the_scalar_call(variant):
+    # g = 0, weak coupling, and g = 0.3 and 0.45, where the SpC lower-branch
+    # cutoff (omega_cav < 4 g^2 / omega_mat) masks the low end of the sweep.
+    # The sweep is dense below 1.01 and coarse above, so the SpC minima start
+    # from brackets of different widths and converge after different numbers
+    # of golden-section steps.
+    sweep = np.concatenate([np.linspace(0.2, 1.01, 1000), np.linspace(1.02, 3.0, 200)])
+    g_grid = np.array([0.0, 0.05, 0.3, 0.45])
+    grid = min_splitting(variant, g_grid, 1.0, sweep=sweep)
+    assert grid.Omega_min.shape == grid.omega_cav_at_min.shape == g_grid.shape
+    for k, g in enumerate(g_grid):
+        one = min_splitting(variant, float(g), 1.0, sweep=sweep)
+        assert grid.Omega_min[k] == one.Omega_min
+        assert grid.omega_cav_at_min[k] == one.omega_cav_at_min
+
+
+def test_min_splitting_over_a_g_grid_rejects_a_coupling_without_real_branches():
+    # at g = 1 the SpC lower branch is imaginary over the whole [0.2, 3] sweep
+    with pytest.raises(PolaritonError, match="two real branches at g = 1.0"):
+        min_splitting(ModelVariant.SPC, np.array([0.1, 1.0]), 1.0)
+    with pytest.raises(PolaritonError, match="two real branches"):
+        min_splitting(ModelVariant.SPC, 1.0, 1.0)
+
+
 def test_linearized_min_splitting_is_2g_at_resonance():
     out = min_splitting(ModelVariant.LINEARIZED, 0.25, 1.0)
     assert out.Omega_min == pytest.approx(0.5, rel=1e-9)
