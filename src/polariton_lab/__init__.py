@@ -62,7 +62,6 @@ from .material import (
     permittivity_spc,
     reststrahlen_band,
     reststrahlen_fit,
-    self_consistent_epsilon_mode,
 )
 from .models import (
     CoupledModel,
@@ -81,7 +80,6 @@ from .models import (
 )
 from .scenarios import (
     FIGURE_IDS,
-    KIND_OPERATIONS,
     SCENARIO_KINDS,
     SCHEMA_VERSION,
     ScenarioRun,
@@ -175,12 +173,10 @@ __all__ = [
     "DispersionBranch",
     "bulk_dispersion",
     "coupling_profiles",
-    "self_consistent_epsilon_mode",
     # scenarios
     "SCHEMA_VERSION",
     "SCENARIO_KINDS",
     "FIGURE_IDS",
-    "KIND_OPERATIONS",
     "ScenarioRun",
     "load_scenario_file",
     "run_scenario_document",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import PoleError, PolaritonError
 from .models import CoupledModel, ModelVariant, frequency_domain_matrix
-from .units import UNITS, UnitSystem, angular_factor, _unit_vector
+from .units import UNITS, UnitSystem, angular_factor, _require_nonnegative, _unit_vector
 
 __all__ = [
     "DriveSpec",
@@ -54,10 +54,8 @@ class DriveSpec:
         omega = np.asarray(self.omega, dtype=float)
         if not np.all(np.isfinite(omega) & (omega > 0)):
             raise PolaritonError(f"drive frequency must be positive, got {self.omega}")
-        if not (math.isfinite(self.f_cav) and self.f_cav >= 0):
-            raise PolaritonError(f"f_cav must be >= 0, got {self.f_cav}")
-        if not (math.isfinite(self.f_mat) and self.f_mat >= 0):
-            raise PolaritonError(f"f_mat must be >= 0, got {self.f_mat}")
+        _require_nonnegative("f_cav", self.f_cav)
+        _require_nonnegative("f_mat", self.f_mat)
 
     @property
     def F_cav(self) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import PolaritonError
 from .models import CoupledModel, ModelVariant, OscillatorPair, eigenfrequencies
-from .units import UNITS, OscillatorStrength, _unit_vector
+from .units import UNITS, _reduced_strength, _require_positive, _unit_vector
 
 __all__ = [
     "FabryPerotSpec",
@@ -36,10 +36,9 @@ __all__ = [
 _MAX_DIPOLES = 500
 
 
-def _reduced_strength(f, units=UNITS) -> float:
-    if isinstance(f, OscillatorStrength):
-        return f.reduced(units)
-    return OscillatorStrength(float(f)).reduced(units)
+def _check_dipole_count(n: int) -> None:
+    if n > _MAX_DIPOLES:
+        raise PolaritonError(f"N={n} exceeds the desk-scale bound of {_MAX_DIPOLES} dipoles")
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,8 @@ class FabryPerotSpec:
     epsilon_inf: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.L_cav) and self.L_cav > 0):
-            raise PolaritonError(f"L_cav must be positive, got {self.L_cav}")
-        if not (math.isfinite(self.lateral_period) and self.lateral_period > 0):
-            raise PolaritonError(f"lateral_period must be positive, got {self.lateral_period}")
+        _require_positive("L_cav", self.L_cav)
+        _require_positive("lateral_period", self.lateral_period)
         if not (math.isfinite(self.epsilon_inf) and self.epsilon_inf >= 1.0):
             raise PolaritonError(f"epsilon_inf must be >= 1, got {self.epsilon_inf}")
         normalized = []
@@ -110,10 +107,8 @@ class DipoleLattice:
             raise PolaritonError("positions must be an (N, 3) array of finite coordinates")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "orientation", _unit_vector("orientation", self.orientation))
-        if not (math.isfinite(self.omega_dip) and self.omega_dip > 0):
-            raise PolaritonError(f"omega_dip must be positive, got {self.omega_dip}")
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise PolaritonError(f"spacing must be positive, got {self.spacing}")
+        _require_positive("omega_dip", self.omega_dip)
+        _require_positive("spacing", self.spacing)
         _reduced_strength(self.f_dip)
 
     @property
@@ -153,6 +148,7 @@ def cubic_dipole_lattice(
     nx, ny, nz = (int(v) for v in shape)
     if nx < 1 or ny < 1 or nz < 1:
         raise PolaritonError(f"lattice shape must be positive, got {shape!r}")
+    _check_dipole_count(nx * ny * nz)
     xs = fp.lateral_period / 2.0 + spacing * (np.arange(nx) - (nx - 1) / 2.0)
     ys = fp.lateral_period / 2.0 + spacing * (np.arange(ny) - (ny - 1) / 2.0)
     zs = (np.arange(1, nz + 1) - 0.5) * fp.L_cav / nz
@@ -224,8 +220,7 @@ def build_full_system(
     n = lattice.n_dip
     if n == 0:
         raise PolaritonError("lattice has no dipoles")
-    if n > _MAX_DIPOLES:
-        raise PolaritonError(f"N={n} exceeds the desk-scale bound of {_MAX_DIPOLES} dipoles")
+    _check_dipole_count(n)
     z = lattice.positions[:, 2]
     if np.any(z <= 0.0) or np.any(z >= fp.L_cav):
         raise PolaritonError("all dipoles must lie strictly between the mirrors (0 < z < L_cav)")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import PolaritonError
 from .models import ModelVariant, branch_frequencies, mode_ratio
-from .units import UNITS, OscillatorStrength, _unit_vector
+from .units import _as_vec, _reduced_strength, _require_nonnegative, _require_positive, _unit_vector
 
 __all__ = [
     "NEAR_FIELD_CALIBRATION",
@@ -41,19 +41,6 @@ __all__ = [
 # dipole term so the equal-weight distance of the two contributions lands
 # where the reference fraction data puts it (~10.5 nm for the standard box).
 NEAR_FIELD_CALIBRATION = 2.0 * math.pi
-
-
-def _as_vec(value, name: str) -> np.ndarray:
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-        raise PolaritonError(f"{name} must be a finite 3-vector, got {value!r}")
-    return vec
-
-
-def _reduced_strength(f, units=UNITS) -> float:
-    if isinstance(f, OscillatorStrength):
-        return f.reduced(units)
-    return OscillatorStrength(float(f)).reduced(units)
 
 
 @dataclass(frozen=True)
@@ -81,10 +68,8 @@ class BoxCavityScene:
         if len(dims) != 3 or any(not (math.isfinite(v) and v > 0) for v in dims):
             raise PolaritonError(f"box dimensions must be three positive lengths, got {self.L!r}")
         object.__setattr__(self, "L", dims)
-        if not (math.isfinite(self.V_eff) and self.V_eff > 0):
-            raise PolaritonError(f"V_eff must be positive, got {self.V_eff}")
-        if not (math.isfinite(self.omega_cav) and self.omega_cav > 0):
-            raise PolaritonError(f"omega_cav must be positive, got {self.omega_cav}")
+        _require_positive("V_eff", self.V_eff)
+        _require_positive("omega_cav", self.omega_cav)
         omega_mat = np.asarray(self.omega_mat, dtype=float)
         if omega_mat.ndim > 1 or not np.all(np.isfinite(omega_mat) & (omega_mat > 0)):
             raise PolaritonError(f"omega_mat must be positive, got {self.omega_mat}")
@@ -116,18 +101,15 @@ class NanoparticleScene:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.R_cav) and self.R_cav > 0):
-            raise PolaritonError(f"R_cav must be positive, got {self.R_cav}")
+        _require_positive("R_cav", self.R_cav)
         object.__setattr__(self, "r_cav", _as_vec(self.r_cav, "r_cav"))
         object.__setattr__(self, "r_mat", _as_vec(self.r_mat, "r_mat"))
         object.__setattr__(self, "n_dcav", _unit_vector("n_dcav", self.n_dcav))
         object.__setattr__(self, "n_dmat", _unit_vector("n_dmat", self.n_dmat))
-        if not (math.isfinite(self.omega_cav) and self.omega_cav > 0):
-            raise PolaritonError(f"omega_cav must be positive, got {self.omega_cav}")
-        if not (math.isfinite(self.omega_mat) and self.omega_mat > 0):
-            raise PolaritonError(f"omega_mat must be positive, got {self.omega_mat}")
-        if self.kappa < 0 or self.gamma < 0:
-            raise PolaritonError("decay rates must be >= 0")
+        _require_positive("omega_cav", self.omega_cav)
+        _require_positive("omega_mat", self.omega_mat)
+        _require_nonnegative("kappa", self.kappa)
+        _require_nonnegative("gamma", self.gamma)
         if np.linalg.norm(self.r_mat - self.r_cav) <= self.R_cav:
             raise PolaritonError("emitter must sit outside the nanoparticle")
         _reduced_strength(self.f_cav)

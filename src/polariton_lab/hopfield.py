@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .exceptions import PolaritonError
+from .units import _require_nonnegative, _require_positive
 
 __all__ = [
     "HopfieldParams",
@@ -37,14 +38,10 @@ class HopfieldParams:
     D: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_cav) and self.omega_cav > 0):
-            raise PolaritonError(f"omega_cav must be positive, got {self.omega_cav}")
-        if not (math.isfinite(self.omega_mat) and self.omega_mat > 0):
-            raise PolaritonError(f"omega_mat must be positive, got {self.omega_mat}")
-        if not (math.isfinite(self.g_qed) and self.g_qed >= 0):
-            raise PolaritonError(f"g_qed must be >= 0, got {self.g_qed}")
-        if not (math.isfinite(self.D) and self.D >= 0):
-            raise PolaritonError(f"D must be >= 0, got {self.D}")
+        _require_positive("omega_cav", self.omega_cav)
+        _require_positive("omega_mat", self.omega_mat)
+        _require_nonnegative("g_qed", self.g_qed)
+        _require_nonnegative("D", self.D)
 
     @property
     def stable(self) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import PoleError, PolaritonError
 from .models import _amplitude_modes_sq, _branch_sqrt, _velocity_modes_sq
-from .units import UNITS
+from .units import UNITS, _require_nonnegative, _require_positive
 
 __all__ = [
     "PermittivityVariant",
@@ -31,7 +31,6 @@ __all__ = [
     "reststrahlen_fit",
     "bulk_dispersion",
     "coupling_profiles",
-    "self_consistent_epsilon_mode",
 ]
 
 
@@ -55,10 +54,8 @@ class PermittivityModel:
     variant: PermittivityVariant = PermittivityVariant.MOC
 
     def __post_init__(self):
-        if not (math.isfinite(self.Omega_mat) and self.Omega_mat > 0):
-            raise PolaritonError(f"Omega_mat must be positive, got {self.Omega_mat}")
-        if not (math.isfinite(self.G) and self.G >= 0):
-            raise PolaritonError(f"G must be nonnegative, got {self.G}")
+        _require_positive("Omega_mat", self.Omega_mat)
+        _require_nonnegative("G", self.G)
         if not (math.isfinite(self.epsilon_inf) and self.epsilon_inf >= 1.0):
             raise PolaritonError(f"epsilon_inf must be >= 1, got {self.epsilon_inf}")
         if not isinstance(self.variant, PermittivityVariant):
@@ -127,8 +124,7 @@ def reststrahlen_fit(omega_to: float, omega_lo: float, epsilon_inf: float = 1.0)
     Inverts the band formula: G = sqrt(omega_LO^2 - omega_TO^2) / 2, so the
     returned model's ``reststrahlen_band`` reproduces the inputs exactly.
     """
-    if not (math.isfinite(omega_to) and omega_to > 0):
-        raise PolaritonError(f"omega_TO must be positive, got {omega_to}")
+    _require_positive("omega_TO", omega_to)
     if not math.isfinite(omega_lo) or omega_lo < omega_to:
         raise PolaritonError(
             f"omega_LO must be >= omega_TO, got omega_LO={omega_lo}, omega_TO={omega_to}"
@@ -203,10 +199,8 @@ def bulk_dispersion(
     "MoC" to numerical precision, including the exact k=0 limits 0 and
     omega_LO.
     """
-    if not (math.isfinite(omega_to) and omega_to > 0):
-        raise PolaritonError(f"omega_TO must be positive, got {omega_to}")
-    if not (math.isfinite(g_coupling) and g_coupling >= 0):
-        raise PolaritonError(f"coupling must be nonnegative, got {g_coupling}")
+    _require_positive("omega_TO", omega_to)
+    _require_nonnegative("coupling", g_coupling)
     if not (math.isfinite(epsilon_inf) and epsilon_inf >= 1.0):
         raise PolaritonError(f"epsilon_inf must be >= 1, got {epsilon_inf}")
     k = np.asarray(k_grid, dtype=float)
@@ -228,10 +222,8 @@ def coupling_profiles(model: str, omega_to: float, g_coupling: float, k_grid, ep
     "MoC" is constant g; "A1" runs negative, approaching -g sqrt(Omega/(2g))
     in magnitude at k=0; "A2" vanishes at k=0 like sqrt(omega_k).
     """
-    if not (math.isfinite(omega_to) and omega_to > 0):
-        raise PolaritonError(f"omega_TO must be positive, got {omega_to}")
-    if not (math.isfinite(g_coupling) and g_coupling >= 0):
-        raise PolaritonError(f"coupling must be nonnegative, got {g_coupling}")
+    _require_positive("omega_TO", omega_to)
+    _require_nonnegative("coupling", g_coupling)
     k = np.asarray(k_grid, dtype=float)
     if k.ndim != 1 or k.size == 0 or not np.all(np.isfinite(k)) or np.any(k < 0.0):
         raise PolaritonError("k_grid must be a nonempty 1-D array of nonnegative wavevectors")
@@ -245,43 +237,3 @@ def coupling_profiles(model: str, omega_to: float, g_coupling: float, k_grid, ep
         omega_lo = math.sqrt(omega_to**2 + 4.0 * g_coupling**2)
         return g_coupling * np.sqrt(omega_k / omega_lo)
     raise PolaritonError(f"unknown dispersion model {model!r}; expected one of {_DISPERSION_MODELS}")
-
-
-def self_consistent_epsilon_mode(
-    epsilon_of_omega,
-    omega_cav: float,
-    omega_start: float,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> float:
-    """Solve omega^2 = omega_cav^2 / eps(omega) by damped fixed-point iteration.
-
-    Starts from ``omega_start``, mixes successive squared-frequency iterates
-    with weight 0.5 (falling back to 0.2 if the undamped residual grows),
-    and returns the converged mode frequency.  Used to cross-check reduced
-    cavity-medium eigenfrequencies against the bulk permittivity.
-    """
-    if not (math.isfinite(omega_cav) and omega_cav > 0):
-        raise PolaritonError(f"omega_cav must be positive, got {omega_cav}")
-    if not (math.isfinite(omega_start) and omega_start > 0):
-        raise PolaritonError(f"omega_start must be positive, got {omega_start}")
-    u = omega_start**2
-    damping = 0.5
-    prev_residual = math.inf
-    for _ in range(max_iter):
-        eps = float(epsilon_of_omega(math.sqrt(u)))
-        if not math.isfinite(eps) or eps <= 0.0:
-            raise PolaritonError(
-                f"permittivity evaluated to {eps} during iteration; mode is not self-consistent"
-            )
-        target = omega_cav**2 / eps
-        residual = abs(target - u)
-        if residual <= tol * max(u, 1.0):
-            return math.sqrt(target)
-        if residual > prev_residual and damping > 0.2:
-            damping = 0.2
-        prev_residual = residual
-        u = (1.0 - damping) * u + damping * target
-        if u <= 0.0:
-            raise PolaritonError("fixed-point iterate left the positive-frequency domain")
-    raise PolaritonError(f"fixed-point iteration did not converge within {max_iter} steps")

@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import PoleError, PolaritonError
+from .units import _require_nonnegative, _require_positive
 
 __all__ = [
     "ModelVariant",
@@ -76,14 +77,10 @@ class OscillatorPair:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_cav) and self.omega_cav > 0):
-            raise PolaritonError(f"omega_cav must be positive, got {self.omega_cav}")
-        if not (math.isfinite(self.omega_mat) and self.omega_mat > 0):
-            raise PolaritonError(f"omega_mat must be positive, got {self.omega_mat}")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise PolaritonError(f"kappa must be >= 0, got {self.kappa}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise PolaritonError(f"gamma must be >= 0, got {self.gamma}")
+        _require_positive("omega_cav", self.omega_cav)
+        _require_positive("omega_mat", self.omega_mat)
+        _require_nonnegative("kappa", self.kappa)
+        _require_nonnegative("gamma", self.gamma)
 
     @property
     def lossless(self) -> bool:

@@ -2,12 +2,24 @@
 
 A scenario is a YAML mapping with a ``kind`` selecting one of the nine
 drivers below, a ``parameters`` block mirroring the corresponding module
-types, and an optional ``output`` block.  Validation is strict: unknown keys
-are rejected with their full key path, so a typo never silently falls back
-to a default.  Every scenario is deterministic end to end -- there is no RNG
-anywhere in the pipeline -- and the CSV artifacts are written atomically with
-a fixed dialect (comma separator, LF line endings, 17 significant digits),
-so two runs of the same document are byte-identical.
+types, and an optional ``output`` block.  Every scenario is deterministic
+end to end -- there is no RNG anywhere in the pipeline -- and the CSV
+artifacts are written atomically with a fixed dialect (comma separator, LF
+line endings, 17 significant digits), so two runs of the same document are
+byte-identical.
+
+Validation is declarative: every mapping a document may hold has a field
+table, a tuple of ``_Field(key, check, default)`` entries.  ``check`` is a
+primitive such as ``_number`` or ``_grid`` with its bounds bound by
+:func:`functools.partial`, or a nested table.  A dict of tables, each
+starting with the same tag field, picks its table by that tag (the fieldmap
+``scene``, the oracle ``flavor``).  ``default`` is ``_REQUIRED``; a value,
+checked like a given one; ``None``, where absent and null both read as
+None; or ``_OPTIONAL``, where absent reads as None but a given null is
+checked.  :func:`_validate` pops the keys in table order, checks each at its
+dotted key path and rejects unknown keys, so a typo never silently falls
+back to a default; it never modifies the document.  Rules relating two or
+more fields are plain code in the handlers, run after validation.
 
 ``FIGURES`` maps the canned figure ids understood by ``reproduce`` onto
 scenario documents with the published parameterization baked in.
@@ -15,14 +27,15 @@ scenario documents with the published parameterization baked in.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -68,16 +81,14 @@ from .models import (
     determinant_residual,
     dressed_parameters,
     eigenfrequencies,
-    eigenvector_ratio,
     min_splitting,
 )
-from .units import UNITS, OscillatorStrength, coupling_dipole_dipole
+from .units import UNITS, OscillatorStrength, _reduced_strength, coupling_dipole_dipole
 
 __all__ = [
     "SCHEMA_VERSION",
     "FIGURE_IDS",
     "SCENARIO_KINDS",
-    "KIND_OPERATIONS",
     "ScenarioRun",
     "load_scenario_file",
     "run_scenario_document",
@@ -88,15 +99,24 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_MISSING = object()
-
 
 # --------------------------------------------------------------------------
-# schema validation helpers
+# field tables and the validator
+
+_REQUIRED = object()
+_OPTIONAL = object()
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+class _Field(NamedTuple):
+    """One entry of a field table; see the module docstring."""
+
+    key: str
+    check: object  # a checker (value, path) -> parsed value, or a nested table
+    default: object = _REQUIRED
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
 def _as_mapping(value, path: str) -> dict:
@@ -105,18 +125,42 @@ def _as_mapping(value, path: str) -> dict:
     return value
 
 
-def _pop(mapping: dict, key: str, path: str, default=_MISSING):
-    if key in mapping:
-        return mapping.pop(key)
-    if default is _MISSING:
-        raise SchemaError(_join(path, key), "missing required key")
-    return default
+def _validate(table, value, path: str) -> dict:
+    """Check one mapping against a field table; returns the parsed values by key.
 
-
-def _reject_unknown(mapping: dict, path: str) -> None:
+    Keys are taken in table order, so the first defect reported is the
+    first in the table; an unknown key is reported after every known one.
+    A dict of tables is a tagged block: every table starts with the same tag
+    field, and a missing or unknown tag is reported by the first table.
+    """
+    mapping = dict(_as_mapping(value, path))
+    if isinstance(table, dict):
+        first = next(iter(table.values()))
+        tag = mapping.get(first[0].key, first[0].default)
+        table = table.get(tag, first) if isinstance(tag, str) else first
+    out = {}
+    for key, check, default in table:
+        raw = mapping.pop(key, default)
+        key_path = _join(path, key)
+        if raw is _REQUIRED:
+            raise SchemaError(key_path, "missing required key")
+        if raw is _OPTIONAL or (raw is None and default is None):
+            out[key] = None
+        elif isinstance(check, (tuple, dict)):
+            out[key] = _validate(check, raw, key_path)
+        else:
+            out[key] = check(raw, key_path)
     if mapping:
-        key = sorted(str(k) for k in mapping)[0]
-        raise SchemaError(_join(path, key), "unknown key")
+        raise SchemaError(_join(path, sorted(str(k) for k in mapping)[0]), "unknown key")
+    return out
+
+
+def _table_list(value, path: str, *, table, what: str, maximum=None) -> list:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise SchemaError(path, f"expected a nonempty list of {what} mappings")
+    if maximum is not None and len(value) > maximum:
+        raise SchemaError(path, f"at most {maximum} {what}s per scenario")
+    return [_validate(table, v, _join(path, i)) for i, v in enumerate(value)]
 
 
 def _number(value, path: str, *, minimum=None, exclusive_minimum=None, maximum=None) -> float:
@@ -158,29 +202,39 @@ def _string(value, path: str, choices=None) -> str:
     return value
 
 
-def _vector3(value, path: str) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise SchemaError(path, f"expected a 3-component vector, got {value!r}")
-    return tuple(_number(v, _join(path, str(i))) for i, v in enumerate(value))
+def _vector(value, path: str, size: int = 3) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != size:
+        raise SchemaError(path, f"expected a {size}-component vector, got {value!r}")
+    return tuple(_number(v, _join(path, i)) for i, v in enumerate(value))
+
+
+def _name_list(value, path: str, choices, *, nonempty=True) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(path, f"expected a list, got {value!r}")
+    if nonempty and not value:
+        raise SchemaError(path, "list must not be empty")
+    names = [_string(v, _join(path, i), choices=choices) for i, v in enumerate(value)]
+    if len(set(names)) != len(names):
+        raise SchemaError(path, f"duplicate entries in {names}")
+    return names
 
 
 _MAX_GRID_POINTS = 200_001
 
+_GRID = (
+    _Field("start", _number),
+    _Field("stop", _number),
+    _Field("num", partial(_integer, minimum=1, maximum=_MAX_GRID_POINTS)),
+    _Field("sampling", partial(_string, choices=("points", "midpoints")), "points"),
+)
+
 
 def _grid(value, path: str, *, minimum=None, exclusive_minimum=None) -> np.ndarray:
-    m = dict(_as_mapping(value, path))
-    start = _number(_pop(m, "start", path), _join(path, "start"))
-    stop = _number(_pop(m, "stop", path), _join(path, "stop"))
-    num = _integer(_pop(m, "num", path), _join(path, "num"), minimum=1, maximum=_MAX_GRID_POINTS)
-    sampling = _string(
-        _pop(m, "sampling", path, "points"),
-        _join(path, "sampling"),
-        choices=("points", "midpoints"),
-    )
-    _reject_unknown(m, path)
+    spec = _validate(_GRID, value, path)
+    start, stop, num = spec["start"], spec["stop"], spec["num"]
     if stop < start:
         raise SchemaError(_join(path, "stop"), f"must be >= start ({start}), got {stop}")
-    if sampling == "points":
+    if spec["sampling"] == "points":
         if num == 1:
             grid = np.array([start])
         else:
@@ -195,6 +249,12 @@ def _grid(value, path: str, *, minimum=None, exclusive_minimum=None) -> np.ndarr
     return grid
 
 
+_POSITIVE = partial(_number, exclusive_minimum=0.0)
+_NONNEGATIVE = partial(_number, minimum=0.0)
+_EPSILON_INF = partial(_number, minimum=1.0)
+_POSITIVE_GRID = partial(_grid, exclusive_minimum=0.0)
+_NONNEGATIVE_GRID = partial(_grid, minimum=0.0)
+
 _VARIANTS = {
     "SpC": ModelVariant.SPC,
     "MoC": ModelVariant.MOC,
@@ -207,21 +267,11 @@ _ALTERNATIVES = {
     "A3": (ModelVariant.SPC, ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY),
 }
 _BRANCHES = {"upper": +1, "lower": -1}
+_AXES = {"x": 0, "y": 1, "z": 2}
 
-
-def _name_list(value, path: str, choices, *, nonempty=True) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise SchemaError(path, f"expected a list, got {value!r}")
-    if nonempty and not value:
-        raise SchemaError(path, "list must not be empty")
-    names = [_string(v, _join(path, str(i)), choices=choices) for i, v in enumerate(value)]
-    if len(set(names)) != len(names):
-        raise SchemaError(path, f"duplicate entries in {names}")
-    return names
-
-
-def _reduced(f_value: float) -> float:
-    return OscillatorStrength(f_value).reduced(UNITS)
+_VARIANT_LIST = partial(_name_list, choices=_VARIANTS)
+_BRANCH_LIST = partial(_name_list, choices=_BRANCHES)
+_AXIS = partial(_string, choices=tuple(_AXES))
 
 
 # --------------------------------------------------------------------------
@@ -261,54 +311,50 @@ def _check_det_residual(variant: ModelVariant, omega_cav, omega_mat, g, omega, l
 # kind: eigen_sweep
 
 
-def _coupling_spec(value, path: str) -> tuple:
-    m = dict(_as_mapping(value, path))
-    scaling = _string(
-        _pop(m, "scaling", path, "fixed"), _join(path, "scaling"), choices=("fixed", "geometric")
-    )
-    strength = _number(_pop(m, "value", path), _join(path, "value"), minimum=0.0)
-    _reject_unknown(m, path)
-    return scaling, strength
+_COUPLING = (
+    _Field("scaling", partial(_string, choices=("fixed", "geometric")), "fixed"),
+    _Field("value", _NONNEGATIVE),
+)
 
 
-def _coupling_value(spec: tuple, omega_cav: np.ndarray, omega_mat: float):
-    scaling, strength = spec
-    if scaling == "fixed":
-        return strength * omega_mat
-    return strength * np.sqrt(omega_cav * omega_mat)
-
-
-def _run_eigen_sweep(params: dict) -> _Table:
-    path = "parameters"
-    p = dict(params)
-    variant_names = _name_list(_pop(p, "variants", path), _join(path, "variants"), _VARIANTS)
-    omega_mat = _number(_pop(p, "omega_mat", path, 1.0), _join(path, "omega_mat"), exclusive_minimum=0.0)
-    coupling = _coupling_spec(_pop(p, "coupling", path), _join(path, "coupling"))
-    overrides_raw = _pop(p, "coupling_overrides", path, None)
+def _coupling_overrides(value, path: str) -> dict:
     overrides = {}
-    if overrides_raw is not None:
-        om = dict(_as_mapping(overrides_raw, _join(path, "coupling_overrides")))
-        for name in list(om):
-            key_path = _join(path, f"coupling_overrides.{name}")
-            if name not in _VARIANTS:
-                raise SchemaError(key_path, f"expected one of {sorted(_VARIANTS)}")
-            overrides[name] = _coupling_spec(om.pop(name), key_path)
-    sweep = _grid(_pop(p, "sweep", path), _join(path, "sweep"), exclusive_minimum=0.0)
-    alt_names = []
-    alts_raw = _pop(p, "alternatives", path, None)
-    if alts_raw is not None:
-        alt_names = _name_list(alts_raw, _join(path, "alternatives"), _ALTERNATIVES, nonempty=False)
-    _reject_unknown(p, path)
+    for name, spec in _as_mapping(value, path).items():
+        if name not in _VARIANTS:
+            raise SchemaError(_join(path, name), f"expected one of {sorted(_VARIANTS)}")
+        overrides[name] = _validate(_COUPLING, spec, _join(path, name))
+    return overrides
+
+
+_EIGEN_SWEEP = (
+    _Field("variants", _VARIANT_LIST),
+    _Field("omega_mat", _POSITIVE, 1.0),
+    _Field("coupling", _COUPLING),
+    _Field("coupling_overrides", _coupling_overrides, None),
+    _Field("sweep", _POSITIVE_GRID),
+    _Field("alternatives", partial(_name_list, choices=_ALTERNATIVES, nonempty=False), None),
+)
+
+
+def _coupling_value(spec: dict, omega_cav: np.ndarray, omega_mat: float):
+    if spec["scaling"] == "fixed":
+        return spec["value"] * omega_mat
+    return spec["value"] * np.sqrt(omega_cav * omega_mat)
+
+
+def _run_eigen_sweep(p: dict) -> _Table:
+    alt_names = p["alternatives"] or []
     for alt in alt_names:
         base_variant = _ALTERNATIVES[alt][0]
-        if base_variant.value not in variant_names:
+        if base_variant.value not in p["variants"]:
             raise SchemaError(
-                _join(path, "alternatives"),
+                "parameters.alternatives",
                 f"{alt} is a dressed form of {base_variant.value}; add it to variants",
             )
-
-    omega_cav = sweep * omega_mat
-    columns = [("omega_cav/omega_mat (1)", sweep)]
+    overrides = p["coupling_overrides"] or {}
+    omega_mat = p["omega_mat"]
+    omega_cav = p["sweep"] * omega_mat
+    columns = [("omega_cav/omega_mat (1)", p["sweep"])]
 
     def branch_columns(variant, wc, wm, g, label, tag):
         plus, minus = branch_frequencies(variant, wc, wm, g)
@@ -317,13 +363,13 @@ def _run_eigen_sweep(params: dict) -> _Table:
         columns.append((f"omega_plus_{tag} (omega_mat)", plus / omega_mat))
         columns.append((f"omega_minus_{tag} (omega_mat)", minus / omega_mat))
 
-    for name in variant_names:
-        g = _coupling_value(overrides.get(name, coupling), omega_cav, omega_mat)
+    for name in p["variants"]:
+        g = _coupling_value(overrides.get(name, p["coupling"]), omega_cav, omega_mat)
         branch_columns(_VARIANTS[name], omega_cav, omega_mat, g, name, _VARIANT_TAGS[name])
 
     for alt in alt_names:
         base_variant, target = _ALTERNATIVES[alt]
-        g = _coupling_value(overrides.get(base_variant.value, coupling), omega_cav, omega_mat)
+        g = _coupling_value(overrides.get(base_variant.value, p["coupling"]), omega_cav, omega_mat)
         # an invalid dressing gives NaN parameters, which mask both branches
         wc, wm, g_dressed = dressed_parameters(base_variant, target, omega_cav, omega_mat, g)
         branch_columns(target, wc, wm, g_dressed, alt, alt.lower())
@@ -335,21 +381,20 @@ def _run_eigen_sweep(params: dict) -> _Table:
 # kind: min_splitting
 
 
-def _run_min_splitting(params: dict) -> _Table:
-    path = "parameters"
-    p = dict(params)
-    variant_names = _name_list(_pop(p, "variants", path), _join(path, "variants"), _VARIANTS)
-    omega_mat = _number(_pop(p, "omega_mat", path, 1.0), _join(path, "omega_mat"), exclusive_minimum=0.0)
-    g_grid = _grid(_pop(p, "g_grid", path), _join(path, "g_grid"), minimum=0.0)
-    sweep = None
-    sweep_raw = _pop(p, "cavity_sweep", path, None)
-    if sweep_raw is not None:
-        sweep = _grid(sweep_raw, _join(path, "cavity_sweep"), exclusive_minimum=0.0) * omega_mat
-    _reject_unknown(p, path)
+_MIN_SPLITTING = (
+    _Field("variants", _VARIANT_LIST),
+    _Field("omega_mat", _POSITIVE, 1.0),
+    _Field("g_grid", _NONNEGATIVE_GRID),
+    _Field("cavity_sweep", _POSITIVE_GRID, None),
+)
 
-    columns = [("g/omega_mat (1)", g_grid)]
-    for name in variant_names:
-        result = min_splitting(_VARIANTS[name], g_grid * omega_mat, omega_mat, sweep=sweep)
+
+def _run_min_splitting(p: dict) -> _Table:
+    omega_mat = p["omega_mat"]
+    sweep = None if p["cavity_sweep"] is None else p["cavity_sweep"] * omega_mat
+    columns = [("g/omega_mat (1)", p["g_grid"])]
+    for name in p["variants"]:
+        result = min_splitting(_VARIANTS[name], p["g_grid"] * omega_mat, omega_mat, sweep=sweep)
         columns.append((f"Omega_min_{_VARIANT_TAGS[name]} (omega_mat)", result.Omega_min / omega_mat))
     return _Table(columns, extras={"omega_mat_eV": omega_mat})
 
@@ -360,61 +405,54 @@ def _run_min_splitting(params: dict) -> _Table:
 
 _MAX_CURVES = 8
 
+_CURVE = (
+    _Field("label", _string),
+    _Field("variant", partial(_string, choices=("SpC", "MoC"))),
+    _Field("omega_cav", _POSITIVE),
+    _Field("omega_mat", _POSITIVE),
+    _Field("kappa", _NONNEGATIVE, 0.0),
+    _Field("gamma", _NONNEGATIVE, 0.0),
+    _Field("g", _number),
+    _Field("f_cav", _POSITIVE),
+    _Field("f_mat", _POSITIVE),
+    _Field("R_cav", _POSITIVE, None),
+)
 
-def _curve_spec(value, path: str) -> dict:
-    m = dict(_as_mapping(value, path))
-    curve = {
-        "label": _string(_pop(m, "label", path), _join(path, "label")),
-        "variant": _string(_pop(m, "variant", path), _join(path, "variant"), choices=("SpC", "MoC")),
-        "omega_cav": _number(_pop(m, "omega_cav", path), _join(path, "omega_cav"), exclusive_minimum=0.0),
-        "omega_mat": _number(_pop(m, "omega_mat", path), _join(path, "omega_mat"), exclusive_minimum=0.0),
-        "kappa": _number(_pop(m, "kappa", path, 0.0), _join(path, "kappa"), minimum=0.0),
-        "gamma": _number(_pop(m, "gamma", path, 0.0), _join(path, "gamma"), minimum=0.0),
-        "g": _number(_pop(m, "g", path), _join(path, "g")),
-        "f_cav": _number(_pop(m, "f_cav", path), _join(path, "f_cav"), exclusive_minimum=0.0),
-        "f_mat": _number(_pop(m, "f_mat", path), _join(path, "f_mat"), exclusive_minimum=0.0),
-    }
-    r_cav = _pop(m, "R_cav", path, None)
-    curve["R_cav"] = None if r_cav is None else _number(
-        r_cav, _join(path, "R_cav"), exclusive_minimum=0.0
-    )
-    label = curve["label"]
-    if not label or not all(c.isalnum() or c == "_" for c in label):
-        raise SchemaError(_join(path, "label"), f"label must be alphanumeric/underscore, got {label!r}")
-    _reject_unknown(m, path)
-    return curve
+_SPECTRUM = (
+    _Field("omega_grid", _POSITIVE_GRID),
+    _Field("E_inc", _POSITIVE, 1.0),
+    _Field("orientation_cav", _vector, (1.0, 0.0, 0.0)),
+    _Field("orientation_mat", _vector, (1.0, 0.0, 0.0)),
+    _Field("curves", partial(_table_list, table=_CURVE, what="curve", maximum=_MAX_CURVES)),
+)
 
 
-def _run_spectrum(params: dict) -> _Table:
-    path = "parameters"
-    p = dict(params)
-    omega_grid = _grid(_pop(p, "omega_grid", path), _join(path, "omega_grid"), exclusive_minimum=0.0)
-    e_inc = _number(_pop(p, "E_inc", path, 1.0), _join(path, "E_inc"), exclusive_minimum=0.0)
-    n_cav = _vector3(_pop(p, "orientation_cav", path, [1.0, 0.0, 0.0]), _join(path, "orientation_cav"))
-    n_mat = _vector3(_pop(p, "orientation_mat", path, [1.0, 0.0, 0.0]), _join(path, "orientation_mat"))
-    curves_raw = _pop(p, "curves", path)
-    _reject_unknown(p, path)
-    if not isinstance(curves_raw, (list, tuple)) or not curves_raw:
-        raise SchemaError(_join(path, "curves"), "expected a nonempty list of curve mappings")
-    if len(curves_raw) > _MAX_CURVES:
-        raise SchemaError(_join(path, "curves"), f"at most {_MAX_CURVES} curves per scenario")
-    curves = [
-        _curve_spec(c, _join(path, f"curves.{i}")) for i, c in enumerate(curves_raw)
-    ]
-    labels = [c["label"] for c in curves]
+def _run_spectrum(p: dict) -> _Table:
+    labels = [curve["label"] for curve in p["curves"]]
+    for i, label in enumerate(labels):
+        if not label or not all(c.isalnum() or c == "_" for c in label):
+            raise SchemaError(
+                f"parameters.curves.{i}.label", f"label must be alphanumeric/underscore, got {label!r}"
+            )
     if len(set(labels)) != len(labels):
-        raise SchemaError(_join(path, "curves"), f"duplicate curve labels in {labels}")
+        raise SchemaError("parameters.curves", f"duplicate curve labels in {labels}")
 
+    omega_grid, e_inc = p["omega_grid"], p["E_inc"]
     columns = [("omega (eV)", omega_grid)]
-    for curve in curves:
+    for curve in p["curves"]:
         pair = OscillatorPair(curve["omega_cav"], curve["omega_mat"], curve["kappa"], curve["gamma"])
         variant = _VARIANTS[curve["variant"]]
         model = CoupledModel(pair, variant, curve["g"])
         solver = driven_spc if variant is ModelVariant.SPC else driven_mc
         drive = DriveSpec(
-            E_inc=e_inc, omega=omega_grid, f_cav=_reduced(curve["f_cav"]), f_mat=_reduced(curve["f_mat"])
+            E_inc=e_inc,
+            omega=omega_grid,
+            f_cav=_reduced_strength(curve["f_cav"]),
+            f_mat=_reduced_strength(curve["f_mat"]),
         )
-        sigma = scattering_cross_section(solver(model, drive), n_cav, n_mat, e_inc, omega_grid)
+        sigma = scattering_cross_section(
+            solver(model, drive), p["orientation_cav"], p["orientation_mat"], e_inc, omega_grid
+        )
         columns.append((f"sigma_{curve['label']} (nm^2)", sigma))
         if curve["R_cav"] is not None:
             geometric = math.pi * curve["R_cav"] ** 2
@@ -426,123 +464,106 @@ def _run_spectrum(params: dict) -> _Table:
 # kind: fieldmap / fractions
 
 
-def _box_scene_spec(value, path: str, *, with_omega_mat: bool) -> dict:
-    m = dict(_as_mapping(value, path))
-    spec = {
-        "L": _vector3(_pop(m, "L", path), _join(path, "L")),
-        "V_eff": _number(_pop(m, "V_eff", path), _join(path, "V_eff"), exclusive_minimum=0.0),
-        "omega_cav": _number(_pop(m, "omega_cav", path), _join(path, "omega_cav"), exclusive_minimum=0.0),
-        "f_mat": _number(_pop(m, "f_mat", path), _join(path, "f_mat"), exclusive_minimum=0.0),
-        "emitter": _vector3(_pop(m, "emitter", path, [0.0, 0.0, 0.0]), _join(path, "emitter")),
-        "orientation": _vector3(_pop(m, "orientation", path, [0.0, 0.0, 1.0]), _join(path, "orientation")),
-    }
-    if with_omega_mat:
-        spec["omega_mat"] = _number(
-            _pop(m, "omega_mat", path), _join(path, "omega_mat"), exclusive_minimum=0.0
-        )
-    _reject_unknown(m, path)
-    return spec
+_BOX = (
+    _Field("L", _vector),
+    _Field("V_eff", _POSITIVE),
+    _Field("omega_cav", _POSITIVE),
+    _Field("f_mat", _POSITIVE),
+    _Field("emitter", _vector, (0.0, 0.0, 0.0)),
+    _Field("orientation", _vector, (0.0, 0.0, 1.0)),
+)
 
 
-def _make_box_scene(spec: dict, omega_mat: float) -> BoxCavityScene:
-    return BoxCavityScene(
-        L=spec["L"],
-        V_eff=spec["V_eff"],
-        omega_cav=spec["omega_cav"],
-        r_mat=spec["emitter"],
-        n_d=spec["orientation"],
-        f_mat=spec["f_mat"],
-        omega_mat=omega_mat,
-    )
+_LINE = (
+    _Field("axis", _AXIS),
+    _Field("start", _number),
+    _Field("stop", _number),
+    _Field("num", partial(_integer, minimum=2, maximum=_MAX_GRID_POINTS)),
+    _Field("offset", _vector, (0.0, 0.0, 0.0)),
+)
+
+_NANOPARTICLE = (
+    _Field("R_cav", _POSITIVE),
+    _Field("r_cav", _vector, (0.0, 0.0, 0.0)),
+    _Field("r_mat", _vector),
+    _Field("orientation_cav", _vector, (1.0, 0.0, 0.0)),
+    _Field("orientation_mat", _vector, (1.0, 0.0, 0.0)),
+    _Field("f_cav", _POSITIVE),
+    _Field("f_mat", _POSITIVE),
+    _Field("omega_cav", _POSITIVE),
+    _Field("omega_mat", _POSITIVE),
+    _Field("kappa", _NONNEGATIVE, 0.0),
+    _Field("gamma", _NONNEGATIVE, 0.0),
+)
+
+_SCENE = partial(_string, choices=("box", "nanoparticle"))
+
+_FIELDMAP = {
+    "box": (
+        _Field("scene", _SCENE),
+        _Field("component", _AXIS, "z"),
+        _Field("core_radius", _POSITIVE, 0.1),
+        _Field("line", _LINE),
+        _Field("box", _BOX + (_Field("omega_mat", _POSITIVE),)),
+        _Field("g", _number),
+        _Field("branches", _BRANCH_LIST),
+    ),
+    "nanoparticle": (
+        _Field("scene", _SCENE),
+        _Field("component", _AXIS, "x"),
+        _Field("core_radius", _POSITIVE, 0.1),
+        _Field("line", _LINE),
+        _Field("nanoparticle", _NANOPARTICLE),
+        _Field("g", _number),
+        _Field("drive", (_Field("E_inc", _POSITIVE, 1.0), _Field("at", _BRANCH_LIST))),
+    ),
+}
 
 
-_AXES = {"x": 0, "y": 1, "z": 2}
+def _run_fieldmap(p: dict) -> _Table:
+    line = p["line"]
+    if line["stop"] <= line["start"]:
+        raise SchemaError("parameters.line.stop", f"must be > start ({line['start']}), got {line['stop']}")
+    t = np.linspace(line["start"], line["stop"], line["num"])
+    positions = np.tile(np.asarray(line["offset"], dtype=float), (line["num"], 1))
+    positions[:, _AXES[line["axis"]]] += t
+    component, core_radius, g = p["component"], p["core_radius"], p["g"]
+    columns = [(f"{line['axis']} (nm)", t)]
 
+    def field_columns(fields, name):
+        """Append the real parts of one field component, and the exclusion mask."""
+        comp = _AXES[component]
+        columns.append((f"E_cav_{component}_{name} (arb)", fields.E_cav[:, comp].real))
+        columns.append((f"E_mat_{component}_{name} (arb)", fields.E_mat[:, comp].real))
+        columns.append((f"E_total_{component}_{name} (arb)", fields.E_total[:, comp].real))
+        columns.append((f"excluded_{name} (1)", fields.excluded.astype(int)))
 
-def _line_spec(value, path: str) -> tuple:
-    m = dict(_as_mapping(value, path))
-    axis = _string(_pop(m, "axis", path), _join(path, "axis"), choices=tuple(_AXES))
-    start = _number(_pop(m, "start", path), _join(path, "start"))
-    stop = _number(_pop(m, "stop", path), _join(path, "stop"))
-    num = _integer(_pop(m, "num", path), _join(path, "num"), minimum=2, maximum=_MAX_GRID_POINTS)
-    offset = _vector3(_pop(m, "offset", path, [0.0, 0.0, 0.0]), _join(path, "offset"))
-    _reject_unknown(m, path)
-    if stop <= start:
-        raise SchemaError(_join(path, "stop"), f"must be > start ({start}), got {stop}")
-    t = np.linspace(start, stop, num)
-    positions = np.tile(np.asarray(offset, dtype=float), (num, 1))
-    positions[:, _AXES[axis]] += t
-    return t, positions, axis
-
-
-def _branch_list(value, path: str) -> list:
-    names = _name_list(value, path, _BRANCHES)
-    return names
-
-
-def _run_fieldmap(params: dict) -> _Table:
-    path = "parameters"
-    p = dict(params)
-    scene_kind = _string(_pop(p, "scene", path), _join(path, "scene"), choices=("box", "nanoparticle"))
-    component = _string(
-        _pop(p, "component", path, "z" if scene_kind == "box" else "x"),
-        _join(path, "component"),
-        choices=tuple(_AXES),
-    )
-    core_radius = _number(
-        _pop(p, "core_radius", path, 0.1), _join(path, "core_radius"), exclusive_minimum=0.0
-    )
-    t, positions, axis = _line_spec(_pop(p, "line", path), _join(path, "line"))
-    comp = _AXES[component]
-
-    if scene_kind == "box":
-        box = _box_scene_spec(_pop(p, "box", path), _join(path, "box"), with_omega_mat=True)
-        g = _number(_pop(p, "g", path), _join(path, "g"))
-        branch_names = _branch_list(_pop(p, "branches", path), _join(path, "branches"))
-        _reject_unknown(p, path)
-        scene = _make_box_scene(box, box["omega_mat"])
-        columns = [(f"{axis} (nm)", t)]
-        extras = {}
+    if p["scene"] == "box":
+        box = p["box"]
+        scene = BoxCavityScene(r_mat=box.pop("emitter"), n_d=box.pop("orientation"), **box)
         model = CoupledModel(
             OscillatorPair(scene.omega_cav, scene.omega_mat), ModelVariant.MOC, abs(g)
         )
         modes = eigenfrequencies(model)
-        extras["omega_plus_eV"] = modes.omega_plus.real
-        extras["omega_minus_eV"] = modes.omega_minus.real
-        extras["rho_plus"] = float(eigenvector_ratio(model, +1).imag)
-        for name in branch_names:
+        # the upper-branch ratio has a pole (reported as inf) where that
+        # branch is the bare cavity, as it is at g = 0 with omega_mat <= omega_cav
+        rho_plus = modes.ratio_plus
+        extras = {
+            "omega_plus_eV": modes.omega_plus.real,
+            "omega_minus_eV": modes.omega_minus.real,
+            "rho_plus": float(rho_plus.imag) if math.isfinite(rho_plus.real) else None,
+        }
+        for name in p["branches"]:
             fields = dielectric_field_arrays(
                 scene, g, _BRANCHES[name], positions, core_radius=core_radius
             )
-            _field_columns(columns, fields, comp, component, name)
+            field_columns(fields, name)
         return _Table(columns, extras=extras)
 
-    np_spec_raw = _pop(p, "nanoparticle", path)
-    g = _number(_pop(p, "g", path), _join(path, "g"))
-    drive_raw = _pop(p, "drive", path)
-    _reject_unknown(p, path)
-    m = dict(_as_mapping(np_spec_raw, _join(path, "nanoparticle")))
-    np_path = _join(path, "nanoparticle")
+    spec = p["nanoparticle"]
     scene = NanoparticleScene(
-        R_cav=_number(_pop(m, "R_cav", np_path), _join(np_path, "R_cav"), exclusive_minimum=0.0),
-        r_cav=_vector3(_pop(m, "r_cav", np_path, [0.0, 0.0, 0.0]), _join(np_path, "r_cav")),
-        r_mat=_vector3(_pop(m, "r_mat", np_path), _join(np_path, "r_mat")),
-        n_dcav=_vector3(_pop(m, "orientation_cav", np_path, [1.0, 0.0, 0.0]), _join(np_path, "orientation_cav")),
-        n_dmat=_vector3(_pop(m, "orientation_mat", np_path, [1.0, 0.0, 0.0]), _join(np_path, "orientation_mat")),
-        f_cav=_number(_pop(m, "f_cav", np_path), _join(np_path, "f_cav"), exclusive_minimum=0.0),
-        f_mat=_number(_pop(m, "f_mat", np_path), _join(np_path, "f_mat"), exclusive_minimum=0.0),
-        omega_cav=_number(_pop(m, "omega_cav", np_path), _join(np_path, "omega_cav"), exclusive_minimum=0.0),
-        omega_mat=_number(_pop(m, "omega_mat", np_path), _join(np_path, "omega_mat"), exclusive_minimum=0.0),
-        kappa=_number(_pop(m, "kappa", np_path, 0.0), _join(np_path, "kappa"), minimum=0.0),
-        gamma=_number(_pop(m, "gamma", np_path, 0.0), _join(np_path, "gamma"), minimum=0.0),
+        n_dcav=spec.pop("orientation_cav"), n_dmat=spec.pop("orientation_mat"), **spec
     )
-    _reject_unknown(m, np_path)
-    dm = dict(_as_mapping(drive_raw, _join(path, "drive")))
-    drive_path = _join(path, "drive")
-    e_inc = _number(_pop(dm, "E_inc", drive_path, 1.0), _join(drive_path, "E_inc"), exclusive_minimum=0.0)
-    targets = _branch_list(_pop(dm, "at", drive_path), _join(drive_path, "at"))
-    _reject_unknown(dm, drive_path)
-
     lossless = CoupledModel(
         OscillatorPair(scene.omega_cav, scene.omega_mat), ModelVariant.SPC, g
     )
@@ -555,53 +576,46 @@ def _run_fieldmap(params: dict) -> _Table:
         ModelVariant.SPC,
         g,
     )
-    f_cav_red = _reduced(float(scene.f_cav))
-    f_mat_red = _reduced(float(scene.f_mat))
-    columns = [(f"{axis} (nm)", t)]
+    f_cav_red = _reduced_strength(scene.f_cav)
+    f_mat_red = _reduced_strength(scene.f_mat)
     extras = {"omega_plus_eV": drive_freqs["upper"], "omega_minus_eV": drive_freqs["lower"]}
-    for name in targets:
-        omega_drive = drive_freqs[name]
-        resp = driven_spc(
-            lossy, DriveSpec(E_inc=e_inc, omega=omega_drive, f_cav=f_cav_red, f_mat=f_mat_red)
+    for name in p["drive"]["at"]:
+        drive = DriveSpec(
+            E_inc=p["drive"]["E_inc"], omega=drive_freqs[name], f_cav=f_cav_red, f_mat=f_mat_red
         )
+        resp = driven_spc(lossy, drive)
         fields = quasistatic_field_arrays(scene, resp, positions, core_radius=core_radius)
-        _field_columns(columns, fields, comp, component, name)
+        field_columns(fields, name)
     return _Table(columns, extras=extras)
 
 
-def _field_columns(columns: list, fields, comp: int, component: str, name: str) -> None:
-    """Append the real parts of one field component, and the exclusion mask."""
-    columns.append((f"E_cav_{component}_{name} (arb)", fields.E_cav[:, comp].real))
-    columns.append((f"E_mat_{component}_{name} (arb)", fields.E_mat[:, comp].real))
-    columns.append((f"E_total_{component}_{name} (arb)", fields.E_total[:, comp].real))
-    columns.append((f"excluded_{name} (1)", fields.excluded.astype(int)))
+_FRACTIONS = (
+    _Field("box", _BOX),
+    _Field("g", _number),
+    _Field("position", _vector),
+    _Field("detuning_grid", _grid),
+    _Field("branches", _BRANCH_LIST, ("upper", "lower")),
+    _Field("core_radius", _POSITIVE, 0.1),
+)
 
 
-def _run_fractions(params: dict) -> _Table:
-    path = "parameters"
-    p = dict(params)
-    box = _box_scene_spec(_pop(p, "box", path), _join(path, "box"), with_omega_mat=False)
-    g = _number(_pop(p, "g", path), _join(path, "g"))
-    position = _vector3(_pop(p, "position", path), _join(path, "position"))
-    detuning = _grid(_pop(p, "detuning_grid", path), _join(path, "detuning_grid"))
-    branch_names = _branch_list(_pop(p, "branches", path, ["upper", "lower"]), _join(path, "branches"))
-    core_radius = _number(
-        _pop(p, "core_radius", path, 0.1), _join(path, "core_radius"), exclusive_minimum=0.0
-    )
-    _reject_unknown(p, path)
+def _run_fractions(p: dict) -> _Table:
+    box, detuning = p["box"], p["detuning_grid"]
     omega_cav = box["omega_cav"]
     bad = detuning[detuning <= -omega_cav]
     if bad.size:
         raise SchemaError(
-            _join(path, "detuning_grid"),
+            "parameters.detuning_grid",
             f"omega_mat = omega_cav + detuning must stay positive; got detuning {bad[0]}",
         )
 
-    scene = _make_box_scene(box, omega_cav + detuning)
+    scene = BoxCavityScene(
+        r_mat=box.pop("emitter"), n_d=box.pop("orientation"), omega_mat=omega_cav + detuning, **box
+    )
     columns = [("detuning (eV)", detuning)]
-    for name in branch_names:
+    for name in p["branches"]:
         sigma_cav, sigma_mat = contribution_fractions(
-            scene, g, _BRANCHES[name], position, core_radius=core_radius
+            scene, p["g"], _BRANCHES[name], p["position"], core_radius=p["core_radius"]
         )
         columns.append((f"Sigma_cav_{name} (1)", sigma_cav))
         columns.append((f"Sigma_mat_{name} (1)", sigma_mat))
@@ -612,70 +626,57 @@ def _run_fractions(params: dict) -> _Table:
 # kind: ensemble
 
 
-def _mode_spec(value, path: str) -> tuple:
-    m = dict(_as_mapping(value, path))
-    n = _integer(_pop(m, "n", path), _join(path, "n"), minimum=1)
-    k_par = _pop(m, "k_parallel", path, [0.0, 0.0])
-    if not isinstance(k_par, (list, tuple)) or len(k_par) != 2:
-        raise SchemaError(_join(path, "k_parallel"), f"expected a 2-component vector, got {k_par!r}")
-    kx = _number(k_par[0], _join(path, "k_parallel.0"))
-    ky = _number(k_par[1], _join(path, "k_parallel.1"))
-    _reject_unknown(m, path)
-    return (n, (kx, ky))
+def _lattice_shape(value, path: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise SchemaError(path, f"expected [nx, ny, nz], got {value!r}")
+    return tuple(_integer(v, _join(path, i), minimum=1) for i, v in enumerate(value))
 
 
-def _run_ensemble(params: dict) -> _Table:
-    path = "parameters"
-    p = dict(params)
-    cav_raw = dict(_as_mapping(_pop(p, "cavity", path), _join(path, "cavity")))
-    cav_path = _join(path, "cavity")
-    modes_raw = _pop(cav_raw, "modes", cav_path)
-    if not isinstance(modes_raw, (list, tuple)) or not modes_raw:
-        raise SchemaError(_join(cav_path, "modes"), "expected a nonempty list of mode mappings")
-    modes = tuple(
-        _mode_spec(mv, _join(cav_path, f"modes.{i}")) for i, mv in enumerate(modes_raw)
-    )
+_MODE = (
+    _Field("n", partial(_integer, minimum=1)),
+    _Field("k_parallel", partial(_vector, size=2), (0.0, 0.0)),
+)
+
+_CAVITY = (
+    _Field("modes", partial(_table_list, table=_MODE, what="mode")),
+    _Field("L_cav", _POSITIVE),
+    _Field("lateral_period", _POSITIVE),
+    _Field("epsilon_inf", _EPSILON_INF, 1.0),
+)
+
+_LATTICE = (
+    _Field("shape", _lattice_shape),
+    _Field("spacing", _POSITIVE),
+    _Field("f_dip", _POSITIVE),
+    _Field("omega_dip", _POSITIVE),
+    _Field("orientation", _vector, (1.0, 0.0, 0.0)),
+)
+
+_ENSEMBLE = (
+    _Field("cavity", _CAVITY),
+    _Field("lattice", _LATTICE),
+    _Field("mode", _MODE),
+    _Field("include_dipole_dipole", _boolean, True),
+    _Field("tolerance", _POSITIVE, 1e-2),
+)
+
+
+def _run_ensemble(p: dict) -> _Table:
+    cav, lat = p["cavity"], p["lattice"]
     fp = FabryPerotSpec(
-        L_cav=_number(_pop(cav_raw, "L_cav", cav_path), _join(cav_path, "L_cav"), exclusive_minimum=0.0),
-        lateral_period=_number(
-            _pop(cav_raw, "lateral_period", cav_path),
-            _join(cav_path, "lateral_period"),
-            exclusive_minimum=0.0,
-        ),
-        modes=modes,
-        epsilon_inf=_number(_pop(cav_raw, "epsilon_inf", cav_path, 1.0), _join(cav_path, "epsilon_inf"), minimum=1.0),
+        L_cav=cav["L_cav"],
+        lateral_period=cav["lateral_period"],
+        modes=tuple((m["n"], m["k_parallel"]) for m in cav["modes"]),
+        epsilon_inf=cav["epsilon_inf"],
     )
-    _reject_unknown(cav_raw, cav_path)
-
-    lat_raw = dict(_as_mapping(_pop(p, "lattice", path), _join(path, "lattice")))
-    lat_path = _join(path, "lattice")
-    shape_raw = _pop(lat_raw, "shape", lat_path)
-    if not isinstance(shape_raw, (list, tuple)) or len(shape_raw) != 3:
-        raise SchemaError(_join(lat_path, "shape"), f"expected [nx, ny, nz], got {shape_raw!r}")
-    shape = tuple(
-        _integer(v, _join(lat_path, f"shape.{i}"), minimum=1) for i, v in enumerate(shape_raw)
+    mode = (p["mode"]["n"], p["mode"]["k_parallel"])
+    include_dd = p["include_dipole_dipole"]
+    lattice = cubic_dipole_lattice(
+        fp, lat["spacing"], lat["shape"], lat["f_dip"], lat["omega_dip"], orientation=lat["orientation"]
     )
-    spacing = _number(_pop(lat_raw, "spacing", lat_path), _join(lat_path, "spacing"), exclusive_minimum=0.0)
-    f_dip = _number(_pop(lat_raw, "f_dip", lat_path), _join(lat_path, "f_dip"), exclusive_minimum=0.0)
-    omega_dip = _number(
-        _pop(lat_raw, "omega_dip", lat_path), _join(lat_path, "omega_dip"), exclusive_minimum=0.0
-    )
-    orientation = _vector3(
-        _pop(lat_raw, "orientation", lat_path, [1.0, 0.0, 0.0]), _join(lat_path, "orientation")
-    )
-    _reject_unknown(lat_raw, lat_path)
-
-    mode = _mode_spec(_pop(p, "mode", path), _join(path, "mode"))
-    include_dd = _boolean(_pop(p, "include_dipole_dipole", path, True), _join(path, "include_dipole_dipole"))
-    tolerance = _number(
-        _pop(p, "tolerance", path, 1e-2), _join(path, "tolerance"), exclusive_minimum=0.0
-    )
-    _reject_unknown(p, path)
-
-    lattice = cubic_dipole_lattice(fp, spacing, shape, f_dip, omega_dip, orientation=orientation)
     full = build_full_system(lattice, fp, include_dipole_dipole=include_dd)
     report = full_vs_reduced_check(
-        lattice, fp, mode, tolerance=tolerance, include_dipole_dipole=include_dd
+        lattice, fp, mode, tolerance=p["tolerance"], include_dipole_dipole=include_dd
     )
     cm = report.collective
     columns = [
@@ -704,40 +705,43 @@ def _run_ensemble(params: dict) -> _Table:
 # kind: permittivity
 
 
-def _run_permittivity(params: dict) -> _Table:
-    path = "parameters"
-    p = dict(params)
-    model_names = _name_list(_pop(p, "models", path), _join(path, "models"), ("MoC", "SpC"))
-    epsilon_inf = _number(_pop(p, "epsilon_inf", path, 1.0), _join(path, "epsilon_inf"), minimum=1.0)
-    fit_raw = _pop(p, "fit", path, None)
-    extras = {}
-    if fit_raw is not None:
-        if "Omega_mat" in p or "G" in p:
-            raise SchemaError(_join(path, "fit"), "give either fit or (Omega_mat, G), not both")
-        fm = dict(_as_mapping(fit_raw, _join(path, "fit")))
-        fit_path = _join(path, "fit")
-        omega_to = _number(_pop(fm, "omega_to", fit_path), _join(fit_path, "omega_to"), exclusive_minimum=0.0)
-        omega_lo = _number(_pop(fm, "omega_lo", fit_path), _join(fit_path, "omega_lo"))
-        _reject_unknown(fm, fit_path)
-        fitted = reststrahlen_fit(omega_to, omega_lo, epsilon_inf=epsilon_inf)
-        omega_mat, g_coupling = fitted.Omega_mat, fitted.G
-        mc_variant = PermittivityVariant.POLAR_LORENTZ
-        extras["fit_omega_to_eV"] = omega_to
-        extras["fit_omega_lo_eV"] = omega_lo
-    else:
-        omega_mat = _number(_pop(p, "Omega_mat", path), _join(path, "Omega_mat"), exclusive_minimum=0.0)
-        g_coupling = _number(_pop(p, "G", path), _join(path, "G"), minimum=0.0)
-        mc_variant = PermittivityVariant.MOC
-    omega_grid = _grid(_pop(p, "omega_grid", path), _join(path, "omega_grid"), minimum=0.0)
-    _reject_unknown(p, path)
-    if "SpC" in model_names and epsilon_inf != 1.0:
+_PERMITTIVITY = (
+    _Field("models", partial(_name_list, choices=("MoC", "SpC"))),
+    _Field("epsilon_inf", _EPSILON_INF, 1.0),
+    _Field("fit", (_Field("omega_to", _POSITIVE), _Field("omega_lo", _number)), None),
+    _Field("Omega_mat", _POSITIVE, _OPTIONAL),
+    _Field("G", _NONNEGATIVE, _OPTIONAL),
+    _Field("omega_grid", _NONNEGATIVE_GRID),
+)
+
+
+def _run_permittivity(p: dict) -> _Table:
+    fit, epsilon_inf = p["fit"], p["epsilon_inf"]
+    if fit is not None and (p["Omega_mat"] is not None or p["G"] is not None):
+        raise SchemaError("parameters.fit", "give either fit or (Omega_mat, G), not both")
+    if fit is None:
+        for key in ("Omega_mat", "G"):
+            if p[key] is None:
+                raise SchemaError(f"parameters.{key}", "missing required key")
+    if "SpC" in p["models"] and epsilon_inf != 1.0:
         raise SchemaError(
-            _join(path, "epsilon_inf"),
+            "parameters.epsilon_inf",
             "the amplitude-coupled permittivity has no high-frequency screening; use 1",
         )
 
+    extras = {}
+    if fit is not None:
+        fitted = reststrahlen_fit(fit["omega_to"], fit["omega_lo"], epsilon_inf=epsilon_inf)
+        omega_mat, g_coupling = fitted.Omega_mat, fitted.G
+        mc_variant = PermittivityVariant.POLAR_LORENTZ
+        extras["fit_omega_to_eV"] = fit["omega_to"]
+        extras["fit_omega_lo_eV"] = fit["omega_lo"]
+    else:
+        omega_mat, g_coupling = p["Omega_mat"], p["G"]
+        mc_variant = PermittivityVariant.MOC
+    omega_grid = p["omega_grid"]
     columns = [("omega/Omega_mat (1)", omega_grid / omega_mat)]
-    for name in model_names:
+    for name in p["models"]:
         if name == "MoC":
             model = PermittivityModel(omega_mat, g_coupling, epsilon_inf=epsilon_inf, variant=mc_variant)
             eps = np.asarray(permittivity_mc(model, omega_grid))
@@ -757,26 +761,25 @@ def _run_permittivity(params: dict) -> _Table:
 # kind: dispersion
 
 
-def _run_dispersion(params: dict) -> _Table:
-    path = "parameters"
-    p = dict(params)
-    model_names = _name_list(_pop(p, "models", path), _join(path, "models"), ("MoC", "A1", "A2"))
-    omega_to = _number(_pop(p, "omega_to", path, 1.0), _join(path, "omega_to"), exclusive_minimum=0.0)
-    g_rel = _number(_pop(p, "G_over_omega_to", path), _join(path, "G_over_omega_to"), minimum=0.0)
-    epsilon_inf = _number(_pop(p, "epsilon_inf", path, 1.0), _join(path, "epsilon_inf"), minimum=1.0)
-    k_grid_rel = _grid(_pop(p, "k_grid", path), _join(path, "k_grid"), minimum=0.0)
-    content = _string(
-        _pop(p, "content", path, "dispersion"), _join(path, "content"), choices=("dispersion", "couplings")
-    )
-    _reject_unknown(p, path)
+_DISPERSION = (
+    _Field("models", partial(_name_list, choices=("MoC", "A1", "A2"))),
+    _Field("omega_to", _POSITIVE, 1.0),
+    _Field("G_over_omega_to", _NONNEGATIVE),
+    _Field("epsilon_inf", _EPSILON_INF, 1.0),
+    _Field("k_grid", _NONNEGATIVE_GRID),
+    _Field("content", partial(_string, choices=("dispersion", "couplings")), "dispersion"),
+)
 
-    g_coupling = g_rel * omega_to
+
+def _run_dispersion(p: dict) -> _Table:
+    omega_to, epsilon_inf, k_grid_rel = p["omega_to"], p["epsilon_inf"], p["k_grid"]
+    g_coupling = p["G_over_omega_to"] * omega_to
     k_grid = k_grid_rel * omega_to / UNITS.hbar_c
     omega_lo = math.sqrt(omega_to**2 + 4.0 * g_coupling**2)
     tags = {"MoC": "mc", "A1": "a1", "A2": "a2"}
     columns = [("ck/omega_TO (1)", k_grid_rel)]
-    if content == "dispersion":
-        for name in model_names:
+    if p["content"] == "dispersion":
+        for name in p["models"]:
             lower, upper = bulk_dispersion(name, omega_to, g_coupling, k_grid, epsilon_inf=epsilon_inf)
             photon = UNITS.hbar_c * k_grid / math.sqrt(epsilon_inf)
             if name == "A1":
@@ -786,7 +789,7 @@ def _run_dispersion(params: dict) -> _Table:
             columns.append((f"omega_upper_{tag} (omega_TO)", upper.omega / omega_to))
             columns.append((f"omega_photon_{tag} (omega_TO)", photon / omega_to))
     else:
-        for name in model_names:
+        for name in p["models"]:
             profile = coupling_profiles(name, omega_to, g_coupling, k_grid, epsilon_inf=epsilon_inf)
             columns.append((f"G_{tags[name]} (omega_TO)", np.asarray(profile) / omega_to))
     return _Table(columns, extras={"omega_lo_over_omega_to": omega_lo / omega_to})
@@ -796,40 +799,68 @@ def _run_dispersion(params: dict) -> _Table:
 # kind: oracle
 
 
-def _run_oracle(params: dict) -> _Table:
-    path = "parameters"
-    p = dict(params)
-    flavor = _string(
-        _pop(p, "flavor", path, "quantum"), _join(path, "flavor"), choices=("quantum", "polarizability")
-    )
-    if flavor == "quantum":
-        omega_cav = _number(_pop(p, "omega_cav", path), _join(path, "omega_cav"), exclusive_minimum=0.0)
-        omega_mat = _number(_pop(p, "omega_mat", path), _join(path, "omega_mat"), exclusive_minimum=0.0)
-        g_qed = _number(_pop(p, "g_qed", path), _join(path, "g_qed"), minimum=0.0)
-        d_raw = _pop(p, "D", path, 0.0)
-        if isinstance(d_raw, str):
-            d_tag = _string(d_raw, _join(path, "D"), choices=("SpC", "MoC"))
-            diamagnetic = 0.0 if d_tag == "SpC" else g_qed**2 / omega_mat
+def _diamagnetic(value, path: str):
+    """The quantum oracle's ``D``: a number, or the model tag whose D applies."""
+    if isinstance(value, str):
+        return _string(value, path, choices=("SpC", "MoC"))
+    return _number(value, path, minimum=0.0)
+
+
+_FLAVOR = _Field("flavor", partial(_string, choices=("quantum", "polarizability")), "quantum")
+
+_ORACLE = {
+    "quantum": (
+        _FLAVOR,
+        _Field("omega_cav", _POSITIVE),
+        _Field("omega_mat", _POSITIVE),
+        _Field("g_qed", _NONNEGATIVE),
+        _Field("D", _diamagnetic, 0.0),
+        _Field("n_max", partial(_integer, minimum=2, maximum=63), 40),
+        _Field("n_levels", partial(_integer, minimum=1), 5),
+        _Field("rwa", _boolean, False),
+        _Field("frame_check", _boolean, False),
+    ),
+    "polarizability": (
+        _FLAVOR,
+        _Field("omega_cav", _POSITIVE),
+        _Field("omega_mat", _POSITIVE),
+        _Field("kappa", _NONNEGATIVE, 0.0),
+        _Field("gamma", _NONNEGATIVE, 0.0),
+        _Field("f_cav", _POSITIVE),
+        _Field("f_mat", _POSITIVE),
+        _Field("r_cav", _vector, (0.0, 0.0, 0.0)),
+        _Field("r_mat", _vector),
+        _Field("orientation_cav", _vector, (1.0, 0.0, 0.0)),
+        _Field("orientation_mat", _vector, (1.0, 0.0, 0.0)),
+        _Field("E_inc", _POSITIVE, 1.0),
+        _Field("omega_grid", _POSITIVE_GRID),
+    ),
+}
+
+
+def _run_oracle(p: dict) -> _Table:
+    omega_cav, omega_mat = p["omega_cav"], p["omega_mat"]
+    if p["flavor"] == "quantum":
+        g_qed, d_value = p["g_qed"], p["D"]
+        if d_value == "SpC":
+            diamagnetic = 0.0
+        elif d_value == "MoC":
+            diamagnetic = g_qed**2 / omega_mat
         else:
-            diamagnetic = _number(d_raw, _join(path, "D"), minimum=0.0)
-        n_max = _integer(_pop(p, "n_max", path, 40), _join(path, "n_max"), minimum=2, maximum=63)
-        n_levels = _integer(_pop(p, "n_levels", path, 5), _join(path, "n_levels"), minimum=1)
-        rwa = _boolean(_pop(p, "rwa", path, False), _join(path, "rwa"))
-        frame_check = _boolean(_pop(p, "frame_check", path, False), _join(path, "frame_check"))
-        _reject_unknown(p, path)
+            diamagnetic = d_value
         hp = HopfieldParams(omega_cav, omega_mat, g_qed, diamagnetic)
-        spectrum = truncated_fock_spectrum(hp, n_max, n_levels, rwa=rwa)
+        spectrum = truncated_fock_spectrum(hp, p["n_max"], p["n_levels"], rwa=p["rwa"])
         extras = {
             "ground_state_energy_eV": spectrum.ground_state_energy,
             "truncation": spectrum.truncation,
             "D_eV": diamagnetic,
         }
-        if not rwa:
+        if not p["rwa"]:
             w_plus, w_minus = hopfield_quartic_eigen(hp)
             extras["omega_minus_quartic_eV"] = w_minus
             extras["omega_plus_quartic_eV"] = w_plus
-        if frame_check:
-            extras["frame_deviation_eV"] = frame_equivalence_check(hp, n_max=n_max)
+        if p["frame_check"]:
+            extras["frame_deviation_eV"] = frame_equivalence_check(hp, n_max=p["n_max"])
         levels = np.arange(1, len(spectrum.excitation_energies) + 1)
         columns = [
             ("level (1)", levels),
@@ -837,20 +868,9 @@ def _run_oracle(params: dict) -> _Table:
         ]
         return _Table(columns, extras=extras)
 
-    omega_cav = _number(_pop(p, "omega_cav", path), _join(path, "omega_cav"), exclusive_minimum=0.0)
-    omega_mat = _number(_pop(p, "omega_mat", path), _join(path, "omega_mat"), exclusive_minimum=0.0)
-    kappa = _number(_pop(p, "kappa", path, 0.0), _join(path, "kappa"), minimum=0.0)
-    gamma = _number(_pop(p, "gamma", path, 0.0), _join(path, "gamma"), minimum=0.0)
-    f_cav = _number(_pop(p, "f_cav", path), _join(path, "f_cav"), exclusive_minimum=0.0)
-    f_mat = _number(_pop(p, "f_mat", path), _join(path, "f_mat"), exclusive_minimum=0.0)
-    r_cav = _vector3(_pop(p, "r_cav", path, [0.0, 0.0, 0.0]), _join(path, "r_cav"))
-    r_mat = _vector3(_pop(p, "r_mat", path), _join(path, "r_mat"))
-    n_dcav = _vector3(_pop(p, "orientation_cav", path, [1.0, 0.0, 0.0]), _join(path, "orientation_cav"))
-    n_dmat = _vector3(_pop(p, "orientation_mat", path, [1.0, 0.0, 0.0]), _join(path, "orientation_mat"))
-    e_inc = _number(_pop(p, "E_inc", path, 1.0), _join(path, "E_inc"), exclusive_minimum=0.0)
-    omega_grid = _grid(_pop(p, "omega_grid", path), _join(path, "omega_grid"), exclusive_minimum=0.0)
-    _reject_unknown(p, path)
-
+    kappa, gamma, f_cav, f_mat = p["kappa"], p["gamma"], p["f_cav"], p["f_mat"]
+    r_cav, r_mat, n_dcav, n_dmat = p["r_cav"], p["r_mat"], p["orientation_cav"], p["orientation_mat"]
+    e_inc, omega_grid = p["E_inc"], p["omega_grid"]
     g_geo = coupling_dipole_dipole(
         OscillatorStrength(f_cav),
         OscillatorStrength(f_mat),
@@ -864,8 +884,8 @@ def _run_oracle(params: dict) -> _Table:
     model = CoupledModel(
         OscillatorPair(omega_cav, omega_mat, kappa, gamma), ModelVariant.SPC, g_geo
     )
-    f_cav_red = _reduced(f_cav)
-    f_mat_red = _reduced(f_mat)
+    f_cav_red = _reduced_strength(f_cav)
+    f_mat_red = _reduced_strength(f_mat)
     reference = polarizability_oracle(
         f_cav_red, f_mat_red, omega_cav, omega_mat, kappa, gamma,
         r_cav, r_mat, n_dcav, n_dmat, e_inc, omega_grid,
@@ -887,69 +907,43 @@ def _run_oracle(params: dict) -> _Table:
 
 
 # --------------------------------------------------------------------------
-# dispatch table and the module-operation coverage declaration
+# dispatch: each kind's field table and handler
 
 
 _HANDLERS = {
-    "eigen_sweep": _run_eigen_sweep,
-    "min_splitting": _run_min_splitting,
-    "spectrum": _run_spectrum,
-    "fieldmap": _run_fieldmap,
-    "fractions": _run_fractions,
-    "ensemble": _run_ensemble,
-    "permittivity": _run_permittivity,
-    "dispersion": _run_dispersion,
-    "oracle": _run_oracle,
+    "eigen_sweep": (_EIGEN_SWEEP, _run_eigen_sweep),
+    "min_splitting": (_MIN_SPLITTING, _run_min_splitting),
+    "spectrum": (_SPECTRUM, _run_spectrum),
+    "fieldmap": (_FIELDMAP, _run_fieldmap),
+    "fractions": (_FRACTIONS, _run_fractions),
+    "ensemble": (_ENSEMBLE, _run_ensemble),
+    "permittivity": (_PERMITTIVITY, _run_permittivity),
+    "dispersion": (_DISPERSION, _run_dispersion),
+    "oracle": (_ORACLE, _run_oracle),
 }
 
 SCENARIO_KINDS = tuple(_HANDLERS)
 
-# Which public operations each scenario kind drives; the test suite asserts
-# this covers the whole library surface, so no operation is unreachable from
-# the scenario layer.
-KIND_OPERATIONS = {
-    "eigen_sweep": (
-        "models.branch_frequencies",
-        "models.dressed_parameters",
-        "models.determinant_residual",
-    ),
-    "min_splitting": ("models.min_splitting",),
-    "spectrum": (
-        "driven.driven_spc",
-        "driven.driven_mc",
-        "driven.scattering_cross_section",
-    ),
-    "fieldmap": (
-        "fields.dielectric_field_arrays",
-        "fields.quasistatic_field_arrays",
-        "models.eigenfrequencies",
-        "models.eigenvector_ratio",
-        "driven.driven_spc",
-    ),
-    "fractions": ("fields.contribution_fractions",),
-    "ensemble": (
-        "ensemble.cubic_dipole_lattice",
-        "ensemble.build_full_system",
-        "ensemble.collective_reduce",
-        "ensemble.full_vs_reduced_check",
-        "units.coupling_from_mode_volume",
-    ),
-    "permittivity": (
-        "material.permittivity_mc",
-        "material.permittivity_spc",
-        "material.reststrahlen_band",
-        "material.reststrahlen_fit",
-    ),
-    "dispersion": ("material.bulk_dispersion", "material.coupling_profiles"),
-    "oracle": (
-        "hopfield.truncated_fock_spectrum",
-        "hopfield.hopfield_quartic_eigen",
-        "hopfield.frame_equivalence_check",
-        "driven.polarizability_oracle",
-        "driven.driven_spc",
-        "units.coupling_dipole_dipole",
-    ),
-}
+
+def _schema_version(value, path: str) -> int:
+    if _integer(value, path, minimum=1) != SCHEMA_VERSION:
+        raise SchemaError(
+            path, f"unsupported schema version {value}; this library writes {SCHEMA_VERSION}"
+        )
+    return value
+
+
+_OUTPUT = (
+    _Field("path", _string, None),
+    _Field("format", partial(_string, choices=("csv", "svg")), "csv"),
+)
+
+_DOCUMENT = (
+    _Field("kind", partial(_string, choices=SCENARIO_KINDS)),
+    _Field("schema", _schema_version, SCHEMA_VERSION),
+    _Field("parameters", _as_mapping),
+    _Field("output", _OUTPUT, None),
+)
 
 
 # --------------------------------------------------------------------------
@@ -1093,43 +1087,38 @@ def run_scenario_document(
     out_dir=None,
     default_stem: str | None = None,
 ) -> ScenarioRun:
-    """Validate and execute one scenario document, writing its artifacts."""
-    if document is None:
-        document = {}
-    top = dict(_as_mapping(document, ""))
-    kind = _string(_pop(top, "kind", ""), "kind", choices=SCENARIO_KINDS)
-    schema_raw = _pop(top, "schema", "", SCHEMA_VERSION)
-    if _integer(schema_raw, "schema", minimum=1) != SCHEMA_VERSION:
-        raise SchemaError("schema", f"unsupported schema version {schema_raw}; this library writes {SCHEMA_VERSION}")
-    params = _as_mapping(_pop(top, "parameters", ""), "parameters")
-    output_raw = _pop(top, "output", "", None)
-    _reject_unknown(top, "")
-    out_path_raw = None
-    out_format = "csv"
-    if output_raw is not None:
-        om = dict(_as_mapping(output_raw, "output"))
-        out_path_value = _pop(om, "path", "output", None)
-        if out_path_value is not None:
-            out_path_raw = _string(out_path_value, "output.path")
-        out_format = _string(_pop(om, "format", "output", "csv"), "output.format", choices=("csv", "svg"))
-        _reject_unknown(om, "output")
+    """Validate and execute one scenario document, writing its artifacts.
+
+    The handler runs with numpy's overflow, divide-by-zero and invalid-value
+    errors raised; those, Python arithmetic errors and singular linear
+    solves are reported as a :class:`PolaritonError` naming the scenario.
+    """
+    doc = _validate(_DOCUMENT, {} if document is None else document, "")
+    kind = doc["kind"]
+    output = doc["output"] or {"path": None, "format": "csv"}
     stem = default_stem or kind
-    csv_path = Path(out_path_raw) if out_path_raw else Path(f"{stem}.csv")
+    csv_path = Path(output["path"] or f"{stem}.csv")
     if not csv_path.is_absolute():
         csv_path = Path(out_dir or ".") / csv_path
 
+    spec, handler = _HANDLERS[kind]
     try:
-        table = _HANDLERS[kind](copy.deepcopy(params))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            table = handler(_validate(spec, doc["parameters"], "parameters"))
     except SchemaError:
         raise
     except PolaritonError as exc:
         raise type(exc)(f"scenario {source_name!r} ({kind}): {exc}") from exc
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise PolaritonError(
+            f"scenario {source_name!r} ({kind}): {type(exc).__name__}: {exc}"
+        ) from exc
 
     csv_bytes = _render_csv(table)
     _atomic_write(csv_path, csv_bytes)
     outputs = {csv_path.name: {"sha256": hashlib.sha256(csv_bytes).hexdigest(), "bytes": len(csv_bytes)}}
     svg_path = None
-    if out_format == "svg":
+    if output["format"] == "svg":
         svg_path = csv_path.with_suffix(".svg")
         svg_bytes = _render_svg(table, csv_path.stem)
         _atomic_write(svg_path, svg_bytes)

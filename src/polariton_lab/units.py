@@ -68,6 +68,13 @@ class OscillatorStrength:
         return self.value
 
 
+def _reduced_strength(f, units: UnitSystem = UNITS) -> float:
+    """f/(4 pi eps0) of an :class:`OscillatorStrength` or a plain number (validated)."""
+    if not isinstance(f, OscillatorStrength):
+        f = OscillatorStrength(float(f))
+    return f.reduced(units)
+
+
 def _require_positive(name: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0):
         raise PolaritonError(f"{name} must be finite and positive, got {value}")
@@ -132,10 +139,15 @@ def coupling_from_mode_volume(
     return 0.5 * math.sqrt(4.0 * math.pi * f_red / V_eff) * xi * cos_theta
 
 
+def _as_vec(value, name: str) -> np.ndarray:
+    vec = np.asarray(value, dtype=float)
+    if vec.shape != (3,) or not np.all(np.isfinite(vec)):
+        raise PolaritonError(f"{name} must be a finite 3-vector, got {value!r}")
+    return vec
+
+
 def _unit_vector(name: str, n) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or not np.all(np.isfinite(n)):
-        raise PolaritonError(f"{name} must be a finite 3-vector")
+    n = _as_vec(n, name)
     if abs(np.linalg.norm(n) - 1.0) > 1e-12:
         raise PolaritonError(f"{name} must be normalized to 1 within 1e-12, |{name}| = {np.linalg.norm(n)!r}")
     return n

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, artifact reporting."""
 
+import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from polariton_lab import __version__, scenarios
 from polariton_lab.cli import main
@@ -199,3 +202,55 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "hbar_c" in proc.stdout
+
+
+_SAMPLES = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _mutated(document, path, value):
+    doc = copy.deepcopy(document)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "source, path, value",
+    [
+        ("permittivity_sic", ("parameters", "fit", "omega_lo"), 1e200),
+        ("nanoparticle_spectrum", ("parameters", "curves", 0, "R_cav"), 1e200),
+        ("ensemble_n20", ("parameters", "cavity", "lateral_period"), 1e-320),
+        ("ensemble_n20", ("parameters", "cavity", "lateral_period"), 1e200),
+        ("oracle_quantum", ("parameters", "omega_cav"), 1e200),
+        ("oracle_quantum", ("parameters", "omega_cav"), 1e308),
+        ("dispersion_bulk", ("parameters", "omega_to"), 1e200),
+        ("fig4b", ("parameters", "Omega_mat"), 1e200),
+        ("fieldmap_box", ("parameters", "box", "omega_cav"), 1e200),
+        ("ensemble_n20", ("parameters", "lattice", "shape"), [2**70, 1, 1]),
+        ("ensemble_n20", ("parameters", "lattice", "shape"), [1000, 1000, 1000]),
+    ],
+    ids=[
+        "fit-omega_lo-1e200",
+        "curve-R_cav-1e200",
+        "lateral_period-1e-320",
+        "lateral_period-1e200",
+        "oracle-omega_cav-1e200",
+        "oracle-omega_cav-1e308",
+        "dispersion-omega_to-1e200",
+        "fig4b-Omega_mat-1e200",
+        "box-omega_cav-1e200",
+        "lattice-shape-2**70",
+        "lattice-shape-1000**3",
+    ],
+)
+def test_hostile_values_exit_3(tmp_path, capsys, source, path, value):
+    if source in scenarios.FIGURE_IDS:
+        document = scenarios.figure_document(source)
+    else:
+        document = yaml.safe_load((_SAMPLES / f"{source}.yaml").read_text())
+    scenario = _write(tmp_path, "hostile.yaml", yaml.safe_dump(_mutated(document, path, value)))
+    code = main(["run", str(scenario), "--out", str(tmp_path)])
+    assert code == 3
+    assert f"scenario {str(scenario)!r}" in capsys.readouterr().err

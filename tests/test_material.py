@@ -16,7 +16,6 @@ from polariton_lab.material import (
     permittivity_spc,
     reststrahlen_band,
     reststrahlen_fit,
-    self_consistent_epsilon_mode,
 )
 from polariton_lab.units import UNITS
 
@@ -249,40 +248,6 @@ def test_branches_solve_the_bulk_mode_condition():
         target = (UNITS.hbar_c * branch.k) ** 2
         value = branch.omega**2 * permittivity_mc(model, branch.omega)
         assert np.max(np.abs(value - target) / np.maximum(target, 1e-30)) < 1e-8
-
-
-def test_self_consistent_mode_with_constant_permittivity():
-    omega = self_consistent_epsilon_mode(lambda w: 4.0, omega_cav=2.0, omega_start=1.5)
-    assert omega == pytest.approx(1.0, rel=1e-10)
-
-
-def test_self_consistent_mode_reproduces_the_upper_branch():
-    g = 0.3 * _SIC_TO
-    model = _mc(omega=_SIC_TO, g=g)
-    k = 3.0 * _SIC_TO / UNITS.hbar_c
-    _, upper = bulk_dispersion("MoC", _SIC_TO, g, np.array([k]))
-    omega_cav = UNITS.hbar_c * k
-    got = self_consistent_epsilon_mode(
-        lambda w: permittivity_mc(model, w), omega_cav=omega_cav, omega_start=omega_cav
-    )
-    assert got == pytest.approx(upper.omega[0], rel=1e-9)
-
-
-def test_self_consistent_mode_rejects_negative_permittivity():
-    model = _mc()
-    lo, hi = reststrahlen_band(model)
-    inside = 0.5 * (lo + hi)
-    with pytest.raises(PolaritonError, match="not self-consistent"):
-        self_consistent_epsilon_mode(
-            lambda w: permittivity_mc(model, inside), omega_cav=1.0, omega_start=1.0
-        )
-
-
-def test_self_consistent_mode_validation():
-    with pytest.raises(PolaritonError):
-        self_consistent_epsilon_mode(lambda w: 1.0, omega_cav=-1.0, omega_start=1.0)
-    with pytest.raises(PolaritonError):
-        self_consistent_epsilon_mode(lambda w: 1.0, omega_cav=1.0, omega_start=0.0)
 
 
 def test_permittivity_model_validation():

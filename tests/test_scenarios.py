@@ -1,22 +1,26 @@
 """Scenario documents: schema validation, artifacts, figure registry."""
 
+import copy
 import csv
 import hashlib
-import importlib
 import io
 import json
 import math
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import polariton_lab
 from polariton_lab import SchemaError
+from polariton_lab.cli import main
 from polariton_lab.scenarios import (
     FIGURE_IDS,
-    KIND_OPERATIONS,
     SCENARIO_KINDS,
     figure_document,
     load_scenario_file,
@@ -212,6 +216,19 @@ def test_malformed_yaml_file_reported(tmp_path):
         load_scenario_file(bad)
 
 
+@pytest.mark.parametrize("omega_mat, rho_plus", [(2.2, None), (3.0, None), (3.5, -0.0)])
+def test_uncoupled_box_fieldmap_reports_the_ratio_pole(tmp_path, omega_mat, rho_plus):
+    # at g = 0 the upper branch is the bare cavity when omega_mat <= omega_cav,
+    # where x_cav / x_mat has a pole
+    doc = figure_document("fig2b")
+    doc["parameters"]["g"] = 0
+    doc["parameters"]["box"]["omega_mat"] = omega_mat
+    summary = _run(doc, tmp_path).summary
+    assert summary["rho_plus"] == rho_plus
+    if rho_plus is not None:
+        assert math.copysign(1.0, summary["rho_plus"]) == -1.0
+
+
 # ---------------------------------------------------------------------------
 # artifacts and summaries
 
@@ -331,20 +348,6 @@ def test_sample_scenario_determinism(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# coverage of library operations by scenario kinds
-
-
-def test_every_kind_documents_its_operations():
-    assert set(KIND_OPERATIONS) == set(SCENARIO_KINDS)
-    for kind, operations in KIND_OPERATIONS.items():
-        assert operations, f"kind {kind} lists no operations"
-        for dotted in operations:
-            module_name, func_name = dotted.split(".")
-            module = importlib.import_module(f"polariton_lab.{module_name}")
-            assert hasattr(module, func_name), f"{dotted} missing for {kind}"
-
-
-# ---------------------------------------------------------------------------
 # figure registry
 
 
@@ -376,3 +379,63 @@ def test_reproduce_is_deterministic(tmp_path):
     a = reproduce_figure("figS1c", out_dir=tmp_path / "a")
     b = reproduce_figure("figS1c", out_dir=tmp_path / "b")
     assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# hostile documents
+
+
+def _shrunk(node):
+    """Copy of a document with every grid cut to at most 50 points."""
+    if isinstance(node, list):
+        return [_shrunk(v) for v in node]
+    if not isinstance(node, dict):
+        return node
+    out = {key: _shrunk(value) for key, value in node.items()}
+    if isinstance(out.get("num"), int):
+        out["num"] = min(out["num"], 50)
+    return out
+
+
+def _sites(node, path=()):
+    """(path, is_mapping) of every node below the root of a document."""
+    if path or isinstance(node, dict):
+        yield path, isinstance(node, dict)
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        yield from _sites(value, path + (key,))
+
+
+_FUZZ_DOCUMENTS = [_shrunk(figure_document(f)) for f in FIGURE_IDS] + [
+    _shrunk(yaml.safe_load(f.read_text())) for f in sorted(_SAMPLES.glob("*.yaml"))
+]
+_FUZZ_SITES = [(i, path, mapping) for i, doc in enumerate(_FUZZ_DOCUMENTS) for path, mapping in _sites(doc)]
+_FUZZ_VALUES = ["x", [1, 2], {"a": 1}, True, None, math.nan, math.inf, -math.inf, 0, -1, 1e200, -1e200, 1e-320, 2**70]
+
+
+@settings(
+    max_examples=600,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(site=st.sampled_from(_FUZZ_SITES), value=st.sampled_from(_FUZZ_VALUES))
+def test_hostile_documents_exit_with_a_code(site, value):
+    # one leaf replaced, or one unknown key added to a mapping
+    i, path, mapping = site
+    doc = copy.deepcopy(_FUZZ_DOCUMENTS[i])
+    node = doc
+    for key in path:
+        node = node[key]
+    if mapping:
+        node["zz_unknown"] = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "hostile.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(scenario), "--out", tmp]) in (0, 2, 3, 4)
