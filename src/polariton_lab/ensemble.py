@@ -82,12 +82,12 @@ class FabryPerotSpec:
         k2 = kz * kz + k_par[0] ** 2 + k_par[1] ** 2
         return UNITS.hbar_c * math.sqrt(k2) / math.sqrt(self.epsilon_inf)
 
-    def mode_profile(self, mode, r) -> complex:
+    def mode_profile(self, mode, r):
+        """Profile of ``mode`` at one position ``r`` (3,) or at each row of an (N, 3) array."""
         n, k_par = mode
-        phase = k_par[0] * r[0] + k_par[1] * r[1]
-        return math.sin(n * math.pi * r[2] / self.L_cav) * complex(
-            math.cos(phase), math.sin(phase)
-        )
+        r = np.asarray(r, dtype=float)
+        phase = k_par[0] * r[..., 0] + k_par[1] * r[..., 1]
+        return np.sin(n * math.pi * r[..., 2] / self.L_cav) * np.exp(1j * phase)
 
     def g_max(self, f_dip_reduced: float) -> float:
         return 0.5 * math.sqrt(4.0 * math.pi * f_dip_reduced / self.V_eff)
@@ -152,9 +152,9 @@ def cubic_dipole_lattice(
     xs = fp.lateral_period / 2.0 + spacing * (np.arange(nx) - (nx - 1) / 2.0)
     ys = fp.lateral_period / 2.0 + spacing * (np.arange(ny) - (ny - 1) / 2.0)
     zs = (np.arange(1, nz + 1) - 0.5) * fp.L_cav / nz
-    pts = [(x, y, z) for z in zs for y in ys for x in xs]
+    z, y, x = np.meshgrid(zs, ys, xs, indexing="ij")  # x runs fastest, then y, then z
     return DipoleLattice(
-        positions=np.array(pts),
+        positions=np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1),
         orientation=orientation,
         f_dip=f_dip,
         omega_dip=omega_dip,
@@ -197,15 +197,30 @@ class FullSystem:
         return self.K - omega**2 * np.eye(n) - 1j * omega * self.J
 
     def eigenfrequencies(self) -> np.ndarray:
-        """Positive-frequency spectrum, sorted ascending by real part."""
+        """The n positive normal-mode frequencies, real and sorted ascending.
+
+        The lossless system is gyroscopic: K is Hermitian and J anti-Hermitian.
+        With x ~ exp(-i w t) and the Cholesky factor K = L L^H, the Hermitian
+        matrix [[0, L^H], [L, -iJ]] has the 2n roots of det(K - w^2 - i w J)
+        as its eigenvalues (Tisseur & Meerbergen, SIAM Rev. 43, 235 (2001)).
+        Its determinant is (-1)^n |det L|^2 whatever J is, so none crosses zero
+        and exactly n are positive, as at J = 0.  A stiffness block that is not
+        positive definite has no such real spectrum and is rejected.
+        """
         n = self.K.shape[0]
-        comp = np.zeros((2 * n, 2 * n), dtype=complex)
-        comp[:n, n:] = np.eye(n)
-        comp[n:, :n] = -self.K
-        comp[n:, n:] = -self.J
-        freqs = 1j * np.linalg.eigvals(comp)  # x ~ exp(-i w t)
-        freqs = freqs[freqs.real > 0.0]
-        return freqs[np.argsort(freqs.real)]
+        try:
+            chol = np.linalg.cholesky(self.K)
+        except np.linalg.LinAlgError:
+            lowest = float(np.linalg.eigvalsh(self.K)[0])
+            raise PolaritonError(
+                "stiffness block K is not positive definite (lowest eigenvalue "
+                f"{lowest:.6g} eV^2): the system is unstable and has no real normal modes"
+            ) from None
+        lin = np.zeros((2 * n, 2 * n), dtype=complex)
+        lin[:n, n:] = chol.conj().T
+        lin[n:, :n] = chol
+        lin[n:, n:] = -1j * self.J
+        return np.linalg.eigvalsh(lin)[n:]
 
 
 def build_full_system(
@@ -237,10 +252,9 @@ def build_full_system(
     for alpha, mode in enumerate(fp.modes):
         col = n + alpha
         big_k[col, col] = fp.mode_frequency(mode) ** 2
-        for i in range(n):
-            g_ai = gmax * fp.mode_profile(mode, lattice.positions[i])
-            big_j[i, col] = 2.0 * g_ai
-            big_j[col, i] = -2.0 * np.conj(g_ai)
+        g_a = gmax * fp.mode_profile(mode, lattice.positions)
+        big_j[:n, col] = 2.0 * g_a
+        big_j[col, :n] = -2.0 * np.conj(g_a)
     scale = max(float(np.max(np.abs(big_k))), 1.0)
     if float(np.max(np.abs(big_k - big_k.conj().T))) > 1e-12 * scale:
         raise PolaritonError("assembled stiffness block is not Hermitian")
@@ -271,7 +285,7 @@ def collective_reduce(
     mode = (int(mode[0]), (float(mode[1][0]), float(mode[1][1])))
     if mode not in fp.modes:
         raise PolaritonError(f"mode {mode!r} is not among the cavity's modes")
-    profile = np.array([fp.mode_profile(mode, r) for r in lattice.positions])
+    profile = fp.mode_profile(mode, lattice.positions)
     n_eff = float(np.sum(np.abs(profile) ** 2))
     if n_eff == 0.0:
         raise PolaritonError("mode profile vanishes on every dipole; no collective mode")
@@ -342,7 +356,7 @@ def full_vs_reduced_check(
     )
     targets = (reduced.omega_plus.real, reduced.omega_minus.real)
     full = build_full_system(lattice, fp, include_dipole_dipole=include_dipole_dipole)
-    freqs = full.eigenfrequencies().real
+    freqs = full.eigenfrequencies()
     if freqs.size < 2:
         raise PolaritonError("full system produced fewer than two positive eigenfrequencies")
     picked = tuple(float(freqs[np.argmin(np.abs(freqs - t))]) for t in targets)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from .exceptions import PolaritonError
 from .units import _require_nonnegative, _require_positive
@@ -85,9 +84,14 @@ def _ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
-def _fock_hamiltonian(
+def _fock_terms(
     p: HopfieldParams, n_max: int, *, momentum_frame: bool = False, rwa: bool = False
-) -> np.ndarray:
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Single-mode factors (A_k, B_k) of the Hamiltonian H = sum_k kron(A_k, B_k).
+
+    A_k acts on the photon mode, B_k on the matter mode, each truncated to
+    ``n_max + 1`` Fock states.
+    """
     d = n_max + 1
     low = _ladder(d)
     num = np.diag(np.arange(d, dtype=float))
@@ -95,33 +99,40 @@ def _fock_hamiltonian(
     eye = np.eye(d)
     wc, wm, g, dd = p.omega_cav, p.omega_mat, p.g_qed, p.D
     if rwa:
-        coupling = g * (np.kron(low, low.T) + np.kron(low.T, low))
+        coupling = [(g * low, low.T), (g * low.T, low)]
         self_term = dd * (2.0 * num + eye)  # counter-rotating pieces of the quadratic term dropped
     elif momentum_frame:
-        coupling = g * np.kron(q, 1j * (low - low.T))
+        coupling = [(g * q, 1j * (low - low.T))]
         self_term = dd * (q @ q)
     else:
-        coupling = g * np.kron(q, q)
+        coupling = [(g * q, q)]
         self_term = dd * (q @ q)
-    h = np.kron(wc * num + self_term, eye) + np.kron(eye, wm * num) + coupling
-    h += 0.5 * (wc + wm) * np.eye(d * d)
-    return h
+    return [(wc * num + self_term, eye), (eye, wm * num), *coupling, (0.5 * (wc + wm) * eye, eye)]
 
 
-def _all_levels(h: np.ndarray, d: int) -> np.ndarray:
-    """Eigenvalues of a two-mode Fock Hamiltonian, via its parity blocks.
+def _all_levels(terms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Eigenvalues of H = sum_k kron(A_k, B_k), one parity block at a time.
 
     Every interaction used here changes the total excitation number by 0 or
-    +/-2, so (n_a + n_b) mod 2 is conserved and the matrix splits into two
-    blocks of roughly half the dimension.
+    +/-2, so (n_a + n_b) mod 2 is conserved and H splits into two blocks of
+    roughly half the dimension.  Listing each mode's even Fock states before
+    its odd ones, the even block is spanned by the (n_a, n_b) parity sectors
+    (even, even) and (odd, odd), the odd block by (even, odd) and (odd, even),
+    and the sub-block between sectors (r_a, r_b) and (c_a, c_b) is
+    sum_k kron(A_k[r_a, c_a], B_k[r_b, c_b]).  The d^2 x d^2 matrix itself is
+    never formed.
     """
-    idx = np.arange(d * d)
-    parity = (idx // d + idx % d) % 2
+    d = terms[0][0].shape[0]
+    even, odd = slice(0, d, 2), slice(1, d, 2)
     levels = []
-    for par in (0, 1):
-        mask = parity == par
-        block = h[np.ix_(mask, mask)]
-        levels.append(eigvalsh(block, check_finite=False))
+    for sectors in (((even, even), (odd, odd)), ((even, odd), (odd, even))):
+        block = np.block(
+            [
+                [sum(np.kron(a[ra, ca], b[rb, cb]) for a, b in terms) for ca, cb in sectors]
+                for ra, rb in sectors
+            ]
+        )
+        levels.append(np.linalg.eigvalsh(block))
     return np.sort(np.concatenate(levels))
 
 
@@ -147,8 +158,7 @@ def truncated_fock_spectrum(
         raise PolaritonError(
             f"n_levels must be in [1, {total - 1}] for n_max={n_max}, got {n_levels}"
         )
-    h = _fock_hamiltonian(p, n_max, rwa=rwa)
-    levels = _all_levels(h, n_max + 1)
+    levels = _all_levels(_fock_terms(p, n_max, rwa=rwa))
     e0 = float(levels[0])
     return QuantumSpectrum(
         excitation_energies=levels[1 : 1 + n_levels] - e0,
@@ -171,7 +181,6 @@ def frame_equivalence_check(p: HopfieldParams, n_max: int = 40) -> float:
         raise PolaritonError(
             f"Fock matrix dimension {(n_max + 1) ** 2} exceeds the desk-scale bound of 4096 rows"
         )
-    d = n_max + 1
-    lv1 = _all_levels(_fock_hamiltonian(p, n_max), d)[:5]
-    lv2 = _all_levels(_fock_hamiltonian(p, n_max, momentum_frame=True), d)[:5]
+    lv1 = _all_levels(_fock_terms(p, n_max))[:5]
+    lv2 = _all_levels(_fock_terms(p, n_max, momentum_frame=True))[:5]
     return float(np.max(np.abs(lv1 - lv2)))

@@ -204,6 +204,16 @@ def test_console_script_entry_point():
     assert "hbar_c" in proc.stdout
 
 
+def test_cli_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, polariton_lab.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 _SAMPLES = Path(__file__).resolve().parent.parent / "scenarios"
 
 

@@ -140,8 +140,73 @@ def test_lattice_validation():
         )
 
 
+def test_cubic_lattice_positions_match_the_nested_loop_order():
+    fp = _fp(L_cav=60.0, period=30.0)
+    spacing, (nx, ny, nz) = 3.0, (4, 3, 5)
+    lat = cubic_dipole_lattice(fp, spacing, (nx, ny, nz), _F_DIP, 3.0)
+    xs = fp.lateral_period / 2.0 + spacing * (np.arange(nx) - (nx - 1) / 2.0)
+    ys = fp.lateral_period / 2.0 + spacing * (np.arange(ny) - (ny - 1) / 2.0)
+    zs = (np.arange(1, nz + 1) - 0.5) * fp.L_cav / nz
+    expected = np.array([(x, y, z) for z in zs for y in ys for x in xs])
+    np.testing.assert_array_equal(lat.positions, expected)
+
+
 # ---------------------------------------------------------------------------
 # full system assembly
+
+
+def _companion_eigenfrequencies(full):
+    """Positive-frequency roots of det(K - w^2 - i w J) from the general 2n companion eig."""
+    n = full.K.shape[0]
+    comp = np.zeros((2 * n, 2 * n), dtype=complex)
+    comp[:n, n:] = np.eye(n)
+    comp[n:, :n] = -full.K
+    comp[n:, n:] = -full.J
+    freqs = 1j * np.linalg.eigvals(comp)  # x ~ exp(-i w t)
+    freqs = freqs[freqs.real > 0.0]
+    return freqs[np.argsort(freqs.real)]
+
+
+_TILTED_MODES = (_MODE, (1, (0.1, 0.05)), (2, (0.0, 0.0)))
+
+
+def test_hermitian_linearization_matches_the_companion_eig():
+    # N = 128 with dipole-dipole blocks on; the k_parallel != 0 mode makes J complex
+    fp = _fp(L_cav=60.0, period=30.0, modes=_TILTED_MODES)
+    lat = cubic_dipole_lattice(fp, 3.0, (8, 8, 2), _F_DIP, 3.0)
+    full = build_full_system(lat, fp)
+    assert np.any(full.J.imag != 0.0)
+    freqs = full.eigenfrequencies()
+    reference = _companion_eigenfrequencies(full)
+    assert freqs.dtype == np.float64
+    assert freqs.shape == reference.shape == (full.K.shape[0],)
+    assert np.max(np.abs(freqs - reference) / np.abs(reference)) <= 1e-12
+
+
+def test_velocity_couplings_match_the_per_dipole_profile():
+    fp = _fp(L_cav=60.0, period=30.0, modes=(_MODE, (1, (0.1, 0.05))))
+    lat = cubic_dipole_lattice(fp, 3.0, (3, 2, 2), _F_DIP, 3.0)
+    full = build_full_system(lat, fp)
+    gmax = fp.g_max(lat.f_dip_reduced)
+    n = lat.n_dip
+    for alpha, mode in enumerate(fp.modes):
+        expected = np.array([2.0 * (gmax * fp.mode_profile(mode, r)) for r in lat.positions])
+        np.testing.assert_array_equal(full.J[:n, n + alpha], expected)
+        np.testing.assert_array_equal(full.J[n + alpha, :n], -np.conj(expected))
+
+
+def test_indefinite_stiffness_is_reported_not_returned():
+    # head-to-tail chain at 0.6 spacing: the attractive dipole-dipole blocks
+    # push the lowest stiffness eigenvalue below zero
+    fp = _fp(L_cav=60.0, period=30.0)
+    lat = cubic_dipole_lattice(fp, 0.6, (4, 1, 1), _F_DIP, 3.0)
+    with pytest.raises(PolaritonError, match="positive definite"):
+        build_full_system(lat, fp).eigenfrequencies()
+    stable = build_full_system(cubic_dipole_lattice(fp, 3.0, (4, 1, 1), _F_DIP, 3.0), fp)
+    freqs = stable.eigenfrequencies()
+    assert np.isrealobj(freqs)
+    assert freqs.shape == (stable.K.shape[0],)
+    assert np.all(freqs > 0.0)
 
 
 def test_two_dipoles_without_modes_split_symmetrically():

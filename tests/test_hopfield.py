@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from polariton_lab import PolaritonError
 from polariton_lab.hopfield import (
     HopfieldParams,
+    _all_levels,
+    _fock_terms,
     frame_equivalence_check,
     hopfield_quartic_eigen,
     truncated_fock_spectrum,
@@ -189,6 +191,53 @@ def test_counter_rotating_terms_matter_in_ultrastrong_coupling():
     rwa = truncated_fock_spectrum(p, n_max=30, n_levels=2, rwa=True)
     diff = np.max(np.abs(full.excitation_energies - rwa.excitation_energies))
     assert diff > 0.01
+
+
+def _dense_fock_levels(p, n_max, frame):
+    """All levels of the two-mode Hamiltonian built as one dense d^2 x d^2 kron matrix."""
+    d = n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+    ad = a.T
+    n = ad @ a
+    x = a + ad
+    eye = np.eye(d)
+    if frame == "rwa":
+        coupling = p.g_qed * (np.kron(a, ad) + np.kron(ad, a))
+        self_term = p.D * (2.0 * n + eye)
+    elif frame == "momentum":
+        coupling = p.g_qed * np.kron(x, 1j * (a - ad))
+        self_term = p.D * (x @ x)
+    else:
+        coupling = p.g_qed * np.kron(x, x)
+        self_term = p.D * (x @ x)
+    h = np.kron(p.omega_cav * n + self_term, eye) + np.kron(eye, p.omega_mat * n) + coupling
+    h += 0.5 * (p.omega_cav + p.omega_mat) * np.eye(d * d)
+    return np.linalg.eigvalsh(h)
+
+
+_DENSE_CASE = HopfieldParams(omega_cav=1.3, omega_mat=1.0, g_qed=0.4, D=0.16)
+
+
+def test_momentum_frame_levels_match_the_dense_kron_hamiltonian():
+    # no public call returns every momentum-frame level; the frame check keeps five
+    reference = _dense_fock_levels(_DENSE_CASE, 12, "momentum")
+    levels = _all_levels(_fock_terms(_DENSE_CASE, 12, momentum_frame=True))
+    assert np.max(np.abs(levels - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("rwa", [False, True])
+def test_fock_spectrum_matches_the_dense_kron_hamiltonian(rwa):
+    reference = _dense_fock_levels(_DENSE_CASE, 12, "rwa" if rwa else "position")
+    spec = truncated_fock_spectrum(_DENSE_CASE, n_max=12, n_levels=168, rwa=rwa)
+    assert abs(spec.ground_state_energy - reference[0]) <= 1e-12
+    assert np.max(np.abs(spec.excitation_energies - (reference[1:] - reference[0]))) <= 1e-12
+
+
+def test_frame_check_matches_the_dense_kron_hamiltonian():
+    position = _dense_fock_levels(_DENSE_CASE, 12, "position")[:5]
+    momentum = _dense_fock_levels(_DENSE_CASE, 12, "momentum")[:5]
+    expected = np.max(np.abs(position - momentum))
+    assert abs(frame_equivalence_check(_DENSE_CASE, n_max=12) - expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
