@@ -38,12 +38,12 @@ from .exceptions import PolaritonError, PoleError, SchemaError
 from .fields import (
     NEAR_FIELD_CALIBRATION,
     BoxCavityScene,
-    FieldSample,
+    FieldArrays,
     NanoparticleScene,
     contribution_fractions,
-    hybrid_field_map_dielectric,
+    dielectric_field_arrays,
     mode_profile_box,
-    quasistatic_field_map,
+    quasistatic_field_arrays,
 )
 from .hopfield import (
     HopfieldParams,
@@ -65,18 +65,16 @@ from .material import (
 )
 from .models import (
     CoupledModel,
-    HybridModes,
     MinSplitting,
     ModelVariant,
     OscillatorPair,
-    alternative_model_equivalence,
-    eigenfrequencies,
-    eigenvector_ratio,
+    branch_frequencies,
+    determinant_residual,
+    dressed_parameters,
     frequency_domain_matrix,
     generic_eigenfrequencies,
-    linearized_eigenfrequencies,
     min_splitting,
-    spc_lower_branch_exists,
+    mode_ratio,
 )
 from .scenarios import (
     FIGURE_IDS,
@@ -121,16 +119,14 @@ __all__ = [
     "ModelVariant",
     "OscillatorPair",
     "CoupledModel",
-    "HybridModes",
     "MinSplitting",
-    "spc_lower_branch_exists",
+    "branch_frequencies",
+    "mode_ratio",
     "frequency_domain_matrix",
+    "determinant_residual",
     "generic_eigenfrequencies",
-    "eigenfrequencies",
-    "eigenvector_ratio",
     "min_splitting",
-    "alternative_model_equivalence",
-    "linearized_eigenfrequencies",
+    "dressed_parameters",
     # hopfield
     "HopfieldParams",
     "QuantumSpectrum",
@@ -148,11 +144,11 @@ __all__ = [
     "NEAR_FIELD_CALIBRATION",
     "BoxCavityScene",
     "NanoparticleScene",
-    "FieldSample",
+    "FieldArrays",
     "mode_profile_box",
-    "hybrid_field_map_dielectric",
+    "dielectric_field_arrays",
     "contribution_fractions",
-    "quasistatic_field_map",
+    "quasistatic_field_arrays",
     # ensemble
     "FabryPerotSpec",
     "DipoleLattice",

@@ -79,7 +79,9 @@ class ResponseAmplitudes:
 def _solve_response(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes:
     """Steady state at every drive frequency: one stacked 2x2 solve."""
     omega = np.asarray(drive.omega, dtype=float)
-    matrix = frequency_domain_matrix(model, omega)
+    matrix = frequency_domain_matrix(
+        model.variant, model.pair.complex_cav, model.pair.complex_mat, model.g, omega
+    )
     m00, m01 = matrix[..., 0, 0], matrix[..., 0, 1]
     m10, m11 = matrix[..., 1, 0], matrix[..., 1, 1]
     det = m00 * m11 - m01 * m10

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import PolaritonError
-from .models import CoupledModel, ModelVariant, OscillatorPair, eigenfrequencies
+from .models import ModelVariant, branch_frequencies
 from .units import UNITS, _reduced_strength, _require_positive, _unit_vector
 
 __all__ = [
@@ -351,10 +351,8 @@ def full_vs_reduced_check(
     """
     cm = collective_reduce(lattice, fp, mode, include_dipole_dipole=include_dipole_dipole)
     omega_cav = fp.mode_frequency(mode)
-    reduced = eigenfrequencies(
-        CoupledModel(OscillatorPair(omega_cav, cm.Omega_mat), ModelVariant.MOC, cm.G)
-    )
-    targets = (reduced.omega_plus.real, reduced.omega_minus.real)
+    plus, minus = branch_frequencies(ModelVariant.MOC, omega_cav, cm.Omega_mat, cm.G)
+    targets = (float(plus), float(minus))
     full = build_full_system(lattice, fp, include_dipole_dipole=include_dipole_dipole)
     freqs = full.eigenfrequencies()
     if freqs.size < 2:

@@ -25,13 +25,10 @@ __all__ = [
     "NEAR_FIELD_CALIBRATION",
     "BoxCavityScene",
     "NanoparticleScene",
-    "FieldSample",
     "FieldArrays",
     "mode_profile_box",
-    "hybrid_field_map_dielectric",
     "dielectric_field_arrays",
     "contribution_fractions",
-    "quasistatic_field_map",
     "quasistatic_field_arrays",
 ]
 
@@ -116,15 +113,6 @@ class NanoparticleScene:
         _reduced_strength(self.f_mat)
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    position: np.ndarray
-    E_total: np.ndarray
-    E_cav: np.ndarray
-    E_mat: np.ndarray
-    excluded: bool = False
-
-
 class FieldArrays(NamedTuple):
     """A field map over N positions: (N, 3) field arrays and an (N,) mask.
 
@@ -146,23 +134,20 @@ def _positions(positions) -> np.ndarray:
     return pos
 
 
-def _box_profile(scene: BoxCavityScene, pos: np.ndarray) -> np.ndarray:
-    """cos(pi x / L_x) cos(pi y / L_y) at each row of ``pos``."""
+def mode_profile_box(scene: BoxCavityScene, positions) -> np.ndarray:
+    """Normalized in-plane mode profile cos(pi x / L_x) cos(pi y / L_y).
+
+    Evaluated at each row of an (N, 3) array of positions.  Equals 1 at the
+    box center and vanishes on the x and y walls; constant along z
+    (fundamental mode with no z variation).
+    """
+    pos = _positions(positions)
     lx, ly, _ = scene.L
     outside = np.flatnonzero(np.any(np.abs(pos) > np.asarray(scene.L) / 2, axis=1))
     if outside.size:
         i = int(outside[0])
         raise PolaritonError(f"position {pos[i]} (row {i}) lies outside the box")
     return np.cos(math.pi * pos[:, 0] / lx) * np.cos(math.pi * pos[:, 1] / ly)
-
-
-def mode_profile_box(scene: BoxCavityScene, r) -> float:
-    """Normalized in-plane mode profile cos(pi x / L_x) cos(pi y / L_y).
-
-    Equals 1 at the box center and vanishes on the x and y walls; constant
-    along z (fundamental mode with no z variation).
-    """
-    return float(_box_profile(scene, _as_vec(r, "r")[None, :])[0])
 
 
 def _dipole_pattern(n: np.ndarray, rel: np.ndarray) -> np.ndarray:
@@ -223,12 +208,24 @@ def dielectric_field_arrays(
     positions,
     core_radius: float = 0.1,
 ) -> FieldArrays:
-    """Array form of :func:`hybrid_field_map_dielectric` over (N, 3) positions."""
+    """Real-valued field decomposition of one hybrid branch over (N, 3) positions.
+
+    The overall amplitude is fixed by the upper branch: its cavity term has a
+    maximum absolute value of 1 over the included positions, and the two
+    branches share the published cross-amplitude convention
+    ``sqrt(omega_cav) x_cav(upper) = sqrt(omega_mat) x_mat(lower)``, so the
+    lower-branch map is directly comparable.  The matter amplitude is taken
+    real positive on both branches; the branch sign structure lives entirely
+    in the cavity term.  Positions closer to the emitter than ``core_radius``
+    (nm) come back zeroed and flagged in ``excluded``.  With ``g = 0`` the
+    requested branch is a pure cavity or pure matter mode and is normalized
+    to a peak of 1 on its own.
+    """
     _check_branch(branch)
     if np.ndim(scene.omega_mat):
         raise PolaritonError("a field map needs a single omega_mat")
     pos = _positions(positions)
-    xi = _box_profile(scene, pos)
+    xi = mode_profile_box(scene, pos)
     rel = pos - scene.r_mat
     excluded = np.linalg.norm(rel, axis=1) <= core_radius
     keep = ~excluded
@@ -260,30 +257,6 @@ def dielectric_field_arrays(
     return FieldArrays(out_cav + out_mat, out_cav, out_mat, excluded)
 
 
-def hybrid_field_map_dielectric(
-    scene: BoxCavityScene,
-    g: float,
-    branch: int,
-    positions,
-    core_radius: float = 0.1,
-) -> list[FieldSample]:
-    """Real-valued field decomposition of one hybrid branch over positions.
-
-    The overall amplitude is fixed by the upper branch: its cavity term has a
-    maximum absolute value of 1 over the included positions, and the two
-    branches share the published cross-amplitude convention
-    ``sqrt(omega_cav) x_cav(upper) = sqrt(omega_mat) x_mat(lower)``, so the
-    lower-branch map is directly comparable.  The matter amplitude is taken
-    real positive on both branches; the branch sign structure lives entirely
-    in the cavity term.  Positions closer to the emitter than ``core_radius``
-    (nm) come back zeroed with ``excluded=True``.  With ``g = 0`` the
-    requested branch is a pure cavity or pure matter mode and is normalized
-    to a peak of 1 on its own.
-    """
-    fields = dielectric_field_arrays(scene, g, branch, positions, core_radius)
-    return _samples(positions, fields)
-
-
 def contribution_fractions(
     scene: BoxCavityScene, g: float, branch: int, position, core_radius: float = 0.1
 ):
@@ -295,7 +268,7 @@ def contribution_fractions(
     """
     _check_branch(branch)
     vec = _as_vec(position, "position")
-    xi = _box_profile(scene, vec[None, :])[0]
+    xi = mode_profile_box(scene, vec[None, :])[0]
     rel = (vec - scene.r_mat)[None, :]
     if np.linalg.norm(rel) <= core_radius:
         raise PolaritonError(f"position {vec} is inside the emitter core; fractions undefined")
@@ -320,7 +293,13 @@ def quasistatic_field_arrays(
     positions,
     core_radius: float = 0.1,
 ) -> FieldArrays:
-    """Array form of :func:`quasistatic_field_map` over (N, 3) positions."""
+    """Superposed dipole fields of the driven nanoparticle-emitter pair at (N, 3) positions.
+
+    ``resp`` supplies the complex dipole amplitudes (``d_cav``, ``d_mat``);
+    each radiates the quasistatic pattern from its own position.  Points
+    inside the nanoparticle or within ``core_radius`` of the emitter are
+    zeroed and flagged in ``excluded``.
+    """
     pos = _positions(positions)
     rel_cav = pos - scene.r_cav
     rel_mat = pos - scene.r_mat
@@ -333,26 +312,3 @@ def quasistatic_field_arrays(
     e_cav[keep] = resp.d_cav * _dipole_pattern(scene.n_dcav, rel_cav[keep])
     e_mat[keep] = resp.d_mat * _dipole_pattern(scene.n_dmat, rel_mat[keep])
     return FieldArrays(e_cav + e_mat, e_cav, e_mat, excluded)
-
-
-def quasistatic_field_map(
-    scene: NanoparticleScene,
-    resp,
-    positions,
-    core_radius: float = 0.1,
-) -> list[FieldSample]:
-    """Superposed dipole fields of the driven nanoparticle-emitter pair.
-
-    ``resp`` supplies the complex dipole amplitudes (``d_cav``, ``d_mat``);
-    each radiates the quasistatic pattern from its own position.  Points
-    inside the nanoparticle or within ``core_radius`` of the emitter are
-    zeroed with ``excluded=True``.
-    """
-    return _samples(positions, quasistatic_field_arrays(scene, resp, positions, core_radius))
-
-
-def _samples(positions, fields: FieldArrays) -> list[FieldSample]:
-    return [
-        FieldSample(pos, e_tot, e_cav, e_mat, excluded=bool(excl))
-        for pos, e_tot, e_cav, e_mat, excl in zip(_positions(positions), *fields)
-    ]

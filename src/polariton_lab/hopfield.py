@@ -92,7 +92,11 @@ def _fock_terms(
     A_k acts on the photon mode, B_k on the matter mode, each truncated to
     ``n_max + 1`` Fock states.
     """
+    if n_max < 2:
+        raise PolaritonError(f"n_max must be >= 2, got {n_max}")
     d = n_max + 1
+    if d * d > 4096:
+        raise PolaritonError(f"Fock matrix dimension {d * d} exceeds the desk-scale bound of 4096 rows")
     low = _ladder(d)
     num = np.diag(np.arange(d, dtype=float))
     q = low + low.T
@@ -147,18 +151,13 @@ def truncated_fock_spectrum(
     ground-state dressing and reduces the excitation energies to the
     first-order (linearized) branch values when ``D = 0``.
     """
-    if n_max < 2:
-        raise PolaritonError(f"n_max must be >= 2, got {n_max}")
+    terms = _fock_terms(p, n_max, rwa=rwa)
     total = (n_max + 1) ** 2
-    if total > 4096:
-        raise PolaritonError(
-            f"Fock matrix dimension {total} exceeds the desk-scale bound of 4096 rows"
-        )
     if not 1 <= n_levels <= total - 1:
         raise PolaritonError(
             f"n_levels must be in [1, {total - 1}] for n_max={n_max}, got {n_levels}"
         )
-    levels = _all_levels(_fock_terms(p, n_max, rwa=rwa))
+    levels = _all_levels(terms)
     e0 = float(levels[0])
     return QuantumSpectrum(
         excitation_energies=levels[1 : 1 + n_levels] - e0,
@@ -175,12 +174,6 @@ def frame_equivalence_check(p: HopfieldParams, n_max: int = 40) -> float:
     are isospectral before truncation; this diagonalizes both in the same
     truncated basis and reports the largest absolute level difference.
     """
-    if n_max < 2:
-        raise PolaritonError(f"n_max must be >= 2, got {n_max}")
-    if (n_max + 1) ** 2 > 4096:
-        raise PolaritonError(
-            f"Fock matrix dimension {(n_max + 1) ** 2} exceeds the desk-scale bound of 4096 rows"
-        )
     lv1 = _all_levels(_fock_terms(p, n_max))[:5]
     lv2 = _all_levels(_fock_terms(p, n_max, momentum_frame=True))[:5]
     return float(np.max(np.abs(lv1 - lv2)))

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import PoleError, PolaritonError
-from .models import _amplitude_modes_sq, _branch_sqrt, _velocity_modes_sq
+from .models import _amplitude_modes_sq, _velocity_modes_sq
 from .units import UNITS, _require_nonnegative, _require_positive
 
 __all__ = [
@@ -208,8 +208,9 @@ def bulk_dispersion(
         raise PolaritonError("k_grid must be a nonempty 1-D array of nonnegative wavevectors")
     omega_k = UNITS.hbar_c * k / math.sqrt(epsilon_inf)
     s_minus, s_plus = _dressed_dispersion_sq(model, omega_k, omega_to, g_coupling)
-    lower = np.array([_branch_sqrt(s).real for s in np.atleast_1d(s_minus)])
-    upper = np.array([_branch_sqrt(s).real for s in np.atleast_1d(s_plus)])
+    # a branch squared below zero is not a propagating mode: clamp it to 0
+    lower = np.sqrt(np.maximum(s_minus, 0.0))
+    upper = np.sqrt(np.maximum(s_plus, 0.0))
     return (
         DispersionBranch(k=k, omega=lower, branch="lower", model=model),
         DispersionBranch(k=k, omega=upper, branch="upper", model=model),

@@ -29,16 +29,10 @@ __all__ = [
     "ModelVariant",
     "OscillatorPair",
     "CoupledModel",
-    "HybridModes",
     "MinSplitting",
-    "eigenfrequencies",
-    "eigenvector_ratio",
     "frequency_domain_matrix",
     "generic_eigenfrequencies",
     "min_splitting",
-    "spc_lower_branch_exists",
-    "alternative_model_equivalence",
-    "linearized_eigenfrequencies",
     "branch_frequencies",
     "mode_ratio",
     "dressed_parameters",
@@ -83,10 +77,6 @@ class OscillatorPair:
         _require_nonnegative("gamma", self.gamma)
 
     @property
-    def lossless(self) -> bool:
-        return self.kappa == 0.0 and self.gamma == 0.0
-
-    @property
     def complex_cav(self) -> complex:
         return self.omega_cav - 0.5j * self.kappa
 
@@ -108,34 +98,11 @@ class CoupledModel:
             raise PolaritonError(f"{self.variant.value} coupling must be >= 0, got {self.g}")
 
 
-@dataclass(frozen=True)
-class HybridModes:
-    """Both hybrid branches; frequencies are complex with Im <= 0 (decay)."""
-
-    omega_plus: complex
-    omega_minus: complex
-    ratio_plus: complex
-    ratio_minus: complex
-    lower_branch_real: bool
-
-
 class MinSplitting(NamedTuple):
     """Minimum splitting and where it sits; arrays when ``g`` was an array."""
 
     Omega_min: float
     omega_cav_at_min: float
-
-
-def spc_lower_branch_exists(omega_cav: float, omega_mat: float, g: float) -> bool:
-    """Whether the amplitude-coupled model has a real lower branch.
-
-    The lower branch frequency squared is proportional to
-    ``omega_cav * omega_mat - 4 g**2``; it turns imaginary when the cavity is
-    tuned below ``4 g**2 / omega_mat``.
-    """
-    if omega_cav <= 0 or omega_mat <= 0:
-        raise PolaritonError("frequencies must be positive")
-    return omega_cav * omega_mat - 4.0 * g * g >= 0.0
 
 
 def _amplitude_modes_sq(wc, wm, g):
@@ -160,22 +127,13 @@ def _velocity_modes_sq(wc, wm, g):
     return s_plus, s_minus
 
 
-def _branch_sqrt(s):
-    """Frequency from frequency-squared: real branch if s >= 0, else +i sqrt(-s)."""
-    if isinstance(s, complex):
-        w = cmath.sqrt(s)
-        return w if w.real >= 0 else -w
-    if s >= 0.0:
-        return complex(math.sqrt(s), 0.0)
-    return complex(0.0, math.sqrt(-s))
+def frequency_domain_matrix(variant: ModelVariant, omega_cav, omega_mat, g, omega) -> np.ndarray:
+    """2x2 matrices M(omega) with M @ (x_cav, x_mat) = 0 on an eigenmode.
 
-
-def _fd_matrix(variant: ModelVariant, wc, wm, g, omega) -> np.ndarray:
-    """Stacked 2x2 matrices M(omega), shape ``broadcast(...) + (2, 2)``.
-
-    ``wc`` and ``wm`` may be complex (lossy) bare frequencies.
+    The arguments broadcast; the result has shape ``broadcast(...) + (2, 2)``.
+    Bare frequencies may be complex (lossy, ``omega - i rate / 2``).
     """
-    wc, wm, g, omega = np.broadcast_arrays(wc, wm, g, omega)
+    wc, wm, g, omega = np.broadcast_arrays(omega_cav, omega_mat, g, omega)
     m = np.empty(wc.shape + (2, 2), dtype=complex)
     if variant in _AMPLITUDE_FORM:
         cross = 2.0 * g * np.sqrt(wc * wm + 0j)
@@ -197,22 +155,13 @@ def _fd_matrix(variant: ModelVariant, wc, wm, g, omega) -> np.ndarray:
     return m
 
 
-def frequency_domain_matrix(model: CoupledModel, omega) -> np.ndarray:
-    """2x2 matrix M(omega) with M @ (x_cav, x_mat) = 0 on an eigenmode.
-
-    An array of frequencies gives the stacked matrices, shape ``omega.shape +
-    (2, 2)``.
-    """
-    return _fd_matrix(model.variant, model.pair.complex_cav, model.pair.complex_mat, model.g, omega)
-
-
 def determinant_residual(variant: ModelVariant, omega_cav, omega_mat, g, omega) -> np.ndarray:
     """Relative residual ``|det M(omega)| / max(1, max |M_ij|)^2`` over arrays.
 
     At an eigenfrequency the determinant vanishes, so this is a self-check of
     any branch computation; NaN rows (masked points) give NaN.
     """
-    m = _fd_matrix(variant, omega_cav, omega_mat, g, omega)
+    m = frequency_domain_matrix(variant, omega_cav, omega_mat, g, omega)
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     return np.abs(det) / (scale * scale)
@@ -230,7 +179,8 @@ def generic_eigenfrequencies(model: CoupledModel) -> tuple[complex, complex]:
     if model.variant in _AMPLITUDE_FORM:
         cross = 2.0 * g * cmath.sqrt(wc * wm)
         k = np.array([[wc * wc, cross], [cross, wm * wm]], dtype=complex)
-        omegas = [_branch_sqrt(complex(s)) for s in np.linalg.eigvals(k)]
+        # principal root: Re(omega) >= 0
+        omegas = [cmath.sqrt(s) for s in np.linalg.eigvals(k)]
     elif model.variant in _VELOCITY_FORM:
         k = np.diag([wc * wc, wm * wm]).astype(complex)
         j = np.array([[0.0, -2.0 * g], [2.0 * g, 0.0]], dtype=complex)
@@ -275,82 +225,25 @@ def mode_ratio(variant: ModelVariant, omega_cav, omega_mat, g, omega):
     return num / den
 
 
-def _mode_ratio(model: CoupledModel, omega: complex) -> complex:
-    """x_cav / x_mat on the branch with eigenfrequency ``omega``."""
-    pair = model.pair
-    return complex(mode_ratio(model.variant, pair.complex_cav, pair.complex_mat, model.g, omega))
-
-
-def eigenfrequencies(model: CoupledModel) -> HybridModes:
-    """Hybrid-mode frequencies and amplitude ratios of a coupled model.
-
-    Lossless parameters use the closed-form branch expressions; lossy
-    parameters go through the generic matrix solver with complex bare
-    frequencies.  ``lower_branch_real`` reports whether the lower branch is a
-    real oscillation frequency (it is not in the amplitude-coupled model below
-    the low-cavity-frequency cutoff, where the frequency is returned on the
-    positive imaginary axis).
-    """
-    pair = model.pair
-    g = model.g
-    if model.variant is ModelVariant.LINEARIZED:
-        if pair.lossless:
-            wp, wm_ = linearized_eigenfrequencies(pair.omega_cav, pair.omega_mat, g)
-            plus, minus = complex(wp), complex(wm_)
-        else:
-            plus, minus = generic_eigenfrequencies(model)
-    elif pair.lossless:
-        fn = _amplitude_modes_sq if model.variant in _AMPLITUDE_FORM else _velocity_modes_sq
-        s_plus, s_minus = fn(pair.omega_cav, pair.omega_mat, g)
-        plus, minus = _branch_sqrt(complex(s_plus)), _branch_sqrt(complex(s_minus))
-    else:
-        plus, minus = generic_eigenfrequencies(model)
-
-    if plus.real < minus.real or (plus.real == minus.real and plus.imag < minus.imag):
-        plus, minus = minus, plus
-    lower_real = minus.imag == 0.0 and minus.real >= 0.0
-
-    def safe_ratio(w: complex) -> complex:
-        try:
-            return _mode_ratio(model, w)
-        except PoleError:
-            return complex(math.inf, 0.0)
-
-    return HybridModes(
-        omega_plus=plus,
-        omega_minus=minus,
-        ratio_plus=safe_ratio(plus),
-        ratio_minus=safe_ratio(minus),
-        lower_branch_real=lower_real,
-    )
-
-
-def eigenvector_ratio(model: CoupledModel, branch: int) -> complex:
-    """x_cav / x_mat on the upper (+1) or lower (-1) branch.
-
-    Raises :class:`PoleError` when the branch frequency coincides with the
-    bare cavity frequency (uncoupled degenerate case).
-    """
-    if branch not in (+1, -1):
-        raise PolaritonError(f"branch must be +1 or -1, got {branch!r}")
-    modes = eigenfrequencies(model)
-    omega = modes.omega_plus if branch == +1 else modes.omega_minus
-    return _mode_ratio(model, omega)
-
-
 def branch_frequencies(variant: ModelVariant, omega_cav, omega_mat, g):
     """Lossless branch frequencies ``(omega_plus, omega_minus)`` over arrays.
 
-    The arguments broadcast against each other.  These are the closed forms
-    :func:`eigenfrequencies` uses for lossless parameters, evaluated on a
-    whole grid at once.  ``omega_minus`` is NaN wherever the lower branch is
-    not a real frequency: below the amplitude-coupled cutoff, or where the
-    linearized lower branch turns negative.  NaN parameters give NaN rows.
+    The arguments broadcast against each other, and a scalar call gives 0-d
+    arrays.  Closed forms of the quartic for each coupling form; the
+    linearized (rotating-frame) model is first order in omega and valid
+    outside ultrastrong coupling.  ``omega_minus`` is NaN wherever the lower
+    branch is not a real frequency: below the amplitude-coupled cutoff
+    ``omega_cav * omega_mat < 4 g**2``, or where the linearized lower branch
+    turns negative.  NaN parameters give NaN rows.  Lossy models go through
+    :func:`generic_eigenfrequencies`.
     """
     wc, wm, g = (np.asarray(v, dtype=float) for v in (omega_cav, omega_mat, g))
     if variant is ModelVariant.LINEARIZED:
-        plus, minus = linearized_eigenfrequencies(wc, wm, g)
-        return plus, np.where(minus >= 0.0, minus, np.nan)
+        if np.any(wc <= 0) or np.any(wm <= 0):
+            raise PolaritonError("frequencies must be positive")
+        root = np.sqrt((wc - wm) ** 2 + 4.0 * g * g)
+        minus = 0.5 * (wc + wm - root)
+        return 0.5 * (wc + wm + root), np.where(minus >= 0.0, minus, np.nan)
     modes_sq = _amplitude_modes_sq if variant in _AMPLITUDE_FORM else _velocity_modes_sq
     s_plus, s_minus = modes_sq(wc, wm, g)
     hi = np.sqrt(s_plus)
@@ -454,9 +347,13 @@ def min_splitting(
 def dressed_parameters(base: ModelVariant, target: ModelVariant, omega_cav, omega_mat, g):
     """Bare frequencies and coupling ``(omega_cav, omega_mat, g)`` of a dressed model.
 
-    The array form of :func:`alternative_model_equivalence` for lossless
-    parameters: the arguments broadcast, and the dressed cavity frequency is
-    NaN wherever the SpC dressing is invalid (``omega_cav^2 - 4 g'^2 <= 0``).
+    The dressed model has the same spectrum as the lossless ``base`` model.
+    A velocity-coupled (MoC) base maps onto one of the two amplitude-coupled
+    dressings, the Coulomb-dressed cavity or the dipole-dressed matter; an
+    amplitude-coupled (SpC) base maps onto the velocity-coupled dressed
+    dipole-dipole model.  The arguments broadcast, and the dressed cavity
+    frequency is NaN wherever the SpC dressing is invalid
+    (``omega_cav^2 - 4 g'^2 <= 0``).
     """
     wc, wm, g = (np.asarray(v, dtype=float) for v in (omega_cav, omega_mat, g))
     if base is ModelVariant.MOC:
@@ -474,46 +371,3 @@ def dressed_parameters(base: ModelVariant, target: ModelVariant, omega_cav, omeg
         wc_sq = wc * wc - 4.0 * g_dressed * g_dressed
         return np.sqrt(np.where(wc_sq > 0.0, wc_sq, np.nan)), wm, g_dressed
     raise PolaritonError("equivalence mapping starts from an SpC or MoC model")
-
-
-def alternative_model_equivalence(
-    base: CoupledModel, target: ModelVariant | None = None
-) -> CoupledModel:
-    """Dressed alternative model with the same spectrum as ``base``.
-
-    A velocity-coupled base maps onto one of the two amplitude-coupled
-    dressings (Coulomb-dressed cavity by default, or dipole-dressed matter);
-    an amplitude-coupled base maps onto the velocity-coupled dressed
-    dipole-dipole model.  Defined for lossless models.
-    """
-    if base.variant not in (ModelVariant.SPC, ModelVariant.MOC):
-        raise PolaritonError("equivalence mapping starts from an SpC or MoC model")
-    if not base.pair.lossless:
-        raise PolaritonError("dressing transformations are defined for lossless models")
-    if target is None:
-        target = (
-            ModelVariant.ALT_COULOMB_DRESSED_CAVITY
-            if base.variant is ModelVariant.MOC
-            else ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY
-        )
-    wc, wm, g = dressed_parameters(
-        base.variant, target, base.pair.omega_cav, base.pair.omega_mat, base.g
-    )
-    if np.isnan(wc):
-        raise PolaritonError(
-            "invalid dressing: dressed cavity frequency squared omega_cav^2 - 4 g'^2 "
-            f"is not positive (omega_cav = {base.pair.omega_cav}, g' = {float(g):.6g})"
-        )
-    return CoupledModel(OscillatorPair(float(wc), float(wm)), target, float(g))
-
-
-def linearized_eigenfrequencies(omega_cav, omega_mat, g_lin) -> tuple[float, float]:
-    """Branch frequencies of the model linear in omega (valid outside USC).
-
-    Array arguments broadcast and give arrays of branch frequencies.
-    """
-    if np.any(np.asarray(omega_cav) <= 0) or np.any(np.asarray(omega_mat) <= 0):
-        raise PolaritonError("frequencies must be positive")
-    gabs = np.abs(g_lin)
-    root = np.sqrt((omega_cav - omega_mat) ** 2 + 4.0 * gabs * gabs)
-    return 0.5 * (omega_cav + omega_mat + root), 0.5 * (omega_cav + omega_mat - root)

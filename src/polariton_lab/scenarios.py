@@ -49,7 +49,7 @@ from .driven import (
     scattering_cross_section,
 )
 from .ensemble import FabryPerotSpec, build_full_system, cubic_dipole_lattice, full_vs_reduced_check
-from .exceptions import PolaritonError, SchemaError
+from .exceptions import PoleError, PolaritonError, SchemaError
 from .fields import (
     BoxCavityScene,
     NanoparticleScene,
@@ -80,8 +80,8 @@ from .models import (
     branch_frequencies,
     determinant_residual,
     dressed_parameters,
-    eigenfrequencies,
     min_splitting,
+    mode_ratio,
 )
 from .units import UNITS, OscillatorStrength, _reduced_strength, coupling_dipole_dipole
 
@@ -505,7 +505,7 @@ _FIELDMAP = {
         _Field("core_radius", _POSITIVE, 0.1),
         _Field("line", _LINE),
         _Field("box", _BOX + (_Field("omega_mat", _POSITIVE),)),
-        _Field("g", _number),
+        _Field("g", _NONNEGATIVE),
         _Field("branches", _BRANCH_LIST),
     ),
     "nanoparticle": (
@@ -541,18 +541,15 @@ def _run_fieldmap(p: dict) -> _Table:
     if p["scene"] == "box":
         box = p["box"]
         scene = BoxCavityScene(r_mat=box.pop("emitter"), n_d=box.pop("orientation"), **box)
-        model = CoupledModel(
-            OscillatorPair(scene.omega_cav, scene.omega_mat), ModelVariant.MOC, abs(g)
-        )
-        modes = eigenfrequencies(model)
-        # the upper-branch ratio has a pole (reported as inf) where that
+        plus, minus = branch_frequencies(ModelVariant.MOC, scene.omega_cav, scene.omega_mat, g)
+        # the upper-branch ratio has a pole (reported as None) where that
         # branch is the bare cavity, as it is at g = 0 with omega_mat <= omega_cav
-        rho_plus = modes.ratio_plus
-        extras = {
-            "omega_plus_eV": modes.omega_plus.real,
-            "omega_minus_eV": modes.omega_minus.real,
-            "rho_plus": float(rho_plus.imag) if math.isfinite(rho_plus.real) else None,
-        }
+        try:
+            ratio = mode_ratio(ModelVariant.MOC, scene.omega_cav, scene.omega_mat, g, plus)
+            rho_plus = float(ratio.imag)
+        except PoleError:
+            rho_plus = None
+        extras = {"omega_plus_eV": float(plus), "omega_minus_eV": float(minus), "rho_plus": rho_plus}
         for name in p["branches"]:
             fields = dielectric_field_arrays(
                 scene, g, _BRANCHES[name], positions, core_radius=core_radius
@@ -564,13 +561,10 @@ def _run_fieldmap(p: dict) -> _Table:
     scene = NanoparticleScene(
         n_dcav=spec.pop("orientation_cav"), n_dmat=spec.pop("orientation_mat"), **spec
     )
-    lossless = CoupledModel(
-        OscillatorPair(scene.omega_cav, scene.omega_mat), ModelVariant.SPC, g
-    )
-    modes = eigenfrequencies(lossless)
-    if not modes.lower_branch_real:
+    plus, minus = branch_frequencies(ModelVariant.SPC, scene.omega_cav, scene.omega_mat, g)
+    if np.isnan(minus):
         raise PolaritonError("lower hybrid mode is not real; cannot set the drive frequency")
-    drive_freqs = {"upper": modes.omega_plus.real, "lower": modes.omega_minus.real}
+    drive_freqs = {"upper": float(plus), "lower": float(minus)}
     lossy = CoupledModel(
         OscillatorPair(scene.omega_cav, scene.omega_mat, scene.kappa, scene.gamma),
         ModelVariant.SPC,
@@ -591,7 +585,7 @@ def _run_fieldmap(p: dict) -> _Table:
 
 _FRACTIONS = (
     _Field("box", _BOX),
-    _Field("g", _number),
+    _Field("g", _NONNEGATIVE),
     _Field("position", _vector),
     _Field("detuning_grid", _grid),
     _Field("branches", _BRANCH_LIST, ("upper", "lower")),

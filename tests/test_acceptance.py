@@ -48,9 +48,7 @@ from polariton_lab.models import (
     CoupledModel,
     ModelVariant,
     OscillatorPair,
-    eigenfrequencies,
-    linearized_eigenfrequencies,
-    spc_lower_branch_exists,
+    branch_frequencies,
 )
 from polariton_lab.scenarios import FIGURE_IDS, reproduce_figure
 from polariton_lab.units import (
@@ -80,40 +78,32 @@ def _resonant(variant, g, kappa=0.0, gamma=0.0, omega=1.0):
 
 @pytest.mark.parametrize("g", [0.05, 0.1, 0.3, 0.5])
 def test_momentum_coupling_splitting_is_exactly_twice_g(g):
-    modes = eigenfrequencies(_resonant(ModelVariant.MOC, g))
-    split = modes.omega_plus.real - modes.omega_minus.real
+    plus, minus = branch_frequencies(ModelVariant.MOC, 1.0, 1.0, g)
+    split = float(plus - minus)
     assert split == pytest.approx(2.0 * g, rel=1e-12)
 
 
 def test_spring_coupling_splitting_exceeds_twice_g_by_the_known_ratio():
     # at g = 0.3 the amplitude-coupled splitting is 2.11 g, not 2 g
-    modes = eigenfrequencies(_resonant(ModelVariant.SPC, 0.3))
-    split = modes.omega_plus.real - modes.omega_minus.real
+    plus, minus = branch_frequencies(ModelVariant.SPC, 1.0, 1.0, 0.3)
+    split = float(plus - minus)
     assert split == pytest.approx(2.11 * 0.3, rel=5e-3)
 
 
 def test_spring_lower_branch_cutoff_sits_at_four_g_squared():
     g = 0.3
     threshold = 4.0 * g * g  # 0.36 in units of omega_mat
-    for eps, expect_real in ((1e-6, True), (-1e-6, False)):
-        omega_cav = threshold + eps
-        assert spc_lower_branch_exists(omega_cav, 1.0, g) is expect_real
-        modes = eigenfrequencies(
-            CoupledModel(OscillatorPair(omega_cav, 1.0), ModelVariant.SPC, g)
-        )
-        assert modes.lower_branch_real is expect_real
-        if expect_real:
-            assert modes.omega_minus.imag == 0.0
+    omega_cav = threshold + np.array([1e-6, -1e-6])
+    plus, minus = branch_frequencies(ModelVariant.SPC, omega_cav, 1.0, g)
+    # a real lower branch just above the cutoff, none (NaN) just below it
+    assert np.isnan(minus).tolist() == [False, True]
+    assert 0.0 <= minus[0] < plus[0]
 
 
 def test_momentum_upper_branch_asymptote_at_vanishing_cavity_frequency():
     g = 0.3
-    modes = eigenfrequencies(
-        CoupledModel(OscillatorPair(1e-4, 1.0), ModelVariant.MOC, g)
-    )
-    assert modes.omega_plus.real == pytest.approx(
-        math.sqrt(1.0 + 4.0 * g * g), rel=1e-3
-    )
+    plus, _ = branch_frequencies(ModelVariant.MOC, 1e-4, 1.0, g)
+    assert float(plus) == pytest.approx(math.sqrt(1.0 + 4.0 * g * g), rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +140,14 @@ def test_quantum_oracle_agrees_with_classical_closed_forms_on_random_draws():
         assert float(np.min(np.abs(levels - w_plus))) <= 1e-5
 
         if cls == "zero":
-            classical = eigenfrequencies(
-                CoupledModel(OscillatorPair(params.omega_cav, 1.0), ModelVariant.SPC, params.g_qed)
-            )
+            plus, minus = branch_frequencies(ModelVariant.SPC, params.omega_cav, 1.0, params.g_qed)
         elif cls == "matched":
             g_mc = params.g_qed * math.sqrt(params.omega_cav)
-            classical = eigenfrequencies(
-                CoupledModel(OscillatorPair(params.omega_cav, 1.0), ModelVariant.MOC, g_mc)
-            )
+            plus, minus = branch_frequencies(ModelVariant.MOC, params.omega_cav, 1.0, g_mc)
         else:
             continue
-        assert w_plus == pytest.approx(classical.omega_plus.real, rel=1e-12)
-        assert w_minus == pytest.approx(classical.omega_minus.real, rel=1e-12)
+        assert w_plus == pytest.approx(float(plus), rel=1e-12)
+        assert w_minus == pytest.approx(float(minus), rel=1e-12)
 
 
 def test_coupling_frame_choice_leaves_the_spectrum_unchanged():
@@ -381,22 +367,15 @@ def test_linearized_model_validity_window():
     ratios = np.linspace(0.2, 2.0, 181)
 
     def worst_deviation(g):
-        worst = {ModelVariant.MOC: 0.0, ModelVariant.SPC: 0.0}
-        for ratio in ratios:
-            lin_plus, lin_minus = linearized_eigenfrequencies(float(ratio), 1.0, g)
-            for variant in worst:
-                if variant is ModelVariant.SPC and not spc_lower_branch_exists(
-                    float(ratio), 1.0, g
-                ):
-                    continue
-                modes = eigenfrequencies(
-                    CoupledModel(OscillatorPair(float(ratio), 1.0), variant, g)
-                )
-                worst[variant] = max(
-                    worst[variant],
-                    abs(lin_plus - modes.omega_plus.real),
-                    abs(lin_minus - modes.omega_minus.real),
-                )
+        lin_plus, lin_minus = branch_frequencies(ModelVariant.LINEARIZED, ratios, 1.0, g)
+        worst = {}
+        for variant in (ModelVariant.MOC, ModelVariant.SPC):
+            plus, minus = branch_frequencies(variant, ratios, 1.0, g)
+            real = ~np.isnan(minus)  # tunings below the SpC cutoff have no lower branch
+            worst[variant] = max(
+                float(np.max(np.abs(lin_plus - plus)[real])),
+                float(np.max(np.abs(lin_minus - minus)[real])),
+            )
         return worst
 
     moderate = worst_deviation(0.1)

@@ -20,7 +20,7 @@ from polariton_lab.models import (
     CoupledModel,
     ModelVariant,
     OscillatorPair,
-    eigenfrequencies,
+    branch_frequencies,
     frequency_domain_matrix,
 )
 from polariton_lab.units import OscillatorStrength, coupling_dipole_dipole
@@ -31,6 +31,13 @@ _Z = np.array([0.0, 0.0, 1.0])
 
 def _model(variant, g, kappa=0.0, gamma=0.0, omega_cav=1.0, omega_mat=1.0):
     return CoupledModel(OscillatorPair(omega_cav, omega_mat, kappa, gamma), variant, g)
+
+
+def _branches(model):
+    """Lossless branch frequencies (omega_plus, omega_minus) of ``model`` as floats."""
+    pair = model.pair
+    plus, minus = branch_frequencies(model.variant, pair.omega_cav, pair.omega_mat, model.g)
+    return float(plus), float(minus)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +107,9 @@ def test_response_satisfies_linear_system(omega, g, ratio):
         model = _model(variant, g, kappa=0.05, gamma=0.02, omega_cav=ratio)
         drive = DriveSpec(E_inc=1.5, omega=omega, f_cav=2.0, f_mat=0.5)
         resp = solver(model, drive)
-        m = frequency_domain_matrix(model, omega)
+        m = frequency_domain_matrix(
+            variant, model.pair.complex_cav, model.pair.complex_mat, model.g, omega
+        )
         lhs = m @ np.array([resp.x_cav, resp.x_mat])
         rhs = np.array([drive.F_cav, drive.F_mat])
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(np.max(np.abs(rhs)), 1.0)
@@ -108,23 +117,19 @@ def test_response_satisfies_linear_system(omega, g, ratio):
 
 def test_driving_an_undamped_hybrid_mode_is_a_pole():
     model = _model(ModelVariant.SPC, 0.2)
-    modes = eigenfrequencies(model)
-    drive = DriveSpec(
-        E_inc=1.0, omega=modes.omega_plus.real, f_cav=1.0, f_mat=1.0
-    )
+    omega_plus, _ = _branches(model)
+    drive = DriveSpec(E_inc=1.0, omega=omega_plus, f_cav=1.0, f_mat=1.0)
     with pytest.raises(PoleError, match="undamped hybrid mode"):
         driven_spc(model, drive)
     moc = _model(ModelVariant.MOC, 0.2)
-    moc_modes = eigenfrequencies(moc)
+    _, moc_minus = _branches(moc)
     with pytest.raises(PoleError):
-        driven_mc(
-            moc, DriveSpec(E_inc=1.0, omega=moc_modes.omega_minus.real, f_cav=1.0, f_mat=1.0)
-        )
+        driven_mc(moc, DriveSpec(E_inc=1.0, omega=moc_minus, f_cav=1.0, f_mat=1.0))
 
 
 def test_damping_regularizes_the_pole():
     lossless = _model(ModelVariant.SPC, 0.2)
-    omega_pole = eigenfrequencies(lossless).omega_plus.real
+    omega_pole, _ = _branches(lossless)
     lossy = _model(ModelVariant.SPC, 0.2, kappa=0.01, gamma=0.01)
     resp = driven_spc(
         lossy, DriveSpec(E_inc=1.0, omega=omega_pole, f_cav=1.0, f_mat=1.0)
@@ -272,7 +277,7 @@ def test_oracle_reduces_to_isolated_lorentzians_at_large_separation():
 
 def test_oracle_singular_at_hybrid_mode():
     model, f_c, f_m, r_c, r_m = _dipole_pair_scene()
-    omega_pole = eigenfrequencies(model).omega_plus.real
+    omega_pole, _ = _branches(model)
     with pytest.raises(PoleError, match="singular"):
         polarizability_oracle(
             f_c, f_m, 3.0, 3.0, 0.0, 0.0, r_c, r_m, _X, _X, 1.0, omega_pole

@@ -16,12 +16,7 @@ from polariton_lab.hopfield import (
     hopfield_quartic_eigen,
     truncated_fock_spectrum,
 )
-from polariton_lab.models import (
-    CoupledModel,
-    ModelVariant,
-    OscillatorPair,
-    eigenfrequencies,
-)
+from polariton_lab.models import ModelVariant, branch_frequencies
 
 _ratios = st.floats(min_value=0.3, max_value=3.0)
 _gs = st.floats(min_value=0.0, max_value=0.45)
@@ -38,11 +33,9 @@ def test_quartic_without_diamagnetic_term_is_the_spring_model(ratio, g):
     if not p.stable:
         return
     w_plus, w_minus = hopfield_quartic_eigen(p)
-    classical = eigenfrequencies(
-        CoupledModel(OscillatorPair(ratio, 1.0), ModelVariant.SPC, g)
-    )
-    assert w_plus == pytest.approx(classical.omega_plus.real, rel=1e-12)
-    assert w_minus == pytest.approx(classical.omega_minus.real, rel=1e-12)
+    plus, minus = branch_frequencies(ModelVariant.SPC, ratio, 1.0, g)
+    assert w_plus == pytest.approx(float(plus), rel=1e-12)
+    assert w_minus == pytest.approx(float(minus), rel=1e-12)
 
 
 @given(ratio=_ratios, g=_gs)
@@ -51,11 +44,9 @@ def test_quartic_with_matched_diamagnetic_term_is_the_momentum_model(ratio, g):
     p = HopfieldParams(omega_cav=ratio, omega_mat=1.0, g_qed=g, D=g**2 / 1.0)
     w_plus, w_minus = hopfield_quartic_eigen(p)
     g_mc = g * math.sqrt(ratio / 1.0)
-    classical = eigenfrequencies(
-        CoupledModel(OscillatorPair(ratio, 1.0), ModelVariant.MOC, g_mc)
-    )
-    assert w_plus == pytest.approx(classical.omega_plus.real, rel=1e-12)
-    assert w_minus == pytest.approx(classical.omega_minus.real, rel=1e-12)
+    plus, minus = branch_frequencies(ModelVariant.MOC, ratio, 1.0, g_mc)
+    assert w_plus == pytest.approx(float(plus), rel=1e-12)
+    assert w_minus == pytest.approx(float(minus), rel=1e-12)
 
 
 def test_quartic_decouples_at_zero_coupling():
@@ -173,6 +164,11 @@ def test_fock_guards():
         truncated_fock_spectrum(p, n_max=10, n_levels=0)
     with pytest.raises(PolaritonError):
         truncated_fock_spectrum(p, n_max=10, n_levels=121)
+    # the frame check shares the same truncation guard
+    with pytest.raises(PolaritonError, match="n_max must be >= 2"):
+        frame_equivalence_check(p, n_max=1)
+    with pytest.raises(PolaritonError, match="desk-scale"):
+        frame_equivalence_check(p, n_max=64)
 
 
 def test_rotating_wave_toggle_reduces_to_linearized_branches():

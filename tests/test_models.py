@@ -12,14 +12,12 @@ from polariton_lab.models import (
     CoupledModel,
     ModelVariant,
     OscillatorPair,
-    alternative_model_equivalence,
-    eigenfrequencies,
-    eigenvector_ratio,
+    branch_frequencies,
+    dressed_parameters,
     frequency_domain_matrix,
     generic_eigenfrequencies,
-    linearized_eigenfrequencies,
     min_splitting,
-    spc_lower_branch_exists,
+    mode_ratio,
 )
 
 _ratios = st.floats(min_value=0.3, max_value=3.0)
@@ -38,45 +36,42 @@ def _pair(ratio, omega_mat=1.0):
 @settings(max_examples=300, deadline=None)
 def test_spring_closed_form_matches_generic(ratio, g):
     model = CoupledModel(_pair(ratio), ModelVariant.SPC, g)
-    if not spc_lower_branch_exists(ratio, 1.0, g):
+    plus, minus = branch_frequencies(ModelVariant.SPC, ratio, 1.0, g)
+    if np.isnan(minus):
         return
-    closed = eigenfrequencies(model)
     gen_plus, gen_minus = generic_eigenfrequencies(model)
-    assert closed.omega_plus == pytest.approx(gen_plus, rel=1e-12)
-    assert closed.omega_minus == pytest.approx(gen_minus, rel=1e-12)
+    assert float(plus) == pytest.approx(gen_plus, rel=1e-12)
+    assert float(minus) == pytest.approx(gen_minus, rel=1e-12)
 
 
 @given(ratio=_ratios, g=_gs)
 @settings(max_examples=300, deadline=None)
 def test_momentum_closed_form_matches_generic(ratio, g):
     model = CoupledModel(_pair(ratio), ModelVariant.MOC, g)
-    closed = eigenfrequencies(model)
+    plus, minus = branch_frequencies(ModelVariant.MOC, ratio, 1.0, g)
     gen_plus, gen_minus = generic_eigenfrequencies(model)
-    assert closed.omega_plus == pytest.approx(gen_plus, rel=1e-12)
-    assert closed.omega_minus == pytest.approx(gen_minus, rel=1e-12)
+    assert float(plus) == pytest.approx(gen_plus, rel=1e-12)
+    assert float(minus) == pytest.approx(gen_minus, rel=1e-12)
 
 
 @given(ratio=_ratios, g=_gs)
 @settings(max_examples=200, deadline=None)
 def test_momentum_product_identity(ratio, g):
     # omega_+ omega_- = omega_cav omega_mat holds at any coupling
-    model = CoupledModel(_pair(ratio), ModelVariant.MOC, g)
-    modes = eigenfrequencies(model)
-    assert modes.omega_plus * modes.omega_minus == pytest.approx(ratio, rel=1e-12)
+    plus, minus = branch_frequencies(ModelVariant.MOC, ratio, 1.0, g)
+    assert float(plus * minus) == pytest.approx(ratio, rel=1e-12)
 
 
 def test_momentum_resonant_splitting_is_2g():
-    for g in (0.05, 0.1, 0.3, 0.5):
-        model = CoupledModel(_pair(1.0), ModelVariant.MOC, g)
-        modes = eigenfrequencies(model)
-        assert modes.omega_plus - modes.omega_minus == pytest.approx(2.0 * g, rel=1e-12)
+    g = np.array([0.05, 0.1, 0.3, 0.5])
+    plus, minus = branch_frequencies(ModelVariant.MOC, 1.0, 1.0, g)
+    assert plus - minus == pytest.approx(2.0 * g, rel=1e-12)
 
 
 def test_spring_resonant_splitting_exceeds_2g():
     # at g = 0.3 the square-root structure inflates the resonant splitting
-    model = CoupledModel(_pair(1.0), ModelVariant.SPC, 0.3)
-    modes = eigenfrequencies(model)
-    split = modes.omega_plus - modes.omega_minus
+    plus, minus = branch_frequencies(ModelVariant.SPC, 1.0, 1.0, 0.3)
+    split = float(plus - minus)
     assert split / 0.3 == pytest.approx(2.1081852, rel=1e-6)
 
 
@@ -84,39 +79,40 @@ def test_spring_lower_branch_boundary():
     # real lower branch iff omega_cav omega_mat >= 4 g^2
     g = 0.3
     boundary = 4.0 * g**2  # omega_cav at omega_mat = 1
-    assert spc_lower_branch_exists(boundary + 1e-6, 1.0, g)
-    assert not spc_lower_branch_exists(boundary - 1e-6, 1.0, g)
-    modes = eigenfrequencies(CoupledModel(_pair(boundary - 1e-4), ModelVariant.SPC, g))
-    assert not modes.lower_branch_real
+    omega_cav = np.array([boundary + 1e-6, boundary - 1e-6, boundary - 1e-4])
+    plus, minus = branch_frequencies(ModelVariant.SPC, omega_cav, 1.0, g)
+    assert not np.isnan(minus[0])
+    assert np.isnan(minus[1])
+    assert np.isnan(minus[2])
+    # the upper branch stays real across the cutoff
+    assert np.all(np.isfinite(plus))
 
 
 def test_momentum_zero_cavity_asymptote():
     # omega_+ -> sqrt(omega_mat^2 + 4 g^2) as the cavity softens
     g = 0.3
-    model = CoupledModel(_pair(1e-4), ModelVariant.MOC, g)
-    modes = eigenfrequencies(model)
-    assert modes.omega_plus == pytest.approx(math.sqrt(1.0 + 4.0 * g**2), rel=1e-3)
-    assert modes.omega_plus == pytest.approx(1.16619, rel=1e-3)
+    plus, _ = branch_frequencies(ModelVariant.MOC, 1e-4, 1.0, g)
+    assert float(plus) == pytest.approx(math.sqrt(1.0 + 4.0 * g**2), rel=1e-3)
+    assert float(plus) == pytest.approx(1.16619, rel=1e-3)
 
 
 def test_variants_agree_in_weak_coupling():
     g = 0.01
-    spc = eigenfrequencies(CoupledModel(_pair(1.0), ModelVariant.SPC, g))
-    moc = eigenfrequencies(CoupledModel(_pair(1.0), ModelVariant.MOC, g))
-    assert spc.omega_plus == pytest.approx(moc.omega_plus, rel=1e-2)
-    assert spc.omega_minus == pytest.approx(moc.omega_minus, rel=1e-2)
+    spc_plus, spc_minus = branch_frequencies(ModelVariant.SPC, 1.0, 1.0, g)
+    moc_plus, moc_minus = branch_frequencies(ModelVariant.MOC, 1.0, 1.0, g)
+    assert float(spc_plus) == pytest.approx(float(moc_plus), rel=1e-2)
+    assert float(spc_minus) == pytest.approx(float(moc_minus), rel=1e-2)
     # but not at 1e-4: the conventions genuinely differ at second order in g
-    assert spc.omega_minus != pytest.approx(moc.omega_minus, rel=1e-6)
+    assert float(spc_minus) != pytest.approx(float(moc_minus), rel=1e-6)
 
 
 @given(ratio=_ratios, g=st.floats(min_value=0.001, max_value=0.45))
 @settings(max_examples=200, deadline=None)
 def test_spring_sign_of_g_is_irrelevant(ratio, g):
-    plus = CoupledModel(_pair(ratio), ModelVariant.SPC, g)
-    minus = CoupledModel(_pair(ratio), ModelVariant.SPC, -g)
-    a, b = eigenfrequencies(plus), eigenfrequencies(minus)
-    assert a.omega_plus == b.omega_plus
-    assert a.omega_minus == b.omega_minus
+    plus, minus = branch_frequencies(ModelVariant.SPC, ratio, 1.0, np.array([g, -g]))
+    assert plus[0] == plus[1]
+    # NaN (no real lower branch) on one side only would also fail here
+    np.testing.assert_array_equal(minus[0], minus[1])
 
 
 def test_momentum_rejects_negative_coupling():
@@ -127,12 +123,12 @@ def test_momentum_rejects_negative_coupling():
 
 
 def test_branch_ordering_and_bracketing():
-    model = CoupledModel(_pair(1.3), ModelVariant.MOC, 0.25)
-    modes = eigenfrequencies(model)
-    assert modes.omega_minus.real < min(1.3, 1.0)
-    assert modes.omega_plus.real > max(1.3, 1.0)
-    assert modes.omega_plus.imag == 0.0
-    assert modes.omega_minus.imag == 0.0
+    plus, minus = branch_frequencies(ModelVariant.MOC, 1.3, 1.0, 0.25)
+    assert minus < min(1.3, 1.0)
+    assert plus > max(1.3, 1.0)
+    # both branches are real frequencies: finite, not NaN-masked
+    assert np.isfinite(plus)
+    assert np.isfinite(minus)
 
 
 # ---------------------------------------------------------------------------
@@ -140,38 +136,53 @@ def test_branch_ordering_and_bracketing():
 
 
 def test_eigenvector_satisfies_secular_equation():
-    model = CoupledModel(_pair(1.2), ModelVariant.SPC, 0.3)
-    modes = eigenfrequencies(model)
-    for branch, omega in ((+1, modes.omega_plus), (-1, modes.omega_minus)):
-        ratio = eigenvector_ratio(model, branch)
-        vec = np.array([ratio, 1.0], dtype=complex)
-        residual = frequency_domain_matrix(model, omega) @ vec
-        assert np.max(np.abs(residual)) < 1e-10 * max(abs(ratio), 1.0)
+    spc = ModelVariant.SPC
+    omega = np.array(branch_frequencies(spc, 1.2, 1.0, 0.3))  # (omega_plus, omega_minus)
+    ratio = mode_ratio(spc, 1.2, 1.0, 0.3, omega)
+    vec = np.stack([ratio, np.ones_like(ratio)], axis=-1)
+    residual = (frequency_domain_matrix(spc, 1.2, 1.0, 0.3, omega) @ vec[..., None])[..., 0]
+    assert residual.shape == (2, 2)
+    for row, r in zip(residual, ratio):
+        assert np.max(np.abs(row)) < 1e-10 * max(abs(r), 1.0)
 
 
 def test_momentum_eigenvector_is_quadrature_shifted():
     # position amplitudes of the two oscillators are 90 degrees out of phase
-    model = CoupledModel(_pair(1.0), ModelVariant.MOC, 0.2)
-    for branch in (+1, -1):
-        ratio = eigenvector_ratio(model, branch)
-        assert ratio.real == pytest.approx(0.0, abs=1e-14)
-        assert abs(ratio.imag) > 0.1
+    omega = np.array(branch_frequencies(ModelVariant.MOC, 1.0, 1.0, 0.2))
+    ratio = mode_ratio(ModelVariant.MOC, 1.0, 1.0, 0.2, omega)
+    for r in ratio:
+        assert r.real == pytest.approx(0.0, abs=1e-14)
+        assert abs(r.imag) > 0.1
 
 
 def test_eigenvector_ratio_decoupled_limits():
-    # matter-like branch with g = 0: no cavity admixture
-    model = CoupledModel(OscillatorPair(1.0, 2.0), ModelVariant.SPC, 0.0)
-    assert abs(eigenvector_ratio(model, +1)) == 0.0
+    # matter-like upper branch with g = 0: no cavity admixture, and a 0-d
+    # array in gives a 0-d array out
+    plus, _ = branch_frequencies(ModelVariant.SPC, 1.0, 2.0, 0.0)
+    ratio = mode_ratio(ModelVariant.SPC, 1.0, 2.0, 0.0, plus)
+    assert np.ndim(plus) == np.ndim(ratio) == 0
+    assert abs(ratio) == 0.0
     # cavity-like branch: the ratio x_cav/x_mat diverges
-    model = CoupledModel(OscillatorPair(2.0, 1.0), ModelVariant.SPC, 0.0)
-    with pytest.raises(PoleError):
-        eigenvector_ratio(model, +1)
+    plus, _ = branch_frequencies(ModelVariant.SPC, 2.0, 1.0, 0.0)
+    with pytest.raises(PoleError, match="coincides with the bare cavity frequency$"):
+        mode_ratio(ModelVariant.SPC, 2.0, 1.0, 0.0, plus)
+
+
+def test_mode_ratio_pole_names_its_grid_row():
+    # row 0 is matter-like (finite ratio), row 1 cavity-like (a pole)
+    omega_cav = np.array([0.5, 2.0])
+    plus, _ = branch_frequencies(ModelVariant.SPC, omega_cav, 1.0, 0.0)
+    assert abs(mode_ratio(ModelVariant.SPC, omega_cav[:1], 1.0, 0.0, plus[:1])[0]) == 0.0
+    with pytest.raises(PoleError, match=r"branch frequency 2\.0 .* \(grid row 1\)"):
+        mode_ratio(ModelVariant.SPC, omega_cav, 1.0, 0.0, plus)
 
 
 def test_resonant_eigenvector_is_balanced():
-    for g in (1e-2, 1e-4):
-        model = CoupledModel(_pair(1.0), ModelVariant.SPC, g)
-        assert abs(eigenvector_ratio(model, +1)) == pytest.approx(1.0, rel=1e-6)
+    g = np.array([1e-2, 1e-4])
+    plus, _ = branch_frequencies(ModelVariant.SPC, 1.0, 1.0, g)
+    assert np.abs(mode_ratio(ModelVariant.SPC, 1.0, 1.0, g, plus)) == pytest.approx(
+        np.ones(2), rel=1e-6
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +254,23 @@ def test_linearized_min_splitting_is_2g_at_resonance():
 
 def test_linearized_closed_form():
     w_c, w_m, g = 1.3, 1.0, 0.1
-    plus, minus = linearized_eigenfrequencies(w_c, w_m, g)
+    plus, minus = branch_frequencies(ModelVariant.LINEARIZED, w_c, w_m, g)
     disc = math.sqrt((w_c - w_m) ** 2 + 4.0 * g**2)
-    assert plus == pytest.approx(0.5 * (w_c + w_m + disc), rel=1e-14)
-    assert minus == pytest.approx(0.5 * (w_c + w_m - disc), rel=1e-14)
+    assert float(plus) == pytest.approx(0.5 * (w_c + w_m + disc), rel=1e-14)
+    assert float(minus) == pytest.approx(0.5 * (w_c + w_m - disc), rel=1e-14)
 
 
 def test_linearized_splitting_always_2g_at_resonance():
-    for g in (0.05, 0.3, 0.5):
-        plus, minus = linearized_eigenfrequencies(1.0, 1.0, g)
-        assert plus - minus == pytest.approx(2.0 * g, rel=1e-12)
+    g = np.array([0.05, 0.3, 0.5])
+    plus, minus = branch_frequencies(ModelVariant.LINEARIZED, 1.0, 1.0, g)
+    assert plus - minus == pytest.approx(2.0 * g, rel=1e-12)
+
+
+def test_linearized_branches_require_positive_frequencies():
+    with pytest.raises(PolaritonError, match="frequencies must be positive"):
+        branch_frequencies(ModelVariant.LINEARIZED, np.array([1.0, 0.0]), 1.0, 0.1)
+    with pytest.raises(PolaritonError, match="frequencies must be positive"):
+        branch_frequencies(ModelVariant.LINEARIZED, 1.0, -1.0, 0.1)
 
 
 def test_linearized_accuracy_degrades_with_coupling():
@@ -260,18 +278,10 @@ def test_linearized_accuracy_degrades_with_coupling():
     grid = np.linspace(0.2, 2.0, 181)
 
     def worst(variant, g):
-        errs = []
-        for r in grid:
-            model = CoupledModel(_pair(float(r)), variant, g)
-            if variant is ModelVariant.SPC and not spc_lower_branch_exists(
-                float(r), 1.0, g
-            ):
-                continue
-            modes = eigenfrequencies(model)
-            lp, lm = linearized_eigenfrequencies(float(r), 1.0, g)
-            errs.append(abs(lp - modes.omega_plus))
-            errs.append(abs(lm - modes.omega_minus))
-        return max(errs)
+        plus, minus = branch_frequencies(variant, grid, 1.0, g)
+        lp, lm = branch_frequencies(ModelVariant.LINEARIZED, grid, 1.0, g)
+        real = ~np.isnan(minus)  # the SpC lower branch is cut off at small omega_cav
+        return max(np.max(np.abs(lp - plus)[real]), np.max(np.abs(lm - minus)[real]))
 
     assert worst(ModelVariant.MOC, 0.1) < 0.02
     assert worst(ModelVariant.SPC, 0.1) < 0.02
@@ -283,64 +293,66 @@ def test_linearized_accuracy_degrades_with_coupling():
 # dressed alternatives
 
 
-def _assert_same_spectrum(base, dressed, tol=1e-10):
-    a, b = eigenfrequencies(base), eigenfrequencies(dressed)
-    assert b.omega_plus == pytest.approx(a.omega_plus, rel=tol)
-    assert b.omega_minus == pytest.approx(a.omega_minus, rel=tol)
+def _assert_same_spectrum(base, target, omega_cav, omega_mat, g, tol=1e-10):
+    dressed = dressed_parameters(base, target, omega_cav, omega_mat, g)
+    a_plus, a_minus = branch_frequencies(base, omega_cav, omega_mat, g)
+    b_plus, b_minus = branch_frequencies(target, *dressed)
+    assert b_plus == pytest.approx(a_plus, rel=tol)
+    assert b_minus == pytest.approx(a_minus, rel=tol)
+
+
+_MOC, _SPC = ModelVariant.MOC, ModelVariant.SPC
+_COULOMB = ModelVariant.ALT_COULOMB_DRESSED_CAVITY
+_MATTER = ModelVariant.ALT_DIPOLE_DRESSED_MATTER
+_DIPOLE_DIPOLE = ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY
 
 
 @given(ratio=_ratios, g=st.floats(min_value=0.01, max_value=0.45))
 @settings(max_examples=100, deadline=None)
 def test_momentum_base_maps_to_both_amplitude_dressings(ratio, g):
-    base = CoupledModel(_pair(ratio), ModelVariant.MOC, g)
-    default = alternative_model_equivalence(base)
-    assert default.variant is ModelVariant.ALT_COULOMB_DRESSED_CAVITY
-    _assert_same_spectrum(base, default)
-    matter = alternative_model_equivalence(base, ModelVariant.ALT_DIPOLE_DRESSED_MATTER)
-    _assert_same_spectrum(base, matter)
+    _assert_same_spectrum(_MOC, _COULOMB, ratio, 1.0, g)
+    _assert_same_spectrum(_MOC, _MATTER, ratio, 1.0, g)
 
 
 def test_coulomb_dressing_stiffens_the_cavity():
-    base = CoupledModel(_pair(1.0), ModelVariant.MOC, 0.3)
-    dressed = alternative_model_equivalence(base)
-    assert dressed.pair.omega_cav == pytest.approx(math.sqrt(1.0 + 4.0 * 0.09), rel=1e-14)
-    assert dressed.pair.omega_mat == 1.0
+    wc, wm, _ = dressed_parameters(_MOC, _COULOMB, 1.0, 1.0, 0.3)
+    assert float(wc) == pytest.approx(math.sqrt(1.0 + 4.0 * 0.09), rel=1e-14)
+    assert wm == 1.0
 
 
 def test_spring_base_maps_to_velocity_dressing():
-    base = CoupledModel(_pair(0.8), ModelVariant.SPC, 0.2)
-    dressed = alternative_model_equivalence(base)
-    assert dressed.variant is ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY
-    _assert_same_spectrum(base, dressed)
+    _assert_same_spectrum(_SPC, _DIPOLE_DIPOLE, 0.8, 1.0, 0.2)
 
 
 def test_spring_dressing_fails_when_dressed_cavity_collapses():
-    # omega_cav^2 - 4 g'^2 <= 0: no valid velocity-coupled twin
-    base = CoupledModel(OscillatorPair(0.4, 1.0), ModelVariant.SPC, 0.32)
-    with pytest.raises(PolaritonError, match="dressed cavity frequency"):
-        alternative_model_equivalence(base)
+    # omega_cav^2 - 4 g'^2 <= 0 at (0.4, 1.0, 0.32): no valid velocity-coupled
+    # twin there, while (0.8, 1.0, 0.2) on the same grid is valid
+    omega_cav, g = np.array([0.8, 0.4]), np.array([0.2, 0.32])
+    wc, wm, g_dressed = dressed_parameters(_SPC, _DIPOLE_DIPOLE, omega_cav, 1.0, g)
+    assert not np.isnan(wc[0])
+    assert np.isnan(wc[1])
+    assert np.all(np.isfinite(g_dressed))
+    plus, minus = branch_frequencies(_DIPOLE_DIPOLE, wc, wm, g_dressed)
+    assert np.isnan(plus[1]) and np.isnan(minus[1])
+    base_plus, base_minus = branch_frequencies(_SPC, omega_cav, 1.0, g)
+    assert plus[0] == pytest.approx(base_plus[0], rel=1e-10)
+    assert minus[0] == pytest.approx(base_minus[0], rel=1e-10)
 
 
 def test_alternative_equivalence_identity_at_zero_coupling():
-    base = CoupledModel(_pair(1.1), ModelVariant.MOC, 0.0)
-    dressed = alternative_model_equivalence(base)
-    assert dressed.pair.omega_cav == pytest.approx(1.1, rel=1e-14)
-    assert dressed.g == 0.0
-    _assert_same_spectrum(base, dressed, tol=1e-13)
+    wc, _, g = dressed_parameters(_MOC, _COULOMB, 1.1, 1.0, 0.0)
+    assert float(wc) == pytest.approx(1.1, rel=1e-14)
+    assert g == 0.0
+    _assert_same_spectrum(_MOC, _COULOMB, 1.1, 1.0, 0.0, tol=1e-13)
 
 
 def test_alternative_equivalence_input_validation():
-    lossy = CoupledModel(
-        OscillatorPair(1.0, 1.0, kappa=0.1), ModelVariant.MOC, 0.2
-    )
-    with pytest.raises(PolaritonError):
-        alternative_model_equivalence(lossy)
-    alt_base = CoupledModel(_pair(1.0), ModelVariant.LINEARIZED, 0.2)
-    with pytest.raises(PolaritonError):
-        alternative_model_equivalence(alt_base)
-    spring = CoupledModel(_pair(1.0), ModelVariant.SPC, 0.2)
-    with pytest.raises(PolaritonError):
-        alternative_model_equivalence(spring, ModelVariant.ALT_COULOMB_DRESSED_CAVITY)
+    with pytest.raises(PolaritonError, match="starts from an SpC or MoC model"):
+        dressed_parameters(ModelVariant.LINEARIZED, _COULOMB, 1.0, 1.0, 0.2)
+    with pytest.raises(PolaritonError, match="no SpC dressing"):
+        dressed_parameters(_SPC, _COULOMB, 1.0, 1.0, 0.2)
+    with pytest.raises(PolaritonError, match="no MoC dressing"):
+        dressed_parameters(_MOC, _DIPOLE_DIPOLE, 1.0, 1.0, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +369,14 @@ def test_oscillator_pair_validation():
 
 
 def test_frequency_domain_matrix_shapes():
-    model = CoupledModel(_pair(1.0), ModelVariant.SPC, 0.2)
-    m = frequency_domain_matrix(model, 1.1)
+    m = frequency_domain_matrix(ModelVariant.SPC, 1.0, 1.0, 0.2, 1.1)
     assert m.shape == (2, 2)
     assert m.dtype == complex
     # spring coupling: symmetric off-diagonal
     assert m[0, 1] == m[1, 0]
-    moc = frequency_domain_matrix(CoupledModel(_pair(1.0), ModelVariant.MOC, 0.2), 1.1)
+    # a grid of drive frequencies gives the stacked matrices
+    assert frequency_domain_matrix(ModelVariant.SPC, 1.0, 1.0, 0.2, np.ones(3)).shape == (3, 2, 2)
+    moc = frequency_domain_matrix(ModelVariant.MOC, 1.0, 1.0, 0.2, 1.1)
     # momentum coupling: antisymmetric, purely imaginary off-diagonal
     assert moc[0, 1] == -moc[1, 0]
     assert moc[0, 1].real == 0.0

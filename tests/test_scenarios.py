@@ -120,6 +120,21 @@ def test_non_numeric_value_names_its_path(tmp_path):
     assert err.value.path == "parameters.omega_mat"
 
 
+@pytest.mark.parametrize("sample", ["fieldmap_box", "fractions_box"])
+def test_negative_box_coupling_names_its_path(tmp_path, capsys, sample):
+    # the box scene's MoC coupling must be >= 0: a schema error (exit 2)
+    # naming the key, not a physics error from inside the field kernel
+    doc = yaml.safe_load((_SAMPLES / f"{sample}.yaml").read_text())
+    doc["parameters"]["g"] = -0.3
+    with pytest.raises(SchemaError) as err:
+        _run(doc, tmp_path)
+    assert err.value.path == "parameters.g"
+    scenario = tmp_path / "negative_g.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+    assert "parameters.g" in capsys.readouterr().err
+
+
 def test_alternative_requires_its_base_variant(tmp_path):
     doc = _sweep_doc()
     doc["parameters"]["variants"] = ["SpC"]
