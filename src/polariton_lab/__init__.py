@@ -18,8 +18,7 @@ from ._version import __version__
 from .driven import (
     DriveSpec,
     ResponseAmplitudes,
-    driven_mc,
-    driven_spc,
+    driven_response,
     polarizability_oracle,
     scattering_cross_section,
 )
@@ -53,13 +52,11 @@ from .hopfield import (
     truncated_fock_spectrum,
 )
 from .material import (
-    DispersionBranch,
+    Dispersion,
     PermittivityModel,
-    PermittivityVariant,
     bulk_dispersion,
     coupling_profiles,
-    permittivity_mc,
-    permittivity_spc,
+    permittivity,
     reststrahlen_band,
     reststrahlen_fit,
 )
@@ -136,8 +133,7 @@ __all__ = [
     # driven
     "DriveSpec",
     "ResponseAmplitudes",
-    "driven_spc",
-    "driven_mc",
+    "driven_response",
     "scattering_cross_section",
     "polarizability_oracle",
     # fields
@@ -160,13 +156,11 @@ __all__ = [
     "FullVsReducedReport",
     "full_vs_reduced_check",
     # material
-    "PermittivityVariant",
     "PermittivityModel",
-    "permittivity_mc",
-    "permittivity_spc",
+    "permittivity",
     "reststrahlen_band",
     "reststrahlen_fit",
-    "DispersionBranch",
+    "Dispersion",
     "bulk_dispersion",
     "coupling_profiles",
     # scenarios

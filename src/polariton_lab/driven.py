@@ -1,5 +1,8 @@
 """Steady-state response of the coupled models to a monochromatic drive.
 
+``driven_response`` solves an SpC or MoC model, whichever ``model.variant``
+names, under a drive at one frequency or a grid of them.
+
 Losses enter through complex bare frequencies: every occurrence of a bare
 frequency in the frequency-domain system — the diagonal ``omega_a^2`` terms
 and the ``sqrt(omega_cav omega_mat)`` normalization of the amplitude
@@ -21,13 +24,12 @@ import numpy as np
 
 from .exceptions import PoleError, PolaritonError
 from .models import CoupledModel, ModelVariant, frequency_domain_matrix
-from .units import UNITS, UnitSystem, angular_factor, _require_nonnegative, _unit_vector
+from .units import UNITS, angular_factor, _require_nonnegative, _unit_vector
 
 __all__ = [
     "DriveSpec",
     "ResponseAmplitudes",
-    "driven_spc",
-    "driven_mc",
+    "driven_response",
     "scattering_cross_section",
     "polarizability_oracle",
 ]
@@ -76,8 +78,14 @@ class ResponseAmplitudes:
     d_mat: complex
 
 
-def _solve_response(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes:
-    """Steady state at every drive frequency: one stacked 2x2 solve."""
+def driven_response(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes:
+    """Steady state of an SpC or MoC model at every drive frequency.
+
+    One stacked 2x2 solve of the frequency-domain system; a drive frequency
+    on an undamped hybrid mode raises :class:`PoleError`.
+    """
+    if model.variant not in (ModelVariant.SPC, ModelVariant.MOC):
+        raise PolaritonError(f"driven_response needs an SpC or MoC model, got {model.variant.value}")
     omega = np.asarray(drive.omega, dtype=float)
     matrix = frequency_domain_matrix(
         model.variant, model.pair.complex_cav, model.pair.complex_mat, model.g, omega
@@ -109,27 +117,12 @@ def _solve_response(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes
     )
 
 
-def driven_spc(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes:
-    """Amplitude-coupled steady state under the drive."""
-    if model.variant is not ModelVariant.SPC:
-        raise PolaritonError(f"driven_spc needs an SpC model, got {model.variant.value}")
-    return _solve_response(model, drive)
-
-
-def driven_mc(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes:
-    """Velocity-coupled steady state under the drive."""
-    if model.variant is not ModelVariant.MOC:
-        raise PolaritonError(f"driven_mc needs an MoC model, got {model.variant.value}")
-    return _solve_response(model, drive)
-
-
 def scattering_cross_section(
     resp: ResponseAmplitudes,
     n_dcav,
     n_dmat,
     E_inc: float,
     omega,
-    units: UnitSystem = UNITS,
 ):
     """Dipole-radiation scattering cross section in nm^2.
 
@@ -145,7 +138,7 @@ def scattering_cross_section(
     nc = _unit_vector("n_dcav", n_dcav)
     nm_ = _unit_vector("n_dmat", n_dmat)
     total = np.multiply.outer(resp.d_cav, nc) + np.multiply.outer(resp.d_mat, nm_)
-    k = omega / units.hbar_c
+    k = omega / UNITS.hbar_c
     sigma = (8.0 * math.pi / 3.0) * k**4 * np.sum(np.abs(total / E_inc) ** 2, axis=-1)
     return float(sigma) if sigma.ndim == 0 else sigma
 
@@ -173,7 +166,7 @@ def polarizability_oracle(
     convention through the ``sqrt(omega_cav omega_mat)`` normalization it
     carries in the coupled-oscillator picture (for lossless constituents it
     reduces to the bare geometric kernel).  This shares no code with the
-    model solvers and serves as an independent check on ``driven_spc``.
+    model solvers and serves as an independent check on ``driven_response``.
     An array of drive frequencies gives array-valued amplitudes.
     """
     omega = np.asarray(omega, dtype=float)

@@ -1,32 +1,32 @@
-"""Bulk permittivity and polariton dispersion for the two coupling families.
+"""Bulk permittivity and polariton dispersion for the two coupling forms.
 
-The velocity-coupled oscillator gives the familiar Lorentz permittivity with
-a negative-epsilon (reststrahlen) band between Omega_mat and the
-longitudinal frequency sqrt(Omega_mat^2 + 4 G^2); the amplitude-coupled
-oscillator instead produces a strictly nonnegative permittivity with a
-low-frequency divergence.  ``bulk_dispersion`` evaluates the photon-phonon
-branches either directly from the velocity model or through two dressed
-amplitude parameterizations that reproduce it identically.
+A medium's coupling form is a :class:`ModelVariant`.  ``permittivity``
+gives the MoC (velocity-coupled) Lorentz permittivity, with a
+negative-epsilon (reststrahlen) band between Omega_mat and the longitudinal
+frequency sqrt(Omega_mat^2 + 4 G^2), or the SpC (amplitude-coupled)
+permittivity, strictly nonnegative with a low-frequency divergence.
+``bulk_dispersion`` returns the photon-phonon branches as a
+:class:`Dispersion`, either straight from the MoC closed form or through
+the A1/A2 amplitude-form dressings of :func:`dressed_parameters`, which
+reproduce it identically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import PoleError, PolaritonError
-from .models import _amplitude_modes_sq, _velocity_modes_sq
+from .models import ModelVariant, _amplitude_modes_sq, _velocity_modes_sq, dressed_parameters
 from .units import UNITS, _require_nonnegative, _require_positive
 
 __all__ = [
-    "PermittivityVariant",
     "PermittivityModel",
-    "DispersionBranch",
-    "permittivity_mc",
-    "permittivity_spc",
+    "Dispersion",
+    "permittivity",
     "reststrahlen_band",
     "reststrahlen_fit",
     "bulk_dispersion",
@@ -34,92 +34,79 @@ __all__ = [
 ]
 
 
-class PermittivityVariant(Enum):
-    MOC = "MoC"
-    SPC = "SpC"
-    POLAR_LORENTZ = "PolarLorentz"
-
-
 @dataclass(frozen=True)
 class PermittivityModel:
     """Bulk medium of resonance frequency Omega_mat and coupling density G.
 
-    ``epsilon_inf`` is the background permittivity absorbed into a fitted
-    Lorentz model (pure microscopic variants keep the default 1).
+    ``variant`` is the coupling form, ``ModelVariant.MOC`` or
+    ``ModelVariant.SPC``.  ``epsilon_inf`` is the background permittivity
+    absorbed into a fitted Lorentz (MoC) model; the SpC medium has no
+    high-frequency screening and keeps the default 1.
     """
 
     Omega_mat: float
     G: float
     epsilon_inf: float = 1.0
-    variant: PermittivityVariant = PermittivityVariant.MOC
+    variant: ModelVariant = ModelVariant.MOC
 
     def __post_init__(self):
         _require_positive("Omega_mat", self.Omega_mat)
         _require_nonnegative("G", self.G)
         if not (math.isfinite(self.epsilon_inf) and self.epsilon_inf >= 1.0):
             raise PolaritonError(f"epsilon_inf must be >= 1, got {self.epsilon_inf}")
-        if not isinstance(self.variant, PermittivityVariant):
-            raise PolaritonError(f"variant must be a PermittivityVariant, got {self.variant!r}")
+        if self.variant not in (ModelVariant.MOC, ModelVariant.SPC):
+            raise PolaritonError(
+                f"variant must be ModelVariant.MOC or ModelVariant.SPC, got {self.variant!r}"
+            )
+        if self.variant is ModelVariant.SPC and self.epsilon_inf != 1.0:
+            raise PolaritonError(
+                "the amplitude-coupled permittivity has no high-frequency screening; "
+                f"epsilon_inf must be 1, got {self.epsilon_inf}"
+            )
 
 
-def _omega_array(omega, allow_zero: bool) -> np.ndarray:
+def permittivity(model: PermittivityModel, omega):
+    """Bulk permittivity of the medium at ``omega`` (a number or an array).
+
+    MoC: the Lorentz form eps_inf (1 + 4 G^2 / (Omega_mat^2 - omega^2)),
+    negative exactly on the reststrahlen band and finite at omega = 0.
+    SpC: (t + sqrt(1 + t^2))^2 with t = 2 G^2 Omega_mat / (omega
+    (Omega_mat^2 - omega^2)), strictly nonnegative, tending to 1 from above
+    as omega -> infinity and diverging as omega -> 0.  The poles at
+    omega = Omega_mat (and omega = 0 for SpC) raise :class:`PoleError`
+    rather than returning inf.
+    """
     w = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(w)):
         raise PolaritonError("omega must be finite")
     if np.any(w < 0.0):
         raise PolaritonError("omega must be nonnegative")
-    if not allow_zero and np.any(w == 0.0):
+    amplitude = model.variant is ModelVariant.SPC
+    if amplitude and np.any(w == 0.0):
         raise PoleError("permittivity diverges at omega = 0 for the amplitude-coupled medium")
-    return w
-
-
-def permittivity_mc(model: PermittivityModel, omega):
-    """Lorentz permittivity eps_inf (1 + 4 G^2 / (Omega_mat^2 - omega^2)).
-
-    Negative exactly on the reststrahlen band; finite at omega = 0; the pole
-    at omega = Omega_mat is signaled rather than returned as inf.
-    """
-    if model.variant is PermittivityVariant.SPC:
-        raise PolaritonError("permittivity_mc requires a velocity-form variant, got SpC")
-    w = _omega_array(omega, allow_zero=True)
     if np.any(w == model.Omega_mat):
         raise PoleError(f"permittivity pole at omega = Omega_mat = {model.Omega_mat}")
-    eps = model.epsilon_inf * (1.0 + 4.0 * model.G**2 / (model.Omega_mat**2 - w**2))
-    return eps if eps.ndim else float(eps)
-
-
-def permittivity_spc(model: PermittivityModel, omega):
-    """Amplitude-coupled permittivity (t + sqrt(1 + t^2))^2 with
-    t = 2 G^2 Omega_mat / (omega (Omega_mat^2 - omega^2)).
-
-    Strictly nonnegative everywhere it is defined, tends to 1 from above as
-    omega -> infinity, and grows without bound as omega -> 0 (signaled).
-    """
-    if model.variant is not PermittivityVariant.SPC:
-        raise PolaritonError(
-            f"permittivity_spc requires the SpC variant, got {model.variant.value}"
-        )
-    w = _omega_array(omega, allow_zero=False)
-    if np.any(w == model.Omega_mat):
-        raise PoleError(f"permittivity pole at omega = Omega_mat = {model.Omega_mat}")
-    t = 2.0 * model.G**2 * model.Omega_mat / (w * (model.Omega_mat**2 - w**2))
-    eps = (t + np.sqrt(1.0 + t * t)) ** 2
+    if amplitude:
+        t = 2.0 * model.G**2 * model.Omega_mat / (w * (model.Omega_mat**2 - w**2))
+        eps = (t + np.sqrt(1.0 + t * t)) ** 2
+    else:
+        eps = model.epsilon_inf * (1.0 + 4.0 * model.G**2 / (model.Omega_mat**2 - w**2))
     return eps if eps.ndim else float(eps)
 
 
 def reststrahlen_band(model: PermittivityModel) -> tuple[float, float]:
     """(Omega_mat, sqrt(Omega_mat^2 + 4 G^2)): the negative-epsilon window.
 
-    Only the velocity-form variants have one; the amplitude-coupled medium's
-    permittivity never goes negative, so SpC models are rejected.
+    Only the MoC medium has one; the SpC permittivity never goes negative,
+    so SpC models are rejected.
     """
-    if model.variant is PermittivityVariant.SPC:
+    if model.variant is ModelVariant.SPC:
         raise PolaritonError("the amplitude-coupled medium has no reststrahlen band")
     return model.Omega_mat, math.sqrt(model.Omega_mat**2 + 4.0 * model.G**2)
 
 
 def reststrahlen_fit(omega_to: float, omega_lo: float, epsilon_inf: float = 1.0) -> PermittivityModel:
-    """Fit a Lorentz medium to measured transverse/longitudinal edges.
+    """Fit an MoC (Lorentz) medium to measured transverse/longitudinal edges.
 
     Inverts the band formula: G = sqrt(omega_LO^2 - omega_TO^2) / 2, so the
     returned model's ``reststrahlen_band`` reproduces the inputs exactly.
@@ -130,57 +117,43 @@ def reststrahlen_fit(omega_to: float, omega_lo: float, epsilon_inf: float = 1.0)
             f"omega_LO must be >= omega_TO, got omega_LO={omega_lo}, omega_TO={omega_to}"
         )
     g_fit = 0.5 * math.sqrt(omega_lo**2 - omega_to**2)
-    return PermittivityModel(
-        Omega_mat=omega_to,
-        G=g_fit,
-        epsilon_inf=epsilon_inf,
-        variant=PermittivityVariant.POLAR_LORENTZ,
-    )
+    return PermittivityModel(Omega_mat=omega_to, G=g_fit, epsilon_inf=epsilon_inf)
 
 
-@dataclass(frozen=True)
-class DispersionBranch:
-    k: np.ndarray
-    omega: np.ndarray
-    branch: str
-    model: str
+class Dispersion(NamedTuple):
+    """Branch frequencies over a wavevector grid, with the cavity frequency
+    (the photon line, dressed for A1) that the parameterization couples."""
 
-    def __post_init__(self):
-        if self.branch not in ("lower", "upper"):
-            raise PolaritonError(f"branch must be 'lower' or 'upper', got {self.branch!r}")
-        if self.model not in _DISPERSION_MODELS:
-            raise PolaritonError(f"model must be one of {_DISPERSION_MODELS}, got {self.model!r}")
+    lower: np.ndarray
+    upper: np.ndarray
+    photon: np.ndarray
 
 
-_DISPERSION_MODELS = ("MoC", "A1", "A2")
+# dispersion parameterization -> the MoC dressing it uses (None: MoC itself)
+_DRESSINGS = {
+    "MoC": None,
+    "A1": ModelVariant.ALT_COULOMB_DRESSED_CAVITY,
+    "A2": ModelVariant.ALT_DIPOLE_DRESSED_MATTER,
+}
 
 
-def _dressed_dispersion_sq(model: str, omega_k: np.ndarray, omega_to: float, g_coupling: float):
-    """(s_minus, s_plus) arrays of squared branch frequencies at each k."""
+def _coupled_parameters(model: str, omega_to: float, g_coupling: float, k_grid, epsilon_inf: float):
+    """Validated inputs of a dispersion parameterization, as arrays over k:
+    the photon frequency omega_k and the coupled ``(omega_cav, omega_mat, g)``."""
+    _require_positive("omega_TO", omega_to)
+    _require_nonnegative("coupling", g_coupling)
+    if not (math.isfinite(epsilon_inf) and epsilon_inf >= 1.0):
+        raise PolaritonError(f"epsilon_inf must be >= 1, got {epsilon_inf}")
+    if model not in _DRESSINGS:
+        raise PolaritonError(f"unknown dispersion model {model!r}; expected one of {tuple(_DRESSINGS)}")
+    k = np.asarray(k_grid, dtype=float)
+    if k.ndim != 1 or k.size == 0 or not np.all(np.isfinite(k)) or np.any(k < 0.0):
+        raise PolaritonError("k_grid must be a nonempty 1-D array of nonnegative wavevectors")
+    omega_k = UNITS.hbar_c * k / math.sqrt(epsilon_inf)
     if model == "MoC":
-        s_plus, s_minus = _velocity_modes_sq(omega_k, omega_to, g_coupling)
-    else:
-        omega_lo = math.sqrt(omega_to**2 + 4.0 * g_coupling**2)
-        if model == "A1":
-            cav = np.sqrt(omega_k**2 + 4.0 * g_coupling**2)
-            g_arr = -g_coupling * np.sqrt(omega_to / cav)
-            s_plus, s_minus = _amplitude_modes_sq(cav, omega_to, g_arr)
-        elif model == "A2":
-            g_arr = g_coupling * np.sqrt(omega_k / omega_lo)
-            s_plus, s_minus = _amplitude_modes_sq(omega_k, omega_lo, g_arr)
-        else:
-            raise PolaritonError(
-                f"unknown dispersion model {model!r}; expected one of {_DISPERSION_MODELS}"
-            )
-    # At k = 0 the lower branch is exactly 0 and the upper exactly omega_LO
-    # in every parameterization; evaluating the closed forms there runs into
-    # catastrophic cancellation (ab ~ c to machine precision), so pin the
-    # limit instead of computing it.
-    at_zero = np.atleast_1d(omega_k) == 0.0
-    if np.any(at_zero):
-        s_minus = np.where(at_zero, 0.0, np.atleast_1d(s_minus))
-        s_plus = np.where(at_zero, omega_to**2 + 4.0 * g_coupling**2, np.atleast_1d(s_plus))
-    return s_minus, s_plus
+        return omega_k, omega_k, omega_to, np.full_like(omega_k, g_coupling)
+    dressed = dressed_parameters(ModelVariant.MOC, _DRESSINGS[model], omega_k, omega_to, g_coupling)
+    return (omega_k, *dressed)
 
 
 def bulk_dispersion(
@@ -189,31 +162,29 @@ def bulk_dispersion(
     g_coupling: float,
     k_grid,
     epsilon_inf: float = 1.0,
-) -> tuple[DispersionBranch, DispersionBranch]:
+) -> Dispersion:
     """Photon-phonon polariton branches over a wavevector grid.
 
     The photon line is omega_k = hbar c k / sqrt(epsilon_inf).  "MoC"
     couples it to the bare resonance with the velocity form; "A1" and "A2"
-    are dressed amplitude-form parameterizations of the same physics (A1
+    are the amplitude-form dressings of :func:`dressed_parameters` (A1
     dresses the photon, A2 the resonance up to omega_LO) and agree with
     "MoC" to numerical precision, including the exact k=0 limits 0 and
     omega_LO.
     """
-    _require_positive("omega_TO", omega_to)
-    _require_nonnegative("coupling", g_coupling)
-    if not (math.isfinite(epsilon_inf) and epsilon_inf >= 1.0):
-        raise PolaritonError(f"epsilon_inf must be >= 1, got {epsilon_inf}")
-    k = np.asarray(k_grid, dtype=float)
-    if k.ndim != 1 or k.size == 0 or not np.all(np.isfinite(k)) or np.any(k < 0.0):
-        raise PolaritonError("k_grid must be a nonempty 1-D array of nonnegative wavevectors")
-    omega_k = UNITS.hbar_c * k / math.sqrt(epsilon_inf)
-    s_minus, s_plus = _dressed_dispersion_sq(model, omega_k, omega_to, g_coupling)
+    omega_k, wc, wm, g = _coupled_parameters(model, omega_to, g_coupling, k_grid, epsilon_inf)
+    modes_sq = _velocity_modes_sq if model == "MoC" else _amplitude_modes_sq
+    s_plus, s_minus = modes_sq(wc, wm, g)
+    # At k = 0 the lower branch is exactly 0 and the upper exactly omega_LO
+    # in every parameterization; evaluating the closed forms there runs into
+    # catastrophic cancellation (ab ~ c to machine precision), so pin the
+    # limit instead of computing it.
+    at_zero = omega_k == 0.0
+    s_minus = np.where(at_zero, 0.0, s_minus)
+    s_plus = np.where(at_zero, omega_to**2 + 4.0 * g_coupling**2, s_plus)
     # a branch squared below zero is not a propagating mode: clamp it to 0
-    lower = np.sqrt(np.maximum(s_minus, 0.0))
-    upper = np.sqrt(np.maximum(s_plus, 0.0))
-    return (
-        DispersionBranch(k=k, omega=lower, branch="lower", model=model),
-        DispersionBranch(k=k, omega=upper, branch="upper", model=model),
+    return Dispersion(
+        lower=np.sqrt(np.maximum(s_minus, 0.0)), upper=np.sqrt(np.maximum(s_plus, 0.0)), photon=wc
     )
 
 
@@ -223,18 +194,5 @@ def coupling_profiles(model: str, omega_to: float, g_coupling: float, k_grid, ep
     "MoC" is constant g; "A1" runs negative, approaching -g sqrt(Omega/(2g))
     in magnitude at k=0; "A2" vanishes at k=0 like sqrt(omega_k).
     """
-    _require_positive("omega_TO", omega_to)
-    _require_nonnegative("coupling", g_coupling)
-    k = np.asarray(k_grid, dtype=float)
-    if k.ndim != 1 or k.size == 0 or not np.all(np.isfinite(k)) or np.any(k < 0.0):
-        raise PolaritonError("k_grid must be a nonempty 1-D array of nonnegative wavevectors")
-    omega_k = UNITS.hbar_c * k / math.sqrt(epsilon_inf)
-    if model == "MoC":
-        return np.full_like(omega_k, g_coupling)
-    if model == "A1":
-        cav = np.sqrt(omega_k**2 + 4.0 * g_coupling**2)
-        return -g_coupling * np.sqrt(omega_to / cav)
-    if model == "A2":
-        omega_lo = math.sqrt(omega_to**2 + 4.0 * g_coupling**2)
-        return g_coupling * np.sqrt(omega_k / omega_lo)
-    raise PolaritonError(f"unknown dispersion model {model!r}; expected one of {_DISPERSION_MODELS}")
+    _, _, _, g = _coupled_parameters(model, omega_to, g_coupling, k_grid, epsilon_inf)
+    return g

@@ -262,12 +262,8 @@ def _splitting_curve(
     wm = float(omega_mat)
     if variant is ModelVariant.LINEARIZED:
         return np.sqrt((wc - wm) ** 2 + 4.0 * abs(g) ** 2)
-    fn = _amplitude_modes_sq if variant in _AMPLITUDE_FORM else _velocity_modes_sq
-    s_plus, s_minus = fn(wc, wm, g)
-    out = np.full(wc.shape, np.nan)
-    valid = s_minus >= 0.0
-    out[valid] = np.sqrt(s_plus[valid]) - np.sqrt(s_minus[valid])
-    return out
+    plus, minus = branch_frequencies(variant, wc, wm, g)
+    return plus - minus
 
 
 def min_splitting(
@@ -353,13 +349,16 @@ def dressed_parameters(base: ModelVariant, target: ModelVariant, omega_cav, omeg
     amplitude-coupled (SpC) base maps onto the velocity-coupled dressed
     dipole-dipole model.  The arguments broadcast, and the dressed cavity
     frequency is NaN wherever the SpC dressing is invalid
-    (``omega_cav^2 - 4 g'^2 <= 0``).
+    (``omega_cav^2 - 4 g'^2 <= 0``).  The Coulomb-dressed coupling is 0
+    where the dressed cavity frequency is (no coupling and no photon).
     """
     wc, wm, g = (np.asarray(v, dtype=float) for v in (omega_cav, omega_mat, g))
     if base is ModelVariant.MOC:
         if target is ModelVariant.ALT_COULOMB_DRESSED_CAVITY:
             wc_dressed = np.sqrt(wc * wc + 4.0 * g * g)
-            return wc_dressed, wm, -g * np.sqrt(wm / wc_dressed)
+            # an uncoupled photon at zero frequency stays uncoupled
+            safe = np.where(wc_dressed == 0.0, np.inf, wc_dressed)
+            return wc_dressed, wm, -g * np.sqrt(wm / safe)
         if target is ModelVariant.ALT_DIPOLE_DRESSED_MATTER:
             wm_dressed = np.sqrt(wm * wm + 4.0 * g * g)
             return wc, wm_dressed, g * np.sqrt(wc / wm_dressed)

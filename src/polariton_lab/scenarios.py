@@ -41,13 +41,7 @@ import numpy as np
 import yaml
 
 from ._version import __version__
-from .driven import (
-    DriveSpec,
-    driven_mc,
-    driven_spc,
-    polarizability_oracle,
-    scattering_cross_section,
-)
+from .driven import DriveSpec, driven_response, polarizability_oracle, scattering_cross_section
 from .ensemble import FabryPerotSpec, build_full_system, cubic_dipole_lattice, full_vs_reduced_check
 from .exceptions import PoleError, PolaritonError, SchemaError
 from .fields import (
@@ -65,11 +59,9 @@ from .hopfield import (
 )
 from .material import (
     PermittivityModel,
-    PermittivityVariant,
     bulk_dispersion,
     coupling_profiles,
-    permittivity_mc,
-    permittivity_spc,
+    permittivity,
     reststrahlen_band,
     reststrahlen_fit,
 )
@@ -443,7 +435,6 @@ def _run_spectrum(p: dict) -> _Table:
         pair = OscillatorPair(curve["omega_cav"], curve["omega_mat"], curve["kappa"], curve["gamma"])
         variant = _VARIANTS[curve["variant"]]
         model = CoupledModel(pair, variant, curve["g"])
-        solver = driven_spc if variant is ModelVariant.SPC else driven_mc
         drive = DriveSpec(
             E_inc=e_inc,
             omega=omega_grid,
@@ -451,7 +442,7 @@ def _run_spectrum(p: dict) -> _Table:
             f_mat=_reduced_strength(curve["f_mat"]),
         )
         sigma = scattering_cross_section(
-            solver(model, drive), p["orientation_cav"], p["orientation_mat"], e_inc, omega_grid
+            driven_response(model, drive), p["orientation_cav"], p["orientation_mat"], e_inc, omega_grid
         )
         columns.append((f"sigma_{curve['label']} (nm^2)", sigma))
         if curve["R_cav"] is not None:
@@ -577,7 +568,7 @@ def _run_fieldmap(p: dict) -> _Table:
         drive = DriveSpec(
             E_inc=p["drive"]["E_inc"], omega=drive_freqs[name], f_cav=f_cav_red, f_mat=f_mat_red
         )
-        resp = driven_spc(lossy, drive)
+        resp = driven_response(lossy, drive)
         fields = quasistatic_field_arrays(scene, resp, positions, core_radius=core_radius)
         field_columns(fields, name)
     return _Table(columns, extras=extras)
@@ -727,25 +718,17 @@ def _run_permittivity(p: dict) -> _Table:
     if fit is not None:
         fitted = reststrahlen_fit(fit["omega_to"], fit["omega_lo"], epsilon_inf=epsilon_inf)
         omega_mat, g_coupling = fitted.Omega_mat, fitted.G
-        mc_variant = PermittivityVariant.POLAR_LORENTZ
         extras["fit_omega_to_eV"] = fit["omega_to"]
         extras["fit_omega_lo_eV"] = fit["omega_lo"]
     else:
         omega_mat, g_coupling = p["Omega_mat"], p["G"]
-        mc_variant = PermittivityVariant.MOC
     omega_grid = p["omega_grid"]
     columns = [("omega/Omega_mat (1)", omega_grid / omega_mat)]
     for name in p["models"]:
-        if name == "MoC":
-            model = PermittivityModel(omega_mat, g_coupling, epsilon_inf=epsilon_inf, variant=mc_variant)
-            eps = np.asarray(permittivity_mc(model, omega_grid))
-            lo_edge = reststrahlen_band(model)[1]
-            extras["reststrahlen_lo_eV"] = lo_edge
-            columns.append(("eps_mc (1)", eps))
-        else:
-            model = PermittivityModel(omega_mat, g_coupling, variant=PermittivityVariant.SPC)
-            eps = np.asarray(permittivity_spc(model, omega_grid))
-            columns.append(("eps_spc (1)", eps))
+        model = PermittivityModel(omega_mat, g_coupling, epsilon_inf, _VARIANTS[name])
+        if model.variant is ModelVariant.MOC:
+            extras["reststrahlen_lo_eV"] = reststrahlen_band(model)[1]
+        columns.append((f"eps_{_VARIANT_TAGS[name]} (1)", np.asarray(permittivity(model, omega_grid))))
     extras["Omega_mat_eV"] = omega_mat
     extras["G_eV"] = g_coupling
     return _Table(columns, extras=extras)
@@ -769,19 +752,16 @@ def _run_dispersion(p: dict) -> _Table:
     omega_to, epsilon_inf, k_grid_rel = p["omega_to"], p["epsilon_inf"], p["k_grid"]
     g_coupling = p["G_over_omega_to"] * omega_to
     k_grid = k_grid_rel * omega_to / UNITS.hbar_c
-    omega_lo = math.sqrt(omega_to**2 + 4.0 * g_coupling**2)
+    omega_lo = reststrahlen_band(PermittivityModel(omega_to, g_coupling))[1]
     tags = {"MoC": "mc", "A1": "a1", "A2": "a2"}
     columns = [("ck/omega_TO (1)", k_grid_rel)]
     if p["content"] == "dispersion":
         for name in p["models"]:
-            lower, upper = bulk_dispersion(name, omega_to, g_coupling, k_grid, epsilon_inf=epsilon_inf)
-            photon = UNITS.hbar_c * k_grid / math.sqrt(epsilon_inf)
-            if name == "A1":
-                photon = np.sqrt(photon**2 + 4.0 * g_coupling**2)
+            branches = bulk_dispersion(name, omega_to, g_coupling, k_grid, epsilon_inf=epsilon_inf)
             tag = tags[name]
-            columns.append((f"omega_lower_{tag} (omega_TO)", lower.omega / omega_to))
-            columns.append((f"omega_upper_{tag} (omega_TO)", upper.omega / omega_to))
-            columns.append((f"omega_photon_{tag} (omega_TO)", photon / omega_to))
+            columns.append((f"omega_lower_{tag} (omega_TO)", branches.lower / omega_to))
+            columns.append((f"omega_upper_{tag} (omega_TO)", branches.upper / omega_to))
+            columns.append((f"omega_photon_{tag} (omega_TO)", branches.photon / omega_to))
     else:
         for name in p["models"]:
             profile = coupling_profiles(name, omega_to, g_coupling, k_grid, epsilon_inf=epsilon_inf)
@@ -884,7 +864,8 @@ def _run_oracle(p: dict) -> _Table:
         f_cav_red, f_mat_red, omega_cav, omega_mat, kappa, gamma,
         r_cav, r_mat, n_dcav, n_dmat, e_inc, omega_grid,
     )
-    resp = driven_spc(model, DriveSpec(E_inc=e_inc, omega=omega_grid, f_cav=f_cav_red, f_mat=f_mat_red))
+    drive = DriveSpec(E_inc=e_inc, omega=omega_grid, f_cav=f_cav_red, f_mat=f_mat_red)
+    resp = driven_response(model, drive)
     scale = np.maximum(np.abs(reference.x_cav), np.abs(reference.x_mat))
     dev = np.maximum(np.abs(resp.x_cav - reference.x_cav), np.abs(resp.x_mat - reference.x_mat))
     deviations = np.divide(dev, scale, out=np.full(dev.shape, math.inf), where=scale > 0)

@@ -60,19 +60,19 @@ class OscillatorStrength:
         if not (math.isfinite(self.value) and self.value >= 0.0):
             raise PolaritonError(f"oscillator strength must be finite and >= 0, got {self.value}")
 
-    def reduced(self, units: UnitSystem = UNITS) -> float:
+    def reduced(self) -> float:
         """f/(4 pi eps0) in nm^3 eV^2 -- the combination entering couplings."""
-        return self.value * units.coulomb_const * units.hbar_c**2 / units.proton_mass_energy
+        return self.value * UNITS.coulomb_const * UNITS.hbar_c**2 / UNITS.proton_mass_energy
 
     def __float__(self) -> float:
         return self.value
 
 
-def _reduced_strength(f, units: UnitSystem = UNITS) -> float:
+def _reduced_strength(f) -> float:
     """f/(4 pi eps0) of an :class:`OscillatorStrength` or a plain number (validated)."""
     if not isinstance(f, OscillatorStrength):
         f = OscillatorStrength(float(f))
-    return f.reduced(units)
+    return f.reduced()
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -87,9 +87,7 @@ def _require_nonnegative(name: str, value: float) -> float:
     return value
 
 
-def dipole_moment_to_oscillator_strength(
-    mu: float, omega: float, units: UnitSystem = UNITS
-) -> OscillatorStrength:
+def dipole_moment_to_oscillator_strength(mu: float, omega: float) -> OscillatorStrength:
     """Oscillator strength of a transition with dipole moment ``mu``.
 
     Inverts mu = sqrt(f / (2 omega)) (natural units), i.e. f = 2 omega mu^2.
@@ -103,18 +101,16 @@ def dipole_moment_to_oscillator_strength(
     """
     _require_nonnegative("dipole moment", mu)
     _require_positive("omega", omega)
-    mu_e_nm = mu * units.debye_in_e_nm
-    f = 2.0 * units.proton_mass_energy * omega * (mu_e_nm / units.hbar_c) ** 2
+    mu_e_nm = mu * UNITS.debye_in_e_nm
+    f = 2.0 * UNITS.proton_mass_energy * omega * (mu_e_nm / UNITS.hbar_c) ** 2
     return OscillatorStrength(f)
 
 
-def oscillator_strength_to_dipole_moment(
-    f: OscillatorStrength, omega: float, units: UnitSystem = UNITS
-) -> float:
+def oscillator_strength_to_dipole_moment(f: OscillatorStrength, omega: float) -> float:
     """Transition dipole moment in Debye for oscillator strength ``f`` at ``omega``."""
     _require_positive("omega", omega)
-    mu_e_nm = math.sqrt(f.value / (2.0 * units.proton_mass_energy * omega)) * units.hbar_c
-    return mu_e_nm / units.debye_in_e_nm
+    mu_e_nm = math.sqrt(f.value / (2.0 * UNITS.proton_mass_energy * omega)) * UNITS.hbar_c
+    return mu_e_nm / UNITS.debye_in_e_nm
 
 
 def coupling_from_mode_volume(
@@ -122,7 +118,6 @@ def coupling_from_mode_volume(
     V_eff: float,
     xi: float,
     cos_theta: float,
-    units: UnitSystem = UNITS,
 ) -> float:
     """Light-matter coupling strength (eV) of a dipole in a cavity mode.
 
@@ -135,7 +130,7 @@ def coupling_from_mode_volume(
         raise PolaritonError(f"mode amplitude xi must lie in [-1, 1], got {xi}")
     if not (math.isfinite(cos_theta) and -1.0 <= cos_theta <= 1.0):
         raise PolaritonError(f"cos_theta must lie in [-1, 1], got {cos_theta}")
-    f_red = f_mat.reduced(units)  # nm^3 eV^2
+    f_red = f_mat.reduced()  # nm^3 eV^2
     return 0.5 * math.sqrt(4.0 * math.pi * f_red / V_eff) * xi * cos_theta
 
 
@@ -167,7 +162,6 @@ def coupling_dipole_dipole(
     n_dmat,
     omega_cav: float,
     omega_mat: float,
-    units: UnitSystem = UNITS,
 ) -> float:
     """Signed quasistatic dipole-dipole coupling strength (eV).
 
@@ -194,18 +188,16 @@ def coupling_dipole_dipole(
         raise PolaritonError("dipole positions coincide; separation must be > 0")
     axis = sep / dist
     ang = angular_factor(n_dcav, n_dmat, axis)
-    f_red = math.sqrt(f_cav.reduced(units) * f_mat.reduced(units))
+    f_red = math.sqrt(f_cav.reduced() * f_mat.reduced())
     return 0.5 * f_red * ang / (dist**3 * math.sqrt(omega_cav * omega_mat))
 
 
-def plasmon_oscillator_strength(
-    R: float, omega_cav: float, units: UnitSystem = UNITS
-) -> OscillatorStrength:
+def plasmon_oscillator_strength(R: float, omega_cav: float) -> OscillatorStrength:
     """Oscillator strength of the dipolar mode of a small metal sphere.
 
     f_cav = 4 pi eps0 R^3 omega_cav^2, expressed in e^2/m_p units.
     """
     _require_positive("R", R)
     _require_positive("omega_cav", omega_cav)
-    f = R**3 * omega_cav**2 * units.proton_mass_energy / (units.coulomb_const * units.hbar_c**2)
+    f = R**3 * omega_cav**2 * UNITS.proton_mass_energy / (UNITS.coulomb_const * UNITS.hbar_c**2)
     return OscillatorStrength(f)

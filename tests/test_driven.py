@@ -11,8 +11,7 @@ from polariton_lab import PoleError, PolaritonError
 from polariton_lab.driven import (
     DriveSpec,
     ResponseAmplitudes,
-    driven_mc,
-    driven_spc,
+    driven_response,
     polarizability_oracle,
     scattering_cross_section,
 )
@@ -62,11 +61,17 @@ def test_drive_spec_validation():
 
 
 def test_solvers_enforce_their_variant():
+    # only the two closed-form coupling forms are driven; the linearized and
+    # dressed variants are rejected rather than solved
     drive = DriveSpec(E_inc=1.0, omega=0.7, f_cav=1.0, f_mat=1.0)
-    with pytest.raises(PolaritonError):
-        driven_spc(_model(ModelVariant.MOC, 0.1), drive)
-    with pytest.raises(PolaritonError):
-        driven_mc(_model(ModelVariant.SPC, 0.1), drive)
+    for variant in (
+        ModelVariant.LINEARIZED,
+        ModelVariant.ALT_COULOMB_DRESSED_CAVITY,
+        ModelVariant.ALT_DIPOLE_DRESSED_MATTER,
+        ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY,
+    ):
+        with pytest.raises(PolaritonError, match="needs an SpC or MoC model"):
+            driven_response(_model(variant, 0.1), drive)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +81,7 @@ def test_solvers_enforce_their_variant():
 def test_uncoupled_response_is_a_lorentzian():
     model = _model(ModelVariant.SPC, 0.0, omega_cav=1.2, omega_mat=0.9)
     drive = DriveSpec(E_inc=1.0, omega=0.7, f_cav=4.0, f_mat=1.0)
-    resp = driven_spc(model, drive)
+    resp = driven_response(model, drive)
     assert resp.x_cav == pytest.approx(2.0 / (1.2**2 - 0.49), rel=1e-14)
     assert resp.x_mat == pytest.approx(1.0 / (0.9**2 - 0.49), rel=1e-14)
     assert resp.d_cav == pytest.approx(2.0 * resp.x_cav, rel=1e-14)
@@ -86,7 +91,7 @@ def test_lossy_uncoupled_response_matches_complex_frequency_pole():
     kappa = 0.2
     model = _model(ModelVariant.SPC, 0.0, kappa=kappa, omega_cav=1.0, omega_mat=3.0)
     drive = DriveSpec(E_inc=1.0, omega=1.0, f_cav=1.0, f_mat=0.0)
-    resp = driven_spc(model, drive)
+    resp = driven_response(model, drive)
     pole = (1.0 - 0.5j * kappa) ** 2 - 1.0
     assert resp.x_cav == pytest.approx(1.0 / pole, rel=1e-14)
     # driving exactly on the bare frequency, the lossy response stays finite
@@ -100,13 +105,10 @@ def test_lossy_uncoupled_response_matches_complex_frequency_pole():
 )
 @settings(max_examples=200, deadline=None)
 def test_response_satisfies_linear_system(omega, g, ratio):
-    for variant, solver in (
-        (ModelVariant.SPC, driven_spc),
-        (ModelVariant.MOC, driven_mc),
-    ):
+    for variant in (ModelVariant.SPC, ModelVariant.MOC):
         model = _model(variant, g, kappa=0.05, gamma=0.02, omega_cav=ratio)
         drive = DriveSpec(E_inc=1.5, omega=omega, f_cav=2.0, f_mat=0.5)
-        resp = solver(model, drive)
+        resp = driven_response(model, drive)
         m = frequency_domain_matrix(
             variant, model.pair.complex_cav, model.pair.complex_mat, model.g, omega
         )
@@ -120,18 +122,18 @@ def test_driving_an_undamped_hybrid_mode_is_a_pole():
     omega_plus, _ = _branches(model)
     drive = DriveSpec(E_inc=1.0, omega=omega_plus, f_cav=1.0, f_mat=1.0)
     with pytest.raises(PoleError, match="undamped hybrid mode"):
-        driven_spc(model, drive)
+        driven_response(model, drive)
     moc = _model(ModelVariant.MOC, 0.2)
     _, moc_minus = _branches(moc)
     with pytest.raises(PoleError):
-        driven_mc(moc, DriveSpec(E_inc=1.0, omega=moc_minus, f_cav=1.0, f_mat=1.0))
+        driven_response(moc, DriveSpec(E_inc=1.0, omega=moc_minus, f_cav=1.0, f_mat=1.0))
 
 
 def test_damping_regularizes_the_pole():
     lossless = _model(ModelVariant.SPC, 0.2)
     omega_pole, _ = _branches(lossless)
     lossy = _model(ModelVariant.SPC, 0.2, kappa=0.01, gamma=0.01)
-    resp = driven_spc(
+    resp = driven_response(
         lossy, DriveSpec(E_inc=1.0, omega=omega_pole, f_cav=1.0, f_mat=1.0)
     )
     assert np.isfinite(abs(resp.x_cav))
@@ -142,8 +144,8 @@ def test_damping_regularizes_the_pole():
 @settings(max_examples=100, deadline=None)
 def test_response_is_linear_in_the_drive(scale):
     model = _model(ModelVariant.MOC, 0.3, kappa=0.1)
-    base = driven_mc(model, DriveSpec(E_inc=1.0, omega=1.1, f_cav=2.0, f_mat=1.0))
-    scaled = driven_mc(
+    base = driven_response(model, DriveSpec(E_inc=1.0, omega=1.1, f_cav=2.0, f_mat=1.0))
+    scaled = driven_response(
         model, DriveSpec(E_inc=scale, omega=1.1, f_cav=2.0, f_mat=1.0)
     )
     assert scaled.x_cav == pytest.approx(scale * base.x_cav, rel=1e-12)
@@ -156,20 +158,20 @@ def test_cross_response_reciprocity():
     model = _model(ModelVariant.SPC, 0.25, kappa=0.05, gamma=0.02)
     matter_only = DriveSpec(E_inc=1.0, omega=0.8, f_cav=0.0, f_mat=4.0)
     cavity_only = DriveSpec(E_inc=1.0, omega=0.8, f_cav=4.0, f_mat=0.0)
-    a = driven_spc(model, matter_only)
-    b = driven_spc(model, cavity_only)
+    a = driven_response(model, matter_only)
+    b = driven_response(model, cavity_only)
     assert a.x_cav == pytest.approx(b.x_mat, rel=1e-12)
     # momentum coupling: antisymmetric coupling flips the sign
     moc = _model(ModelVariant.MOC, 0.25, kappa=0.05, gamma=0.02)
-    a = driven_mc(moc, matter_only)
-    b = driven_mc(moc, cavity_only)
+    a = driven_response(moc, matter_only)
+    b = driven_response(moc, cavity_only)
     assert a.x_cav == pytest.approx(-b.x_mat, rel=1e-12)
 
 
 def test_coupling_transfers_energy_to_the_undriven_oscillator():
     model = _model(ModelVariant.SPC, 0.2)
     drive = DriveSpec(E_inc=1.0, omega=0.8, f_cav=0.0, f_mat=1.0)
-    resp = driven_spc(model, drive)
+    resp = driven_response(model, drive)
     assert abs(resp.x_cav) > 0.01
     assert resp.d_cav == 0.0  # no oscillator strength, no dipole moment
 
@@ -254,7 +256,7 @@ def _dipole_pair_scene(kappa=0.0, gamma=0.0):
 def test_oracle_agrees_with_model_solver(kappa, gamma):
     model, f_c, f_m, r_c, r_m = _dipole_pair_scene(kappa, gamma)
     for omega in (2.4, 2.8, 3.0, 3.2, 3.6):
-        resp = driven_spc(
+        resp = driven_response(
             model, DriveSpec(E_inc=1.0, omega=omega, f_cav=f_c, f_mat=f_m)
         )
         oracle = polarizability_oracle(

@@ -7,16 +7,14 @@ import pytest
 
 from polariton_lab import PoleError, PolaritonError
 from polariton_lab.material import (
-    DispersionBranch,
     PermittivityModel,
-    PermittivityVariant,
     bulk_dispersion,
     coupling_profiles,
-    permittivity_mc,
-    permittivity_spc,
+    permittivity,
     reststrahlen_band,
     reststrahlen_fit,
 )
+from polariton_lab.models import ModelVariant, dressed_parameters
 from polariton_lab.units import UNITS
 
 _SIC_TO = 0.0983  # eV
@@ -28,7 +26,7 @@ def _mc(omega=1.0, g=0.3, eps_inf=1.0):
 
 
 def _spc(omega=1.0, g=0.3):
-    return PermittivityModel(Omega_mat=omega, G=g, variant=PermittivityVariant.SPC)
+    return PermittivityModel(Omega_mat=omega, G=g, variant=ModelVariant.SPC)
 
 
 # ---------------------------------------------------------------------------
@@ -37,11 +35,11 @@ def _spc(omega=1.0, g=0.3):
 
 def test_lorentz_permittivity_hand_values():
     model = _mc()
-    assert permittivity_mc(model, 0.0) == pytest.approx(1.0 + 0.36, rel=1e-14)
-    assert permittivity_mc(model, 1.1) == pytest.approx(
+    assert permittivity(model, 0.0) == pytest.approx(1.0 + 0.36, rel=1e-14)
+    assert permittivity(model, 1.1) == pytest.approx(
         1.0 + 0.36 / (1.0 - 1.21), rel=1e-13
     )
-    assert permittivity_mc(model, 100.0) == pytest.approx(1.0, rel=1e-3)
+    assert permittivity(model, 100.0) == pytest.approx(1.0, rel=1e-3)
 
 
 def test_lorentz_permittivity_sign_structure():
@@ -49,22 +47,30 @@ def test_lorentz_permittivity_sign_structure():
     lo, hi = reststrahlen_band(model)
     assert (lo, hi) == (1.0, pytest.approx(math.sqrt(1.36), rel=1e-14))
     inside = np.linspace(lo * 1.001, hi * 0.999, 500)
-    assert np.all(permittivity_mc(model, inside) < 0.0)
+    assert np.all(permittivity(model, inside) < 0.0)
     below = np.linspace(0.0, lo * 0.999, 500)
-    assert np.all(permittivity_mc(model, below) > 0.0)
+    assert np.all(permittivity(model, below) > 0.0)
     above = np.linspace(hi * 1.001, 10.0, 500)
-    assert np.all(permittivity_mc(model, above) > 0.0)
+    assert np.all(permittivity(model, above) > 0.0)
     # the band closes exactly at the longitudinal edge
-    assert permittivity_mc(model, hi) == pytest.approx(0.0, abs=1e-12)
+    assert permittivity(model, hi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lorentz_permittivity_pole_and_variant_guards():
     with pytest.raises(PoleError):
-        permittivity_mc(_mc(), 1.0)
+        permittivity(_mc(), 1.0)
+    # a medium is MoC or SpC: the linearized and dressed variants have no
+    # permittivity here
+    for variant in (
+        ModelVariant.LINEARIZED,
+        ModelVariant.ALT_COULOMB_DRESSED_CAVITY,
+        ModelVariant.ALT_DIPOLE_DRESSED_MATTER,
+        ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY,
+    ):
+        with pytest.raises(PolaritonError, match="ModelVariant.MOC or ModelVariant.SPC"):
+            PermittivityModel(Omega_mat=1.0, G=0.3, variant=variant)
     with pytest.raises(PolaritonError):
-        permittivity_mc(_spc(), 0.5)
-    with pytest.raises(PolaritonError):
-        permittivity_mc(_mc(), -0.5)
+        permittivity(_mc(), -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -76,30 +82,37 @@ def test_amplitude_permittivity_is_nonnegative_everywhere():
     grid = np.concatenate(
         [np.linspace(0.01, 0.999, 300), np.linspace(1.001, 12.0, 300)]
     )
-    eps = permittivity_spc(model, grid)
+    eps = permittivity(model, grid)
     assert np.all(eps >= 0.0)
     # approaches vacuum from above at high frequency
-    assert permittivity_spc(model, 50.0) == pytest.approx(1.0, abs=1e-3)
+    assert permittivity(model, 50.0) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_amplitude_permittivity_diverges_at_zero():
     model = _spc()
     with pytest.raises(PoleError, match="omega = 0"):
-        permittivity_spc(model, 0.0)
-    assert permittivity_spc(model, 1e-5) > 1e8
+        permittivity(model, 0.0)
+    assert permittivity(model, 1e-5) > 1e8
 
 
 def test_amplitude_permittivity_guards():
     with pytest.raises(PoleError):
-        permittivity_spc(_spc(), 1.0)
+        permittivity(_spc(), 1.0)
     with pytest.raises(PolaritonError):
-        permittivity_spc(_mc(), 0.5)
+        permittivity(_spc(), -0.5)
+
+
+def test_permittivity_dispatches_on_the_variant():
+    # the same medium parameters give the two coupling forms' permittivities
+    assert permittivity(_mc(), 2.0) == pytest.approx(1.0 + 0.36 / (1.0 - 4.0), rel=1e-14)
+    t = 2.0 * 0.09 * 1.0 / (2.0 * (1.0 - 4.0))
+    assert permittivity(_spc(), 2.0) == pytest.approx((t + math.sqrt(1.0 + t * t)) ** 2, rel=1e-14)
 
 
 def test_amplitude_permittivity_trivial_without_coupling():
-    model = PermittivityModel(Omega_mat=1.0, G=0.0, variant=PermittivityVariant.SPC)
+    model = PermittivityModel(Omega_mat=1.0, G=0.0, variant=ModelVariant.SPC)
     grid = np.array([0.3, 0.9, 2.5])
-    assert permittivity_spc(model, grid) == pytest.approx([1.0, 1.0, 1.0], rel=1e-14)
+    assert permittivity(model, grid) == pytest.approx([1.0, 1.0, 1.0], rel=1e-14)
 
 
 def test_no_reststrahlen_band_for_amplitude_medium():
@@ -117,13 +130,13 @@ def test_band_fit_round_trip():
     assert lo == pytest.approx(_SIC_TO, rel=1e-14)
     assert hi == pytest.approx(_SIC_LO, rel=1e-12)
     assert model.G == pytest.approx(0.5 * math.sqrt(_SIC_LO**2 - _SIC_TO**2), rel=1e-14)
-    assert model.variant is PermittivityVariant.POLAR_LORENTZ
+    assert model.variant is ModelVariant.MOC
 
 
 def test_fitted_static_permittivity_obeys_the_edge_ratio():
     # eps(0) / eps_inf = (omega_LO / omega_TO)^2 for any Lorentz medium
     model = reststrahlen_fit(_SIC_TO, _SIC_LO, epsilon_inf=6.52)
-    eps0 = permittivity_mc(model, 0.0)
+    eps0 = permittivity(model, 0.0)
     assert eps0 / 6.52 == pytest.approx((_SIC_LO / _SIC_TO) ** 2, rel=1e-12)
 
 
@@ -150,57 +163,71 @@ def test_dispersion_parameterizations_agree():
     reference = bulk_dispersion("MoC", _SIC_TO, g, k)
     for name in ("A1", "A2"):
         branches = bulk_dispersion(name, _SIC_TO, g, k)
-        for ref, got in zip(reference, branches):
-            assert np.max(np.abs(got.omega - ref.omega)) < 1e-10
+        assert np.max(np.abs(branches.lower - reference.lower)) < 1e-10
+        assert np.max(np.abs(branches.upper - reference.upper)) < 1e-10
+
+
+def test_dispersion_photon_is_the_coupled_cavity_frequency():
+    g = 0.3 * _SIC_TO
+    k = _k_grid()
+    omega_k = UNITS.hbar_c * k
+    assert np.array_equal(bulk_dispersion("MoC", _SIC_TO, g, k).photon, omega_k)
+    assert np.array_equal(bulk_dispersion("A2", _SIC_TO, g, k).photon, omega_k)
+    # A1 couples the Coulomb-dressed photon of the models layer
+    dressed_cav, _, dressed_g = dressed_parameters(
+        ModelVariant.MOC, ModelVariant.ALT_COULOMB_DRESSED_CAVITY, omega_k, _SIC_TO, g
+    )
+    assert np.array_equal(bulk_dispersion("A1", _SIC_TO, g, k).photon, dressed_cav)
+    assert np.array_equal(coupling_profiles("A1", _SIC_TO, g, k), dressed_g)
 
 
 def test_dispersion_zone_center_limits():
     g = 0.3 * _SIC_TO
     omega_lo = math.sqrt(_SIC_TO**2 + 4.0 * g**2)
     for name in ("MoC", "A1", "A2"):
-        lower, upper = bulk_dispersion(name, _SIC_TO, g, _k_grid())
-        assert lower.omega[0] == 0.0
-        assert upper.omega[0] == pytest.approx(omega_lo, rel=1e-14)
+        lower, upper, _ = bulk_dispersion(name, _SIC_TO, g, _k_grid())
+        assert lower[0] == 0.0
+        assert upper[0] == pytest.approx(omega_lo, rel=1e-14)
 
 
 def test_dispersion_branches_avoid_the_band():
     g = 0.3 * _SIC_TO
     omega_lo = math.sqrt(_SIC_TO**2 + 4.0 * g**2)
-    lower, upper = bulk_dispersion("MoC", _SIC_TO, g, _k_grid())
-    assert np.all(lower.omega <= _SIC_TO + 1e-15)
-    assert np.all(upper.omega >= omega_lo - 1e-15)
+    lower, upper, _ = bulk_dispersion("MoC", _SIC_TO, g, _k_grid())
+    assert np.all(lower <= _SIC_TO + 1e-15)
+    assert np.all(upper >= omega_lo - 1e-15)
     # both branches grow monotonically with k
-    assert np.all(np.diff(lower.omega) >= 0.0)
-    assert np.all(np.diff(upper.omega) >= 0.0)
+    assert np.all(np.diff(lower) >= 0.0)
+    assert np.all(np.diff(upper) >= 0.0)
 
 
 def test_dispersion_asymptotes():
     g = 0.3 * _SIC_TO
     k = _k_grid(upto=40.0)
-    lower, upper = bulk_dispersion("MoC", _SIC_TO, g, k)
+    lower, upper, _ = bulk_dispersion("MoC", _SIC_TO, g, k)
     omega_k = UNITS.hbar_c * k[-1]
     # far from resonance the upper branch rides the photon line, the lower
     # saturates at the transverse edge
-    assert upper.omega[-1] == pytest.approx(omega_k, rel=5e-3)
-    assert lower.omega[-1] == pytest.approx(_SIC_TO, rel=5e-3)
+    assert upper[-1] == pytest.approx(omega_k, rel=5e-3)
+    assert lower[-1] == pytest.approx(_SIC_TO, rel=5e-3)
 
 
 def test_uncoupled_dispersion_is_photon_plus_flat_line():
     k = _k_grid()
-    lower, upper = bulk_dispersion("MoC", _SIC_TO, 0.0, k)
+    lower, upper, _ = bulk_dispersion("MoC", _SIC_TO, 0.0, k)
     photon = UNITS.hbar_c * k
     expect_upper = np.maximum(photon, _SIC_TO)
     expect_lower = np.minimum(photon, _SIC_TO)
-    assert np.max(np.abs(upper.omega - expect_upper)) < 1e-12
-    assert np.max(np.abs(lower.omega - expect_lower)) < 1e-12
+    assert np.max(np.abs(upper - expect_upper)) < 1e-12
+    assert np.max(np.abs(lower - expect_lower)) < 1e-12
 
 
 def test_background_dielectric_slows_the_photon_line():
     g = 0.3 * _SIC_TO
     k = _k_grid(upto=40.0)
-    _, upper_vac = bulk_dispersion("MoC", _SIC_TO, g, k)
-    _, upper_bg = bulk_dispersion("MoC", _SIC_TO, g, k, epsilon_inf=4.0)
-    assert upper_bg.omega[-1] == pytest.approx(upper_vac.omega[-1] / 2.0, rel=1e-2)
+    upper_vac = bulk_dispersion("MoC", _SIC_TO, g, k).upper
+    upper_bg = bulk_dispersion("MoC", _SIC_TO, g, k, epsilon_inf=4.0).upper
+    assert upper_bg[-1] == pytest.approx(upper_vac[-1] / 2.0, rel=1e-2)
 
 
 def test_dispersion_validation():
@@ -210,8 +237,13 @@ def test_dispersion_validation():
         bulk_dispersion("MoC", _SIC_TO, -0.01, _k_grid())
     with pytest.raises(PolaritonError):
         bulk_dispersion("MoC", _SIC_TO, 0.01, np.array([-1.0, 0.0]))
-    with pytest.raises(PolaritonError):
-        DispersionBranch(k=np.array([0.0]), omega=np.array([1.0]), branch="middle", model="MoC")
+
+
+@pytest.mark.parametrize("epsilon_inf", [0.5, 0.0, -1.0])
+@pytest.mark.parametrize("function", [bulk_dispersion, coupling_profiles])
+def test_dispersion_functions_reject_epsilon_inf_below_one(function, epsilon_inf):
+    with pytest.raises(PolaritonError, match="epsilon_inf must be >= 1"):
+        function("A2", _SIC_TO, 0.01, _k_grid(), epsilon_inf=epsilon_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +275,10 @@ def test_branches_solve_the_bulk_mode_condition():
     g = 0.3 * _SIC_TO
     model = _mc(omega=_SIC_TO, g=g)
     k = _k_grid(n=41)[1:]  # skip k = 0
-    lower, upper = bulk_dispersion("MoC", _SIC_TO, g, k)
+    lower, upper, _ = bulk_dispersion("MoC", _SIC_TO, g, k)
     for branch in (lower, upper):
-        target = (UNITS.hbar_c * branch.k) ** 2
-        value = branch.omega**2 * permittivity_mc(model, branch.omega)
+        target = (UNITS.hbar_c * k) ** 2
+        value = branch**2 * permittivity(model, branch)
         assert np.max(np.abs(value - target) / np.maximum(target, 1e-30)) < 1e-8
 
 
@@ -259,3 +291,9 @@ def test_permittivity_model_validation():
         PermittivityModel(Omega_mat=1.0, G=0.1, epsilon_inf=0.2)
     with pytest.raises(PolaritonError):
         PermittivityModel(Omega_mat=1.0, G=0.1, variant="MoC")
+
+def test_amplitude_medium_rejects_background_screening():
+    with pytest.raises(PolaritonError, match="no high-frequency screening"):
+        PermittivityModel(1.0, 0.3, epsilon_inf=6.52, variant=ModelVariant.SPC)
+    # the MoC medium takes the same background permittivity
+    assert PermittivityModel(1.0, 0.3, epsilon_inf=6.52).epsilon_inf == 6.52

@@ -218,6 +218,38 @@ def test_amplitude_permittivity_rejects_screening(tmp_path):
         _run(doc, tmp_path)
 
 
+@pytest.mark.parametrize("content", ["dispersion", "couplings"])
+def test_uncoupled_dispersion_runs_from_zero_wavevector(tmp_path, content):
+    # at G = 0 and k = 0 the Coulomb-dressed (A1) photon sits at zero
+    # frequency; the dressing leaves it uncoupled instead of dividing by 0
+    doc = {
+        "kind": "dispersion",
+        "parameters": {
+            "models": ["MoC", "A1", "A2"],
+            "G_over_omega_to": 0,
+            "k_grid": {"start": 0.0, "stop": 3.0, "num": 31},
+            "content": content,
+        },
+    }
+    scenario = tmp_path / "uncoupled.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(scenario), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "uncoupled.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    table = np.array(rows[1:], dtype=float)
+    column = {cell: table[:, i] for i, cell in enumerate(header)}
+    if content == "couplings":
+        for tag in ("mc", "a1", "a2"):
+            assert np.all(column[f"G_{tag} (omega_TO)"] == 0.0)
+        return
+    for tag in ("a1", "a2"):
+        for branch in ("lower", "upper"):
+            mine = column[f"omega_{branch}_{tag} (omega_TO)"]
+            reference = column[f"omega_{branch}_mc (omega_TO)"]
+            assert np.max(np.abs(mine - reference)) <= 1e-14
+
+
 def test_output_format_choices(tmp_path):
     doc = _sweep_doc(output={"format": "pdf"})
     with pytest.raises(SchemaError, match="output.format"):

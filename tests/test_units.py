@@ -11,7 +11,6 @@ from polariton_lab import PolaritonError
 from polariton_lab.units import (
     UNITS,
     OscillatorStrength,
-    UnitSystem,
     angular_factor,
     coupling_dipole_dipole,
     coupling_from_mode_volume,
@@ -220,10 +219,3 @@ def test_dipole_dipole_validation():
         coupling_dipole_dipole(
             f, f, np.zeros(3), np.array([5.0, 0, 0]), x, x, -3.0, 3.0
         )
-
-
-def test_custom_unit_system_propagates():
-    # doubling hbar_c quadruples the reduced strength and the couplings built on it
-    custom = UnitSystem(hbar_c=2.0 * UNITS.hbar_c)
-    f = OscillatorStrength(100.0)
-    assert f.reduced(custom) == pytest.approx(4.0 * f.reduced(), rel=1e-12)
