@@ -7,7 +7,9 @@ model (``D = 0`` for amplitude coupling, ``D = g**2 / omega_mat`` for
 velocity coupling).  The module provides both the closed-form branch
 frequencies of that quadratic Hamiltonian and a brute-force truncated Fock
 diagonalization, so the two can be cross-checked without sharing any code
-path with the classical solvers.
+path with the classical solvers.  The coupling-frame check compares two
+truncated matrices that a diagonal phase maps onto each other exactly, so it
+measures eigensolver round-off, not truncation error.
 """
 
 from __future__ import annotations
@@ -171,8 +173,11 @@ def frame_equivalence_check(p: HopfieldParams, n_max: int = 40) -> float:
 
     The position-position coupled Hamiltonian and its momentum-coupled
     counterpart (same ``g_qed`` and ``D``; coupling through i(b - b^dag))
-    are isospectral before truncation; this diagonalizes both in the same
-    truncated basis and reports the largest absolute level difference.
+    are diagonalized in the same truncated basis, and the largest absolute
+    level difference is returned.  The phase ``U = diag(i**n)`` on the matter
+    mode maps i(b - b^dag) to b + b^dag exactly at every truncation, so the
+    two truncated matrices are unitarily equivalent: the deviation measures
+    only the round-off of ``eigvalsh``, not truncation error.
     """
     lv1 = _all_levels(_fock_terms(p, n_max))[:5]
     lv2 = _all_levels(_fock_terms(p, n_max, momentum_frame=True))[:5]

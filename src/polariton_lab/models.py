@@ -251,93 +251,50 @@ def branch_frequencies(variant: ModelVariant, omega_cav, omega_mat, g):
     return np.fmax(hi, lo), np.minimum(hi, lo)
 
 
-def _splitting_curve(
-    variant: ModelVariant, g: float, omega_mat: float, omega_cavs: np.ndarray
-) -> np.ndarray:
-    """Vectorized branch splitting over a grid of cavity frequencies.
+def _spc_tau(gamma):
+    """Root ``tau`` in (0, 1] of ``tau**4 + 8 gamma**2 tau - 1 = 0``, over arrays.
 
-    Grid points where the lower branch is not a real frequency give NaN.
+    Ferrari's method through the resolvent root ``m`` of ``m**3 + m = 8 gamma**4``,
+    written without a subtraction, so every ``gamma`` keeps full relative precision.
     """
-    wc = np.asarray(omega_cavs, dtype=float)
-    wm = float(omega_mat)
-    if variant is ModelVariant.LINEARIZED:
-        return np.sqrt((wc - wm) ** 2 + 4.0 * abs(g) ** 2)
-    plus, minus = branch_frequencies(variant, wc, wm, g)
-    return plus - minus
+    g2 = gamma * gamma
+    m = (2.0 / math.sqrt(3.0)) * np.sinh(np.arcsinh(12.0 * math.sqrt(3.0) * g2 * g2) / 3.0)
+    s = np.sqrt(1.0 + m * m)
+    b = 4.0 * g2 / s
+    return 2.0 / ((s + m) * (b + np.sqrt(b * b + 4.0 / (s + m))))
 
 
-def min_splitting(
-    variant: ModelVariant,
-    g,
-    omega_mat: float,
-    sweep=None,
-) -> MinSplitting:
-    """Minimum branch splitting over a cavity-frequency sweep.
+def min_splitting(variant: ModelVariant, g, omega_mat: float) -> MinSplitting:
+    """Minimum branch splitting over the cavity frequency, in closed form, over ``g``.
 
-    The sweep grid must span at least [0.2, 3] * omega_mat with >= 1000
-    points; the coarse grid minimum is then refined by a golden-section search
-    to an abscissa tolerance of 1e-6 * omega_mat.  Only cavity frequencies
-    where both branches are real contribute.  ``g`` may be an array of
-    couplings: the searches then run in lockstep, each element stopping once
-    its own bracket has converged, and the result holds arrays of g's shape.
+    With ``wc``, ``wm`` the bare cavity and matter frequencies, velocity-coupled
+    and linearized models have ``Omega**2 = (wc - wm)**2 + 4 g**2``: the minimum
+    is ``2|g|`` at resonance.  Amplitude-coupled models have
+    ``Omega**2 = wc**2 + wm**2 - 2 sqrt(wc wm (wc wm - 4 g**2))``, stationary at
+    ``wc = wm (1 + tau**2) / (2 tau)`` with ``tau`` from :func:`_spc_tau` at
+    ``gamma = g / wm``.  There ``wc wm - 4 g**2 = wm**2 tau (1 + tau**2) / 2``, so
+    ``Omega = 2|g| sqrt((1 + 3 tau**2) / (2 tau (1 + tau**2)))``, free of
+    cancellation at any coupling.  The result holds arrays of g's shape.
     """
-    if omega_mat <= 0:
-        raise PolaritonError("omega_mat must be positive")
-    if sweep is None:
-        grid = np.linspace(0.2, 3.0, 1201) * omega_mat
-    else:
-        grid = np.sort(np.asarray(sweep, dtype=float))
-        if grid.size < 1000 or grid[0] > 0.2 * omega_mat + 1e-12 or grid[-1] < 3.0 * omega_mat - 1e-12:
-            raise PolaritonError(
-                "sweep grid must span at least [0.2, 3] * omega_mat with >= 1000 points"
-            )
+    _require_positive("omega_mat", omega_mat)
     g_in = np.asarray(g, dtype=float)
-    gs = g_in.ravel()
-    a = np.empty(gs.size)
-    b = np.empty(gs.size)
-    # coarse scan one coupling at a time: a full len(g) x len(grid) table
-    # would cost far more memory than the scan saves
-    for k, g_k in enumerate(gs):
-        split = _splitting_curve(variant, g_k, omega_mat, grid)
-        if np.all(np.isnan(split)):
-            raise PolaritonError(
-                f"no cavity frequency in the sweep has two real branches at g = {float(g_k)!r}"
-            )
-        i = int(np.nanargmin(split))
-        a[k] = grid[max(i - 1, 0)]
-        b[k] = grid[min(i + 1, grid.size - 1)]
-
-    def f(wc, g_sel):
-        val = _splitting_curve(variant, g_sel, omega_mat, wc)
-        return np.where(np.isnan(val), np.inf, val)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c, gs), f(d, gs)
-    tol = 1e-6 * omega_mat
-    active = np.flatnonzero(b - a > tol)
-    while active.size:
-        left = fc[active] < fd[active]
-        lt, rt = active[left], active[~left]
-        # minimum in [a, d]: d becomes the new b, c the new d
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
-        # minimum in [c, b]: c becomes the new a, d the new c
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
-        probe = np.where(left, c[active], d[active])
-        f_probe = f(probe, gs[active])
-        fc[lt] = f_probe[left]
-        fd[rt] = f_probe[~left]
-        active = active[b[active] - a[active] > tol]
-    best = 0.5 * (a + b)
-    omega_min = f(best, gs)
+    bad = np.flatnonzero(~np.isfinite(g_in))
+    if bad.size:
+        i = int(bad[0])
+        where = f" (grid row {i})" if g_in.ndim else ""
+        raise PolaritonError(f"coupling strength must be finite, got {g_in.flat[i]}{where}")
+    g_abs = np.abs(g_in)
+    if variant in _AMPLITUDE_FORM:
+        tau = _spc_tau(g_abs / omega_mat)
+        t2 = tau * tau
+        omega_min = 2.0 * g_abs * np.sqrt((1.0 + 3.0 * t2) / (2.0 * tau * (1.0 + t2)))
+        omega_cav = omega_mat * (1.0 + t2) / (2.0 * tau)
+    else:
+        omega_min = 2.0 * g_abs
+        omega_cav = np.full(g_in.shape, float(omega_mat))
     if g_in.ndim == 0:
-        return MinSplitting(Omega_min=float(omega_min[0]), omega_cav_at_min=float(best[0]))
-    return MinSplitting(
-        Omega_min=omega_min.reshape(g_in.shape), omega_cav_at_min=best.reshape(g_in.shape)
-    )
+        return MinSplitting(Omega_min=float(omega_min), omega_cav_at_min=float(omega_cav))
+    return MinSplitting(Omega_min=omega_min, omega_cav_at_min=omega_cav)
 
 
 def dressed_parameters(base: ModelVariant, target: ModelVariant, omega_cav, omega_mat, g):

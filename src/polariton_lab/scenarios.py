@@ -28,6 +28,7 @@ scenario documents with the published parameterization baked in.
 from __future__ import annotations
 
 import hashlib
+import html
 import json
 import math
 import os
@@ -377,18 +378,16 @@ _MIN_SPLITTING = (
     _Field("variants", _VARIANT_LIST),
     _Field("omega_mat", _POSITIVE, 1.0),
     _Field("g_grid", _NONNEGATIVE_GRID),
-    _Field("cavity_sweep", _POSITIVE_GRID, None),
 )
 
 
 def _run_min_splitting(p: dict) -> _Table:
-    omega_mat = p["omega_mat"]
-    sweep = None if p["cavity_sweep"] is None else p["cavity_sweep"] * omega_mat
+    # in units of omega_mat the minimum splitting depends on g/omega_mat alone
     columns = [("g/omega_mat (1)", p["g_grid"])]
     for name in p["variants"]:
-        result = min_splitting(_VARIANTS[name], p["g_grid"] * omega_mat, omega_mat, sweep=sweep)
-        columns.append((f"Omega_min_{_VARIANT_TAGS[name]} (omega_mat)", result.Omega_min / omega_mat))
-    return _Table(columns, extras={"omega_mat_eV": omega_mat})
+        result = min_splitting(_VARIANTS[name], p["g_grid"], 1.0)
+        columns.append((f"Omega_min_{_VARIANT_TAGS[name]} (omega_mat)", result.Omega_min))
+    return _Table(columns, extras={"omega_mat_eV": p["omega_mat"]})
 
 
 # --------------------------------------------------------------------------
@@ -952,7 +951,13 @@ _SVG_PALETTE = (
 
 
 def _render_svg(table: _Table, title: str) -> bytes:
-    """Minimal deterministic line plot: first column is x, the rest are series."""
+    """Minimal deterministic line plot: first column is x, the rest are series.
+
+    The title and the column headers are XML-escaped: both can come from the
+    document (the ``output.path`` stem, the spectrum curve labels).
+    ``html.escape`` is used because ``xml.sax.saxutils`` imports
+    ``urllib.request``, about 25 ms of start-up.
+    """
     width, height = 720, 480
     left, right, top, bottom = 70.0, 20.0, 34.0, 50.0
     x = np.asarray(table.columns[0][1], dtype=float)
@@ -980,7 +985,7 @@ def _render_svg(table: _Table, title: str) -> bytes:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
         f'font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{left:.1f}" y="20" font-size="14">{title}</text>',
+        f'<text x="{left:.1f}" y="20" font-size="14">{html.escape(title, quote=False)}</text>',
         f'<line x1="{left:.1f}" y1="{height - bottom:.1f}" x2="{width - right:.1f}" '
         f'y2="{height - bottom:.1f}" stroke="black"/>',
         f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}" y2="{height - bottom:.1f}" '
@@ -990,7 +995,7 @@ def _render_svg(table: _Table, title: str) -> bytes:
         f'<text x="{left - 6:.1f}" y="{height - bottom:.1f}" text-anchor="end">{y0:.6g}</text>',
         f'<text x="{left - 6:.1f}" y="{top + 10:.1f}" text-anchor="end">{y1:.6g}</text>',
         f'<text x="{(left + width - right) / 2:.1f}" y="{height - 12:.1f}" '
-        f'text-anchor="middle">{table.columns[0][0]}</text>',
+        f'text-anchor="middle">{html.escape(table.columns[0][0], quote=False)}</text>',
     ]
     for idx, (cell, values) in enumerate(series):
         color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
@@ -1017,7 +1022,9 @@ def _render_svg(table: _Table, title: str) -> bytes:
             f'<line x1="{width - right - 150:.1f}" y1="{ly:.1f}" x2="{width - right - 130:.1f}" '
             f'y2="{ly:.1f}" stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{width - right - 124:.1f}" y="{ly + 4:.1f}">{cell}</text>')
+        parts.append(
+            f'<text x="{width - right - 124:.1f}" y="{ly + 4:.1f}">{html.escape(cell, quote=False)}</text>'
+        )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 

@@ -251,3 +251,17 @@ def test_frame_equivalence_in_ultrastrong_coupling():
         if not p.stable:
             continue
         assert frame_equivalence_check(p, n_max=40) < 1e-9
+
+
+@pytest.mark.parametrize("n_max", [6, 40])
+def test_momentum_frame_is_a_diagonal_phase_of_the_position_frame(n_max):
+    # U = diag(i^n) on the matter mode maps i(b - b^dag) to b + b^dag exactly,
+    # at every truncation: the two frames are one matrix up to a unitary, so
+    # frame_equivalence_check measures eigvalsh round-off, not truncation error
+    u = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_max + 1) % 4]
+    position = _fock_terms(_DENSE_CASE, n_max)
+    momentum = _fock_terms(_DENSE_CASE, n_max, momentum_frame=True)
+    assert len(position) == len(momentum)
+    for (a_pos, b_pos), (a_mom, b_mom) in zip(position, momentum):
+        assert np.array_equal(a_mom, a_pos)
+        assert np.array_equal(u[:, None] * b_mom * u.conj(), b_pos)

@@ -1,6 +1,7 @@
 """Coupled-oscillator eigenmodes: closed forms, generic solver, alternatives."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from polariton_lab.models import (
     CoupledModel,
     ModelVariant,
     OscillatorPair,
+    _spc_tau,
     branch_frequencies,
     dressed_parameters,
     frequency_domain_matrix,
@@ -191,8 +193,8 @@ def test_resonant_eigenvector_is_balanced():
 
 def test_momentum_min_splitting_sits_at_resonance():
     out = min_splitting(ModelVariant.MOC, 0.3, 1.0)
-    assert out.Omega_min == pytest.approx(0.6, rel=1e-9)
-    assert out.omega_cav_at_min == pytest.approx(1.0, rel=1e-6)
+    assert out.Omega_min == 2.0 * 0.3
+    assert out.omega_cav_at_min == 1.0
 
 
 def test_spring_min_splitting_is_blue_shifted():
@@ -204,48 +206,82 @@ def test_spring_min_splitting_is_blue_shifted():
     assert out.Omega_min > 2.0 * 0.3
 
 
-def test_min_splitting_custom_sweep():
-    dense = min_splitting(ModelVariant.SPC, 0.3, 1.0)
-    custom = min_splitting(
-        ModelVariant.SPC, 0.3, 1.0, sweep=np.linspace(0.2, 3.0, 9001)
-    )
-    assert custom.Omega_min == pytest.approx(dense.Omega_min, rel=1e-6)
-    # grids that do not cover the required detuning window are rejected
-    with pytest.raises(PolaritonError):
-        min_splitting(ModelVariant.SPC, 0.3, 1.0, sweep=np.linspace(0.9, 1.2, 2000))
-    with pytest.raises(PolaritonError):
-        min_splitting(ModelVariant.SPC, 0.3, 1.0, sweep=np.linspace(0.2, 3.0, 50))
-
-
 @pytest.mark.parametrize("variant", [ModelVariant.SPC, ModelVariant.MOC, ModelVariant.LINEARIZED])
 def test_min_splitting_over_a_g_grid_matches_the_scalar_call(variant):
     # g = 0, weak coupling, and g = 0.3 and 0.45, where the SpC lower-branch
-    # cutoff (omega_cav < 4 g^2 / omega_mat) masks the low end of the sweep.
-    # The sweep is dense below 1.01 and coarse above, so the SpC minima start
-    # from brackets of different widths and converge after different numbers
-    # of golden-section steps.
-    sweep = np.concatenate([np.linspace(0.2, 1.01, 1000), np.linspace(1.02, 3.0, 200)])
+    # cutoff (omega_cav < 4 g^2 / omega_mat) sits close to the minimum
     g_grid = np.array([0.0, 0.05, 0.3, 0.45])
-    grid = min_splitting(variant, g_grid, 1.0, sweep=sweep)
+    grid = min_splitting(variant, g_grid, 1.0)
     assert grid.Omega_min.shape == grid.omega_cav_at_min.shape == g_grid.shape
     for k, g in enumerate(g_grid):
-        one = min_splitting(variant, float(g), 1.0, sweep=sweep)
+        one = min_splitting(variant, float(g), 1.0)
         assert grid.Omega_min[k] == one.Omega_min
         assert grid.omega_cav_at_min[k] == one.omega_cav_at_min
 
 
-def test_min_splitting_over_a_g_grid_rejects_a_coupling_without_real_branches():
-    # at g = 1 the SpC lower branch is imaginary over the whole [0.2, 3] sweep
-    with pytest.raises(PolaritonError, match="two real branches at g = 1.0"):
-        min_splitting(ModelVariant.SPC, np.array([0.1, 1.0]), 1.0)
-    with pytest.raises(PolaritonError, match="two real branches"):
-        min_splitting(ModelVariant.SPC, 1.0, 1.0)
+@pytest.mark.parametrize("omega_mat", [1.0, 2.5])
+def test_spc_min_splitting_matches_a_dense_scan(omega_mat):
+    # couplings up to 5 omega_mat, where the minimum sits near 4 g^2 / omega_mat;
+    # the scan starts at that cutoff, below which the lower branch is not real
+    for gamma in (0.05, 0.3, 0.5, 1.0, 5.0):
+        g = gamma * omega_mat
+        cutoff = 4.0 * g * g / omega_mat
+        omega_cav = np.linspace(cutoff, cutoff + 2.0 * omega_mat, 1_000_001)
+        plus, minus = branch_frequencies(ModelVariant.SPC, omega_cav, omega_mat, g)
+        split = plus - minus
+        i = int(np.nanargmin(split))
+        assert 0 < i < omega_cav.size - 1  # an interior minimum
+        out = min_splitting(ModelVariant.SPC, g, omega_mat)
+        assert out.Omega_min <= split[i]
+        assert split[i] - out.Omega_min <= 1e-10 * out.Omega_min
+        assert abs(out.omega_cav_at_min - omega_cav[i]) <= 2.0 * (omega_cav[1] - omega_cav[0])
+        # the splitting computed from the branches at the closed-form abscissa
+        plus, minus = branch_frequencies(ModelVariant.SPC, out.omega_cav_at_min, omega_mat, g)
+        assert plus - minus == pytest.approx(out.Omega_min, rel=1e-13)
+
+
+def test_spc_tau_is_the_root_of_the_quartic():
+    # Ferrari's root of tau^4 + 8 gamma^2 tau - 1 = 0 against Newton's method
+    # polished in 60-digit decimal arithmetic
+    gammas = np.concatenate([[0.0, 1e-300, 1e-8], np.logspace(-4, 70, 75)])
+    taus = _spc_tau(gammas)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for gamma, tau in zip(gammas, taus):
+            c = 8 * Decimal(float(gamma)) ** 2
+            t = Decimal(float(tau))
+            for _ in range(8):
+                t -= (t**4 + c * t - 1) / (4 * t**3 + c)
+            assert 0.0 < tau <= 1.0
+            assert abs(tau - float(t)) <= 1e-15 * float(t), gamma
+
+
+def test_min_splitting_at_zero_coupling_is_zero():
+    for variant in (ModelVariant.SPC, ModelVariant.MOC, ModelVariant.LINEARIZED):
+        out = min_splitting(variant, np.zeros(3), 2.0)
+        assert np.array_equal(out.Omega_min, np.zeros(3))
+        assert np.array_equal(out.omega_cav_at_min, np.full(3, 2.0))
+
+
+@pytest.mark.parametrize("omega_mat", [0.0, -1.0, math.nan, math.inf])
+def test_min_splitting_rejects_a_bad_matter_frequency(omega_mat):
+    with pytest.raises(PolaritonError, match="omega_mat must be finite and positive"):
+        min_splitting(ModelVariant.SPC, 0.1, omega_mat)
+
+
+@pytest.mark.parametrize("variant", [ModelVariant.SPC, ModelVariant.MOC, ModelVariant.LINEARIZED])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_min_splitting_rejects_a_non_finite_coupling(variant, bad):
+    with pytest.raises(PolaritonError, match=r"coupling strength must be finite.*\(grid row 2\)"):
+        min_splitting(variant, np.array([0.1, 0.2, bad]), 1.0)
+    with pytest.raises(PolaritonError, match="coupling strength must be finite"):
+        min_splitting(variant, bad, 1.0)
 
 
 def test_linearized_min_splitting_is_2g_at_resonance():
     out = min_splitting(ModelVariant.LINEARIZED, 0.25, 1.0)
-    assert out.Omega_min == pytest.approx(0.5, rel=1e-9)
-    assert out.omega_cav_at_min == pytest.approx(1.0, rel=1e-6)
+    assert out.Omega_min == 2.0 * 0.25
+    assert out.omega_cav_at_min == 1.0
 
 
 # ---------------------------------------------------------------------------

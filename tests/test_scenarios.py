@@ -330,13 +330,15 @@ def test_csv_numbers_survive_round_trip(tmp_path):
 
 
 def test_svg_output_is_wellformed(tmp_path):
-    doc = _sweep_doc(output={"format": "svg"})
-    run = _run(doc, tmp_path, stem="drawn")
-    assert run.svg_path == tmp_path / "drawn.svg"
-    root = ET.fromstring(run.svg_path.read_text())
-    assert root.tag.endswith("svg")
-    assert "drawn.csv" in run.summary["outputs"]
-    assert "drawn.svg" in run.summary["outputs"]
+    # the default stem, and a document path whose stem needs XML escaping
+    for output, stem in (({"format": "svg"}, "drawn"), ({"path": "R&D <draft>.csv", "format": "svg"}, "R&D <draft>")):
+        run = _run(_sweep_doc(output=output), tmp_path, stem="drawn")
+        assert run.svg_path == tmp_path / f"{stem}.svg"
+        root = ET.fromstring(run.svg_path.read_text())
+        assert root.tag.endswith("svg")
+        assert [t.text for t in root if t.tag.endswith("text")][0] == stem
+        assert f"{stem}.csv" in run.summary["outputs"]
+        assert f"{stem}.svg" in run.summary["outputs"]
 
 
 def test_output_path_override(tmp_path):
