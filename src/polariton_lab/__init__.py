@@ -14,163 +14,21 @@ CLI expose all of it through declarative YAML documents with deterministic
 CSV artifacts.
 """
 
+from . import driven, ensemble, fields, hopfield, material, models, scenarios, units
 from ._version import __version__
-from .driven import (
-    DriveSpec,
-    ResponseAmplitudes,
-    driven_response,
-    polarizability_oracle,
-    scattering_cross_section,
-)
-from .ensemble import (
-    CollectiveMode,
-    DipoleLattice,
-    FabryPerotSpec,
-    FullSystem,
-    FullVsReducedReport,
-    build_full_system,
-    collective_reduce,
-    cubic_dipole_lattice,
-    full_vs_reduced_check,
-)
+from .driven import *
+from .ensemble import *
 from .exceptions import PolaritonError, PoleError, SchemaError
-from .fields import (
-    NEAR_FIELD_CALIBRATION,
-    BoxCavityScene,
-    FieldArrays,
-    NanoparticleScene,
-    contribution_fractions,
-    dielectric_field_arrays,
-    mode_profile_box,
-    quasistatic_field_arrays,
-)
-from .hopfield import (
-    HopfieldParams,
-    QuantumSpectrum,
-    frame_equivalence_check,
-    hopfield_quartic_eigen,
-    truncated_fock_spectrum,
-)
-from .material import (
-    Dispersion,
-    PermittivityModel,
-    bulk_dispersion,
-    coupling_profiles,
-    permittivity,
-    reststrahlen_band,
-    reststrahlen_fit,
-)
-from .models import (
-    CoupledModel,
-    MinSplitting,
-    ModelVariant,
-    OscillatorPair,
-    branch_frequencies,
-    determinant_residual,
-    dressed_parameters,
-    frequency_domain_matrix,
-    generic_eigenfrequencies,
-    min_splitting,
-    mode_ratio,
-)
-from .scenarios import (
-    FIGURE_IDS,
-    SCENARIO_KINDS,
-    SCHEMA_VERSION,
-    ScenarioRun,
-    figure_document,
-    load_scenario_file,
-    reproduce_figure,
-    run_scenario_document,
-    run_scenario_file,
-)
-from .units import (
-    UNITS,
-    OscillatorStrength,
-    UnitSystem,
-    angular_factor,
-    coupling_dipole_dipole,
-    coupling_from_mode_volume,
-    dipole_moment_to_oscillator_strength,
-    oscillator_strength_to_dipole_moment,
-    plasmon_oscillator_strength,
-)
+from .fields import *
+from .hopfield import *
+from .material import *
+from .models import *
+from .scenarios import *
+from .units import *
 
-__all__ = [
-    "__version__",
-    # exceptions
-    "PolaritonError",
-    "PoleError",
-    "SchemaError",
-    # units
-    "UnitSystem",
-    "UNITS",
-    "OscillatorStrength",
-    "dipole_moment_to_oscillator_strength",
-    "oscillator_strength_to_dipole_moment",
-    "coupling_from_mode_volume",
-    "angular_factor",
-    "coupling_dipole_dipole",
-    "plasmon_oscillator_strength",
-    # models
-    "ModelVariant",
-    "OscillatorPair",
-    "CoupledModel",
-    "MinSplitting",
-    "branch_frequencies",
-    "mode_ratio",
-    "frequency_domain_matrix",
-    "determinant_residual",
-    "generic_eigenfrequencies",
-    "min_splitting",
-    "dressed_parameters",
-    # hopfield
-    "HopfieldParams",
-    "QuantumSpectrum",
-    "hopfield_quartic_eigen",
-    "truncated_fock_spectrum",
-    "frame_equivalence_check",
-    # driven
-    "DriveSpec",
-    "ResponseAmplitudes",
-    "driven_response",
-    "scattering_cross_section",
-    "polarizability_oracle",
-    # fields
-    "NEAR_FIELD_CALIBRATION",
-    "BoxCavityScene",
-    "NanoparticleScene",
-    "FieldArrays",
-    "mode_profile_box",
-    "dielectric_field_arrays",
-    "contribution_fractions",
-    "quasistatic_field_arrays",
-    # ensemble
-    "FabryPerotSpec",
-    "DipoleLattice",
-    "CollectiveMode",
-    "cubic_dipole_lattice",
-    "FullSystem",
-    "build_full_system",
-    "collective_reduce",
-    "FullVsReducedReport",
-    "full_vs_reduced_check",
-    # material
-    "PermittivityModel",
-    "permittivity",
-    "reststrahlen_band",
-    "reststrahlen_fit",
-    "Dispersion",
-    "bulk_dispersion",
-    "coupling_profiles",
-    # scenarios
-    "SCHEMA_VERSION",
-    "SCENARIO_KINDS",
-    "FIGURE_IDS",
-    "ScenarioRun",
-    "load_scenario_file",
-    "run_scenario_document",
-    "run_scenario_file",
-    "reproduce_figure",
-    "figure_document",
+# each public name is listed once, in its layer's __all__
+__all__ = ["__version__", "PolaritonError", "PoleError", "SchemaError"] + [
+    name
+    for layer in (units, models, hopfield, driven, fields, ensemble, material, scenarios)
+    for name in layer.__all__
 ]

@@ -24,7 +24,15 @@ import numpy as np
 
 from .exceptions import PoleError, PolaritonError
 from .models import CoupledModel, ModelVariant, frequency_domain_matrix
-from .units import UNITS, angular_factor, _require_nonnegative, _unit_vector
+from .units import (
+    UNITS,
+    _as_vec,
+    _require_finite,
+    _require_nonnegative,
+    _require_positive,
+    _unit_vector,
+    angular_factor,
+)
 
 __all__ = [
     "DriveSpec",
@@ -51,11 +59,8 @@ class DriveSpec:
     f_mat: float
 
     def __post_init__(self):
-        if not math.isfinite(self.E_inc):
-            raise PolaritonError(f"E_inc must be finite, got {self.E_inc}")
-        omega = np.asarray(self.omega, dtype=float)
-        if not np.all(np.isfinite(omega) & (omega > 0)):
-            raise PolaritonError(f"drive frequency must be positive, got {self.omega}")
+        _require_finite("E_inc", self.E_inc)
+        _require_positive("omega", self.omega)
         _require_nonnegative("f_cav", self.f_cav)
         _require_nonnegative("f_mat", self.f_mat)
 
@@ -130,11 +135,8 @@ def scattering_cross_section(
     cross section is ``(8 pi / 3) (omega / hbar c)^4 |d_tot / E_inc|^2``.
     Array-valued responses and frequencies give an array of cross sections.
     """
-    if not E_inc > 0:
-        raise PolaritonError(f"E_inc must be positive, got {E_inc}")
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise PolaritonError(f"omega must be positive, got {omega.min()}")
+    _require_positive("E_inc", E_inc)
+    omega = np.asarray(_require_positive("omega", omega), dtype=float)
     nc = _unit_vector("n_dcav", n_dcav)
     nm_ = _unit_vector("n_dmat", n_dmat)
     total = np.multiply.outer(resp.d_cav, nc) + np.multiply.outer(resp.d_mat, nm_)
@@ -169,16 +171,13 @@ def polarizability_oracle(
     model solvers and serves as an independent check on ``driven_response``.
     An array of drive frequencies gives array-valued amplitudes.
     """
-    omega = np.asarray(omega, dtype=float)
-    if f_cav <= 0 or f_mat <= 0:
-        raise PolaritonError("oscillator strengths must be positive")
-    if np.any(omega <= 0) or omega_cav <= 0 or omega_mat <= 0:
-        raise PolaritonError("frequencies must be positive")
-    if kappa < 0 or gamma < 0:
-        raise PolaritonError("decay rates must be >= 0")
-    rc = np.asarray(r_cav, dtype=float)
-    rm = np.asarray(r_mat, dtype=float)
-    sep = rm - rc
+    for name, value in (("f_cav", f_cav), ("f_mat", f_mat), ("omega_cav", omega_cav), ("omega_mat", omega_mat)):
+        _require_positive(name, value)
+    omega = np.asarray(_require_positive("omega", omega), dtype=float)
+    _require_nonnegative("kappa", kappa)
+    _require_nonnegative("gamma", gamma)
+    _require_finite("E_inc", E_inc)
+    sep = _as_vec("r_mat", r_mat) - _as_vec("r_cav", r_cav)
     dist = float(np.linalg.norm(sep))
     if dist == 0:
         raise PolaritonError("constituent positions must differ")

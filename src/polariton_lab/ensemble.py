@@ -19,7 +19,17 @@ import numpy as np
 
 from .exceptions import PolaritonError
 from .models import ModelVariant, branch_frequencies
-from .units import UNITS, _reduced_strength, _require_positive, _unit_vector
+from .units import (
+    UNITS,
+    _as_points,
+    _as_vec,
+    _reduced_strength,
+    _require_at_least_one,
+    _require_finite,
+    _require_nonnegative,
+    _require_positive,
+    _unit_vector,
+)
 
 __all__ = [
     "FabryPerotSpec",
@@ -57,18 +67,14 @@ class FabryPerotSpec:
     def __post_init__(self):
         _require_positive("L_cav", self.L_cav)
         _require_positive("lateral_period", self.lateral_period)
-        if not (math.isfinite(self.epsilon_inf) and self.epsilon_inf >= 1.0):
-            raise PolaritonError(f"epsilon_inf must be >= 1, got {self.epsilon_inf}")
+        _require_at_least_one("epsilon_inf", self.epsilon_inf)
         normalized = []
         for mode in self.modes:
             n, k_par = mode
             n = int(n)
             if n < 1:
                 raise PolaritonError(f"mode index n must be >= 1, got {n}")
-            k_vec = np.asarray(k_par, dtype=float)
-            if k_vec.shape != (2,) or not np.all(np.isfinite(k_vec)):
-                raise PolaritonError(f"k_parallel must be a finite 2-vector, got {k_par!r}")
-            normalized.append((n, (float(k_vec[0]), float(k_vec[1]))))
+            normalized.append((n, tuple(_as_vec("k_parallel", k_par, 2).tolist())))
         object.__setattr__(self, "modes", tuple(normalized))
 
     @property
@@ -85,7 +91,7 @@ class FabryPerotSpec:
     def mode_profile(self, mode, r):
         """Profile of ``mode`` at one position ``r`` (3,) or at each row of an (N, 3) array."""
         n, k_par = mode
-        r = np.asarray(r, dtype=float)
+        r = np.asarray(_require_finite("r", r), dtype=float)
         phase = k_par[0] * r[..., 0] + k_par[1] * r[..., 1]
         return np.sin(n * math.pi * r[..., 2] / self.L_cav) * np.exp(1j * phase)
 
@@ -102,10 +108,7 @@ class DipoleLattice:
     spacing: float
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3 or not np.all(np.isfinite(pos)):
-            raise PolaritonError("positions must be an (N, 3) array of finite coordinates")
-        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "positions", _as_points("positions", self.positions))
         object.__setattr__(self, "orientation", _unit_vector("orientation", self.orientation))
         _require_positive("omega_dip", self.omega_dip)
         _require_positive("spacing", self.spacing)
@@ -280,6 +283,7 @@ def collective_reduce(
     reports the largest deviation of a single reference dipole's sum from
     that average (a homogeneity diagnostic).
     """
+    _require_nonnegative("cutoff_factor", cutoff_factor)
     if lattice.n_dip == 0:
         raise PolaritonError("lattice has no dipoles")
     mode = (int(mode[0]), (float(mode[1][0]), float(mode[1][1])))
@@ -349,6 +353,7 @@ def full_vs_reduced_check(
     The full system's eigenfrequencies nearest the reduced model's two
     branches are matched up and the maximum relative deviation reported.
     """
+    _require_nonnegative("tolerance", tolerance)
     cm = collective_reduce(lattice, fp, mode, include_dipole_dipole=include_dipole_dipole)
     omega_cav = fp.mode_frequency(mode)
     plus, minus = branch_frequencies(ModelVariant.MOC, omega_cav, cm.Omega_mat, cm.G)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import PolaritonError
 from .models import ModelVariant, branch_frequencies, mode_ratio
-from .units import _as_vec, _reduced_strength, _require_nonnegative, _require_positive, _unit_vector
+from .units import _as_points, _as_vec, _reduced_strength, _require_nonnegative, _require_positive, _unit_vector
 
 __all__ = [
     "NEAR_FIELD_CALIBRATION",
@@ -61,16 +61,14 @@ class BoxCavityScene:
     omega_mat: float
 
     def __post_init__(self):
-        dims = tuple(float(v) for v in self.L)
-        if len(dims) != 3 or any(not (math.isfinite(v) and v > 0) for v in dims):
-            raise PolaritonError(f"box dimensions must be three positive lengths, got {self.L!r}")
+        dims = tuple(_require_positive("L", _as_vec("L", self.L)).tolist())
         object.__setattr__(self, "L", dims)
         _require_positive("V_eff", self.V_eff)
         _require_positive("omega_cav", self.omega_cav)
-        omega_mat = np.asarray(self.omega_mat, dtype=float)
-        if omega_mat.ndim > 1 or not np.all(np.isfinite(omega_mat) & (omega_mat > 0)):
-            raise PolaritonError(f"omega_mat must be positive, got {self.omega_mat}")
-        object.__setattr__(self, "r_mat", _as_vec(self.r_mat, "r_mat"))
+        if np.ndim(self.omega_mat) > 1:
+            raise PolaritonError(f"omega_mat must be a number or a 1-D array, got {self.omega_mat!r}")
+        _require_positive("omega_mat", self.omega_mat)
+        object.__setattr__(self, "r_mat", _as_vec("r_mat", self.r_mat))
         object.__setattr__(self, "n_d", _unit_vector("n_d", self.n_d))
         if any(abs(self.r_mat[i]) >= dims[i] / 2 for i in range(3)):
             raise PolaritonError(f"emitter at {self.r_mat} lies outside the box interior")
@@ -99,8 +97,8 @@ class NanoparticleScene:
 
     def __post_init__(self):
         _require_positive("R_cav", self.R_cav)
-        object.__setattr__(self, "r_cav", _as_vec(self.r_cav, "r_cav"))
-        object.__setattr__(self, "r_mat", _as_vec(self.r_mat, "r_mat"))
+        object.__setattr__(self, "r_cav", _as_vec("r_cav", self.r_cav))
+        object.__setattr__(self, "r_mat", _as_vec("r_mat", self.r_mat))
         object.__setattr__(self, "n_dcav", _unit_vector("n_dcav", self.n_dcav))
         object.__setattr__(self, "n_dmat", _unit_vector("n_dmat", self.n_dmat))
         _require_positive("omega_cav", self.omega_cav)
@@ -125,15 +123,6 @@ class FieldArrays(NamedTuple):
     excluded: np.ndarray
 
 
-def _positions(positions) -> np.ndarray:
-    pos = np.asarray(positions, dtype=float)
-    if pos.size == 0:
-        pos = pos.reshape(0, 3)
-    if pos.ndim != 2 or pos.shape[1] != 3 or not np.all(np.isfinite(pos)):
-        raise PolaritonError(f"positions must be finite 3-vectors, got an array of shape {pos.shape}")
-    return pos
-
-
 def mode_profile_box(scene: BoxCavityScene, positions) -> np.ndarray:
     """Normalized in-plane mode profile cos(pi x / L_x) cos(pi y / L_y).
 
@@ -141,7 +130,7 @@ def mode_profile_box(scene: BoxCavityScene, positions) -> np.ndarray:
     box center and vanishes on the x and y walls; constant along z
     (fundamental mode with no z variation).
     """
-    pos = _positions(positions)
+    pos = _as_points("positions", positions)
     lx, ly, _ = scene.L
     outside = np.flatnonzero(np.any(np.abs(pos) > np.asarray(scene.L) / 2, axis=1))
     if outside.size:
@@ -174,6 +163,7 @@ def _branch_amplitudes(scene: BoxCavityScene, g: float, branch: int):
     ``g = 0`` the cavity-like branch is a pure cavity mode and the other a
     pure matter mode; ``cav_upper`` and ``anchor`` are then None.
     """
+    _require_nonnegative("MoC coupling", g)
     omega_cav = scene.omega_cav
     omega_mat = np.asarray(scene.omega_mat, dtype=float)
     cav_unit = math.sqrt(4.0 * math.pi / scene.V_eff)
@@ -183,8 +173,6 @@ def _branch_amplitudes(scene: BoxCavityScene, g: float, branch: int):
         matter = cavity_like != branch
         cav = np.where(matter, 0.0, pick(omega_cav, omega_mat) * cav_unit)
         return cav, None, matter, None
-    if g < 0:
-        raise PolaritonError(f"MoC coupling must be >= 0, got {g}")
     plus, minus = branch_frequencies(ModelVariant.MOC, omega_cav, omega_mat, g)
     if np.any(np.isnan(minus)):
         raise PolaritonError("branch eigenfrequencies must be real for a field map")
@@ -224,7 +212,8 @@ def dielectric_field_arrays(
     _check_branch(branch)
     if np.ndim(scene.omega_mat):
         raise PolaritonError("a field map needs a single omega_mat")
-    pos = _positions(positions)
+    _require_nonnegative("core_radius", core_radius)
+    pos = _as_points("positions", positions)
     xi = mode_profile_box(scene, pos)
     rel = pos - scene.r_mat
     excluded = np.linalg.norm(rel, axis=1) <= core_radius
@@ -267,7 +256,8 @@ def contribution_fractions(
     ``omega_mat`` is an array gives a pair of arrays over it.
     """
     _check_branch(branch)
-    vec = _as_vec(position, "position")
+    _require_nonnegative("core_radius", core_radius)
+    vec = _as_vec("position", position)
     xi = mode_profile_box(scene, vec[None, :])[0]
     rel = (vec - scene.r_mat)[None, :]
     if np.linalg.norm(rel) <= core_radius:
@@ -300,7 +290,8 @@ def quasistatic_field_arrays(
     inside the nanoparticle or within ``core_radius`` of the emitter are
     zeroed and flagged in ``excluded``.
     """
-    pos = _positions(positions)
+    _require_nonnegative("core_radius", core_radius)
+    pos = _as_points("positions", positions)
     rel_cav = pos - scene.r_cav
     rel_mat = pos - scene.r_mat
     excluded = (np.linalg.norm(rel_cav, axis=1) <= scene.R_cav) | (

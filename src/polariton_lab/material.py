@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import PoleError, PolaritonError
 from .models import ModelVariant, _amplitude_modes_sq, _velocity_modes_sq, dressed_parameters
-from .units import UNITS, _require_nonnegative, _require_positive
+from .units import UNITS, _require_at_least_one, _require_finite, _require_nonnegative, _require_positive
 
 __all__ = [
     "PermittivityModel",
@@ -52,8 +52,7 @@ class PermittivityModel:
     def __post_init__(self):
         _require_positive("Omega_mat", self.Omega_mat)
         _require_nonnegative("G", self.G)
-        if not (math.isfinite(self.epsilon_inf) and self.epsilon_inf >= 1.0):
-            raise PolaritonError(f"epsilon_inf must be >= 1, got {self.epsilon_inf}")
+        _require_at_least_one("epsilon_inf", self.epsilon_inf)
         if self.variant not in (ModelVariant.MOC, ModelVariant.SPC):
             raise PolaritonError(
                 f"variant must be ModelVariant.MOC or ModelVariant.SPC, got {self.variant!r}"
@@ -76,11 +75,7 @@ def permittivity(model: PermittivityModel, omega):
     omega = Omega_mat (and omega = 0 for SpC) raise :class:`PoleError`
     rather than returning inf.
     """
-    w = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise PolaritonError("omega must be finite")
-    if np.any(w < 0.0):
-        raise PolaritonError("omega must be nonnegative")
+    w = np.asarray(_require_nonnegative("omega", omega), dtype=float)
     amplitude = model.variant is ModelVariant.SPC
     if amplitude and np.any(w == 0.0):
         raise PoleError("permittivity diverges at omega = 0 for the amplitude-coupled medium")
@@ -112,7 +107,7 @@ def reststrahlen_fit(omega_to: float, omega_lo: float, epsilon_inf: float = 1.0)
     returned model's ``reststrahlen_band`` reproduces the inputs exactly.
     """
     _require_positive("omega_TO", omega_to)
-    if not math.isfinite(omega_lo) or omega_lo < omega_to:
+    if _require_finite("omega_LO", omega_lo) < omega_to:
         raise PolaritonError(
             f"omega_LO must be >= omega_TO, got omega_LO={omega_lo}, omega_TO={omega_to}"
         )
@@ -142,12 +137,11 @@ def _coupled_parameters(model: str, omega_to: float, g_coupling: float, k_grid, 
     the photon frequency omega_k and the coupled ``(omega_cav, omega_mat, g)``."""
     _require_positive("omega_TO", omega_to)
     _require_nonnegative("coupling", g_coupling)
-    if not (math.isfinite(epsilon_inf) and epsilon_inf >= 1.0):
-        raise PolaritonError(f"epsilon_inf must be >= 1, got {epsilon_inf}")
+    _require_at_least_one("epsilon_inf", epsilon_inf)
     if model not in _DRESSINGS:
         raise PolaritonError(f"unknown dispersion model {model!r}; expected one of {tuple(_DRESSINGS)}")
-    k = np.asarray(k_grid, dtype=float)
-    if k.ndim != 1 or k.size == 0 or not np.all(np.isfinite(k)) or np.any(k < 0.0):
+    k = np.asarray(_require_nonnegative("k_grid", k_grid), dtype=float)
+    if k.ndim != 1 or k.size == 0:
         raise PolaritonError("k_grid must be a nonempty 1-D array of nonnegative wavevectors")
     omega_k = UNITS.hbar_c * k / math.sqrt(epsilon_inf)
     if model == "MoC":

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import PoleError, PolaritonError
-from .units import _require_nonnegative, _require_positive
+from .units import _require_finite, _require_nonnegative, _require_positive
 
 __all__ = [
     "ModelVariant",
@@ -92,8 +92,7 @@ class CoupledModel:
     g: float
 
     def __post_init__(self):
-        if not math.isfinite(self.g):
-            raise PolaritonError(f"coupling strength must be finite, got {self.g}")
+        _require_finite("coupling strength", self.g)
         if self.variant in (ModelVariant.MOC, ModelVariant.LINEARIZED) and self.g < 0:
             raise PolaritonError(f"{self.variant.value} coupling must be >= 0, got {self.g}")
 
@@ -277,12 +276,7 @@ def min_splitting(variant: ModelVariant, g, omega_mat: float) -> MinSplitting:
     cancellation at any coupling.  The result holds arrays of g's shape.
     """
     _require_positive("omega_mat", omega_mat)
-    g_in = np.asarray(g, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(g_in))
-    if bad.size:
-        i = int(bad[0])
-        where = f" (grid row {i})" if g_in.ndim else ""
-        raise PolaritonError(f"coupling strength must be finite, got {g_in.flat[i]}{where}")
+    g_in = np.asarray(_require_finite("coupling strength", g), dtype=float)
     g_abs = np.abs(g_in)
     if variant in _AMPLITUDE_FORM:
         tau = _spc_tau(g_abs / omega_mat)

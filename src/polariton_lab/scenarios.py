@@ -1053,14 +1053,6 @@ class ScenarioRun:
     svg_path: Path | None = None
 
 
-def _json_safe(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
 def run_scenario_document(
     document,
     *,
@@ -1116,8 +1108,7 @@ def run_scenario_document(
         "rows": table.n_rows(),
         "columns": [cell for cell, _ in table.columns],
     }
-    for key, value in sorted(table.extras.items()):
-        summary[key] = _json_safe(value)
+    summary.update(table.extras)
     summary_bytes = (json.dumps(summary, sort_keys=True, indent=2) + "\n").encode("utf-8")
     summary_path = csv_path.with_suffix(".summary.json")
     _atomic_write(summary_path, summary_bytes)

@@ -6,12 +6,19 @@ and masses in proton masses.  Oscillator strengths f = q^2/m are therefore
 dimensionless multiples of e^2/m_p, and the combination f/(4 pi eps0), which
 is what actually enters couplings and polarizabilities, carries units of
 nm^3 eV^2.
+
+The input guards (``_require_*``, ``_as_vec``, ``_as_points`` and
+``_reduced_strength``) live here and nowhere else: every layer checks its
+finite-and-in-range arguments through them, so a non-finite or out-of-range
+number or array element raises :class:`PolaritonError` naming the argument
+(and, for an array, its first bad grid row) instead of turning into NaN.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +37,29 @@ __all__ = [
 ]
 
 
+def _require(name: str, value, rule: str, ok=None):
+    """Return ``value`` if each of its elements is finite and passes ``ok``.
+
+    Otherwise raise naming ``name``, the ``rule`` and the first bad element;
+    an array's is named by its grid row (a whole row for an (N, 3) array).
+    """
+    arr = np.asarray(value, dtype=float)
+    good = np.isfinite(arr) if ok is None else np.isfinite(arr) & ok(arr)
+    if good.all():
+        return value
+    if arr.ndim == 0:
+        raise PolaritonError(f"{name} must be {rule}, got {value}")
+    i = int(np.flatnonzero(~good.reshape(len(arr), -1).all(axis=1))[0])
+    raise PolaritonError(f"{name} must be {rule}, got {arr[i]} (grid row {i})")
+
+
+_require_finite = partial(_require, rule="finite")
+_require_positive = partial(_require, rule="finite and positive", ok=lambda a: a > 0)
+_require_nonnegative = partial(_require, rule="finite and >= 0", ok=lambda a: a >= 0)
+_require_at_least_one = partial(_require, rule=">= 1 and finite", ok=lambda a: a >= 1)
+_require_unit_interval = partial(_require, rule="finite and in [-1, 1]", ok=lambda a: np.abs(a) <= 1)
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Physical constants of the eV/nm/e/m_p natural-unit system (CODATA)."""
@@ -42,9 +72,7 @@ class UnitSystem:
 
     def __post_init__(self):
         for name in ("hbar_c", "coulomb_const", "proton_mass_energy", "debye_in_e_nm", "light_speed"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise PolaritonError(f"unit-system constant {name} must be finite and positive, got {v}")
+            _require_positive(f"unit-system constant {name}", getattr(self, name))
 
 
 UNITS = UnitSystem()
@@ -57,8 +85,7 @@ class OscillatorStrength:
     value: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise PolaritonError(f"oscillator strength must be finite and >= 0, got {self.value}")
+        _require_nonnegative("oscillator strength", self.value)
 
     def reduced(self) -> float:
         """f/(4 pi eps0) in nm^3 eV^2 -- the combination entering couplings."""
@@ -73,18 +100,6 @@ def _reduced_strength(f) -> float:
     if not isinstance(f, OscillatorStrength):
         f = OscillatorStrength(float(f))
     return f.reduced()
-
-
-def _require_positive(name: str, value: float) -> float:
-    if not (math.isfinite(value) and value > 0):
-        raise PolaritonError(f"{name} must be finite and positive, got {value}")
-    return value
-
-
-def _require_nonnegative(name: str, value: float) -> float:
-    if not (math.isfinite(value) and value >= 0):
-        raise PolaritonError(f"{name} must be finite and >= 0, got {value}")
-    return value
 
 
 def dipole_moment_to_oscillator_strength(mu: float, omega: float) -> OscillatorStrength:
@@ -109,12 +124,13 @@ def dipole_moment_to_oscillator_strength(mu: float, omega: float) -> OscillatorS
 def oscillator_strength_to_dipole_moment(f: OscillatorStrength, omega: float) -> float:
     """Transition dipole moment in Debye for oscillator strength ``f`` at ``omega``."""
     _require_positive("omega", omega)
-    mu_e_nm = math.sqrt(f.value / (2.0 * UNITS.proton_mass_energy * omega)) * UNITS.hbar_c
+    f_value = _require_nonnegative("oscillator strength", float(f))
+    mu_e_nm = math.sqrt(f_value / (2.0 * UNITS.proton_mass_energy * omega)) * UNITS.hbar_c
     return mu_e_nm / UNITS.debye_in_e_nm
 
 
 def coupling_from_mode_volume(
-    f_mat: OscillatorStrength,
+    f_mat,
     V_eff: float,
     xi: float,
     cos_theta: float,
@@ -123,26 +139,35 @@ def coupling_from_mode_volume(
 
     g = (1/2) sqrt(f_mat / (eps0 V_eff)) * Xi * cos(theta), with Xi the
     normalized mode amplitude at the dipole position and theta the angle
-    between the dipole and the mode polarization.
+    between the dipole and the mode polarization.  ``f_mat`` is an
+    :class:`OscillatorStrength` or a plain number in e^2/m_p units.
     """
     _require_positive("V_eff", V_eff)
-    if not (math.isfinite(xi) and -1.0 <= xi <= 1.0):
-        raise PolaritonError(f"mode amplitude xi must lie in [-1, 1], got {xi}")
-    if not (math.isfinite(cos_theta) and -1.0 <= cos_theta <= 1.0):
-        raise PolaritonError(f"cos_theta must lie in [-1, 1], got {cos_theta}")
-    f_red = f_mat.reduced()  # nm^3 eV^2
+    _require_unit_interval("mode amplitude xi", xi)
+    _require_unit_interval("cos_theta", cos_theta)
+    f_red = _reduced_strength(f_mat)  # nm^3 eV^2
     return 0.5 * math.sqrt(4.0 * math.pi * f_red / V_eff) * xi * cos_theta
 
 
-def _as_vec(value, name: str) -> np.ndarray:
+def _as_vec(name: str, value, size: int = 3) -> np.ndarray:
     vec = np.asarray(value, dtype=float)
-    if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-        raise PolaritonError(f"{name} must be a finite 3-vector, got {value!r}")
+    if vec.shape != (size,) or not np.all(np.isfinite(vec)):
+        raise PolaritonError(f"{name} must be a finite {size}-vector, got {value!r}")
     return vec
 
 
+def _as_points(name: str, value) -> np.ndarray:
+    """An (N, 3) array of finite points; an empty input gives shape (0, 3)."""
+    pts = np.asarray(value, dtype=float)
+    if pts.size == 0:
+        pts = pts.reshape(0, 3)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise PolaritonError(f"{name} must be an (N, 3) array of 3-vectors, got an array of shape {pts.shape}")
+    return _require_finite(name, pts)
+
+
 def _unit_vector(name: str, n) -> np.ndarray:
-    n = _as_vec(n, name)
+    n = _as_vec(name, n)
     if abs(np.linalg.norm(n) - 1.0) > 1e-12:
         raise PolaritonError(f"{name} must be normalized to 1 within 1e-12, |{name}| = {np.linalg.norm(n)!r}")
     return n
@@ -154,8 +179,8 @@ def angular_factor(n_a: np.ndarray, n_b: np.ndarray, axis: np.ndarray) -> float:
 
 
 def coupling_dipole_dipole(
-    f_cav: OscillatorStrength,
-    f_mat: OscillatorStrength,
+    f_cav,
+    f_mat,
     r_cav,
     r_mat,
     n_dcav,
@@ -173,13 +198,13 @@ def coupling_dipole_dipole(
     where A = n_dcav.n_dmat - 3 (n_dcav.r_hat)(n_dmat.r_hat) is the angular
     factor (|A| <= 2, A = -2 for the collinear head-to-tail arrangement).
     The sign of g follows A; symmetric under swapping the two oscillators.
+    The strengths are :class:`OscillatorStrength` values or plain numbers
+    in e^2/m_p units.
     """
     _require_positive("omega_cav", omega_cav)
     _require_positive("omega_mat", omega_mat)
-    r_cav = np.asarray(r_cav, dtype=float)
-    r_mat = np.asarray(r_mat, dtype=float)
-    if r_cav.shape != (3,) or r_mat.shape != (3,):
-        raise PolaritonError("positions must be 3-vectors")
+    r_cav = _as_vec("r_cav", r_cav)
+    r_mat = _as_vec("r_mat", r_mat)
     n_dcav = _unit_vector("n_dcav", n_dcav)
     n_dmat = _unit_vector("n_dmat", n_dmat)
     sep = r_mat - r_cav
@@ -188,7 +213,7 @@ def coupling_dipole_dipole(
         raise PolaritonError("dipole positions coincide; separation must be > 0")
     axis = sep / dist
     ang = angular_factor(n_dcav, n_dmat, axis)
-    f_red = math.sqrt(f_cav.reduced() * f_mat.reduced())
+    f_red = math.sqrt(_reduced_strength(f_cav) * _reduced_strength(f_mat))
     return 0.5 * f_red * ang / (dist**3 * math.sqrt(omega_cav * omega_mat))
 
 

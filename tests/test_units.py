@@ -7,7 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polariton_lab import PolaritonError
+from polariton_lab import (
+    BoxCavityScene,
+    DriveSpec,
+    PolaritonError,
+    collective_reduce,
+    contribution_fractions,
+    cubic_dipole_lattice,
+    dielectric_field_arrays,
+    driven_response,
+    full_vs_reduced_check,
+    polarizability_oracle,
+    scattering_cross_section,
+)
+from polariton_lab.ensemble import FabryPerotSpec
+from polariton_lab.models import CoupledModel, ModelVariant, OscillatorPair
 from polariton_lab.units import (
     UNITS,
     OscillatorStrength,
@@ -219,3 +233,114 @@ def test_dipole_dipole_validation():
         coupling_dipole_dipole(
             f, f, np.zeros(3), np.array([5.0, 0, 0]), x, x, -3.0, 3.0
         )
+
+
+# ---------------------------------------------------------------------------
+# input guards: every entry point rejects a non-finite or out-of-range argument
+
+_X = np.array([1.0, 0.0, 0.0])
+_ORACLE = dict(
+    f_cav=1.0e3, f_mat=1.0e2, omega_cav=3.0, omega_mat=3.0, kappa=0.1, gamma=0.05,
+    r_cav=np.zeros(3), r_mat=np.array([20.0, 0.0, 0.0]), n_dcav=_X, n_dmat=_X,
+    E_inc=1.0, omega=np.linspace(2.5, 3.5, 5),
+)
+_PAIR = dict(
+    r_cav=np.zeros(3), r_mat=np.array([10.0, 0.0, 0.0]), n_dcav=_X, n_dmat=_X,
+    omega_cav=2.5, omega_mat=2.0,
+)
+
+
+def _oracle(**changes):
+    return polarizability_oracle(**{**_ORACLE, **changes})
+
+
+def _box():
+    z = np.array([0.0, 0.0, 1.0])
+    return BoxCavityScene(
+        L=(20.0, 20.0, 20.0), V_eff=1.0e6, omega_cav=3.0, r_mat=np.zeros(3), n_d=z,
+        f_mat=118.74**2, omega_mat=3.0,
+    )
+
+
+_ON_AXIS = (5.0, 0.0, 0.0)
+
+
+def _field_map(core_radius):
+    return dielectric_field_arrays(_box(), 0.3, +1, [_ON_AXIS], core_radius=core_radius)
+
+
+def _cross_section(omega):
+    model = CoupledModel(OscillatorPair(3.0, 3.0, kappa=0.1, gamma=0.05), ModelVariant.SPC, 0.1)
+    resp = driven_response(model, DriveSpec(E_inc=1.0, omega=np.array([2.9, 3.0, 3.1]), f_cav=1e3, f_mat=1e2))
+    return scattering_cross_section(resp, _X, _X, 1.0, omega)
+
+
+_MODE = (1, (0.0, 0.0))
+_FP = FabryPerotSpec(L_cav=206.64, lateral_period=10.0, modes=(_MODE,))
+
+
+def _ensemble_check(tolerance):
+    lattice = cubic_dipole_lattice(_FP, 3.0, (2, 2, 1), 14099.1876, 3.0)
+    return full_vs_reduced_check(lattice, _FP, _MODE, tolerance=tolerance)
+
+
+def _collective(cutoff_factor):
+    lattice = cubic_dipole_lattice(_FP, 3.0, (2, 2, 1), 14099.1876, 3.0)
+    return collective_reduce(lattice, _FP, _MODE, cutoff_factor=cutoff_factor)
+
+
+def _same_coupling(function, strengths, *rest, **kwargs):
+    """A plain-number strength gives the coupling of the equal OscillatorStrength."""
+    plain = function(*strengths, *rest, **kwargs)
+    assert plain == function(*map(OscillatorStrength, strengths), *rest, **kwargs)
+    return plain
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: _oracle(r_cav=np.array([0.0, math.nan, 0.0])), "r_cav"),
+        (lambda: _oracle(kappa=math.nan), "kappa"),
+        (lambda: _oracle(E_inc=math.nan), "E_inc"),
+        (lambda: _oracle(omega_cav=math.inf), "omega_cav"),
+        (lambda: _oracle(omega=np.array([2.5, 3.0, math.nan])), r"omega .*\(grid row 2\)"),
+        (lambda: coupling_dipole_dipole(1e3, 1e3, **{**_PAIR, "r_mat": (math.inf, 0.0, 0.0)}), "r_mat"),
+        (lambda: coupling_dipole_dipole(1e3, 1e3, **{**_PAIR, "r_cav": (0.0, math.nan, 0.0)}), "r_cav"),
+        (lambda: _cross_section(np.array([2.9, math.nan, 3.1])), r"omega .*\(grid row 1\)"),
+        (lambda: _field_map(core_radius=math.nan), "core_radius"),
+        (lambda: _field_map(core_radius=-1.0), "core_radius"),
+        (lambda: contribution_fractions(_box(), math.inf, +1, _ON_AXIS), "MoC coupling"),
+        (lambda: contribution_fractions(_box(), math.nan, +1, _ON_AXIS), "MoC coupling"),
+        (lambda: _ensemble_check(math.nan), "tolerance"),
+        (lambda: _collective(math.nan), "cutoff_factor"),
+        (lambda: _FP.mode_profile(_MODE, (math.nan, 0.0, 10.0)), "r must be finite"),
+        (lambda: _same_coupling(coupling_dipole_dipole, (2e3, 5e2), **_PAIR), None),
+        (lambda: _same_coupling(coupling_from_mode_volume, (5e2,), 1.0e6, 0.5, 1.0), None),
+    ],
+    ids=[
+        "oracle-nan-position",
+        "oracle-nan-kappa",
+        "oracle-nan-E_inc",
+        "oracle-inf-omega_cav",
+        "oracle-nan-drive-frequency",
+        "dipole-dipole-inf-position",
+        "dipole-dipole-nan-position",
+        "cross-section-nan-frequency",
+        "field-map-nan-core_radius",
+        "field-map-negative-core_radius",
+        "fractions-inf-coupling",
+        "fractions-nan-coupling",
+        "ensemble-nan-tolerance",
+        "collective-nan-cutoff",
+        "mode-profile-nan-position",
+        "dipole-dipole-plain-strengths",
+        "mode-volume-plain-strength",
+    ],
+)
+def test_entry_points_check_their_inputs(call, name):
+    # ``name`` is what the error must name; None marks an input that is accepted
+    if name is None:
+        assert math.isfinite(call())
+        return
+    with pytest.raises(PolaritonError, match=name):
+        call()
