@@ -3,10 +3,11 @@
 A scenario is a YAML mapping with a ``kind`` selecting one of the nine
 drivers below, a ``parameters`` block mirroring the corresponding module
 types, and an optional ``output`` block.  Every scenario is deterministic
-end to end -- there is no RNG anywhere in the pipeline -- and the CSV
-artifacts are written atomically with a fixed dialect (comma separator, LF
-line endings, 17 significant digits), so two runs of the same document are
-byte-identical.
+end to end -- there is no RNG anywhere in the pipeline.  Each driver returns
+a table of integer or float columns, which is written atomically as CSV
+with a fixed dialect (comma separator, LF line endings, floats as ``.17g``,
+integers as plain decimals) and, optionally, as an SVG plot, so two runs of
+the same document are byte-identical.
 
 Validation is declarative: every mapping a document may hold has a field
 table, a tuple of ``_Field(key, check, default)`` entries.  ``check`` is a
@@ -273,8 +274,19 @@ _AXIS = partial(_string, choices=tuple(_AXES))
 
 @dataclass
 class _Table:
-    columns: list  # list of (header cell, 1-D value sequence)
+    columns: list  # list of (header cell, 1-D integer or float array)
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.columns = [(cell, np.asarray(values)) for cell, values in self.columns]
+        for cell, values in self.columns:
+            if values.ndim != 1 or values.dtype.kind not in "iuf":
+                raise PolaritonError(
+                    f"column {cell!r} must be a 1-D integer or float array, "
+                    f"got {values.dtype} of shape {values.shape}"
+                )
+            if len(values) != self.n_rows():
+                raise PolaritonError(f"column {cell!r} has {len(values)} rows, expected {self.n_rows()}")
 
     def n_rows(self) -> int:
         return len(self.columns[0][1])
@@ -924,23 +936,13 @@ _DOCUMENT = (
 # artifact output
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _render_csv(table: _Table) -> bytes:
-    n = table.n_rows()
-    for cell, values in table.columns:
-        if len(values) != n:
-            raise PolaritonError(f"column {cell!r} has {len(values)} rows, expected {n}")
-    lines = [",".join(cell for cell, _ in table.columns)]
-    for i in range(n):
-        lines.append(",".join(_format_cell(values[i]) for _, values in table.columns))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    header = ",".join(cell for cell, _ in table.columns)
+    columns = [
+        map(str if values.dtype.kind in "iu" else "{:.17g}".format, values.tolist())
+        for _, values in table.columns
+    ]
+    return ("\n".join([header, *map(",".join, zip(*columns))]) + "\n").encode("utf-8")
 
 
 _SVG_PALETTE = (
@@ -962,7 +964,8 @@ def _render_svg(table: _Table, title: str) -> bytes:
     left, right, top, bottom = 70.0, 20.0, 34.0, 50.0
     x = np.asarray(table.columns[0][1], dtype=float)
     series = [(cell, np.asarray(vals, dtype=float)) for cell, vals in table.columns[1:]]
-    finite_x = x[np.isfinite(x)]
+    finite = np.isfinite(x)
+    finite_x = x[finite]
     ys = np.concatenate([v[np.isfinite(v)] for _, v in series]) if series else np.array([])
     if finite_x.size == 0 or ys.size == 0:
         raise PolaritonError("nothing to plot: no finite data points")
@@ -974,12 +977,6 @@ def _render_svg(table: _Table, title: str) -> bytes:
         y0, y1 = y0 - 1.0, y1 + 1.0
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
-
-    def sx(v):
-        return left + (v - x0) / (x1 - x0) * (width - left - right)
-
-    def sy(v):
-        return height - bottom - (v - y0) / (y1 - y0) * (height - top - bottom)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
@@ -999,23 +996,18 @@ def _render_svg(table: _Table, title: str) -> bytes:
     ]
     for idx, (cell, values) in enumerate(series):
         color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
-        run = []
-        segments = []
-        for xi, yi in zip(x, values):
-            if math.isfinite(xi) and math.isfinite(yi):
-                run.append(f"{sx(xi):.3f},{sy(yi):.3f}")
-            elif run:
-                segments.append(run)
-                run = []
-        if run:
-            segments.append(run)
-        for seg in segments:
-            if len(seg) == 1:
-                cx, cy = seg[0].split(",")
-                parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
-            else:
+        # a run is a stretch of consecutive rows where both x and y are finite
+        shown = np.flatnonzero(finite & np.isfinite(values))
+        px = (left + (x[shown] - x0) / (x1 - x0) * (width - left - right)).tolist()
+        py = (height - bottom - (values[shown] - y0) / (y1 - y0) * (height - top - bottom)).tolist()
+        cuts = (np.flatnonzero(np.diff(shown) > 1) + 1).tolist()
+        for start, stop in zip([0, *cuts], [*cuts, len(shown)]):
+            if stop - start == 1:
+                parts.append(f'<circle cx="{px[start]:.3f}" cy="{py[start]:.3f}" r="2" fill="{color}"/>')
+            elif stop > start:  # an all-NaN series is one empty run
+                points = " ".join(map("{:.3f},{:.3f}".format, px[start:stop], py[start:stop]))
                 parts.append(
-                    f'<polyline points="{" ".join(seg)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+                    f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
                 )
         ly = top + 14.0 * idx
         parts.append(
@@ -1074,6 +1066,12 @@ def run_scenario_document(
     csv_path = Path(output["path"] or f"{stem}.csv")
     if not csv_path.is_absolute():
         csv_path = Path(out_dir or ".") / csv_path
+    svg_path = csv_path.with_suffix(".svg") if output["format"] == "svg" else None
+    if svg_path == csv_path:
+        raise SchemaError(
+            "output.path",
+            f"{output['path']!r} would name both the CSV and the SVG; give it another suffix, such as .csv",
+        )
 
     spec, handler = _HANDLERS[kind]
     try:
@@ -1091,9 +1089,7 @@ def run_scenario_document(
     csv_bytes = _render_csv(table)
     _atomic_write(csv_path, csv_bytes)
     outputs = {csv_path.name: {"sha256": hashlib.sha256(csv_bytes).hexdigest(), "bytes": len(csv_bytes)}}
-    svg_path = None
-    if output["format"] == "svg":
-        svg_path = csv_path.with_suffix(".svg")
+    if svg_path is not None:
         svg_bytes = _render_svg(table, csv_path.stem)
         _atomic_write(svg_path, svg_bytes)
         outputs[svg_path.name] = {"sha256": hashlib.sha256(svg_bytes).hexdigest(), "bytes": len(svg_bytes)}

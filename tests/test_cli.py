@@ -72,6 +72,16 @@ def test_schema_error_exits_2(tmp_path, capsys):
     assert "schema error:" in capsys.readouterr().err
 
 
+def test_svg_output_path_naming_the_csv_exits_2(tmp_path, capsys):
+    scenario = _write(
+        tmp_path, "drawn.yaml", _SWEEP + "output:\n  path: plot.svg\n  format: svg\n"
+    )
+    code = main(["run", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "output.path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_physics_error_exits_3(tmp_path, capsys):
     unstable = _ORACLE.replace("g_qed: 0.3", "g_qed: 0.6").replace("D: MoC", "D: 0.0")
     scenario = _write(tmp_path, "unstable.yaml", unstable)

@@ -17,11 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import polariton_lab
-from polariton_lab import SchemaError
+from polariton_lab import PolaritonError, SchemaError
 from polariton_lab.cli import main
 from polariton_lab.scenarios import (
     FIGURE_IDS,
     SCENARIO_KINDS,
+    _render_csv,
+    _render_svg,
+    _Table,
     figure_document,
     load_scenario_file,
     reproduce_figure,
@@ -339,6 +342,66 @@ def test_svg_output_is_wellformed(tmp_path):
         assert [t.text for t in root if t.tag.endswith("text")][0] == stem
         assert f"{stem}.csv" in run.summary["outputs"]
         assert f"{stem}.svg" in run.summary["outputs"]
+
+
+def test_csv_dialect_is_pinned():
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e22, 3.0]
+    integers = [0, 1, -2, 42, 10**17 + 1, -(2**63), 2**63 - 1, 7]
+    table = _Table([("n (1)", np.array(integers)), ("v (1)", np.array(floats))])
+    assert _render_csv(table) == (
+        b"n (1),v (1)\n"
+        b"0,nan\n"
+        b"1,inf\n"
+        b"-2,-inf\n"
+        b"42,-0\n"
+        b"100000000000000001,4.9406564584124654e-324\n"
+        b"-9223372036854775808,0.10000000000000001\n"
+        b"9223372036854775807,1e+22\n"
+        b"7,3\n"
+    )
+    for bad in ([1.0, 2.0], np.ones(3, dtype=bool), np.ones(3, dtype=complex)):
+        with pytest.raises(PolaritonError, match="'bad \\(1\\)'"):
+            _Table([("x (1)", np.arange(3.0)), ("bad (1)", bad)])
+
+
+def test_svg_breaks_series_at_gaps_and_draws_lone_points():
+    # interior NaN gaps, a NaN in x (row 4), lone finite points, trailing runs
+    # and an integer series
+    nan = math.nan
+    table = _Table(
+        [
+            ("x (1)", np.array([0.0, 1, 2, 3, nan, 5, 6, 7, 8, 9])),
+            ("a (1)", np.array([0.0, 0.5, 1.0, nan, 2.0, 2.5, 3.0, nan, 4.0, 4.5])),
+            ("b (1)", np.array([nan, -1.0, nan, -0.5, -0.25, 0.0, 0.25, nan, nan, 1.0])),
+            ("n (1)", np.arange(10)),
+        ]
+    )
+    svg = _render_svg(table, "gaps")
+    drawn = [line for line in svg.decode().splitlines() if line.startswith(("<polyline", "<circle"))]
+    assert drawn == [
+        '<polyline points="70.000,376.000 140.000,358.000 210.000,340.000" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
+        '<polyline points="420.000,286.000 490.000,268.000" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
+        '<polyline points="630.000,232.000 700.000,214.000" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
+        '<circle cx="140.000" cy="412.000" r="2" fill="#d62728"/>',
+        '<circle cx="280.000" cy="394.000" r="2" fill="#d62728"/>',
+        '<polyline points="420.000,376.000 490.000,367.000" fill="none" stroke="#d62728" stroke-width="1.5"/>',
+        '<circle cx="700.000" cy="340.000" r="2" fill="#d62728"/>',
+        '<polyline points="70.000,376.000 140.000,340.000 210.000,304.000 280.000,268.000" fill="none" stroke="#2ca02c" stroke-width="1.5"/>',
+        '<polyline points="420.000,196.000 490.000,160.000 560.000,124.000 630.000,88.000 700.000,52.000" fill="none" stroke="#2ca02c" stroke-width="1.5"/>',
+    ]
+    # the whole document, axes and legend included
+    assert hashlib.sha256(svg).hexdigest() == (
+        "edfdbe83411aadb51aebb0b66d9388bbe6dc42a76be20db545e9366a173682de"
+    )
+
+
+def test_svg_output_path_may_not_name_the_csv(tmp_path):
+    doc = figure_document("fig1e")
+    doc["output"] = {"path": "plot.svg", "format": "svg"}
+    with pytest.raises(SchemaError, match="plot.svg") as err:
+        _run(doc, tmp_path)
+    assert err.value.path == "output.path"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_path_override(tmp_path):
