@@ -7,13 +7,17 @@ model (``D = 0`` for amplitude coupling, ``D = g**2 / omega_mat`` for
 velocity coupling).  The module provides both the closed-form branch
 frequencies of that quadratic Hamiltonian and a brute-force truncated Fock
 diagonalization, so the two can be cross-checked without sharing any code
-path with the classical solvers.  The coupling-frame check compares two
-truncated matrices that a diagonal phase maps onto each other exactly, so it
-measures eigensolver round-off, not truncation error.
+path with the classical solvers.  Untruncated, every level is
+``E0 + n_plus*omega_plus + n_minus*omega_minus`` with
+``E0 = (omega_plus + omega_minus)/2``.  The coupling-frame check compares the
+truncated levels with those of the dipole-gauge partner, a different
+truncated matrix with the same untruncated spectrum, so it measures
+truncation error.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -86,9 +90,7 @@ def _ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
-def _fock_terms(
-    p: HopfieldParams, n_max: int, *, momentum_frame: bool = False, rwa: bool = False
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _fock_terms(p: HopfieldParams, n_max: int, *, rwa: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
     """Single-mode factors (A_k, B_k) of the Hamiltonian H = sum_k kron(A_k, B_k).
 
     A_k acts on the photon mode, B_k on the matter mode, each truncated to
@@ -107,9 +109,6 @@ def _fock_terms(
     if rwa:
         coupling = [(g * low, low.T), (g * low.T, low)]
         self_term = dd * (2.0 * num + eye)  # counter-rotating pieces of the quadratic term dropped
-    elif momentum_frame:
-        coupling = [(g * q, 1j * (low - low.T))]
-        self_term = dd * (q @ q)
     else:
         coupling = [(g * q, q)]
         self_term = dd * (q @ q)
@@ -168,17 +167,45 @@ def truncated_fock_spectrum(
     )
 
 
-def frame_equivalence_check(p: HopfieldParams, n_max: int = 40) -> float:
-    """Max deviation of the lowest five levels between the two coupling frames.
+def _ladder_deviation(spectrum: QuantumSpectrum, w_plus: float, w_minus: float) -> float:
+    """Max miss of ``spectrum`` against the exact ladder of modes ``w_plus``, ``w_minus``.
 
-    The position-position coupled Hamiltonian and its momentum-coupled
-    counterpart (same ``g_qed`` and ``D``; coupling through i(b - b^dag))
-    are diagonalized in the same truncated basis, and the largest absolute
-    level difference is returned.  The phase ``U = diag(i**n)`` on the matter
-    mode maps i(b - b^dag) to b + b^dag exactly at every truncation, so the
-    two truncated matrices are unitarily equivalent: the deviation measures
-    only the round-off of ``eigvalsh``, not truncation error.
+    The lowest sums ``n_plus*w_plus + n_minus*w_minus`` come from a heap merge
+    of the rows ``n_plus = 0, 1, ...``, in memory linear in the level count.
     """
-    lv1 = _all_levels(_fock_terms(p, n_max))[:5]
-    lv2 = _all_levels(_fock_terms(p, n_max, momentum_frame=True))[:5]
-    return float(np.max(np.abs(lv1 - lv2)))
+    count = len(spectrum.excitation_energies)
+    rows = [(n_plus * w_plus, n_plus, 0) for n_plus in range(count + 1)]  # ascending: a heap
+    exact = []
+    while len(exact) <= count:
+        value, n_plus, n_minus = heapq.heappop(rows)
+        exact.append(value)
+        heapq.heappush(rows, (n_plus * w_plus + (n_minus + 1) * w_minus, n_plus, n_minus + 1))
+    ground = abs(spectrum.ground_state_energy - 0.5 * (w_plus + w_minus))
+    return max(ground, float(np.max(np.abs(spectrum.excitation_energies - exact[1:]))))
+
+
+def frame_equivalence_check(p: HopfieldParams, spectrum: QuantumSpectrum) -> float:
+    """Max miss of ``spectrum`` against the dipole-gauge partner at its truncation.
+
+    ``spectrum`` is the full (``rwa=False``) spectrum of ``p``.  The partner is
+    the same real build with the mode roles swapped: the self-term
+    ``D' = D*omega_cav/omega_mat`` on the matter mode and the coupling
+    ``g'**2 = g**2 + D*(omega_cav**2 - omega_mat**2)/omega_mat``
+    (``g*omega_cav/omega_mat`` for the MoC ``D``).  It keeps both quartic
+    invariants, so the miss is truncation error, except at
+    ``omega_cav == omega_mat`` or ``D == 0``, where the partner is the same
+    operator and the miss is round-off.  Where ``g'**2 < 0`` there is no
+    partner and :class:`PolaritonError` is raised.
+    """
+    wc, wm = p.omega_cav, p.omega_mat
+    g_squared = p.g_qed**2 + p.D * (wc - wm) * (wc + wm) / wm
+    if g_squared < 0.0:
+        raise PolaritonError(
+            f"no dipole-gauge frame partner for D = {p.D:.6g} eV, omega_cav = {wc:.6g} eV, "
+            f"omega_mat = {wm:.6g} eV: g^2 + D (omega_cav^2 - omega_mat^2) / omega_mat = {g_squared:.6g} eV^2 < 0"
+        )
+    partner = HopfieldParams(wm, wc, math.sqrt(g_squared), p.D * wc / wm)
+    levels = _all_levels(_fock_terms(partner, spectrum.truncation))
+    excitations = levels[1 : 1 + len(spectrum.excitation_energies)] - levels[0]
+    ground = abs(float(levels[0]) - spectrum.ground_state_energy)
+    return max(ground, float(np.max(np.abs(excitations - spectrum.excitation_energies))))

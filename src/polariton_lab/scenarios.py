@@ -55,6 +55,7 @@ from .fields import (
 )
 from .hopfield import (
     HopfieldParams,
+    _ladder_deviation,
     frame_equivalence_check,
     hopfield_quartic_eigen,
     truncated_fock_spectrum,
@@ -833,6 +834,11 @@ def _run_oracle(p: dict) -> _Table:
             diamagnetic = g_qed**2 / omega_mat
         else:
             diamagnetic = d_value
+        if p["frame_check"] and p["rwa"]:
+            raise SchemaError(
+                "parameters.frame_check",
+                "needs rwa: false; the dipole-gauge partner matches the full Hamiltonian, not its RWA",
+            )
         hp = HopfieldParams(omega_cav, omega_mat, g_qed, diamagnetic)
         spectrum = truncated_fock_spectrum(hp, p["n_max"], p["n_levels"], rwa=p["rwa"])
         extras = {
@@ -844,8 +850,14 @@ def _run_oracle(p: dict) -> _Table:
             w_plus, w_minus = hopfield_quartic_eigen(hp)
             extras["omega_minus_quartic_eV"] = w_minus
             extras["omega_plus_quartic_eV"] = w_plus
+            extras["ground_state_shift_eV"] = 0.5 * (w_plus + w_minus) - 0.5 * (omega_cav + omega_mat)
+            extras["fock_ladder_deviation_eV"] = _ladder_deviation(spectrum, w_plus, w_minus)
         if p["frame_check"]:
-            extras["frame_deviation_eV"] = frame_equivalence_check(hp, n_max=p["n_max"])
+            extras["frame_deviation_eV"] = frame_equivalence_check(hp, spectrum)
+            # the partner is the same matrix at resonance, and the same operator
+            # with its modes relabeled without the self-term
+            same = diamagnetic == 0.0 or omega_cav == omega_mat
+            extras["frame_check_measures"] = "round-off only" if same else "truncation"
         levels = np.arange(1, len(spectrum.excitation_energies) + 1)
         columns = [
             ("level (1)", levels),

@@ -148,11 +148,14 @@ def test_quantum_oracle_agrees_with_classical_closed_forms_on_random_draws():
 
 
 def test_coupling_frame_choice_leaves_the_spectrum_unchanged():
-    # position-position vs momentum-form coupling, same quadratic term:
-    # isospectral to well below an neV at eV-scale frequencies
-    for d_term in (0.0, 0.27):
-        params = HopfieldParams(omega_cav=3.0, omega_mat=3.0, g_qed=0.9, D=d_term)
-        assert frame_equivalence_check(params, n_max=40) <= 1e-9
+    # the Coulomb-gauge form and its dipole-gauge partner, with the quadratic
+    # term moved onto the matter mode: isospectral to well below an neV at
+    # eV-scale frequencies.  On resonance the partner is the same matrix; the
+    # detuned MoC case (D = g^2 / omega_mat) is a different truncated matrix.
+    for omega_cav, d_term in ((3.0, 0.0), (3.0, 0.27), (3.6, 0.27)):
+        params = HopfieldParams(omega_cav=omega_cav, omega_mat=3.0, g_qed=0.9, D=d_term)
+        spectrum = truncated_fock_spectrum(params, n_max=40, n_levels=5)
+        assert frame_equivalence_check(params, spectrum) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,16 @@ def test_quantum_oracle_labels_the_quartic_roots(tmp_path):
     assert abs(levels[0, 1] - lower) < 1e-5
 
 
+def test_frame_check_without_a_dipole_gauge_partner_exits_3(tmp_path, capsys):
+    # stable parameters whose partner coupling would be imaginary
+    text = _ORACLE.replace("omega_cav: 1.0", "omega_cav: 0.5").replace("g_qed: 0.3", "g_qed: 0.1")
+    text = text.replace("D: MoC", "D: 0.5") + "  frame_check: true\n"
+    oracle = _write(tmp_path, "partnerless.yaml", text)
+    assert main(["oracle", str(oracle), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "no dipole-gauge frame partner for D = 0.5 eV, omega_cav = 0.5 eV, omega_mat = 1 eV" in err
+
+
 def test_io_error_exits_4(tmp_path, capsys):
     missing = tmp_path / "not_there.yaml"
     code = main(["run", str(missing), "--out", str(tmp_path)])

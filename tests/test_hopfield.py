@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polariton_lab import PolaritonError
 from polariton_lab.hopfield import (
     HopfieldParams,
+    QuantumSpectrum,
     _all_levels,
     _fock_terms,
     frame_equivalence_check,
@@ -164,11 +165,11 @@ def test_fock_guards():
         truncated_fock_spectrum(p, n_max=10, n_levels=0)
     with pytest.raises(PolaritonError):
         truncated_fock_spectrum(p, n_max=10, n_levels=121)
-    # the frame check shares the same truncation guard
+    # the frame check solves its partner at the spectrum's truncation, under the same guard
     with pytest.raises(PolaritonError, match="n_max must be >= 2"):
-        frame_equivalence_check(p, n_max=1)
+        frame_equivalence_check(p, QuantumSpectrum(np.ones(1), 1.0, truncation=1))
     with pytest.raises(PolaritonError, match="desk-scale"):
-        frame_equivalence_check(p, n_max=64)
+        frame_equivalence_check(p, QuantumSpectrum(np.ones(1), 1.0, truncation=64))
 
 
 def test_rotating_wave_toggle_reduces_to_linearized_branches():
@@ -190,35 +191,37 @@ def test_counter_rotating_terms_matter_in_ultrastrong_coupling():
 
 
 def _dense_fock_levels(p, n_max, frame):
-    """All levels of the two-mode Hamiltonian built as one dense d^2 x d^2 kron matrix."""
+    """All levels of the two-mode Hamiltonian built as one dense d^2 x d^2 kron matrix.
+
+    The ``"dipole"`` frame is the dipole-gauge partner written out directly:
+    the self-term ``D' = D omega_cav / omega_mat`` on the matter mode and the
+    coupling ``g'`` from ``g'^2 = g^2 + D (omega_cav^2 - omega_mat^2) / omega_mat``.
+    """
     d = n_max + 1
     a = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
     ad = a.T
     n = ad @ a
     x = a + ad
     eye = np.eye(d)
+    cav, mat = p.omega_cav * n, p.omega_mat * n
     if frame == "rwa":
         coupling = p.g_qed * (np.kron(a, ad) + np.kron(ad, a))
-        self_term = p.D * (2.0 * n + eye)
-    elif frame == "momentum":
-        coupling = p.g_qed * np.kron(x, 1j * (a - ad))
-        self_term = p.D * (x @ x)
+        cav = cav + p.D * (2.0 * n + eye)
+    elif frame == "dipole":
+        g_prime = math.sqrt(p.g_qed**2 + p.D * (p.omega_cav**2 - p.omega_mat**2) / p.omega_mat)
+        coupling = g_prime * np.kron(x, x)
+        mat = mat + p.D * p.omega_cav / p.omega_mat * (x @ x)
     else:
         coupling = p.g_qed * np.kron(x, x)
-        self_term = p.D * (x @ x)
-    h = np.kron(p.omega_cav * n + self_term, eye) + np.kron(eye, p.omega_mat * n) + coupling
+        cav = cav + p.D * (x @ x)
+    h = np.kron(cav, eye) + np.kron(eye, mat) + coupling
     h += 0.5 * (p.omega_cav + p.omega_mat) * np.eye(d * d)
     return np.linalg.eigvalsh(h)
 
 
 _DENSE_CASE = HopfieldParams(omega_cav=1.3, omega_mat=1.0, g_qed=0.4, D=0.16)
-
-
-def test_momentum_frame_levels_match_the_dense_kron_hamiltonian():
-    # no public call returns every momentum-frame level; the frame check keeps five
-    reference = _dense_fock_levels(_DENSE_CASE, 12, "momentum")
-    levels = _all_levels(_fock_terms(_DENSE_CASE, 12, momentum_frame=True))
-    assert np.max(np.abs(levels - reference)) <= 1e-12
+# MoC (D = g^2 / omega_mat) off resonance: the partner is a different truncated matrix
+_MOC_DETUNED = HopfieldParams(omega_cav=1.2, omega_mat=1.0, g_qed=0.5, D=0.25)
 
 
 @pytest.mark.parametrize("rwa", [False, True])
@@ -229,11 +232,25 @@ def test_fock_spectrum_matches_the_dense_kron_hamiltonian(rwa):
     assert np.max(np.abs(spec.excitation_energies - (reference[1:] - reference[0]))) <= 1e-12
 
 
+def test_dipole_gauge_partner_levels_match_the_dense_kron_hamiltonian():
+    # the partner is the real build with the mode roles swapped; the reference
+    # keeps the mode order and moves the self-term instead
+    p = _DENSE_CASE
+    g_prime = math.sqrt(p.g_qed**2 + p.D * (p.omega_cav**2 - p.omega_mat**2) / p.omega_mat)
+    partner = HopfieldParams(p.omega_mat, p.omega_cav, g_prime, p.D * p.omega_cav / p.omega_mat)
+    levels = _all_levels(_fock_terms(partner, 12))
+    assert np.max(np.abs(levels - _dense_fock_levels(p, 12, "dipole"))) <= 1e-12
+
+
 def test_frame_check_matches_the_dense_kron_hamiltonian():
-    position = _dense_fock_levels(_DENSE_CASE, 12, "position")[:5]
-    momentum = _dense_fock_levels(_DENSE_CASE, 12, "momentum")[:5]
-    expected = np.max(np.abs(position - momentum))
-    assert abs(frame_equivalence_check(_DENSE_CASE, n_max=12) - expected) <= 1e-12
+    position = _dense_fock_levels(_DENSE_CASE, 12, "position")[:6]
+    dipole = _dense_fock_levels(_DENSE_CASE, 12, "dipole")[:6]
+    expected = max(
+        abs(position[0] - dipole[0]),
+        np.max(np.abs((position[1:] - position[0]) - (dipole[1:] - dipole[0]))),
+    )
+    spectrum = truncated_fock_spectrum(_DENSE_CASE, n_max=12, n_levels=5)
+    assert abs(frame_equivalence_check(_DENSE_CASE, spectrum) - expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +259,8 @@ def test_frame_check_matches_the_dense_kron_hamiltonian():
 
 def test_frame_equivalence_trivial_at_zero_coupling():
     p = HopfieldParams(omega_cav=1.3, omega_mat=1.0, g_qed=0.0)
-    assert frame_equivalence_check(p, n_max=12) < 1e-12
+    spectrum = truncated_fock_spectrum(p, n_max=12, n_levels=5)
+    assert frame_equivalence_check(p, spectrum) < 1e-12
 
 
 def test_frame_equivalence_in_ultrastrong_coupling():
@@ -250,18 +268,23 @@ def test_frame_equivalence_in_ultrastrong_coupling():
         p = HopfieldParams(omega_cav=1.0, omega_mat=1.0, g_qed=0.3, D=d)
         if not p.stable:
             continue
-        assert frame_equivalence_check(p, n_max=40) < 1e-9
+        spectrum = truncated_fock_spectrum(p, n_max=40, n_levels=5)
+        assert frame_equivalence_check(p, spectrum) < 1e-9
 
 
-@pytest.mark.parametrize("n_max", [6, 40])
-def test_momentum_frame_is_a_diagonal_phase_of_the_position_frame(n_max):
-    # U = diag(i^n) on the matter mode maps i(b - b^dag) to b + b^dag exactly,
-    # at every truncation: the two frames are one matrix up to a unitary, so
-    # frame_equivalence_check measures eigvalsh round-off, not truncation error
-    u = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_max + 1) % 4]
-    position = _fock_terms(_DENSE_CASE, n_max)
-    momentum = _fock_terms(_DENSE_CASE, n_max, momentum_frame=True)
-    assert len(position) == len(momentum)
-    for (a_pos, b_pos), (a_mom, b_mom) in zip(position, momentum):
-        assert np.array_equal(a_mom, a_pos)
-        assert np.array_equal(u[:, None] * b_mom * u.conj(), b_pos)
+def test_frame_check_fails_at_a_coarse_truncation():
+    # the partner is isospectral only untruncated: at n_max = 8 the two
+    # truncated matrices disagree visibly, and the gap closes by n_max = 40
+    coarse = truncated_fock_spectrum(_MOC_DETUNED, n_max=8, n_levels=5)
+    fine = truncated_fock_spectrum(_MOC_DETUNED, n_max=40, n_levels=5)
+    assert frame_equivalence_check(_MOC_DETUNED, coarse) > 1e-4
+    assert frame_equivalence_check(_MOC_DETUNED, fine) <= 1e-12
+
+
+def test_frame_check_rejects_parameters_without_a_partner():
+    # stable, but g^2 + D (omega_cav^2 - omega_mat^2) / omega_mat = -0.365 < 0
+    p = HopfieldParams(omega_cav=0.5, omega_mat=1.0, g_qed=0.1, D=0.5)
+    assert p.stable
+    spectrum = truncated_fock_spectrum(p, n_max=10, n_levels=3)
+    with pytest.raises(PolaritonError, match=r"D = 0\.5 eV, omega_cav = 0\.5 eV, omega_mat = 1 eV"):
+        frame_equivalence_check(p, spectrum)

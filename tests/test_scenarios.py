@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import polariton_lab
-from polariton_lab import PolaritonError, SchemaError
+from polariton_lab import PolaritonError, SchemaError, hopfield
 from polariton_lab.cli import main
 from polariton_lab.scenarios import (
     FIGURE_IDS,
@@ -491,6 +491,62 @@ def test_reproduce_is_deterministic(tmp_path):
     a = reproduce_figure("figS1c", out_dir=tmp_path / "a")
     b = reproduce_figure("figS1c", out_dir=tmp_path / "b")
     assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# quantum oracle
+
+
+def _quantum_doc(**parameters):
+    base = {"flavor": "quantum", "omega_cav": 1.0, "omega_mat": 1.0, "g_qed": 0.8, "D": "MoC", "n_levels": 5}
+    return {"kind": "oracle", "schema": 1, "parameters": {**base, **parameters}}
+
+
+@pytest.mark.parametrize("n_max, miss", [(4, 0.4446), (16, 1.140e-4)])
+def test_quantum_oracle_reports_its_miss_against_the_exact_ladder(tmp_path, n_max, miss):
+    summary = _run(_quantum_doc(n_max=n_max), tmp_path).summary
+    assert summary["fock_ladder_deviation_eV"] == pytest.approx(miss, rel=1e-3)
+    # MoC on resonance: omega_plus + omega_minus = 2 sqrt(omega^2 + g^2)
+    assert summary["ground_state_shift_eV"] == pytest.approx(math.sqrt(1.64) - 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_max, lo, hi", [(12, 3.7e-6, 3.9e-6), (28, 0.0, 1e-14)])
+def test_sample_quantum_oracle_ladder_miss(tmp_path, n_max, lo, hi):
+    doc = yaml.safe_load((_SAMPLES / "oracle_quantum.yaml").read_text())
+    doc["parameters"]["n_max"] = n_max
+    summary = _run(doc, tmp_path).summary
+    assert lo <= summary["fock_ladder_deviation_eV"] <= hi
+    # on resonance the dipole-gauge partner is the same matrix
+    assert summary["frame_check_measures"] == "round-off only"
+    assert summary["frame_deviation_eV"] <= 1e-12
+
+
+@pytest.mark.parametrize("d_value, measures", [("MoC", "truncation"), ("SpC", "round-off only"), (0.2, "truncation")])
+def test_frame_check_says_what_it_measures(tmp_path, d_value, measures):
+    doc = _quantum_doc(omega_cav=1.2, g_qed=0.3, D=d_value, n_max=20, frame_check=True)
+    summary = _run(doc, tmp_path).summary
+    assert summary["frame_check_measures"] == measures
+    assert summary["frame_deviation_eV"] <= 1e-6
+
+
+def test_frame_check_needs_the_full_hamiltonian(tmp_path):
+    with pytest.raises(SchemaError) as err:
+        _run(_quantum_doc(n_max=10, rwa=True, frame_check=True), tmp_path)
+    assert err.value.path == "parameters.frame_check"
+
+
+def test_frame_check_solves_the_position_frame_once(tmp_path, monkeypatch):
+    calls = []
+    solve = hopfield._all_levels
+
+    def counted(terms):
+        calls.append(len(terms[0][0]))
+        return solve(terms)
+
+    monkeypatch.setattr(hopfield, "_all_levels", counted)
+    _run(_quantum_doc(omega_cav=1.2, n_max=12, frame_check=True), tmp_path)
+    # one position-frame solve, one dipole-gauge partner solve, both at n_max = 12
+    assert calls == [13, 13]
 
 
 # ---------------------------------------------------------------------------
