@@ -188,12 +188,35 @@ def _pairwise_couplings(lattice: DipoleLattice) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class FullSystem:
-    """Frequency-domain system x'' + K x + J x' = 0 over [dipoles..., modes...]."""
+    """Frequency-domain system x'' + K x + J x' = 0 over [dipoles..., modes...].
+
+    Velocity couplings J join dipoles to modes only, and the modes are
+    uncoupled in K: any other block structure is rejected.
+    """
 
     K: np.ndarray
     J: np.ndarray
     n_dip: int
     n_modes: int
+
+    def __post_init__(self):
+        n, dim = self.n_dip, self.n_dip + self.n_modes
+        if self.K.shape != (dim, dim) or self.J.shape != (dim, dim):
+            raise PolaritonError(
+                f"K and J must be {dim}x{dim} for {self.n_dip} dipoles and {self.n_modes} modes"
+            )
+        mode_k = self.K[n:, n:]
+        for name, block in (
+            ("dipole-dipole block of J", self.J[:n, :n]),
+            ("mode-mode block of J", self.J[n:, n:]),
+            ("dipole-mode blocks of K", self.K[:n, n:]),
+            ("mode-dipole blocks of K", self.K[n:, :n]),
+            ("off-diagonal mode-mode entries of K", mode_k - np.diag(np.diag(mode_k))),
+        ):
+            if np.any(block):
+                raise PolaritonError(
+                    f"the {name} must vanish: dipoles and modes couple only through velocity terms"
+                )
 
     def frequency_domain_matrix(self, omega: float) -> np.ndarray:
         n = self.K.shape[0]
@@ -202,28 +225,53 @@ class FullSystem:
     def eigenfrequencies(self) -> np.ndarray:
         """The n positive normal-mode frequencies, real and sorted ascending.
 
-        The lossless system is gyroscopic: K is Hermitian and J anti-Hermitian.
-        With x ~ exp(-i w t) and the Cholesky factor K = L L^H, the Hermitian
-        matrix [[0, L^H], [L, -iJ]] has the 2n roots of det(K - w^2 - i w J)
-        as its eigenvalues (Tisseur & Meerbergen, SIAM Rev. 43, 235 (2001)).
-        Its determinant is (-1)^n |det L|^2 whatever J is, so none crosses zero
-        and exactly n are positive, as at J = 0.  A stiffness block that is not
-        positive definite has no such real spectrum and is rejected.
+        With the velocity couplings C = J[:N, N:] and the mode frequencies
+        Omega = sqrt(K[N:, N:]), the dipole-gauge coordinate q = (a' - C^H d)/Omega
+        of the modes turns x'' + K x + J x' = 0 into x'' + K' x = 0 with the
+        Hermitian K' = [[K_dd + C C^H, C Omega], [Omega C^H, Omega^2]]
+        (De Bernardis et al., PRA 98, 053819 (2018)), so the squared
+        frequencies are the eigenvalues of K'; it is real when every mode has
+        k_parallel = 0.  The Schur complement of Omega^2 in K' is K_dd, so K'
+        and K have the same inertia: a stiffness block that is not positive
+        definite has no real spectrum and is rejected.
         """
-        n = self.K.shape[0]
-        try:
-            chol = np.linalg.cholesky(self.K)
-        except np.linalg.LinAlgError:
+        n = self.n_dip
+        mode_k = self.K[n:, n:]
+        squared = None
+        if np.all(np.diag(mode_k).real > 0.0):
+            coupling = self.J[:n, n:]
+            dressed = coupling * np.sqrt(np.diag(mode_k).real)
+            gauge = np.empty(self.K.shape, dtype=np.result_type(self.K, self.J))
+            gauge[:n, :n] = self.K[:n, :n] + coupling @ coupling.conj().T
+            gauge[:n, n:] = dressed
+            gauge[n:, :n] = dressed.conj().T
+            gauge[n:, n:] = mode_k
+            if not np.any(gauge.imag):
+                gauge = gauge.real
+            squared = np.linalg.eigvalsh(gauge)
+        if squared is None or squared[0] <= 0.0:
             lowest = float(np.linalg.eigvalsh(self.K)[0])
             raise PolaritonError(
                 "stiffness block K is not positive definite (lowest eigenvalue "
                 f"{lowest:.6g} eV^2): the system is unstable and has no real normal modes"
-            ) from None
-        lin = np.zeros((2 * n, 2 * n), dtype=complex)
-        lin[:n, n:] = chol.conj().T
-        lin[n:, :n] = chol
-        lin[n:, n:] = -1j * self.J
-        return np.linalg.eigvalsh(lin)[n:]
+            )
+        return np.sqrt(squared)
+
+
+def _bright_band_spread(full: FullSystem, alpha: int, omega_dip: float) -> float:
+    """Spread of the dipole-dipole band that mode ``alpha`` sees, in eV.
+
+    With the bright state b = J[:N, N+alpha]/|J[:N, N+alpha]| and the
+    amplitude couplings G = (K_dd - omega_dip^2)/(2 omega_dip), this is
+    sqrt(|G b|^2 - (b^H G b)^2): the |c_k|^2-weighted standard deviation of
+    the eigenvalues of G, which the collective reduction replaces by one shift.
+    """
+    n = full.n_dip
+    bright = full.J[:n, n + alpha]
+    bright = bright / np.linalg.norm(bright)
+    shifted = (full.K[:n, :n] @ bright - omega_dip * omega_dip * bright) / (2.0 * omega_dip)
+    mean = np.vdot(bright, shifted).real
+    return math.sqrt(max(float(np.vdot(shifted, shifted).real) - mean * mean, 0.0))
 
 
 def build_full_system(

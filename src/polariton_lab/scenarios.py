@@ -44,7 +44,13 @@ import yaml
 
 from ._version import __version__
 from .driven import DriveSpec, driven_response, polarizability_oracle, scattering_cross_section
-from .ensemble import FabryPerotSpec, build_full_system, cubic_dipole_lattice, full_vs_reduced_check
+from .ensemble import (
+    FabryPerotSpec,
+    _bright_band_spread,
+    build_full_system,
+    cubic_dipole_lattice,
+    full_vs_reduced_check,
+)
 from .exceptions import PoleError, PolaritonError, SchemaError
 from .fields import (
     BoxCavityScene,
@@ -690,10 +696,14 @@ def _run_ensemble(p: dict) -> _Table:
         ("max_rel_deviation (1)", [report.max_rel_deviation]),
         ("passed (1)", [1 if report.passed else 0]),
     ]
+    # one mode and no dipole-dipole band: the reduction is the MoC quartic itself
+    exact = full.n_modes == 1 and (not include_dd or lattice.n_dip == 1)
     extras = {
         "n_dipoles": lattice.n_dip,
         "n_modes": full.n_modes,
         "include_dipole_dipole": include_dd,
+        "reduction_check_measures": "round-off only" if exact else "reduction",
+        "bright_band_spread_eV": _bright_band_spread(full, fp.modes.index(cm.mode), lattice.omega_dip),
     }
     return _Table(columns, extras=extras)
 

@@ -10,6 +10,7 @@ reproduction target.  Tolerances are deliberately explicit and tight; any
 drift in the physics shows up here first.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -30,6 +31,7 @@ from polariton_lab.ensemble import (
 from polariton_lab.fields import BoxCavityScene, contribution_fractions
 from polariton_lab.hopfield import (
     HopfieldParams,
+    _ladder_deviation,
     frame_equivalence_check,
     hopfield_quartic_eigen,
     truncated_fock_spectrum,
@@ -135,6 +137,10 @@ def test_quantum_oracle_agrees_with_classical_closed_forms_on_random_draws():
         # sits somewhere in the ladder of combination levels
         assert abs(levels[0] - w_minus) <= 1e-5
         assert float(np.min(np.abs(levels - w_plus))) <= 1e-5
+        # the ground state and the lowest ten levels sit on the exact ladder
+        # E0 + n_plus w_plus + n_minus w_minus; higher up, n_max = 40 truncates
+        lowest = dataclasses.replace(spectrum, excitation_energies=levels[:10])
+        assert _ladder_deviation(lowest, w_plus, w_minus) <= 1e-9
 
         if cls == "zero":
             plus, minus = branch_frequencies(ModelVariant.SPC, params.omega_cav, 1.0, params.g_qed)
@@ -274,7 +280,7 @@ def test_chain_reduction_is_exact_without_dipole_dipole():
     fp = FabryPerotSpec(L_cav=206.64, lateral_period=10.0, modes=(_MODE,))
     lattice = cubic_dipole_lattice(fp, 10.0, (1, 1, 20), _F_MOLECULE, 3.0)
     report = full_vs_reduced_check(fp=fp, lattice=lattice, mode=_MODE, include_dipole_dipole=False)
-    assert report.max_rel_deviation < 1e-10
+    assert report.max_rel_deviation < 1e-13
     assert report.passed
 
 

@@ -9,6 +9,7 @@ from polariton_lab import PolaritonError
 from polariton_lab.ensemble import (
     DipoleLattice,
     FabryPerotSpec,
+    FullSystem,
     build_full_system,
     collective_reduce,
     cubic_dipole_lattice,
@@ -167,20 +168,51 @@ def _companion_eigenfrequencies(full):
     return freqs[np.argsort(freqs.real)]
 
 
+def _linearized_eigenfrequencies(full):
+    """Positive roots of det(K - w^2 - i w J) from the 2n Hermitian linearization.
+
+    With K = L L^H, [[0, L^H], [L, -iJ]] is Hermitian with those 2n roots as
+    its eigenvalues (Tisseur & Meerbergen, SIAM Rev. 43, 235 (2001)); its
+    determinant is (-1)^n |det L|^2 whatever J is, so exactly n are positive.
+    """
+    n = full.K.shape[0]
+    chol = np.linalg.cholesky(full.K)
+    lin = np.zeros((2 * n, 2 * n), dtype=complex)
+    lin[:n, n:] = chol.conj().T
+    lin[n:, :n] = chol
+    lin[n:, n:] = -1j * full.J
+    return np.linalg.eigvalsh(lin)[n:]
+
+
 _TILTED_MODES = (_MODE, (1, (0.1, 0.05)), (2, (0.0, 0.0)))
 
 
-def test_hermitian_linearization_matches_the_companion_eig():
-    # N = 128 with dipole-dipole blocks on; the k_parallel != 0 mode makes J complex
-    fp = _fp(L_cav=60.0, period=30.0, modes=_TILTED_MODES)
-    lat = cubic_dipole_lattice(fp, 3.0, (8, 8, 2), _F_DIP, 3.0)
-    full = build_full_system(lat, fp)
-    assert np.any(full.J.imag != 0.0)
+def test_dipole_gauge_solve_matches_the_companion_eig():
+    # N = 128 with dipole-dipole blocks on; the k_parallel != 0 mode makes J
+    # complex, and without modes the solve is the dipole-dipole block alone
+    for modes in (_TILTED_MODES, ()):
+        fp = _fp(L_cav=60.0, period=30.0, modes=modes)
+        lat = cubic_dipole_lattice(fp, 3.0, (8, 8, 2), _F_DIP, 3.0)
+        full = build_full_system(lat, fp)
+        assert np.any(full.J.imag != 0.0) == bool(modes)
+        freqs = full.eigenfrequencies()
+        reference = _companion_eigenfrequencies(full)
+        assert freqs.dtype == np.float64
+        assert freqs.shape == reference.shape == (full.K.shape[0],)
+        assert np.max(np.abs(freqs - reference) / np.abs(reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("dipole_dipole", [False, True])
+def test_dipole_gauge_solve_matches_the_hermitian_linearization(dipole_dipole):
+    # the (5, 5, 20) lattice of the ensemble benchmark, dipoles at 30 degrees
+    fp = _fp(L_cav=206.64, period=60.0)
+    orientation = (math.cos(math.pi / 6.0), math.sin(math.pi / 6.0), 0.0)
+    lat = cubic_dipole_lattice(fp, 10.0, (5, 5, 20), _F_DIP, 3.0, orientation=orientation)
+    full = build_full_system(lat, fp, include_dipole_dipole=dipole_dipole)
     freqs = full.eigenfrequencies()
-    reference = _companion_eigenfrequencies(full)
-    assert freqs.dtype == np.float64
-    assert freqs.shape == reference.shape == (full.K.shape[0],)
-    assert np.max(np.abs(freqs - reference) / np.abs(reference)) <= 1e-12
+    reference = _linearized_eigenfrequencies(full)
+    assert freqs.shape == reference.shape == (501,)
+    assert np.max(np.abs(freqs - reference) / reference) <= 1e-12
 
 
 def test_velocity_couplings_match_the_per_dipole_profile():
@@ -207,6 +239,42 @@ def test_indefinite_stiffness_is_reported_not_returned():
     assert np.isrealobj(freqs)
     assert freqs.shape == (stable.K.shape[0],)
     assert np.all(freqs > 0.0)
+
+
+def test_solve_rejects_exactly_the_indefinite_stiffness_blocks():
+    # head-to-tail chain across the spacing where the lowest stiffness
+    # eigenvalue crosses zero (near 0.69), with three modes coupled
+    fp = _fp(L_cav=60.0, period=30.0, modes=_TILTED_MODES)
+    outcomes = set()
+    for spacing in np.linspace(0.6, 0.8, 41):
+        full = build_full_system(cubic_dipole_lattice(fp, spacing, (4, 1, 1), _F_DIP, 3.0), fp)
+        try:
+            np.linalg.cholesky(full.K)
+            stable = True
+        except np.linalg.LinAlgError:
+            stable = False
+        outcomes.add(stable)
+        if stable:
+            assert np.all(full.eigenfrequencies() > 0.0)
+        else:
+            with pytest.raises(PolaritonError, match="not positive definite"):
+                full.eigenfrequencies()
+    assert outcomes == {True, False}
+
+
+def test_hand_built_system_outside_the_gauge_structure_is_rejected():
+    fp = _fp(L_cav=60.0)
+    full = build_full_system(cubic_dipole_lattice(fp, 3.0, (2, 1, 1), _F_DIP, 3.0), fp)
+    velocity_between_dipoles = full.J.copy()
+    velocity_between_dipoles[0, 1], velocity_between_dipoles[1, 0] = 0.1, -0.1
+    with pytest.raises(PolaritonError, match="dipole-dipole block of J"):
+        FullSystem(K=full.K, J=velocity_between_dipoles, n_dip=2, n_modes=1)
+    spring_to_the_mode = full.K.copy()
+    spring_to_the_mode[0, 2] = spring_to_the_mode[2, 0] = 0.1
+    with pytest.raises(PolaritonError, match="dipole-mode blocks of K"):
+        FullSystem(K=spring_to_the_mode, J=full.J, n_dip=2, n_modes=1)
+    with pytest.raises(PolaritonError, match="4x4"):
+        FullSystem(K=full.K, J=full.J, n_dip=2, n_modes=2)
 
 
 def test_two_dipoles_without_modes_split_symmetrically():

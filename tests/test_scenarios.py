@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import polariton_lab
 from polariton_lab import PolaritonError, SchemaError, hopfield
 from polariton_lab.cli import main
+from polariton_lab.ensemble import FabryPerotSpec, _pairwise_couplings, cubic_dipole_lattice
 from polariton_lab.scenarios import (
     FIGURE_IDS,
     SCENARIO_KINDS,
@@ -547,6 +548,67 @@ def test_frame_check_solves_the_position_frame_once(tmp_path, monkeypatch):
     _run(_quantum_doc(omega_cav=1.2, n_max=12, frame_check=True), tmp_path)
     # one position-frame solve, one dipole-gauge partner solve, both at n_max = 12
     assert calls == [13, 13]
+
+
+# ---------------------------------------------------------------------------
+# ensemble
+
+
+def _ensemble_doc(shape, dipole_dipole, modes=({"n": 1},)):
+    doc = yaml.safe_load((_SAMPLES / "ensemble_n20.yaml").read_text())
+    doc["parameters"]["cavity"].update(lateral_period=60.0, modes=list(modes))
+    doc["parameters"]["lattice"].update(shape=list(shape), orientation=[0.6, 0.8, 0.0])
+    doc["parameters"].update(include_dipole_dipole=dipole_dipole, tolerance=1e-3)
+    return doc
+
+
+def _csv_row(run):
+    with open(run.csv_path, newline="") as f:
+        return next(csv.DictReader(f))
+
+
+def test_sample_ensemble_check_measures_round_off_only(tmp_path):
+    # one mode, no dipole-dipole band: the reduction is the MoC quartic itself
+    run = _run(yaml.safe_load((_SAMPLES / "ensemble_n20.yaml").read_text()), tmp_path)
+    assert run.summary["reduction_check_measures"] == "round-off only"
+    assert run.summary["bright_band_spread_eV"] == 0.0
+    row = _csv_row(run)
+    assert float(row["max_rel_deviation (1)"]) == 0.0
+    assert row["omega_plus_full (eV)"] == row["omega_plus_reduced (eV)"]
+    assert row["omega_minus_full (eV)"] == row["omega_minus_reduced (eV)"]
+
+
+@pytest.mark.parametrize(
+    "shape, dipole_dipole, modes, measures",
+    [
+        ((4, 4, 8), False, ({"n": 1},), "round-off only"),
+        ((1, 1, 1), True, ({"n": 1},), "round-off only"),
+        ((4, 4, 8), True, ({"n": 1},), "reduction"),
+        ((4, 4, 8), False, ({"n": 1}, {"n": 2}), "reduction"),
+    ],
+)
+def test_ensemble_check_says_what_it_measures(tmp_path, shape, dipole_dipole, modes, measures):
+    summary = _run(_ensemble_doc(shape, dipole_dipole, modes), tmp_path).summary
+    assert summary["reduction_check_measures"] == measures
+
+
+def test_bright_band_spread_is_the_weighted_spread_of_the_band(tmp_path):
+    doc = _ensemble_doc((4, 4, 8), True)
+    summary = _run(doc, tmp_path / "dd").summary
+    cav, lat = doc["parameters"]["cavity"], doc["parameters"]["lattice"]
+    fp = FabryPerotSpec(L_cav=cav["L_cav"], lateral_period=cav["lateral_period"], modes=((1, (0.0, 0.0)),))
+    lattice = cubic_dipole_lattice(
+        fp, lat["spacing"], lat["shape"], lat["f_dip"], lat["omega_dip"], orientation=lat["orientation"]
+    )
+    band, vectors = np.linalg.eigh(_pairwise_couplings(lattice)[1])
+    weights = np.abs(vectors.T @ fp.mode_profile(fp.modes[0], lattice.positions)) ** 2
+    weights /= weights.sum()
+    mean = weights @ band
+    expected = math.sqrt(weights @ (band - mean) ** 2)
+    assert summary["bright_band_spread_eV"] == pytest.approx(expected, rel=1e-12)
+    assert expected > 1e-5
+    doc["parameters"]["include_dipole_dipole"] = False
+    assert _run(doc, tmp_path / "off").summary["bright_band_spread_eV"] == 0.0
 
 
 # ---------------------------------------------------------------------------
