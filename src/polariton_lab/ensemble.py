@@ -26,6 +26,7 @@ from .units import (
     _reduced_strength,
     _require_at_least_one,
     _require_finite,
+    _require_integer,
     _require_nonnegative,
     _require_positive,
     _unit_vector,
@@ -51,6 +52,15 @@ def _check_dipole_count(n: int) -> None:
         raise PolaritonError(f"N={n} exceeds the desk-scale bound of {_MAX_DIPOLES} dipoles")
 
 
+def _mode_label(mode) -> tuple:
+    """A mode ``(n, k_parallel)`` as ``(int, (float, float))``, n a whole number >= 1."""
+    n, k_par = mode
+    n = _require_integer("mode index n", n)
+    if n < 1:
+        raise PolaritonError(f"mode index n must be >= 1, got {n}")
+    return n, tuple(_as_vec("k_parallel", k_par, 2).tolist())
+
+
 @dataclass(frozen=True)
 class FabryPerotSpec:
     """Planar cavity of spacing ``L_cav`` with periodic lateral boundary.
@@ -68,14 +78,7 @@ class FabryPerotSpec:
         _require_positive("L_cav", self.L_cav)
         _require_positive("lateral_period", self.lateral_period)
         _require_at_least_one("epsilon_inf", self.epsilon_inf)
-        normalized = []
-        for mode in self.modes:
-            n, k_par = mode
-            n = int(n)
-            if n < 1:
-                raise PolaritonError(f"mode index n must be >= 1, got {n}")
-            normalized.append((n, tuple(_as_vec("k_parallel", k_par, 2).tolist())))
-        object.__setattr__(self, "modes", tuple(normalized))
+        object.__setattr__(self, "modes", tuple(_mode_label(mode) for mode in self.modes))
 
     @property
     def V_eff(self) -> float:
@@ -148,7 +151,8 @@ def cubic_dipole_lattice(
     n < nz; lateral sites are a square grid of the given spacing centered in
     the lateral period.  The lattice is simple cubic when L_cav = nz*spacing.
     """
-    nx, ny, nz = (int(v) for v in shape)
+    _require_positive("spacing", spacing)  # before it turns the positions into NaN
+    nx, ny, nz = (_require_integer("lattice shape", v) for v in shape)
     if nx < 1 or ny < 1 or nz < 1:
         raise PolaritonError(f"lattice shape must be positive, got {shape!r}")
     _check_dipole_count(nx * ny * nz)
@@ -188,71 +192,57 @@ def _pairwise_couplings(lattice: DipoleLattice) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class FullSystem:
-    """Frequency-domain system x'' + K x + J x' = 0 over [dipoles..., modes...].
+    """Normal-mode system of N dipoles and M cavity modes, held as three blocks.
 
-    Velocity couplings J join dipoles to modes only, and the modes are
-    uncoupled in K: any other block structure is rejected.
+    Over [dipoles..., modes...] the equations of motion are x'' + K x + J x' = 0
+    with K = [[K_dd, 0], [0, diag(Omega^2)]] and J = [[0, C], [-C^H, 0]]: the
+    dipole stiffness ``K_dd`` (N x N), the dipole-mode velocity couplings
+    ``coupling`` C (N x M, real when every mode profile is real) and the mode
+    frequencies ``mode_frequencies`` Omega (M,).
     """
 
-    K: np.ndarray
-    J: np.ndarray
-    n_dip: int
-    n_modes: int
+    K_dd: np.ndarray
+    coupling: np.ndarray
+    mode_frequencies: np.ndarray
 
     def __post_init__(self):
-        n, dim = self.n_dip, self.n_dip + self.n_modes
-        if self.K.shape != (dim, dim) or self.J.shape != (dim, dim):
+        n, m = self.n_dip, self.n_modes
+        shapes = (self.K_dd.shape, self.coupling.shape, self.mode_frequencies.shape)
+        if n == 0 or shapes != ((n, n), (n, m), (m,)):
             raise PolaritonError(
-                f"K and J must be {dim}x{dim} for {self.n_dip} dipoles and {self.n_modes} modes"
+                "need a nonempty N x N K_dd, an N x M coupling and M mode frequencies, "
+                f"got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}"
             )
-        mode_k = self.K[n:, n:]
-        for name, block in (
-            ("dipole-dipole block of J", self.J[:n, :n]),
-            ("mode-mode block of J", self.J[n:, n:]),
-            ("dipole-mode blocks of K", self.K[:n, n:]),
-            ("mode-dipole blocks of K", self.K[n:, :n]),
-            ("off-diagonal mode-mode entries of K", mode_k - np.diag(np.diag(mode_k))),
-        ):
-            if np.any(block):
-                raise PolaritonError(
-                    f"the {name} must vanish: dipoles and modes couple only through velocity terms"
-                )
+        _require_positive("mode frequency", self.mode_frequencies)
 
-    def frequency_domain_matrix(self, omega: float) -> np.ndarray:
-        n = self.K.shape[0]
-        return self.K - omega**2 * np.eye(n) - 1j * omega * self.J
+    @property
+    def n_dip(self) -> int:
+        return self.K_dd.shape[0]
+
+    @property
+    def n_modes(self) -> int:
+        return self.mode_frequencies.shape[0]
 
     def eigenfrequencies(self) -> np.ndarray:
-        """The n positive normal-mode frequencies, real and sorted ascending.
+        """The N + M positive normal-mode frequencies, real and sorted ascending.
 
-        With the velocity couplings C = J[:N, N:] and the mode frequencies
-        Omega = sqrt(K[N:, N:]), the dipole-gauge coordinate q = (a' - C^H d)/Omega
-        of the modes turns x'' + K x + J x' = 0 into x'' + K' x = 0 with the
-        Hermitian K' = [[K_dd + C C^H, C Omega], [Omega C^H, Omega^2]]
+        The dipole-gauge coordinate q = (a' - C^H d)/Omega of the modes turns
+        x'' + K x + J x' = 0 into x'' + K' x = 0 with the Hermitian
+        K' = [[K_dd + C C^H, C Omega], [Omega C^H, Omega^2]]
         (De Bernardis et al., PRA 98, 053819 (2018)), so the squared
-        frequencies are the eigenvalues of K'; it is real when every mode has
-        k_parallel = 0.  The Schur complement of Omega^2 in K' is K_dd, so K'
-        and K have the same inertia: a stiffness block that is not positive
-        definite has no real spectrum and is rejected.
+        frequencies are the eigenvalues of K'; it is real when C is.  The
+        Schur complement of Omega^2 in K' is K_dd, so K' and K_dd have the
+        same number of non-positive eigenvalues: a dipole stiffness block that
+        is not positive definite has no real spectrum and is rejected.
         """
-        n = self.n_dip
-        mode_k = self.K[n:, n:]
-        squared = None
-        if np.all(np.diag(mode_k).real > 0.0):
-            coupling = self.J[:n, n:]
-            dressed = coupling * np.sqrt(np.diag(mode_k).real)
-            gauge = np.empty(self.K.shape, dtype=np.result_type(self.K, self.J))
-            gauge[:n, :n] = self.K[:n, :n] + coupling @ coupling.conj().T
-            gauge[:n, n:] = dressed
-            gauge[n:, :n] = dressed.conj().T
-            gauge[n:, n:] = mode_k
-            if not np.any(gauge.imag):
-                gauge = gauge.real
-            squared = np.linalg.eigvalsh(gauge)
-        if squared is None or squared[0] <= 0.0:
-            lowest = float(np.linalg.eigvalsh(self.K)[0])
+        c, omega = self.coupling, self.mode_frequencies
+        dressed = c * omega
+        gauge = np.block([[self.K_dd + c @ c.conj().T, dressed], [dressed.conj().T, np.diag(omega**2)]])
+        squared = np.linalg.eigvalsh(gauge)
+        if squared[0] <= 0.0:
+            lowest = float(np.linalg.eigvalsh(self.K_dd)[0])
             raise PolaritonError(
-                "stiffness block K is not positive definite (lowest eigenvalue "
+                "stiffness block K_dd is not positive definite (lowest eigenvalue "
                 f"{lowest:.6g} eV^2): the system is unstable and has no real normal modes"
             )
         return np.sqrt(squared)
@@ -261,15 +251,15 @@ class FullSystem:
 def _bright_band_spread(full: FullSystem, alpha: int, omega_dip: float) -> float:
     """Spread of the dipole-dipole band that mode ``alpha`` sees, in eV.
 
-    With the bright state b = J[:N, N+alpha]/|J[:N, N+alpha]| and the
-    amplitude couplings G = (K_dd - omega_dip^2)/(2 omega_dip), this is
-    sqrt(|G b|^2 - (b^H G b)^2): the |c_k|^2-weighted standard deviation of
-    the eigenvalues of G, which the collective reduction replaces by one shift.
+    With the bright state b = C[:, alpha]/|C[:, alpha]| (the velocity
+    couplings of that mode) and the amplitude couplings
+    G = (K_dd - omega_dip^2)/(2 omega_dip), this is sqrt(|G b|^2 - (b^H G b)^2):
+    the |c_k|^2-weighted standard deviation of the eigenvalues of G, which the
+    collective reduction replaces by one shift.
     """
-    n = full.n_dip
-    bright = full.J[:n, n + alpha]
+    bright = full.coupling[:, alpha]
     bright = bright / np.linalg.norm(bright)
-    shifted = (full.K[:n, :n] @ bright - omega_dip * omega_dip * bright) / (2.0 * omega_dip)
+    shifted = (full.K_dd @ bright - omega_dip * omega_dip * bright) / (2.0 * omega_dip)
     mean = np.vdot(bright, shifted).real
     return math.sqrt(max(float(np.vdot(shifted, shifted).real) - mean * mean, 0.0))
 
@@ -281,7 +271,7 @@ def build_full_system(
 
     Dipole-mode couplings are profile-weighted velocity terms; dipole-dipole
     couplings are quasistatic amplitude terms over all pairs (no cutoff).
-    The assembled blocks are verified Hermitian (K) and anti-Hermitian (J).
+    The assembled dipole stiffness block is verified symmetric.
     """
     n = lattice.n_dip
     if n == 0:
@@ -291,28 +281,20 @@ def build_full_system(
     if np.any(z <= 0.0) or np.any(z >= fp.L_cav):
         raise PolaritonError("all dipoles must lie strictly between the mirrors (0 < z < L_cav)")
     _, g_pairs = _pairwise_couplings(lattice)
-    m = len(fp.modes)
-    dim = n + m
-    big_k = np.zeros((dim, dim), dtype=complex)
-    big_j = np.zeros((dim, dim), dtype=complex)
     wd = lattice.omega_dip
-    big_k[:n, :n] = wd * wd * np.eye(n)
+    k_dd = wd * wd * np.eye(n)
     if include_dipole_dipole:
-        big_k[:n, :n] += 2.0 * wd * g_pairs
+        k_dd += 2.0 * wd * g_pairs
+    if float(np.max(np.abs(k_dd - k_dd.T))) > 1e-12 * max(float(np.max(np.abs(k_dd))), 1.0):
+        raise PolaritonError("assembled stiffness block K_dd is not symmetric")
     gmax = fp.g_max(lattice.f_dip_reduced)
+    coupling = np.empty((n, len(fp.modes)), dtype=complex)
     for alpha, mode in enumerate(fp.modes):
-        col = n + alpha
-        big_k[col, col] = fp.mode_frequency(mode) ** 2
-        g_a = gmax * fp.mode_profile(mode, lattice.positions)
-        big_j[:n, col] = 2.0 * g_a
-        big_j[col, :n] = -2.0 * np.conj(g_a)
-    scale = max(float(np.max(np.abs(big_k))), 1.0)
-    if float(np.max(np.abs(big_k - big_k.conj().T))) > 1e-12 * scale:
-        raise PolaritonError("assembled stiffness block is not Hermitian")
-    jscale = max(float(np.max(np.abs(big_j))), 1.0)
-    if float(np.max(np.abs(big_j + big_j.conj().T))) > 1e-12 * jscale:
-        raise PolaritonError("assembled velocity-coupling block is not anti-Hermitian")
-    return FullSystem(K=big_k, J=big_j, n_dip=n, n_modes=m)
+        coupling[:, alpha] = 2.0 * (gmax * fp.mode_profile(mode, lattice.positions))
+    if not np.any(coupling.imag):
+        coupling = coupling.real
+    frequencies = np.array([fp.mode_frequency(mode) for mode in fp.modes])
+    return FullSystem(K_dd=k_dd, coupling=coupling, mode_frequencies=frequencies)
 
 
 def collective_reduce(
@@ -334,7 +316,7 @@ def collective_reduce(
     _require_nonnegative("cutoff_factor", cutoff_factor)
     if lattice.n_dip == 0:
         raise PolaritonError("lattice has no dipoles")
-    mode = (int(mode[0]), (float(mode[1][0]), float(mode[1][1])))
+    mode = _mode_label(mode)
     if mode not in fp.modes:
         raise PolaritonError(f"mode {mode!r} is not among the cavity's modes")
     profile = fp.mode_profile(mode, lattice.positions)
@@ -348,15 +330,9 @@ def collective_reduce(
         dist, g_pairs = _pairwise_couplings(lattice)
         cutoff = cutoff_factor * lattice.spacing * (1.0 + 1e-12)
         within = (dist > 0.0) & (dist <= cutoff)
-        k_par = np.array(mode[1])
-        rel_phase = np.einsum(
-            "ijk,k->ij",
-            lattice.positions[:, None, :2] - lattice.positions[None, :, :2],
-            k_par,
-        )
-        # sum over neighbors i of each reference j, phased by k_par.(r_i - r_j)
-        phased = np.where(within, g_pairs, 0.0) * np.exp(-1j * rel_phase.T)
-        sums = phased.sum(axis=1)
+        # sum over neighbors j of each reference i, phased by k_par.(r_i - r_j)
+        phase = np.exp(1j * (lattice.positions[:, :2] @ np.array(mode[1])))
+        sums = phase * (np.where(within, g_pairs, 0.0) @ phase.conj())
         mean = complex(np.mean(sums))
         g_shift = mean.real
         spread = float(np.max(np.abs(sums - mean)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import PolaritonError
-from .units import _require_nonnegative, _require_positive
+from .units import _require_integer, _require_nonnegative, _require_positive
 
 __all__ = [
     "HopfieldParams",
@@ -152,6 +152,8 @@ def truncated_fock_spectrum(
     ground-state dressing and reduces the excitation energies to the
     first-order (linearized) branch values when ``D = 0``.
     """
+    n_max = _require_integer("n_max", n_max)
+    n_levels = _require_integer("n_levels", n_levels)
     terms = _fock_terms(p, n_max, rwa=rwa)
     total = (n_max + 1) ** 2
     if not 1 <= n_levels <= total - 1:

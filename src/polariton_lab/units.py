@@ -9,14 +9,16 @@ nm^3 eV^2.
 
 The input guards (``_require_*``, ``_as_vec``, ``_as_points`` and
 ``_reduced_strength``) live here and nowhere else: every layer checks its
-finite-and-in-range arguments through them, so a non-finite or out-of-range
-number or array element raises :class:`PolaritonError` naming the argument
-(and, for an array, its first bad grid row) instead of turning into NaN.
+finite-and-in-range and integer arguments through them, so a non-finite,
+out-of-range or fractional number or array element raises
+:class:`PolaritonError` naming the argument (and, for an array, its first bad
+grid row) instead of turning into NaN or being truncated.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -58,6 +60,16 @@ _require_positive = partial(_require, rule="finite and positive", ok=lambda a: a
 _require_nonnegative = partial(_require, rule="finite and >= 0", ok=lambda a: a >= 0)
 _require_at_least_one = partial(_require, rule=">= 1 and finite", ok=lambda a: a >= 1)
 _require_unit_interval = partial(_require, rule="finite and in [-1, 1]", ok=lambda a: np.abs(a) <= 1)
+
+
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int if it is a whole number (4 or 4.0, not 4.5, NaN or True)."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not whole:
+        raise PolaritonError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

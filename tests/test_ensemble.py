@@ -156,13 +156,26 @@ def test_cubic_lattice_positions_match_the_nested_loop_order():
 # full system assembly
 
 
+def _dense_k_and_j(full):
+    """K and J of x'' + K x + J x' = 0 over [dipoles..., modes...], from the three blocks."""
+    n, dim = full.n_dip, full.n_dip + full.n_modes
+    big_k = np.zeros((dim, dim), dtype=complex)
+    big_j = np.zeros((dim, dim), dtype=complex)
+    big_k[:n, :n] = full.K_dd
+    big_k[n:, n:] = np.diag(full.mode_frequencies**2)
+    big_j[:n, n:] = full.coupling
+    big_j[n:, :n] = -full.coupling.conj().T
+    return big_k, big_j
+
+
 def _companion_eigenfrequencies(full):
     """Positive-frequency roots of det(K - w^2 - i w J) from the general 2n companion eig."""
-    n = full.K.shape[0]
+    big_k, big_j = _dense_k_and_j(full)
+    n = big_k.shape[0]
     comp = np.zeros((2 * n, 2 * n), dtype=complex)
     comp[:n, n:] = np.eye(n)
-    comp[n:, :n] = -full.K
-    comp[n:, n:] = -full.J
+    comp[n:, :n] = -big_k
+    comp[n:, n:] = -big_j
     freqs = 1j * np.linalg.eigvals(comp)  # x ~ exp(-i w t)
     freqs = freqs[freqs.real > 0.0]
     return freqs[np.argsort(freqs.real)]
@@ -175,12 +188,13 @@ def _linearized_eigenfrequencies(full):
     its eigenvalues (Tisseur & Meerbergen, SIAM Rev. 43, 235 (2001)); its
     determinant is (-1)^n |det L|^2 whatever J is, so exactly n are positive.
     """
-    n = full.K.shape[0]
-    chol = np.linalg.cholesky(full.K)
+    big_k, big_j = _dense_k_and_j(full)
+    n = big_k.shape[0]
+    chol = np.linalg.cholesky(big_k)
     lin = np.zeros((2 * n, 2 * n), dtype=complex)
     lin[:n, n:] = chol.conj().T
     lin[n:, :n] = chol
-    lin[n:, n:] = -1j * full.J
+    lin[n:, n:] = -1j * big_j
     return np.linalg.eigvalsh(lin)[n:]
 
 
@@ -188,17 +202,17 @@ _TILTED_MODES = (_MODE, (1, (0.1, 0.05)), (2, (0.0, 0.0)))
 
 
 def test_dipole_gauge_solve_matches_the_companion_eig():
-    # N = 128 with dipole-dipole blocks on; the k_parallel != 0 mode makes J
-    # complex, and without modes the solve is the dipole-dipole block alone
+    # N = 128 with dipole-dipole blocks on; the k_parallel != 0 mode makes the
+    # couplings complex, and without modes the solve is the dipole-dipole block alone
     for modes in (_TILTED_MODES, ()):
         fp = _fp(L_cav=60.0, period=30.0, modes=modes)
         lat = cubic_dipole_lattice(fp, 3.0, (8, 8, 2), _F_DIP, 3.0)
         full = build_full_system(lat, fp)
-        assert np.any(full.J.imag != 0.0) == bool(modes)
+        assert np.iscomplexobj(full.coupling) == bool(modes)
         freqs = full.eigenfrequencies()
         reference = _companion_eigenfrequencies(full)
         assert freqs.dtype == np.float64
-        assert freqs.shape == reference.shape == (full.K.shape[0],)
+        assert freqs.shape == reference.shape == (full.n_dip + full.n_modes,)
         assert np.max(np.abs(freqs - reference) / np.abs(reference)) <= 1e-12
 
 
@@ -220,11 +234,10 @@ def test_velocity_couplings_match_the_per_dipole_profile():
     lat = cubic_dipole_lattice(fp, 3.0, (3, 2, 2), _F_DIP, 3.0)
     full = build_full_system(lat, fp)
     gmax = fp.g_max(lat.f_dip_reduced)
-    n = lat.n_dip
+    assert full.coupling.shape == (lat.n_dip, 2)
     for alpha, mode in enumerate(fp.modes):
         expected = np.array([2.0 * (gmax * fp.mode_profile(mode, r)) for r in lat.positions])
-        np.testing.assert_array_equal(full.J[:n, n + alpha], expected)
-        np.testing.assert_array_equal(full.J[n + alpha, :n], -np.conj(expected))
+        np.testing.assert_array_equal(full.coupling[:, alpha], expected)
 
 
 def test_indefinite_stiffness_is_reported_not_returned():
@@ -237,7 +250,7 @@ def test_indefinite_stiffness_is_reported_not_returned():
     stable = build_full_system(cubic_dipole_lattice(fp, 3.0, (4, 1, 1), _F_DIP, 3.0), fp)
     freqs = stable.eigenfrequencies()
     assert np.isrealobj(freqs)
-    assert freqs.shape == (stable.K.shape[0],)
+    assert freqs.shape == (stable.n_dip + stable.n_modes,)
     assert np.all(freqs > 0.0)
 
 
@@ -249,7 +262,7 @@ def test_solve_rejects_exactly_the_indefinite_stiffness_blocks():
     for spacing in np.linspace(0.6, 0.8, 41):
         full = build_full_system(cubic_dipole_lattice(fp, spacing, (4, 1, 1), _F_DIP, 3.0), fp)
         try:
-            np.linalg.cholesky(full.K)
+            np.linalg.cholesky(full.K_dd)
             stable = True
         except np.linalg.LinAlgError:
             stable = False
@@ -262,19 +275,32 @@ def test_solve_rejects_exactly_the_indefinite_stiffness_blocks():
     assert outcomes == {True, False}
 
 
-def test_hand_built_system_outside_the_gauge_structure_is_rejected():
-    fp = _fp(L_cav=60.0)
-    full = build_full_system(cubic_dipole_lattice(fp, 3.0, (2, 1, 1), _F_DIP, 3.0), fp)
-    velocity_between_dipoles = full.J.copy()
-    velocity_between_dipoles[0, 1], velocity_between_dipoles[1, 0] = 0.1, -0.1
-    with pytest.raises(PolaritonError, match="dipole-dipole block of J"):
-        FullSystem(K=full.K, J=velocity_between_dipoles, n_dip=2, n_modes=1)
-    spring_to_the_mode = full.K.copy()
-    spring_to_the_mode[0, 2] = spring_to_the_mode[2, 0] = 0.1
-    with pytest.raises(PolaritonError, match="dipole-mode blocks of K"):
-        FullSystem(K=spring_to_the_mode, J=full.J, n_dip=2, n_modes=1)
-    with pytest.raises(PolaritonError, match="4x4"):
-        FullSystem(K=full.K, J=full.J, n_dip=2, n_modes=2)
+@pytest.mark.parametrize(
+    "k_dd, coupling, mode_frequencies, match",
+    [
+        (np.eye(2), np.ones((2, 2)), np.array([3.0]), "got shapes"),
+        (np.eye(2), np.ones((3, 1)), np.array([3.0]), "got shapes"),
+        (np.ones((2, 3)), np.ones((2, 1)), np.array([3.0]), "got shapes"),
+        (np.zeros((0, 0)), np.ones((0, 1)), np.array([3.0]), "got shapes"),
+        (np.eye(2), np.ones((2, 1)), np.array([[3.0]]), "got shapes"),
+        (np.eye(2), np.ones((2, 1)), np.array([0.0]), "mode frequency must be finite and positive"),
+        (np.eye(2), np.ones((2, 1)), np.array([math.nan]), "mode frequency must be finite and positive"),
+    ],
+    ids=[
+        "coupling-too-wide",
+        "coupling-too-tall",
+        "K_dd-not-square",
+        "no-dipoles",
+        "mode-frequencies-2d",
+        "zero-mode-frequency",
+        "nan-mode-frequency",
+    ],
+)
+def test_hand_built_system_needs_matching_blocks_and_positive_mode_frequencies(
+    k_dd, coupling, mode_frequencies, match
+):
+    with pytest.raises(PolaritonError, match=match):
+        FullSystem(K_dd=k_dd, coupling=coupling, mode_frequencies=mode_frequencies)
 
 
 def test_two_dipoles_without_modes_split_symmetrically():
@@ -295,12 +321,10 @@ def test_full_system_block_structure():
     lat = cubic_dipole_lattice(fp, 3.0, (2, 2, 2), _F_DIP, 3.0)
     full = build_full_system(lat, fp)
     assert full.n_dip == 8 and full.n_modes == 1
-    assert full.K.shape == (9, 9)
-    m = full.frequency_domain_matrix(2.5)
-    assert m.shape == (9, 9)
-    # dipole-mode coupling is a velocity term: in J, not in K
-    assert np.all(full.K[:8, 8] == 0.0)
-    assert np.any(full.J[:8, 8] != 0.0)
+    assert full.K_dd.shape == (8, 8) and full.coupling.shape == (8, 1)
+    assert np.isrealobj(full.K_dd) and np.isrealobj(full.coupling)
+    assert np.all(full.coupling != 0.0)
+    assert full.mode_frequencies.tolist() == [fp.mode_frequency(_MODE)]
     assert full.eigenfrequencies().size == 9
 
 

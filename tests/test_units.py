@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polariton_lab import (
     BoxCavityScene,
     DriveSpec,
+    HopfieldParams,
     PolaritonError,
     collective_reduce,
     contribution_fractions,
@@ -19,6 +20,7 @@ from polariton_lab import (
     full_vs_reduced_check,
     polarizability_oracle,
     scattering_cross_section,
+    truncated_fock_spectrum,
 )
 from polariton_lab.ensemble import FabryPerotSpec
 from polariton_lab.models import CoupledModel, ModelVariant, OscillatorPair
@@ -236,7 +238,8 @@ def test_dipole_dipole_validation():
 
 
 # ---------------------------------------------------------------------------
-# input guards: every entry point rejects a non-finite or out-of-range argument
+# input guards: every entry point rejects a non-finite, out-of-range or
+# fractional argument
 
 _X = np.array([1.0, 0.0, 0.0])
 _ORACLE = dict(
@@ -284,9 +287,13 @@ def _ensemble_check(tolerance):
     return full_vs_reduced_check(lattice, _FP, _MODE, tolerance=tolerance)
 
 
-def _collective(cutoff_factor):
+def _collective(cutoff_factor=10.0, mode=_MODE):
     lattice = cubic_dipole_lattice(_FP, 3.0, (2, 2, 1), 14099.1876, 3.0)
-    return collective_reduce(lattice, _FP, _MODE, cutoff_factor=cutoff_factor)
+    return collective_reduce(lattice, _FP, mode, cutoff_factor=cutoff_factor)
+
+
+def _fock(n_max, n_levels):
+    return truncated_fock_spectrum(HopfieldParams(1.0, 1.0, 0.1), n_max, n_levels).ground_state_energy
 
 
 def _same_coupling(function, strengths, *rest, **kwargs):
@@ -314,6 +321,14 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         (lambda: _ensemble_check(math.nan), "tolerance"),
         (lambda: _collective(math.nan), "cutoff_factor"),
         (lambda: _FP.mode_profile(_MODE, (math.nan, 0.0, 10.0)), "r must be finite"),
+        (lambda: FabryPerotSpec(206.64, 10.0, ((1.7, (0.0, 0.0)),)), "mode index n must be an integer"),
+        (lambda: FabryPerotSpec(206.64, 10.0, ((math.nan, (0.0, 0.0)),)), "mode index n must be an integer"),
+        (lambda: cubic_dipole_lattice(_FP, 3.0, (2.9, 1, 1), 14099.1876, 3.0), "lattice shape must be an integer"),
+        (lambda: cubic_dipole_lattice(_FP, math.nan, (2, 1, 1), 14099.1876, 3.0), "spacing"),
+        (lambda: _collective(mode=(1.2, (0.0, 0.0))), "mode index n must be an integer"),
+        (lambda: _fock(2.5, 2), "n_max must be an integer"),
+        (lambda: _fock(4, True), "n_levels must be an integer"),
+        (lambda: _fock(4.0, 2.0), None),
         (lambda: _same_coupling(coupling_dipole_dipole, (2e3, 5e2), **_PAIR), None),
         (lambda: _same_coupling(coupling_from_mode_volume, (5e2,), 1.0e6, 0.5, 1.0), None),
     ],
@@ -333,6 +348,14 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         "ensemble-nan-tolerance",
         "collective-nan-cutoff",
         "mode-profile-nan-position",
+        "cavity-fractional-mode-index",
+        "cavity-nan-mode-index",
+        "lattice-fractional-shape",
+        "lattice-nan-spacing",
+        "collective-fractional-mode-index",
+        "fock-fractional-n_max",
+        "fock-boolean-n_levels",
+        "fock-whole-float-truncation",
         "dipole-dipole-plain-strengths",
         "mode-volume-plain-strength",
     ],
