@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from ._version import __version__
 from .exceptions import PolaritonError, SchemaError
@@ -78,7 +79,7 @@ def _cmd_oracle(args) -> int:
         source_name=str(args.scenario),
         input_bytes=raw,
         out_dir=args.out,
-        default_stem=None,
+        default_stem=Path(args.scenario).stem,
     )
     _report(run)
     return 0

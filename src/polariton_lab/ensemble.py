@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,13 @@ _MAX_DIPOLES = 500
 def _check_dipole_count(n: int) -> None:
     if n > _MAX_DIPOLES:
         raise PolaritonError(f"N={n} exceeds the desk-scale bound of {_MAX_DIPOLES} dipoles")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``array``."""
+    array = np.array(array)
+    array.flags.writeable = False
+    return array
 
 
 def _mode_label(mode) -> tuple:
@@ -111,8 +119,9 @@ class DipoleLattice:
     spacing: float
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", _as_points("positions", self.positions))
-        object.__setattr__(self, "orientation", _unit_vector("orientation", self.orientation))
+        # private read-only copies, so the cached pair couplings cannot go stale
+        object.__setattr__(self, "positions", _read_only(_as_points("positions", self.positions)))
+        object.__setattr__(self, "orientation", _read_only(_unit_vector("orientation", self.orientation)))
         _require_positive("omega_dip", self.omega_dip)
         _require_positive("spacing", self.spacing)
         _reduced_strength(self.f_dip)
@@ -124,6 +133,13 @@ class DipoleLattice:
     @property
     def f_dip_reduced(self) -> float:
         return _reduced_strength(self.f_dip)
+
+    @cached_property
+    def pair_couplings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (distance matrix, amplitude-coupling matrix g_ij), computed once per lattice."""
+        dist, g = _pairwise_couplings(self)
+        dist.flags.writeable = g.flags.writeable = False
+        return dist, g
 
 
 @dataclass(frozen=True)
@@ -177,14 +193,15 @@ def _pairwise_couplings(lattice: DipoleLattice) -> tuple[np.ndarray, np.ndarray]
     """
     pos = lattice.positions
     n = pos.shape[0]
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dx, dy, dz = (c[:, None] - c for c in pos.T)
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     off = ~np.eye(n, dtype=bool)
     if np.any(dist[off] == 0.0):
         i, j = np.argwhere((dist == 0.0) & off)[0]
         raise PolaritonError(f"dipoles {i} and {j} overlap at {pos[i]}")
     safe = np.where(off, dist, 1.0)
-    cos_align = np.einsum("ijk,k->ij", diff, lattice.orientation) / safe
+    nx, ny, nz = lattice.orientation
+    cos_align = (dx * nx + dy * ny + dz * nz) / safe
     ang = 1.0 - 3.0 * cos_align**2
     g = np.where(off, 0.5 * lattice.f_dip_reduced * ang / (safe**3 * lattice.omega_dip), 0.0)
     return dist, g
@@ -196,7 +213,7 @@ class FullSystem:
 
     Over [dipoles..., modes...] the equations of motion are x'' + K x + J x' = 0
     with K = [[K_dd, 0], [0, diag(Omega^2)]] and J = [[0, C], [-C^H, 0]]: the
-    dipole stiffness ``K_dd`` (N x N), the dipole-mode velocity couplings
+    dipole stiffness ``K_dd`` (N x N, symmetric), the dipole-mode velocity couplings
     ``coupling`` C (N x M, real when every mode profile is real) and the mode
     frequencies ``mode_frequencies`` Omega (M,).
     """
@@ -214,6 +231,10 @@ class FullSystem:
                 f"got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}"
             )
         _require_positive("mode frequency", self.mode_frequencies)
+        # eigvalsh reads one triangle: an asymmetric K_dd would be solved as another matrix
+        k_dd = self.K_dd
+        if float(np.max(np.abs(k_dd - k_dd.T))) > 1e-12 * max(float(np.max(np.abs(k_dd))), 1.0):
+            raise PolaritonError("stiffness block K_dd is not symmetric")
 
     @property
     def n_dip(self) -> int:
@@ -271,7 +292,7 @@ def build_full_system(
 
     Dipole-mode couplings are profile-weighted velocity terms; dipole-dipole
     couplings are quasistatic amplitude terms over all pairs (no cutoff).
-    The assembled dipole stiffness block is verified symmetric.
+    The pair couplings are read from the lattice, which computes them once.
     """
     n = lattice.n_dip
     if n == 0:
@@ -280,13 +301,11 @@ def build_full_system(
     z = lattice.positions[:, 2]
     if np.any(z <= 0.0) or np.any(z >= fp.L_cav):
         raise PolaritonError("all dipoles must lie strictly between the mirrors (0 < z < L_cav)")
-    _, g_pairs = _pairwise_couplings(lattice)
+    _, g_pairs = lattice.pair_couplings  # also rejects coincident dipoles
     wd = lattice.omega_dip
     k_dd = wd * wd * np.eye(n)
     if include_dipole_dipole:
         k_dd += 2.0 * wd * g_pairs
-    if float(np.max(np.abs(k_dd - k_dd.T))) > 1e-12 * max(float(np.max(np.abs(k_dd))), 1.0):
-        raise PolaritonError("assembled stiffness block K_dd is not symmetric")
     gmax = fp.g_max(lattice.f_dip_reduced)
     coupling = np.empty((n, len(fp.modes)), dtype=complex)
     for alpha, mode in enumerate(fp.modes):
@@ -327,7 +346,7 @@ def collective_reduce(
     big_g = gmax * math.sqrt(n_eff)
     wd = lattice.omega_dip
     if include_dipole_dipole and lattice.n_dip > 1:
-        dist, g_pairs = _pairwise_couplings(lattice)
+        dist, g_pairs = lattice.pair_couplings
         cutoff = cutoff_factor * lattice.spacing * (1.0 + 1e-12)
         within = (dist > 0.0) & (dist <= cutoff)
         # sum over neighbors j of each reference i, phased by k_par.(r_i - r_j)

@@ -115,30 +115,44 @@ def _fock_terms(p: HopfieldParams, n_max: int, *, rwa: bool = False) -> list[tup
     return [(wc * num + self_term, eye), (eye, wm * num), *coupling, (0.5 * (wc + wm) * eye, eye)]
 
 
-def _all_levels(terms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Eigenvalues of H = sum_k kron(A_k, B_k), one parity block at a time.
+def _parity_blocks(terms: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd parity blocks of H = sum_k kron(A_k, B_k).
 
     Every interaction used here changes the total excitation number by 0 or
     +/-2, so (n_a + n_b) mod 2 is conserved and H splits into two blocks of
     roughly half the dimension.  Listing each mode's even Fock states before
     its odd ones, the even block is spanned by the (n_a, n_b) parity sectors
     (even, even) and (odd, odd), the odd block by (even, odd) and (odd, even),
-    and the sub-block between sectors (r_a, r_b) and (c_a, c_b) is
-    sum_k kron(A_k[r_a, c_a], B_k[r_b, c_b]).  The d^2 x d^2 matrix itself is
-    never formed.
+    each sector in kron order.  Each term adds only the products of the
+    nonzero entries of A_k and B_k, scattered to their rows and columns in the
+    blocks, in the order of ``terms``; the d^2 x d^2 matrix and the dense
+    kron products are never formed.
     """
     d = terms[0][0].shape[0]
-    even, odd = slice(0, d, 2), slice(1, d, 2)
-    levels = []
-    for sectors in (((even, even), (odd, odd)), ((even, odd), (odd, even))):
-        block = np.block(
-            [
-                [sum(np.kron(a[ra, ca], b[rb, cb]) for a, b in terms) for ca, cb in sectors]
-                for ra, rb in sectors
-            ]
-        )
-        levels.append(np.linalg.eigvalsh(block))
-    return np.sort(np.concatenate(levels))
+    sizes = np.array([(d + 1) // 2, d // 2])  # even and odd Fock states of one mode
+    half, parity = np.divmod(np.arange(d), 2)
+    # row of the pair state (n_a, n_b) in its block: the offset of its parity
+    # sector, then its kron-order index within that sector
+    offset = parity[:, None] * sizes[0] * sizes[1 - parity]
+    row = offset + half[:, None] * sizes[parity] + half
+    pair_parity = (parity[:, None] + parity) % 2
+    n_even, n_odd = sizes
+    blocks = (np.zeros((n_even**2 + n_odd**2,) * 2), np.zeros((2 * n_even * n_odd,) * 2))
+    for a, b in terms:
+        ra, ca = np.nonzero(a)
+        rb, cb = np.nonzero(b)
+        rows, cols = row[ra[:, None], rb], row[ca[:, None], cb]
+        values = np.multiply.outer(a[ra, ca], b[rb, cb])
+        row_parity, col_parity = pair_parity[ra[:, None], rb], pair_parity[ca[:, None], cb]
+        for p, block in enumerate(blocks):
+            keep = (row_parity == p) & (col_parity == p)
+            block[rows[keep], cols[keep]] += values[keep]
+    return blocks
+
+
+def _all_levels(terms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """All eigenvalues of H = sum_k kron(A_k, B_k), sorted, one parity block at a time."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in _parity_blocks(terms)]))
 
 
 def truncated_fock_spectrum(

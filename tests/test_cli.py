@@ -132,10 +132,10 @@ def test_determinant_check_covers_every_sweep_point(tmp_path, capsys, monkeypatc
 def test_quantum_oracle_labels_the_quartic_roots(tmp_path):
     oracle = _write(tmp_path, "check.yaml", _ORACLE)
     assert main(["oracle", str(oracle), "--out", str(tmp_path)]) == 0
-    summary = json.loads((tmp_path / "oracle.summary.json").read_text())
+    summary = json.loads((tmp_path / "check.summary.json").read_text())
     lower, upper = summary["omega_minus_quartic_eV"], summary["omega_plus_quartic_eV"]
     assert lower < upper
-    levels = np.loadtxt(tmp_path / "oracle.csv", delimiter=",", skiprows=1)
+    levels = np.loadtxt(tmp_path / "check.csv", delimiter=",", skiprows=1)
     assert abs(levels[0, 1] - lower) < 1e-5
 
 
@@ -187,8 +187,21 @@ def test_oracle_accepts_only_oracle_scenarios(tmp_path, capsys):
     oracle = _write(tmp_path, "check.yaml", _ORACLE)
     code = main(["oracle", str(oracle), "--out", str(tmp_path)])
     assert code == 0
-    # the oracle command names artifacts by kind, not by the input stem
-    assert (tmp_path / "oracle.csv").exists()
+    # like run, the oracle command names artifacts by the input stem
+    assert (tmp_path / "check.csv").exists()
+    assert not (tmp_path / "oracle.csv").exists()
+
+
+def test_sample_oracles_keep_their_outputs_in_one_directory(tmp_path, capsys):
+    samples = Path(__file__).resolve().parent.parent / "scenarios"
+    stems = ("oracle_quantum", "oracle_polarizability")
+    for stem in stems:
+        assert main(["oracle", str(samples / f"{stem}.yaml"), "--out", str(tmp_path)]) == 0
+    for stem in stems:
+        summary = json.loads((tmp_path / f"{stem}.summary.json").read_text())
+        assert summary["source"].endswith(f"{stem}.yaml")
+        assert list(summary["outputs"]) == [f"{stem}.csv"]
+        assert (tmp_path / f"{stem}.csv").exists()
 
 
 def test_constants_reports_unit_system(capsys):

@@ -152,6 +152,25 @@ def test_cubic_lattice_positions_match_the_nested_loop_order():
     np.testing.assert_array_equal(lat.positions, expected)
 
 
+def test_lattice_keeps_read_only_copies_of_its_inputs():
+    positions = np.array([[1.0, 1.0, 1.0], [4.0, 1.0, 1.0], [1.0, 5.0, 2.0]])
+    orientation = np.array([0.6, 0.8, 0.0])
+    lat = DipoleLattice(positions, orientation, _F_DIP, 3.0, 3.0)
+    dist, g = lat.pair_couplings
+    kept = (lat.positions.copy(), lat.orientation.copy(), dist.copy(), g.copy())
+    positions[0] = (9.0, 9.0, 9.0)
+    orientation[:] = (0.0, 0.0, 1.0)
+    # the caller's arrays moved; the lattice and its pair data did not
+    assert lat.pair_couplings is lat.pair_couplings
+    for array, before in zip((lat.positions, lat.orientation, *lat.pair_couplings), kept, strict=True):
+        np.testing.assert_array_equal(array, before)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    moved = DipoleLattice(positions, orientation, _F_DIP, 3.0, 3.0)
+    assert not np.array_equal(moved.pair_couplings[1], g)
+
+
 # ---------------------------------------------------------------------------
 # full system assembly
 
@@ -301,6 +320,12 @@ def test_hand_built_system_needs_matching_blocks_and_positive_mode_frequencies(
 ):
     with pytest.raises(PolaritonError, match=match):
         FullSystem(K_dd=k_dd, coupling=coupling, mode_frequencies=mode_frequencies)
+
+
+def test_hand_built_system_needs_a_symmetric_stiffness_block():
+    # eigvalsh reads one triangle, so this used to be solved as diag(9, 9)
+    with pytest.raises(PolaritonError, match="K_dd is not symmetric"):
+        FullSystem(K_dd=np.array([[9.0, 5.0], [0.0, 9.0]]), coupling=np.ones((2, 1)), mode_frequencies=np.ones(1))
 
 
 def test_two_dipoles_without_modes_split_symmetrically():

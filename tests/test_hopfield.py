@@ -13,6 +13,7 @@ from polariton_lab.hopfield import (
     QuantumSpectrum,
     _all_levels,
     _fock_terms,
+    _parity_blocks,
     frame_equivalence_check,
     hopfield_quartic_eigen,
     truncated_fock_spectrum,
@@ -219,6 +220,25 @@ def _dense_fock_levels(p, n_max, frame):
     return np.linalg.eigvalsh(h)
 
 
+def _kron_parity_blocks(terms):
+    """The two parity blocks assembled from dense np.kron products with np.block.
+
+    Each sub-block between sectors (r_a, r_b) and (c_a, c_b) is
+    sum_k kron(A_k[r_a, c_a], B_k[r_b, c_b]), summed from 0 in term order.
+    """
+    d = terms[0][0].shape[0]
+    even, odd = slice(0, d, 2), slice(1, d, 2)
+    return [
+        np.block(
+            [
+                [sum(np.kron(a[ra, ca], b[rb, cb]) for a, b in terms) for ca, cb in sectors]
+                for ra, rb in sectors
+            ]
+        )
+        for sectors in (((even, even), (odd, odd)), ((even, odd), (odd, even)))
+    ]
+
+
 _DENSE_CASE = HopfieldParams(omega_cav=1.3, omega_mat=1.0, g_qed=0.4, D=0.16)
 # MoC (D = g^2 / omega_mat) off resonance: the partner is a different truncated matrix
 _MOC_DETUNED = HopfieldParams(omega_cav=1.2, omega_mat=1.0, g_qed=0.5, D=0.25)
@@ -232,14 +252,40 @@ def test_fock_spectrum_matches_the_dense_kron_hamiltonian(rwa):
     assert np.max(np.abs(spec.excitation_energies - (reference[1:] - reference[0]))) <= 1e-12
 
 
+def _dipole_gauge_partner(p):
+    """The partner the frame check builds: mode roles swapped, D' and g' as in the dense reference."""
+    g_prime = math.sqrt(p.g_qed**2 + p.D * (p.omega_cav**2 - p.omega_mat**2) / p.omega_mat)
+    return HopfieldParams(p.omega_mat, p.omega_cav, g_prime, p.D * p.omega_cav / p.omega_mat)
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 12])
+@pytest.mark.parametrize("frame", ["position", "rwa", "dipole"])
+def test_scattered_parity_blocks_equal_the_kron_assembly(n_max, frame):
+    if frame == "dipole":
+        terms = _fock_terms(_dipole_gauge_partner(_DENSE_CASE), n_max)
+    else:
+        terms = _fock_terms(_DENSE_CASE, n_max, rwa=frame == "rwa")
+    reference = _kron_parity_blocks(terms)
+    assert all(np.array_equal(block, ref) for block, ref in zip(_parity_blocks(terms), reference, strict=True))
+    # the reference is the dense kron sum with its rows and columns sorted by
+    # parity sector, and nothing couples the two blocks
+    d = n_max + 1
+    state = np.arange(d * d).reshape(d, d)
+    even, odd = slice(0, d, 2), slice(1, d, 2)
+    order = [
+        np.concatenate([state[ra, rb].ravel() for ra, rb in sectors])
+        for sectors in (((even, even), (odd, odd)), ((even, odd), (odd, even)))
+    ]
+    dense = sum(np.kron(a, b) for a, b in terms)
+    assert all(np.array_equal(ref, dense[np.ix_(rows, rows)]) for ref, rows in zip(reference, order))
+    assert not np.any(dense[np.ix_(order[0], order[1])])
+
+
 def test_dipole_gauge_partner_levels_match_the_dense_kron_hamiltonian():
     # the partner is the real build with the mode roles swapped; the reference
     # keeps the mode order and moves the self-term instead
-    p = _DENSE_CASE
-    g_prime = math.sqrt(p.g_qed**2 + p.D * (p.omega_cav**2 - p.omega_mat**2) / p.omega_mat)
-    partner = HopfieldParams(p.omega_mat, p.omega_cav, g_prime, p.D * p.omega_cav / p.omega_mat)
-    levels = _all_levels(_fock_terms(partner, 12))
-    assert np.max(np.abs(levels - _dense_fock_levels(p, 12, "dipole"))) <= 1e-12
+    levels = _all_levels(_fock_terms(_dipole_gauge_partner(_DENSE_CASE), 12))
+    assert np.max(np.abs(levels - _dense_fock_levels(_DENSE_CASE, 12, "dipole"))) <= 1e-12
 
 
 def test_frame_check_matches_the_dense_kron_hamiltonian():

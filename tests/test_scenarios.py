@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import polariton_lab
-from polariton_lab import PolaritonError, SchemaError, hopfield
+from polariton_lab import PolaritonError, SchemaError, ensemble, hopfield, scenarios
 from polariton_lab.cli import main
 from polariton_lab.ensemble import FabryPerotSpec, _pairwise_couplings, cubic_dipole_lattice
 from polariton_lab.scenarios import (
@@ -590,6 +590,27 @@ def test_sample_ensemble_check_measures_round_off_only(tmp_path):
 def test_ensemble_check_says_what_it_measures(tmp_path, shape, dipole_dipole, modes, measures):
     summary = _run(_ensemble_doc(shape, dipole_dipole, modes), tmp_path).summary
     assert summary["reduction_check_measures"] == measures
+
+
+@pytest.mark.parametrize("dipole_dipole", [False, True])
+def test_pair_couplings_are_computed_once_per_ensemble_operation(tmp_path, monkeypatch, dipole_dipole):
+    calls = {"pairs": 0, "builds": 0}
+    pairs, build = ensemble._pairwise_couplings, ensemble.build_full_system
+
+    def counted_pairs(lattice):
+        calls["pairs"] += 1
+        return pairs(lattice)
+
+    def counted_build(*args, **kwargs):
+        calls["builds"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "_pairwise_couplings", counted_pairs)
+    monkeypatch.setattr(ensemble, "build_full_system", counted_build)
+    monkeypatch.setattr(scenarios, "build_full_system", counted_build)
+    _run(_ensemble_doc((2, 2, 4), dipole_dipole), tmp_path)
+    # the full system is still built twice; the lattice computes its pairs once
+    assert calls == {"pairs": 1, "builds": 2}
 
 
 def test_bright_band_spread_is_the_weighted_spread_of_the_band(tmp_path):
