@@ -49,6 +49,8 @@ _MAX_DIPOLES = 500
 
 
 def _check_dipole_count(n: int) -> None:
+    if n == 0:
+        raise PolaritonError("lattice has no dipoles")
     if n > _MAX_DIPOLES:
         raise PolaritonError(f"N={n} exceeds the desk-scale bound of {_MAX_DIPOLES} dipoles")
 
@@ -86,7 +88,11 @@ class FabryPerotSpec:
         _require_positive("L_cav", self.L_cav)
         _require_positive("lateral_period", self.lateral_period)
         _require_at_least_one("epsilon_inf", self.epsilon_inf)
-        object.__setattr__(self, "modes", tuple(_mode_label(mode) for mode in self.modes))
+        modes = tuple(_mode_label(mode) for mode in self.modes)
+        for i, mode in enumerate(modes):
+            if mode in modes[:i]:
+                raise PolaritonError(f"mode {mode!r} is listed twice")
+        object.__setattr__(self, "modes", modes)
 
     @property
     def V_eff(self) -> float:
@@ -122,6 +128,7 @@ class DipoleLattice:
         # private read-only copies, so the cached pair couplings cannot go stale
         object.__setattr__(self, "positions", _read_only(_as_points("positions", self.positions)))
         object.__setattr__(self, "orientation", _read_only(_unit_vector("orientation", self.orientation)))
+        _check_dipole_count(self.n_dip)
         _require_positive("omega_dip", self.omega_dip)
         _require_positive("spacing", self.spacing)
         _reduced_strength(self.f_dip)
@@ -223,6 +230,8 @@ class FullSystem:
     mode_frequencies: np.ndarray
 
     def __post_init__(self):
+        for block in ("K_dd", "coupling", "mode_frequencies"):  # lists too; complex stays complex
+            object.__setattr__(self, block, np.asarray(getattr(self, block)))
         n, m = self.n_dip, self.n_modes
         shapes = (self.K_dd.shape, self.coupling.shape, self.mode_frequencies.shape)
         if n == 0 or shapes != ((n, n), (n, m), (m,)):
@@ -295,9 +304,6 @@ def build_full_system(
     The pair couplings are read from the lattice, which computes them once.
     """
     n = lattice.n_dip
-    if n == 0:
-        raise PolaritonError("lattice has no dipoles")
-    _check_dipole_count(n)
     z = lattice.positions[:, 2]
     if np.any(z <= 0.0) or np.any(z >= fp.L_cav):
         raise PolaritonError("all dipoles must lie strictly between the mirrors (0 < z < L_cav)")
@@ -333,8 +339,6 @@ def collective_reduce(
     that average (a homogeneity diagnostic).
     """
     _require_nonnegative("cutoff_factor", cutoff_factor)
-    if lattice.n_dip == 0:
-        raise PolaritonError("lattice has no dipoles")
     mode = _mode_label(mode)
     if mode not in fp.modes:
         raise PolaritonError(f"mode {mode!r} is not among the cavity's modes")

@@ -22,8 +22,10 @@ dotted key path and rejects unknown keys, so a typo never silently falls
 back to a default; it never modifies the document.  Rules relating two or
 more fields are plain code in the handlers, run after validation.
 
-``FIGURES`` maps the canned figure ids understood by ``reproduce`` onto
-scenario documents with the published parameterization baked in.
+``FIGURES`` maps each canned figure id understood by ``reproduce`` to a
+document builder bound to that figure's published parameterization
+(:func:`functools.partial`, or the bare builder when it takes none); every
+call returns a fresh document.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from .models import (
     min_splitting,
     mode_ratio,
 )
-from .units import UNITS, OscillatorStrength, _reduced_strength, coupling_dipole_dipole
+from .units import UNITS, _reduced_strength, coupling_dipole_dipole, dipole_moment_to_oscillator_strength
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -878,16 +880,7 @@ def _run_oracle(p: dict) -> _Table:
     kappa, gamma, f_cav, f_mat = p["kappa"], p["gamma"], p["f_cav"], p["f_mat"]
     r_cav, r_mat, n_dcav, n_dmat = p["r_cav"], p["r_mat"], p["orientation_cav"], p["orientation_mat"]
     e_inc, omega_grid = p["E_inc"], p["omega_grid"]
-    g_geo = coupling_dipole_dipole(
-        OscillatorStrength(f_cav),
-        OscillatorStrength(f_mat),
-        r_cav,
-        r_mat,
-        n_dcav,
-        n_dmat,
-        omega_cav,
-        omega_mat,
-    )
+    g_geo = coupling_dipole_dipole(f_cav, f_mat, r_cav, r_mat, n_dcav, n_dmat, omega_cav, omega_mat)
     model = CoupledModel(
         OscillatorPair(omega_cav, omega_mat, kappa, gamma), ModelVariant.SPC, g_geo
     )
@@ -1160,28 +1153,28 @@ def run_scenario_file(path, out_dir=None) -> ScenarioRun:
 
 _FIG3_F_CAV = 4345.0**2
 _FIG3_F_MAT = 118.74**2
+_SPC_MOC = ("SpC", "MoC")
+_WITH_LINEARIZED = ("SpC", "MoC", "Linearized")
+_SPC_VS_MOC = (("spc", "SpC", 3.0), ("mc", "MoC", 3.0))
 
 
-def _fig2_box() -> dict:
-    from .units import dipole_moment_to_oscillator_strength
-
-    f_mat = dipole_moment_to_oscillator_strength(15.0, 3.0).value
+def _fig2_box(**extra) -> dict:
     return {
         "L": [300.0, 300.0, 200.0],
         "V_eff": 4.483e6,
         "omega_cav": 3.0,
-        "f_mat": f_mat,
+        "f_mat": dipole_moment_to_oscillator_strength(15.0, 3.0).value,
         "emitter": [0.0, 0.0, 0.0],
         "orientation": [0.0, 0.0, 1.0],
+        **extra,
     }
 
 
-def _sweep_doc(coupling_value: float, with_linearized: bool) -> dict:
-    variants = ["SpC", "MoC"] + (["Linearized"] if with_linearized else [])
+def _sweep_doc(coupling_value: float, variants) -> dict:
     return {
         "kind": "eigen_sweep",
         "parameters": {
-            "variants": variants,
+            "variants": list(variants),
             "omega_mat": 1.0,
             "coupling": {"scaling": "fixed", "value": coupling_value},
             "sweep": {"start": 0.2, "stop": 2.0, "num": 601},
@@ -1189,63 +1182,36 @@ def _sweep_doc(coupling_value: float, with_linearized: bool) -> dict:
     }
 
 
-def _min_splitting_doc(with_linearized: bool) -> dict:
-    variants = ["SpC", "MoC"] + (["Linearized"] if with_linearized else [])
+def _geometric_sweep_doc() -> dict:
+    return {
+        "kind": "eigen_sweep",
+        "parameters": {
+            "variants": ["SpC", "MoC"],
+            "omega_mat": 0.1,
+            "coupling": {"scaling": "fixed", "value": 0.3},
+            "coupling_overrides": {"SpC": {"scaling": "geometric", "value": 0.3}},
+            "sweep": {"start": 0.2, "stop": 2.0, "num": 601},
+        },
+    }
+
+
+def _min_splitting_doc(variants) -> dict:
     return {
         "kind": "min_splitting",
         "parameters": {
-            "variants": variants,
+            "variants": list(variants),
             "omega_mat": 1.0,
             "g_grid": {"start": 0.0, "stop": 0.5, "num": 251},
         },
     }
 
 
-def _spectrum_doc(curves, start, stop, num) -> dict:
-    return {
-        "kind": "spectrum",
-        "parameters": {
-            "omega_grid": {"start": start, "stop": stop, "num": num},
-            "E_inc": 1.0,
-            "orientation_cav": [1.0, 0.0, 0.0],
-            "orientation_mat": [1.0, 0.0, 0.0],
-            "curves": curves,
-        },
-    }
-
-
-def _fig3_curve(label, variant, omega_mat, g, f_cav) -> dict:
-    return {
-        "label": label,
-        "variant": variant,
-        "omega_cav": 3.0,
-        "omega_mat": omega_mat,
-        "kappa": 0.020,
-        "gamma": 0.010,
-        "g": g,
-        "f_cav": f_cav,
-        "f_mat": _FIG3_F_MAT,
-    }
-
-
-def _fig_fig1c() -> dict:
-    return _sweep_doc(0.1, with_linearized=False)
-
-
-def _fig_fig1d() -> dict:
-    return _sweep_doc(0.3, with_linearized=False)
-
-
-def _fig_fig1e() -> dict:
-    return _min_splitting_doc(with_linearized=False)
-
-
-def _fig_fig2b() -> dict:
+def _box_fieldmap_doc() -> dict:
     return {
         "kind": "fieldmap",
         "parameters": {
             "scene": "box",
-            "box": {**_fig2_box(), "omega_mat": 2.9985},
+            "box": _fig2_box(omega_mat=2.9985),
             "g": 7.5e-4,
             "branches": ["upper", "lower"],
             "line": {"axis": "x", "start": -150.0, "stop": 150.0, "num": 1501},
@@ -1268,15 +1234,7 @@ def _fractions_doc(g: float) -> dict:
     }
 
 
-def _fig_fig2c() -> dict:
-    return _fractions_doc(2.5e-4 * 3.0)
-
-
-def _fig_fig2d() -> dict:
-    return _fractions_doc(0.2 * 3.0)
-
-
-def _fig_fig3b() -> dict:
+def _nanoparticle_fieldmap_doc() -> dict:
     return {
         "kind": "fieldmap",
         "parameters": {
@@ -1303,40 +1261,34 @@ def _fig_fig3b() -> dict:
     }
 
 
-def _fig_fig3c() -> dict:
-    g = 0.1 * 3.0
-    return _spectrum_doc(
-        [
-            _fig3_curve("tuned", "SpC", 3.0, g, _FIG3_F_CAV),
-            _fig3_curve("detuned", "SpC", 3.2, g, _FIG3_F_CAV),
-        ],
-        2.4, 3.6, 1201,
-    )
+def _spectrum_doc(g: float, curves, start: float, stop: float) -> dict:
+    """Nanoparticle spectra at one coupling ``g``, one per ``(label, variant, omega_mat)``."""
+    return {
+        "kind": "spectrum",
+        "parameters": {
+            "omega_grid": {"start": start, "stop": stop, "num": 1201},
+            "E_inc": 1.0,
+            "orientation_cav": [1.0, 0.0, 0.0],
+            "orientation_mat": [1.0, 0.0, 0.0],
+            "curves": [
+                {
+                    "label": label,
+                    "variant": variant,
+                    "omega_cav": 3.0,
+                    "omega_mat": omega_mat,
+                    "kappa": 0.020,
+                    "gamma": 0.010,
+                    "g": g,
+                    "f_cav": _FIG3_F_CAV,
+                    "f_mat": _FIG3_F_MAT,
+                }
+                for label, variant, omega_mat in curves
+            ],
+        },
+    }
 
 
-def _fig_fig3d() -> dict:
-    g = 1e-2 * 3.0
-    return _spectrum_doc(
-        [
-            _fig3_curve("spc", "SpC", 3.0, g, _FIG3_F_CAV),
-            _fig3_curve("mc", "MoC", 3.0, g, _FIG3_F_CAV),
-        ],
-        2.85, 3.15, 1201,
-    )
-
-
-def _fig_fig3e() -> dict:
-    g = 0.3 * 3.0
-    return _spectrum_doc(
-        [
-            _fig3_curve("spc", "SpC", 3.0, g, _FIG3_F_CAV),
-            _fig3_curve("mc", "MoC", 3.0, g, _FIG3_F_CAV),
-        ],
-        1.6, 4.6, 1201,
-    )
-
-
-def _fig_fig4b() -> dict:
+def _permittivity_doc() -> dict:
     return {
         "kind": "permittivity",
         "parameters": {
@@ -1348,36 +1300,11 @@ def _fig_fig4b() -> dict:
     }
 
 
-def _fig_figS1a() -> dict:
-    return _sweep_doc(0.1, with_linearized=True)
-
-
-def _fig_figS1b() -> dict:
-    return _sweep_doc(0.3, with_linearized=True)
-
-
-def _fig_figS1c() -> dict:
-    return _min_splitting_doc(with_linearized=True)
-
-
-def _fig_figS2() -> dict:
-    return {
-        "kind": "eigen_sweep",
-        "parameters": {
-            "variants": ["SpC", "MoC"],
-            "omega_mat": 0.1,
-            "coupling": {"scaling": "fixed", "value": 0.3},
-            "coupling_overrides": {"SpC": {"scaling": "geometric", "value": 0.3}},
-            "sweep": {"start": 0.2, "stop": 2.0, "num": 601},
-        },
-    }
-
-
-def _dispersion_doc(models, content) -> dict:
+def _dispersion_doc(models, content: str) -> dict:
     return {
         "kind": "dispersion",
         "parameters": {
-            "models": models,
+            "models": list(models),
             "omega_to": 0.1,
             "G_over_omega_to": 0.3,
             "k_grid": {"start": 0.0, "stop": 10.0, "num": 501},
@@ -1386,42 +1313,27 @@ def _dispersion_doc(models, content) -> dict:
     }
 
 
-def _fig_figS3a() -> dict:
-    return _dispersion_doc(["MoC"], "dispersion")
-
-
-def _fig_figS3b() -> dict:
-    return _dispersion_doc(["A1"], "dispersion")
-
-
-def _fig_figS3c() -> dict:
-    return _dispersion_doc(["A2"], "dispersion")
-
-
-def _fig_figS3d() -> dict:
-    return _dispersion_doc(["MoC", "A1", "A2"], "couplings")
-
-
+# each figure id and the document builder, bound to its arguments, that states it
 FIGURES = {
-    "fig1c": _fig_fig1c,
-    "fig1d": _fig_fig1d,
-    "fig1e": _fig_fig1e,
-    "fig2b": _fig_fig2b,
-    "fig2c": _fig_fig2c,
-    "fig2d": _fig_fig2d,
-    "fig3b": _fig_fig3b,
-    "fig3c": _fig_fig3c,
-    "fig3d": _fig_fig3d,
-    "fig3e": _fig_fig3e,
-    "fig4b": _fig_fig4b,
-    "figS1a": _fig_figS1a,
-    "figS1b": _fig_figS1b,
-    "figS1c": _fig_figS1c,
-    "figS2": _fig_figS2,
-    "figS3a": _fig_figS3a,
-    "figS3b": _fig_figS3b,
-    "figS3c": _fig_figS3c,
-    "figS3d": _fig_figS3d,
+    "fig1c": partial(_sweep_doc, 0.1, _SPC_MOC),
+    "fig1d": partial(_sweep_doc, 0.3, _SPC_MOC),
+    "fig1e": partial(_min_splitting_doc, _SPC_MOC),
+    "fig2b": _box_fieldmap_doc,
+    "fig2c": partial(_fractions_doc, 2.5e-4 * 3.0),
+    "fig2d": partial(_fractions_doc, 0.2 * 3.0),
+    "fig3b": _nanoparticle_fieldmap_doc,
+    "fig3c": partial(_spectrum_doc, 0.1 * 3.0, (("tuned", "SpC", 3.0), ("detuned", "SpC", 3.2)), 2.4, 3.6),
+    "fig3d": partial(_spectrum_doc, 1e-2 * 3.0, _SPC_VS_MOC, 2.85, 3.15),
+    "fig3e": partial(_spectrum_doc, 0.3 * 3.0, _SPC_VS_MOC, 1.6, 4.6),
+    "fig4b": _permittivity_doc,
+    "figS1a": partial(_sweep_doc, 0.1, _WITH_LINEARIZED),
+    "figS1b": partial(_sweep_doc, 0.3, _WITH_LINEARIZED),
+    "figS1c": partial(_min_splitting_doc, _WITH_LINEARIZED),
+    "figS2": _geometric_sweep_doc,
+    "figS3a": partial(_dispersion_doc, ("MoC",), "dispersion"),
+    "figS3b": partial(_dispersion_doc, ("A1",), "dispersion"),
+    "figS3c": partial(_dispersion_doc, ("A2",), "dispersion"),
+    "figS3d": partial(_dispersion_doc, ("MoC", "A1", "A2"), "couplings"),
 }
 
 FIGURE_IDS = tuple(FIGURES)

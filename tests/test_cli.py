@@ -273,6 +273,7 @@ def _mutated(document, path, value):
         ("fieldmap_box", ("parameters", "box", "omega_cav"), 1e200),
         ("ensemble_n20", ("parameters", "lattice", "shape"), [2**70, 1, 1]),
         ("ensemble_n20", ("parameters", "lattice", "shape"), [1000, 1000, 1000]),
+        ("ensemble_n20", ("parameters", "cavity", "modes"), [{"n": 1}, {"n": 1, "k_parallel": [0, 0]}]),
     ],
     ids=[
         "fit-omega_lo-1e200",
@@ -286,6 +287,7 @@ def _mutated(document, path, value):
         "box-omega_cav-1e200",
         "lattice-shape-2**70",
         "lattice-shape-1000**3",
+        "repeated-mode",
     ],
 )
 def test_hostile_values_exit_3(tmp_path, capsys, source, path, value):

@@ -58,6 +58,12 @@ def test_mode_profile_standing_wave():
     assert val == pytest.approx(complex(math.cos(0.5), math.sin(0.5)), rel=1e-14)
 
 
+def test_cavity_spec_rejects_a_repeated_mode():
+    # the two labels collide once normalized: both are (1, (0.0, 0.0))
+    with pytest.raises(PolaritonError, match=r"mode \(1, \(0.0, 0.0\)\) is listed twice"):
+        FabryPerotSpec(L_cav=100.0, lateral_period=10.0, modes=((1, (0, 0)), (1.0, [0.0, 0.0])))
+
+
 def test_single_dipole_coupling_bound():
     fp = _fp()
     f_red = DipoleLattice(
@@ -328,6 +334,16 @@ def test_hand_built_system_needs_a_symmetric_stiffness_block():
         FullSystem(K_dd=np.array([[9.0, 5.0], [0.0, 9.0]]), coupling=np.ones((2, 1)), mode_frequencies=np.ones(1))
 
 
+def test_hand_built_system_accepts_lists():
+    with pytest.raises(PolaritonError, match="K_dd is not symmetric"):
+        FullSystem(K_dd=[[9.0, 5.0], [0.0, 9.0]], coupling=[[1.0], [1.0]], mode_frequencies=[3.0])
+    blocks = ([[9.0, 0.5], [0.5, 9.0]], [[1.0], [0.5]], [3.0])
+    from_lists = FullSystem(*blocks)
+    from_arrays = FullSystem(*(np.array(block) for block in blocks))
+    assert np.array_equal(from_lists.eigenfrequencies(), from_arrays.eigenfrequencies())
+    assert FullSystem(blocks[0], [[1.0], [0.5j]], blocks[2]).coupling.dtype == complex
+
+
 def test_two_dipoles_without_modes_split_symmetrically():
     # side-by-side pair: amplitude coupling g splits the degenerate line into
     # sqrt(w^2 -/+ 2 w g) (the repulsive perpendicular arrangement raises the
@@ -382,6 +398,18 @@ def test_full_system_guards():
     with pytest.raises(PolaritonError, match="desk-scale"):
         big = cubic_dipole_lattice(_fp(L_cav=600.0, period=30.0), 3.0, (8, 8, 8), _F_DIP, 3.0)
         build_full_system(big, _fp(L_cav=600.0, period=30.0))
+
+
+@pytest.mark.parametrize("n", [0, 501], ids=["no-dipoles", "501-dipoles"])
+def test_lattice_dipole_count_is_checked_at_construction(n):
+    with pytest.raises(PolaritonError, match="no dipoles" if n == 0 else "desk-scale"):
+        DipoleLattice(
+            positions=np.column_stack([np.arange(n), np.zeros(n), np.full(n, 10.0)]),
+            orientation=(1.0, 0.0, 0.0),
+            f_dip=_F_DIP,
+            omega_dip=3.0,
+            spacing=1.0,
+        )
 
 
 # ---------------------------------------------------------------------------

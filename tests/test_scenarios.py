@@ -472,6 +472,66 @@ def test_figure_registry_inventory():
         assert doc["kind"] in SCENARIO_KINDS
 
 
+# SHA-256 of each figure's canonical document, json.dumps(document,
+# sort_keys=True): the input_sha256 of its reproduce summary.  Pure-Python
+# JSON, so it does not depend on the numpy build; a change here is a change of
+# a published figure's parameterization.
+_FIGURE_DOCUMENT_SHA256 = {
+    "fig1c": "7e737d24df24f6afd5a167cc02046b32f32522234ac59fe26fa29ca584aabbcb",
+    "fig1d": "4f516b24b06f5162cc9e334cd18e380814b8f7396edcf3cd3a69769cc38017b6",
+    "fig1e": "c7a07eb6b8005a2c93ab0216eafae71de445b139c4689ebf2f36fe68ffb86ec5",
+    "fig2b": "a52459e246f5eb1ae2eb5286250728f8c56d7f0177770f5f85519d40ea25fe7e",
+    "fig2c": "0abb3573e61ddc7a5440e843da1fb325a17234736603a16b2295bd9c822b381c",
+    "fig2d": "58bb79112b68a9c99946bc5e65c42f203ce31e678b35798b95a2d29a20dda83d",
+    "fig3b": "7326d83f84ced74ba8134b14d6ef9c61d247d051d425c751f3295573233caac5",
+    "fig3c": "97c6292c7ce06c0831779ce7af2a8591b0fe7f5b2415922cf3eede93a89b497a",
+    "fig3d": "7ee2411e99645093f2ee6c67e5979fd0b171f3531a1db182f0422bbadfc24153",
+    "fig3e": "60b679fae015070370298acb95ee4572ff70cf0c7470543d7e2188c7836db741",
+    "fig4b": "46a435f10f8e10fa8c39bd757abf7f080a8498402f47410c6f8f3fccdef51367",
+    "figS1a": "1d0e1ce50c84012e74146f9a9d37a1fd1b4db2ccd5b2f54c50739f20be64cec8",
+    "figS1b": "550471c089d344b0d2f4c6637c71e015a104b317b5a6beaf72667822adace6bf",
+    "figS1c": "bd093dfa2a8cce5d900c2df9375cd432f0f49094fe231a416dbfa5a7b1d20e58",
+    "figS2": "0ca1bdef02c66296d25e31cbaaf1f41b9032b2fd0cbe0a8efe1e82a9d907bbb2",
+    "figS3a": "ce75e8fbbf008aee4ebfe39ef6b93171568b528798e3c1180b56594dd14bd9d5",
+    "figS3b": "a952b660d3cb46a69e029cf82b72f5e0ec6dac1c1ddfd46ecfe19053f823b665",
+    "figS3c": "0807f4c177dc8ba82a05ecb523618c65e047e9917290973aed931fccf96563d2",
+    "figS3d": "1710f6708d5c252b5ea28c36a73f0568a4bc51017289c129d23cbcc45fcc09a9",
+}
+
+
+def test_figure_documents_are_pinned():
+    assert tuple(_FIGURE_DOCUMENT_SHA256) == FIGURE_IDS
+    for figure_id, digest in _FIGURE_DOCUMENT_SHA256.items():
+        canonical = json.dumps(figure_document(figure_id), sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(canonical).hexdigest() == digest, figure_id
+
+
+def _vandalize(node):
+    """Mutate every list and dict of a document in place, innermost first."""
+    if isinstance(node, dict):
+        for value in node.values():
+            _vandalize(value)
+        node["vandalized"] = True
+    elif isinstance(node, list):
+        for value in node:
+            _vandalize(value)
+        node.append("vandalized")
+
+
+def test_figure_documents_are_fresh_on_every_call():
+    first = figure_document("fig3d")
+    first["parameters"]["curves"][0]["g"] = 1.0
+    assert figure_document("fig3d")["parameters"]["curves"][0]["g"] == 1e-2 * 3.0
+    first = figure_document("figS3d")
+    first["parameters"]["models"].append("A2")
+    assert figure_document("figS3d")["parameters"]["models"] == ["MoC", "A1", "A2"]
+    for figure_id in FIGURE_IDS:
+        document = figure_document(figure_id)
+        pristine = copy.deepcopy(document)
+        _vandalize(document)
+        assert figure_document(figure_id) == pristine, figure_id
+
+
 def test_unknown_figure_id_lists_valid_ids():
     with pytest.raises(SchemaError) as err:
         figure_document("fig99x")
