@@ -231,7 +231,10 @@ class FullSystem:
 
     def __post_init__(self):
         for block in ("K_dd", "coupling", "mode_frequencies"):  # lists too; complex stays complex
-            object.__setattr__(self, block, np.asarray(getattr(self, block)))
+            try:
+                object.__setattr__(self, block, np.asarray(getattr(self, block)))
+            except ValueError as exc:  # a ragged nested list
+                raise PolaritonError(f"block {block} is not a rectangular array: {exc}") from None
         n, m = self.n_dip, self.n_modes
         shapes = (self.K_dd.shape, self.coupling.shape, self.mode_frequencies.shape)
         if n == 0 or shapes != ((n, n), (n, m), (m,)):

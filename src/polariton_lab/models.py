@@ -14,7 +14,6 @@ the model they were derived from.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ __all__ = [
     "CoupledModel",
     "MinSplitting",
     "frequency_domain_matrix",
-    "generic_eigenfrequencies",
     "min_splitting",
     "branch_frequencies",
     "mode_ratio",
@@ -166,36 +164,6 @@ def determinant_residual(variant: ModelVariant, omega_cav, omega_mat, g, omega) 
     return np.abs(det) / (scale * scale)
 
 
-def generic_eigenfrequencies(model: CoupledModel) -> tuple[complex, complex]:
-    """Eigenfrequencies from the 2x2 system matrices, without closed forms.
-
-    Amplitude-coupled systems are an eigenproblem in omega^2; velocity-coupled
-    systems are quadratic in omega and are linearized to a 4x4 companion
-    problem.  Of each +/- frequency pair the root with Re(omega) >= 0 is kept.
-    """
-    wc, wm = model.pair.complex_cav, model.pair.complex_mat
-    g = model.g
-    if model.variant in _AMPLITUDE_FORM:
-        cross = 2.0 * g * cmath.sqrt(wc * wm)
-        k = np.array([[wc * wc, cross], [cross, wm * wm]], dtype=complex)
-        # principal root: Re(omega) >= 0
-        omegas = [cmath.sqrt(s) for s in np.linalg.eigvals(k)]
-    elif model.variant in _VELOCITY_FORM:
-        k = np.diag([wc * wc, wm * wm]).astype(complex)
-        j = np.array([[0.0, -2.0 * g], [2.0 * g, 0.0]], dtype=complex)
-        comp = np.zeros((4, 4), dtype=complex)
-        comp[:2, 2:] = np.eye(2)
-        comp[2:, :2] = -k
-        comp[2:, 2:] = -j
-        freqs = 1j * np.linalg.eigvals(comp)  # x ~ exp(-i w t) => lambda = -i w
-        omegas = sorted(freqs, key=lambda w: (-w.real, -w.imag))[:2]
-    else:
-        m = np.array([[wc, g], [g, wm]], dtype=complex)
-        omegas = [complex(w) for w in np.linalg.eigvals(m)]
-    omegas.sort(key=lambda w: (w.real, w.imag))
-    return omegas[1], omegas[0]
-
-
 def mode_ratio(variant: ModelVariant, omega_cav, omega_mat, g, omega):
     """x_cav / x_mat on the branch with eigenfrequency ``omega``, over arrays.
 
@@ -233,8 +201,7 @@ def branch_frequencies(variant: ModelVariant, omega_cav, omega_mat, g):
     outside ultrastrong coupling.  ``omega_minus`` is NaN wherever the lower
     branch is not a real frequency: below the amplitude-coupled cutoff
     ``omega_cav * omega_mat < 4 g**2``, or where the linearized lower branch
-    turns negative.  NaN parameters give NaN rows.  Lossy models go through
-    :func:`generic_eigenfrequencies`.
+    turns negative.  NaN parameters give NaN rows.
     """
     wc, wm, g = (np.asarray(v, dtype=float) for v in (omega_cav, omega_mat, g))
     if variant is ModelVariant.LINEARIZED:

@@ -26,6 +26,10 @@ more fields are plain code in the handlers, run after validation.
 document builder bound to that figure's published parameterization
 (:func:`functools.partial`, or the bare builder when it takes none); every
 call returns a fresh document.
+
+Only ``models`` and ``units`` are imported with this module.  Each driver
+imports the layer it runs when it is called, and ``yaml`` is imported only to
+parse a file, so a ``reproduce`` process loads its own figure's layer alone.
 """
 
 from __future__ import annotations
@@ -42,40 +46,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import yaml
 
 from ._version import __version__
-from .driven import DriveSpec, driven_response, polarizability_oracle, scattering_cross_section
-from .ensemble import (
-    FabryPerotSpec,
-    _bright_band_spread,
-    build_full_system,
-    cubic_dipole_lattice,
-    full_vs_reduced_check,
-)
 from .exceptions import PoleError, PolaritonError, SchemaError
-from .fields import (
-    BoxCavityScene,
-    NanoparticleScene,
-    contribution_fractions,
-    dielectric_field_arrays,
-    quasistatic_field_arrays,
-)
-from .hopfield import (
-    HopfieldParams,
-    _ladder_deviation,
-    frame_equivalence_check,
-    hopfield_quartic_eigen,
-    truncated_fock_spectrum,
-)
-from .material import (
-    PermittivityModel,
-    bulk_dispersion,
-    coupling_profiles,
-    permittivity,
-    reststrahlen_band,
-    reststrahlen_fit,
-)
 from .models import (
     CoupledModel,
     ModelVariant,
@@ -440,6 +413,8 @@ _SPECTRUM = (
 
 
 def _run_spectrum(p: dict) -> _Table:
+    from .driven import DriveSpec, driven_response, scattering_cross_section
+
     labels = [curve["label"] for curve in p["curves"]]
     for i, label in enumerate(labels):
         if not label or not all(c.isalnum() or c == "_" for c in label):
@@ -532,6 +507,9 @@ _FIELDMAP = {
 
 
 def _run_fieldmap(p: dict) -> _Table:
+    from .driven import DriveSpec, driven_response
+    from .fields import BoxCavityScene, NanoparticleScene, dielectric_field_arrays, quasistatic_field_arrays
+
     line = p["line"]
     if line["stop"] <= line["start"]:
         raise SchemaError("parameters.line.stop", f"must be > start ({line['start']}), got {line['stop']}")
@@ -605,6 +583,8 @@ _FRACTIONS = (
 
 
 def _run_fractions(p: dict) -> _Table:
+    from .fields import BoxCavityScene, contribution_fractions
+
     box, detuning = p["box"], p["detuning_grid"]
     omega_cav = box["omega_cav"]
     bad = detuning[detuning <= -omega_cav]
@@ -667,6 +647,14 @@ _ENSEMBLE = (
 
 
 def _run_ensemble(p: dict) -> _Table:
+    from .ensemble import (
+        FabryPerotSpec,
+        _bright_band_spread,
+        build_full_system,
+        cubic_dipole_lattice,
+        full_vs_reduced_check,
+    )
+
     cav, lat = p["cavity"], p["lattice"]
     fp = FabryPerotSpec(
         L_cav=cav["L_cav"],
@@ -725,6 +713,8 @@ _PERMITTIVITY = (
 
 
 def _run_permittivity(p: dict) -> _Table:
+    from .material import PermittivityModel, permittivity, reststrahlen_band, reststrahlen_fit
+
     fit, epsilon_inf = p["fit"], p["epsilon_inf"]
     if fit is not None and (p["Omega_mat"] is not None or p["G"] is not None):
         raise SchemaError("parameters.fit", "give either fit or (Omega_mat, G), not both")
@@ -773,6 +763,8 @@ _DISPERSION = (
 
 
 def _run_dispersion(p: dict) -> _Table:
+    from .material import PermittivityModel, bulk_dispersion, coupling_profiles, reststrahlen_band
+
     omega_to, epsilon_inf, k_grid_rel = p["omega_to"], p["epsilon_inf"], p["k_grid"]
     g_coupling = p["G_over_omega_to"] * omega_to
     k_grid = k_grid_rel * omega_to / UNITS.hbar_c
@@ -837,6 +829,15 @@ _ORACLE = {
 
 
 def _run_oracle(p: dict) -> _Table:
+    from .driven import DriveSpec, driven_response, polarizability_oracle
+    from .hopfield import (
+        HopfieldParams,
+        _ladder_deviation,
+        frame_equivalence_check,
+        hopfield_quartic_eigen,
+        truncated_fock_spectrum,
+    )
+
     omega_cav, omega_mat = p["omega_cav"], p["omega_mat"]
     if p["flavor"] == "quantum":
         g_qed, d_value = p["g_qed"], p["D"]
@@ -1128,6 +1129,8 @@ def run_scenario_document(
 
 def load_scenario_file(path) -> tuple:
     """Parse a scenario file; returns (document, raw bytes)."""
+    import yaml  # only files are YAML; a figure document is built in code
+
     raw = Path(path).read_bytes()
     try:
         document = yaml.safe_load(raw)

@@ -250,6 +250,52 @@ def test_cli_import_does_not_load_scipy():
 _SAMPLES = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+# runs cli.main on its arguments in a fresh interpreter, then prints the
+# exit code and the package modules (and yaml) that the run loaded
+_FRESH_MAIN = """\
+import json, sys
+from polariton_lab import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m.split(".")[-1] for m in sys.modules if m == "yaml" or m.startswith("polariton_lab."))
+print(json.dumps([code, loaded]))
+"""
+
+# what a reproduce loads whatever the figure: the CLI, the scenario layer and its imports
+_REPRODUCE_CORE = {"cli", "scenarios", "models", "units", "exceptions", "_version"}
+# the layers each figure kind loads besides
+_KIND_LAYERS = {
+    "eigen_sweep": set(),
+    "min_splitting": set(),
+    "fieldmap": {"driven", "fields"},
+    "fractions": {"fields"},
+    "spectrum": {"driven"},
+    "permittivity": {"material"},
+    "dispersion": {"material"},
+}
+
+
+def _fresh_main(*argv):
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(loaded)
+
+
+@pytest.mark.parametrize("figure_id", scenarios.FIGURE_IDS)
+def test_reproduce_imports_only_what_its_figure_needs(tmp_path, figure_id):
+    code, loaded = _fresh_main("reproduce", figure_id, "--out", str(tmp_path))
+    assert code == 0
+    assert not loaded & {"yaml", "ensemble", "hopfield"}
+    assert loaded == _REPRODUCE_CORE | _KIND_LAYERS[scenarios.figure_document(figure_id)["kind"]]
+
+
+def test_run_loads_yaml_and_the_oracle_layer_on_use(tmp_path):
+    code, loaded = _fresh_main("run", str(_SAMPLES / "oracle_quantum.yaml"), "--out", str(tmp_path))
+    assert code == 0
+    assert {"yaml", "hopfield"} <= loaded
+    assert (tmp_path / "oracle_quantum.csv").is_file()
+
+
 def _mutated(document, path, value):
     doc = copy.deepcopy(document)
     node = doc

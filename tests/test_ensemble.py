@@ -310,6 +310,8 @@ def test_solve_rejects_exactly_the_indefinite_stiffness_blocks():
         (np.eye(2), np.ones((2, 1)), np.array([[3.0]]), "got shapes"),
         (np.eye(2), np.ones((2, 1)), np.array([0.0]), "mode frequency must be finite and positive"),
         (np.eye(2), np.ones((2, 1)), np.array([math.nan]), "mode frequency must be finite and positive"),
+        ([[9.0, 0.0], [0.0]], [[1.0], [1.0]], [3.0], "block K_dd is not a rectangular array"),
+        (np.eye(2), [[1.0], [1.0, 2.0]], [3.0], "block coupling is not a rectangular array"),
     ],
     ids=[
         "coupling-too-wide",
@@ -319,6 +321,8 @@ def test_solve_rejects_exactly_the_indefinite_stiffness_blocks():
         "mode-frequencies-2d",
         "zero-mode-frequency",
         "nan-mode-frequency",
+        "K_dd-ragged",
+        "coupling-ragged",
     ],
 )
 def test_hand_built_system_needs_matching_blocks_and_positive_mode_frequencies(

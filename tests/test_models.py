@@ -1,5 +1,6 @@
 """Coupled-oscillator eigenmodes: closed forms, generic solver, alternatives."""
 
+import cmath
 import math
 from decimal import Decimal, localcontext
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from polariton_lab import PoleError, PolaritonError
 from polariton_lab.models import (
+    _AMPLITUDE_FORM,
+    _VELOCITY_FORM,
     CoupledModel,
     ModelVariant,
     OscillatorPair,
@@ -17,7 +20,6 @@ from polariton_lab.models import (
     branch_frequencies,
     dressed_parameters,
     frequency_domain_matrix,
-    generic_eigenfrequencies,
     min_splitting,
     mode_ratio,
 )
@@ -32,6 +34,37 @@ def _pair(ratio, omega_mat=1.0):
 
 # ---------------------------------------------------------------------------
 # closed forms vs generic polynomial solver
+
+
+def generic_eigenfrequencies(model: CoupledModel) -> tuple[complex, complex]:
+    """Eigenfrequencies from the 2x2 system matrices, without closed forms.
+
+    The independent oracle for the closed forms.  Amplitude-coupled systems
+    are an eigenproblem in omega^2; velocity-coupled systems are quadratic in
+    omega and are linearized to a 4x4 companion problem.  Of each +/-
+    frequency pair the root with Re(omega) >= 0 is kept.
+    """
+    wc, wm = model.pair.complex_cav, model.pair.complex_mat
+    g = model.g
+    if model.variant in _AMPLITUDE_FORM:
+        cross = 2.0 * g * cmath.sqrt(wc * wm)
+        k = np.array([[wc * wc, cross], [cross, wm * wm]], dtype=complex)
+        # principal root: Re(omega) >= 0
+        omegas = [cmath.sqrt(s) for s in np.linalg.eigvals(k)]
+    elif model.variant in _VELOCITY_FORM:
+        k = np.diag([wc * wc, wm * wm]).astype(complex)
+        j = np.array([[0.0, -2.0 * g], [2.0 * g, 0.0]], dtype=complex)
+        comp = np.zeros((4, 4), dtype=complex)
+        comp[:2, 2:] = np.eye(2)
+        comp[2:, :2] = -k
+        comp[2:, 2:] = -j
+        freqs = 1j * np.linalg.eigvals(comp)  # x ~ exp(-i w t) => lambda = -i w
+        omegas = sorted(freqs, key=lambda w: (-w.real, -w.imag))[:2]
+    else:
+        m = np.array([[wc, g], [g, wm]], dtype=complex)
+        omegas = [complex(w) for w in np.linalg.eigvals(m)]
+    omegas.sort(key=lambda w: (w.real, w.imag))
+    return omegas[1], omegas[0]
 
 
 @given(ratio=_ratios, g=_gs)

@@ -667,7 +667,6 @@ def test_pair_couplings_are_computed_once_per_ensemble_operation(tmp_path, monke
 
     monkeypatch.setattr(ensemble, "_pairwise_couplings", counted_pairs)
     monkeypatch.setattr(ensemble, "build_full_system", counted_build)
-    monkeypatch.setattr(scenarios, "build_full_system", counted_build)
     _run(_ensemble_doc((2, 2, 4), dipole_dipole), tmp_path)
     # the full system is still built twice; the lattice computes its pairs once
     assert calls == {"pairs": 1, "builds": 2}
