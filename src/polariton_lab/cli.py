@@ -5,30 +5,34 @@ the canned figure scenarios, ``oracle`` runs a scenario file that must be of
 the cross-validation kind, and ``constants`` prints the unit system.  One
 scenario per process; exit codes are 0 (success), 2 (schema error), 3
 (physics error), 4 (i/o error).
+
+A process started from the command line (``main()`` with no arguments) runs
+without the cyclic garbage collector: it is disabled before ``scenarios`` and
+numpy are imported, and everything still alive is frozen when ``main``
+returns, so interpreter exit does not sweep the heap either.  The artifacts
+are written and closed by then.  ``main(argv)`` leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ._version import __version__
 from .exceptions import PolaritonError, SchemaError
-from .scenarios import (
-    FIGURE_IDS,
-    ScenarioRun,
-    load_scenario_file,
-    reproduce_figure,
-    run_scenario_document,
-    run_scenario_file,
-)
-from .units import UNITS
+
+if TYPE_CHECKING:
+    from .scenarios import ScenarioRun
 
 __all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .scenarios import FIGURE_IDS
+
     parser = argparse.ArgumentParser(
         prog="polariton-lab",
         description="Coupled-oscillator models of ultrastrong light-matter coupling.",
@@ -60,16 +64,22 @@ def _report(run: ScenarioRun) -> None:
 
 
 def _cmd_run(args) -> int:
+    from .scenarios import run_scenario_file
+
     _report(run_scenario_file(args.scenario, out_dir=args.out))
     return 0
 
 
 def _cmd_reproduce(args) -> int:
+    from .scenarios import reproduce_figure
+
     _report(reproduce_figure(args.figure_id, out_dir=args.out))
     return 0
 
 
 def _cmd_oracle(args) -> int:
+    from .scenarios import load_scenario_file, run_scenario_document
+
     document, raw = load_scenario_file(args.scenario)
     kind = document.get("kind") if isinstance(document, dict) else None
     if kind != "oracle":
@@ -86,6 +96,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .units import UNITS
+
     for name in ("hbar_c", "coulomb_const", "proton_mass_energy", "debye_in_e_nm", "light_speed"):
         print(f"{name} = {format(getattr(UNITS, name), '.17g')}")
     return 0
@@ -100,9 +112,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # a one-shot process: no collections while it imports and runs, and
+    # none over its heap at exit
+    process_entry = argv is None
+    if process_entry:
+        gc.disable()
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
@@ -113,6 +129,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if process_entry:
+            gc.freeze()
 
 
 if __name__ == "__main__":

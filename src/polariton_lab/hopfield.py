@@ -67,8 +67,9 @@ def hopfield_quartic_eigen(p: HopfieldParams) -> tuple[float, float]:
     """Closed-form normal-mode frequencies (omega_plus, omega_minus) in eV.
 
     The characteristic polynomial is a quadratic in omega^2, solved
-    analytically.  Unstable parameters (negative lower root) are rejected
-    with a diagnostic rather than returning an imaginary frequency.
+    analytically.  Unstable parameters (lower root not positive, as for
+    ``HopfieldParams.stable``) are rejected with a diagnostic rather than
+    returning an imaginary or zero frequency.
     """
     a = p.omega_cav**2 + 4.0 * p.D * p.omega_cav
     b = p.omega_mat**2
@@ -77,10 +78,10 @@ def hopfield_quartic_eigen(p: HopfieldParams) -> tuple[float, float]:
     u_plus = 0.5 * (a + b + root)
     # (a + b)^2 - ((a - b)^2 + 4 c) = 4 (a b - c): cancellation-free lower mode
     u_minus = 2.0 * (a * b - c) / (a + b + root)
-    if u_minus < 0.0:
+    if u_minus <= 0.0:
         raise PolaritonError(
-            "unstable parameters: lower normal mode is imaginary "
-            f"(omega_minus^2 = {u_minus:.6g} eV^2 < 0)"
+            "unstable parameters: lower normal mode is not real and positive "
+            f"(omega_minus^2 = {u_minus:.6g} eV^2 <= 0)"
         )
     return math.sqrt(u_plus), math.sqrt(u_minus)
 

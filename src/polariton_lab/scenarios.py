@@ -35,7 +35,6 @@ parse a file, so a ``reproduce`` process loads its own figure's layer alone.
 from __future__ import annotations
 
 import hashlib
-import html
 import json
 import math
 import os
@@ -974,8 +973,11 @@ def _render_svg(table: _Table, title: str) -> bytes:
     The title and the column headers are XML-escaped: both can come from the
     document (the ``output.path`` stem, the spectrum curve labels).
     ``html.escape`` is used because ``xml.sax.saxutils`` imports
-    ``urllib.request``, about 25 ms of start-up.
+    ``urllib.request``, about 25 ms of start-up; ``html`` itself is imported
+    here, since only SVG output needs it.
     """
+    import html
+
     width, height = 720, 480
     left, right, top, bottom = 70.0, 20.0, 34.0, 50.0
     x = np.asarray(table.columns[0][1], dtype=float)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifact reporting."""
 
 import copy
+import gc
 import json
 import subprocess
 import sys
@@ -34,6 +35,18 @@ parameters:
   D: MoC
   n_max: 10
   n_levels: 4
+"""
+
+# omega_cav = 4 g^2 / omega_mat exactly: the lower polariton is a zero mode
+_MARGINAL = """\
+kind: oracle
+schema: 1
+parameters:
+  flavor: quantum
+  omega_cav: 0.36
+  omega_mat: 1
+  g_qed: 0.3
+  D: SpC
 """
 
 
@@ -90,6 +103,14 @@ def test_physics_error_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "physics error:" in err
     assert "unstable" in err
+
+
+def test_marginal_point_oracle_exits_3(tmp_path, capsys):
+    scenario = _write(tmp_path, "marginal.yaml", _MARGINAL)
+    code = main(["oracle", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "unstable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pole_error_names_the_grid_point(tmp_path, capsys):
@@ -237,6 +258,62 @@ def test_console_script_entry_point():
     assert "hbar_c" in proc.stdout
 
 
+def _process(*argv):
+    """Run the command line in its own process, as the console script does."""
+    return subprocess.run([sys.executable, "-m", "polariton_lab.cli", *argv], capture_output=True, text=True)
+
+
+def test_process_reproduce_writes_what_main_writes(tmp_path, capsys):
+    process_dir, main_dir = tmp_path / "process", tmp_path / "main"
+    proc = _process("reproduce", "fig1e", "--out", str(process_dir))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert main(["reproduce", "fig1e", "--out", str(main_dir)]) == 0
+    assert proc.stdout == capsys.readouterr().out.replace(str(main_dir), str(process_dir))
+    for name in ("fig1e.csv", "fig1e.summary.json"):
+        assert (process_dir / name).read_bytes() == (main_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "case, expected, prefix",
+    [("malformed", 2, "schema error:"), ("marginal", 3, "physics error:"), ("out-is-a-file", 4, "i/o error:")],
+)
+def test_process_exit_codes(tmp_path, case, expected, prefix):
+    if case == "malformed":
+        argv = ["run", str(_write(tmp_path, "bad.yaml", "kind: [unclosed\n")), "--out", str(tmp_path)]
+    elif case == "marginal":
+        argv = ["oracle", str(_write(tmp_path, "marginal.yaml", _MARGINAL)), "--out", str(tmp_path)]
+    else:
+        argv = ["reproduce", "fig1e", "--out", str(_write(tmp_path, "blocker", "a file, not a directory"))]
+    proc = _process(*argv)
+    assert proc.returncode == expected
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(prefix)
+    assert "Traceback" not in proc.stderr
+
+
+def test_process_entry_runs_without_the_collector():
+    script = (
+        "import gc, sys\n"
+        "from polariton_lab.cli import main\n"
+        "sys.argv = ['polariton-lab', 'constants']\n"
+        "code = main()\n"
+        "print(code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False True"
+
+
+def test_main_with_arguments_leaves_the_collector_alone(tmp_path, capsys):
+    before = (gc.isenabled(), gc.get_freeze_count())
+    assert main(["reproduce", "fig1e", "--out", str(tmp_path)]) == 0
+    assert main(["run", str(tmp_path / "missing.yaml")]) == 4
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
 def test_cli_import_does_not_load_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, polariton_lab.cli; print('scipy' in sys.modules)"],
@@ -251,12 +328,12 @@ _SAMPLES = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # runs cli.main on its arguments in a fresh interpreter, then prints the
-# exit code and the package modules (and yaml) that the run loaded
+# exit code and the package modules (and yaml and html) that the run loaded
 _FRESH_MAIN = """\
 import json, sys
 from polariton_lab import cli
 code = cli.main(sys.argv[1:])
-loaded = sorted(m.split(".")[-1] for m in sys.modules if m == "yaml" or m.startswith("polariton_lab."))
+loaded = sorted(m.split(".")[-1] for m in sys.modules if m in ("yaml", "html") or m.startswith("polariton_lab."))
 print(json.dumps([code, loaded]))
 """
 
@@ -285,7 +362,7 @@ def _fresh_main(*argv):
 def test_reproduce_imports_only_what_its_figure_needs(tmp_path, figure_id):
     code, loaded = _fresh_main("reproduce", figure_id, "--out", str(tmp_path))
     assert code == 0
-    assert not loaded & {"yaml", "ensemble", "hopfield"}
+    assert not loaded & {"yaml", "html", "ensemble", "hopfield"}
     assert loaded == _REPRODUCE_CORE | _KIND_LAYERS[scenarios.figure_document(figure_id)["kind"]]
 
 

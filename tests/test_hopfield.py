@@ -67,6 +67,15 @@ def test_quartic_rejects_unstable_parameters():
         hopfield_quartic_eigen(p)
 
 
+def test_quartic_rejects_the_marginal_point():
+    # omega_cav = 4 g^2 / omega_mat exactly: the lower mode is a zero mode,
+    # which HopfieldParams.stable also calls unstable
+    p = HopfieldParams(omega_cav=0.36, omega_mat=1.0, g_qed=0.3, D=0.0)
+    assert not p.stable
+    with pytest.raises(PolaritonError, match="unstable"):
+        hopfield_quartic_eigen(p)
+
+
 @given(ratio=_ratios, g=st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=200, deadline=None)
 def test_stability_flag_matches_lower_mode_sign(ratio, g):
