@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _MAX_DIPOLES = 500
+_MAX_MODES = 500
+_CUTOFF_SPACINGS = 10.0
 
 
 def _check_dipole_count(n: int) -> None:
@@ -89,6 +91,8 @@ class FabryPerotSpec:
         _require_positive("lateral_period", self.lateral_period)
         _require_at_least_one("epsilon_inf", self.epsilon_inf)
         modes = tuple(_mode_label(mode) for mode in self.modes)
+        if len(modes) > _MAX_MODES:  # before the quadratic duplicate scan
+            raise PolaritonError(f"M={len(modes)} exceeds the desk-scale bound of {_MAX_MODES} cavity modes")
         for i, mode in enumerate(modes):
             if mode in modes[:i]:
                 raise PolaritonError(f"mode {mode!r} is listed twice")
@@ -326,22 +330,17 @@ def build_full_system(
 
 
 def collective_reduce(
-    lattice: DipoleLattice,
-    fp: FabryPerotSpec,
-    mode,
-    include_dipole_dipole: bool = True,
-    cutoff_factor: float = 10.0,
+    lattice: DipoleLattice, fp: FabryPerotSpec, mode, include_dipole_dipole: bool = True
 ) -> CollectiveMode:
     """Collapse the lattice onto one collective oscillator for one cavity mode.
 
     ``N_eff`` is the profile-squared sum; the collective coupling is
     ``g_max sqrt(N_eff)``.  ``g_shift`` is the lattice sum of phased
-    dipole-dipole couplings within ``cutoff_factor * spacing`` of each
+    dipole-dipole couplings within 10 lattice spacings of each
     reference dipole, averaged over reference dipoles; the spread field
     reports the largest deviation of a single reference dipole's sum from
     that average (a homogeneity diagnostic).
     """
-    _require_nonnegative("cutoff_factor", cutoff_factor)
     mode = _mode_label(mode)
     if mode not in fp.modes:
         raise PolaritonError(f"mode {mode!r} is not among the cavity's modes")
@@ -354,7 +353,7 @@ def collective_reduce(
     wd = lattice.omega_dip
     if include_dipole_dipole and lattice.n_dip > 1:
         dist, g_pairs = lattice.pair_couplings
-        cutoff = cutoff_factor * lattice.spacing * (1.0 + 1e-12)
+        cutoff = _CUTOFF_SPACINGS * lattice.spacing * (1.0 + 1e-12)
         within = (dist > 0.0) & (dist <= cutoff)
         # sum over neighbors j of each reference i, phased by k_par.(r_i - r_j)
         phase = np.exp(1j * (lattice.positions[:, :2] @ np.array(mode[1])))

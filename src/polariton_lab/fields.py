@@ -81,19 +81,13 @@ class BoxCavityScene:
 
 @dataclass(frozen=True)
 class NanoparticleScene:
-    """Spherical nanoparticle with a nearby point emitter (quasistatic)."""
+    """Geometry of a spherical nanoparticle and a nearby point emitter (quasistatic)."""
 
     R_cav: float
     r_cav: np.ndarray
     r_mat: np.ndarray
     n_dcav: np.ndarray
     n_dmat: np.ndarray
-    f_cav: object
-    f_mat: object
-    omega_cav: float
-    omega_mat: float
-    kappa: float = 0.0
-    gamma: float = 0.0
 
     def __post_init__(self):
         _require_positive("R_cav", self.R_cav)
@@ -101,14 +95,8 @@ class NanoparticleScene:
         object.__setattr__(self, "r_mat", _as_vec("r_mat", self.r_mat))
         object.__setattr__(self, "n_dcav", _unit_vector("n_dcav", self.n_dcav))
         object.__setattr__(self, "n_dmat", _unit_vector("n_dmat", self.n_dmat))
-        _require_positive("omega_cav", self.omega_cav)
-        _require_positive("omega_mat", self.omega_mat)
-        _require_nonnegative("kappa", self.kappa)
-        _require_nonnegative("gamma", self.gamma)
         if np.linalg.norm(self.r_mat - self.r_cav) <= self.R_cav:
             raise PolaritonError("emitter must sit outside the nanoparticle")
-        _reduced_strength(self.f_cav)
-        _reduced_strength(self.f_mat)
 
 
 class FieldArrays(NamedTuple):

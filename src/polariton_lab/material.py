@@ -124,34 +124,29 @@ class Dispersion(NamedTuple):
     photon: np.ndarray
 
 
-# dispersion parameterization -> the MoC dressing it uses (None: MoC itself)
-_DRESSINGS = {
-    "MoC": None,
-    "A1": ModelVariant.ALT_COULOMB_DRESSED_CAVITY,
-    "A2": ModelVariant.ALT_DIPOLE_DRESSED_MATTER,
-}
-
-
-def _coupled_parameters(model: str, omega_to: float, g_coupling: float, k_grid, epsilon_inf: float):
+def _coupled_parameters(
+    model: ModelVariant, omega_to: float, g_coupling: float, k_grid, epsilon_inf: float
+):
     """Validated inputs of a dispersion parameterization, as arrays over k:
     the photon frequency omega_k and the coupled ``(omega_cav, omega_mat, g)``."""
     _require_positive("omega_TO", omega_to)
     _require_nonnegative("coupling", g_coupling)
     _require_at_least_one("epsilon_inf", epsilon_inf)
-    if model not in _DRESSINGS:
-        raise PolaritonError(f"unknown dispersion model {model!r}; expected one of {tuple(_DRESSINGS)}")
+    if model not in (
+        ModelVariant.MOC, ModelVariant.ALT_COULOMB_DRESSED_CAVITY, ModelVariant.ALT_DIPOLE_DRESSED_MATTER
+    ):
+        raise PolaritonError(f"no dispersion for {model}; expected MoC or its A1 or A2 dressing")
     k = np.asarray(_require_nonnegative("k_grid", k_grid), dtype=float)
     if k.ndim != 1 or k.size == 0:
         raise PolaritonError("k_grid must be a nonempty 1-D array of nonnegative wavevectors")
     omega_k = UNITS.hbar_c * k / math.sqrt(epsilon_inf)
-    if model == "MoC":
+    if model is ModelVariant.MOC:
         return omega_k, omega_k, omega_to, np.full_like(omega_k, g_coupling)
-    dressed = dressed_parameters(ModelVariant.MOC, _DRESSINGS[model], omega_k, omega_to, g_coupling)
-    return (omega_k, *dressed)
+    return (omega_k, *dressed_parameters(model, omega_k, omega_to, g_coupling))
 
 
 def bulk_dispersion(
-    model: str,
+    model: ModelVariant,
     omega_to: float,
     g_coupling: float,
     k_grid,
@@ -159,15 +154,16 @@ def bulk_dispersion(
 ) -> Dispersion:
     """Photon-phonon polariton branches over a wavevector grid.
 
-    The photon line is omega_k = hbar c k / sqrt(epsilon_inf).  "MoC"
-    couples it to the bare resonance with the velocity form; "A1" and "A2"
-    are the amplitude-form dressings of :func:`dressed_parameters` (A1
-    dresses the photon, A2 the resonance up to omega_LO) and agree with
-    "MoC" to numerical precision, including the exact k=0 limits 0 and
-    omega_LO.
+    The photon line is omega_k = hbar c k / sqrt(epsilon_inf).
+    ``ModelVariant.MOC`` couples it to the bare resonance with the velocity
+    form; ``ALT_COULOMB_DRESSED_CAVITY`` (A1, dressing the photon) and
+    ``ALT_DIPOLE_DRESSED_MATTER`` (A2, dressing the resonance up to
+    omega_LO) are the amplitude-form dressings of :func:`dressed_parameters`
+    and agree with MoC to numerical precision, including the exact k=0
+    limits 0 and omega_LO.
     """
     omega_k, wc, wm, g = _coupled_parameters(model, omega_to, g_coupling, k_grid, epsilon_inf)
-    modes_sq = _velocity_modes_sq if model == "MoC" else _amplitude_modes_sq
+    modes_sq = _velocity_modes_sq if model is ModelVariant.MOC else _amplitude_modes_sq
     s_plus, s_minus = modes_sq(wc, wm, g)
     # At k = 0 the lower branch is exactly 0 and the upper exactly omega_LO
     # in every parameterization; evaluating the closed forms there runs into
@@ -182,11 +178,13 @@ def bulk_dispersion(
     )
 
 
-def coupling_profiles(model: str, omega_to: float, g_coupling: float, k_grid, epsilon_inf: float = 1.0):
+def coupling_profiles(
+    model: ModelVariant, omega_to: float, g_coupling: float, k_grid, epsilon_inf: float = 1.0
+):
     """Signed k-dependent coupling used by each dispersion parameterization.
 
-    "MoC" is constant g; "A1" runs negative, approaching -g sqrt(Omega/(2g))
-    in magnitude at k=0; "A2" vanishes at k=0 like sqrt(omega_k).
+    MoC is constant g; A1 runs negative, approaching -g sqrt(Omega/(2g))
+    in magnitude at k=0; A2 vanishes at k=0 like sqrt(omega_k).
     """
     _, _, _, g = _coupled_parameters(model, omega_to, g_coupling, k_grid, epsilon_inf)
     return g

@@ -258,33 +258,29 @@ def min_splitting(variant: ModelVariant, g, omega_mat: float) -> MinSplitting:
     return MinSplitting(Omega_min=omega_min, omega_cav_at_min=omega_cav)
 
 
-def dressed_parameters(base: ModelVariant, target: ModelVariant, omega_cav, omega_mat, g):
+def dressed_parameters(target: ModelVariant, omega_cav, omega_mat, g):
     """Bare frequencies and coupling ``(omega_cav, omega_mat, g)`` of a dressed model.
 
-    The dressed model has the same spectrum as the lossless ``base`` model.
-    A velocity-coupled (MoC) base maps onto one of the two amplitude-coupled
-    dressings, the Coulomb-dressed cavity or the dipole-dressed matter; an
-    amplitude-coupled (SpC) base maps onto the velocity-coupled dressed
-    dipole-dipole model.  The arguments broadcast, and the dressed cavity
-    frequency is NaN wherever the SpC dressing is invalid
-    (``omega_cav^2 - 4 g'^2 <= 0``).  The Coulomb-dressed coupling is 0
-    where the dressed cavity frequency is (no coupling and no photon).
+    The dressed model has the same spectrum as the lossless model it dresses.
+    The two amplitude-coupled dressings, the Coulomb-dressed cavity and the
+    dipole-dressed matter, dress the velocity-coupled (MoC) model; the
+    velocity-coupled dressed dipole-dipole model dresses the amplitude-coupled
+    (SpC) model.  The arguments broadcast, and the dressed cavity frequency is
+    NaN wherever the SpC dressing is invalid (``omega_cav^2 - 4 g'^2 <= 0``).
+    The Coulomb-dressed coupling is 0 where the dressed cavity frequency is
+    (no coupling and no photon).
     """
     wc, wm, g = (np.asarray(v, dtype=float) for v in (omega_cav, omega_mat, g))
-    if base is ModelVariant.MOC:
-        if target is ModelVariant.ALT_COULOMB_DRESSED_CAVITY:
-            wc_dressed = np.sqrt(wc * wc + 4.0 * g * g)
-            # an uncoupled photon at zero frequency stays uncoupled
-            safe = np.where(wc_dressed == 0.0, np.inf, wc_dressed)
-            return wc_dressed, wm, -g * np.sqrt(wm / safe)
-        if target is ModelVariant.ALT_DIPOLE_DRESSED_MATTER:
-            wm_dressed = np.sqrt(wm * wm + 4.0 * g * g)
-            return wc, wm_dressed, g * np.sqrt(wc / wm_dressed)
-        raise PolaritonError(f"no MoC dressing for target {target}")
-    if base is ModelVariant.SPC:
-        if target is not ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY:
-            raise PolaritonError(f"no SpC dressing for target {target}")
+    if target is ModelVariant.ALT_COULOMB_DRESSED_CAVITY:
+        wc_dressed = np.sqrt(wc * wc + 4.0 * g * g)
+        # an uncoupled photon at zero frequency stays uncoupled
+        safe = np.where(wc_dressed == 0.0, np.inf, wc_dressed)
+        return wc_dressed, wm, -g * np.sqrt(wm / safe)
+    if target is ModelVariant.ALT_DIPOLE_DRESSED_MATTER:
+        wm_dressed = np.sqrt(wm * wm + 4.0 * g * g)
+        return wc, wm_dressed, g * np.sqrt(wc / wm_dressed)
+    if target is ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY:
         g_dressed = g * np.sqrt(wc / wm)
         wc_sq = wc * wc - 4.0 * g_dressed * g_dressed
         return np.sqrt(np.where(wc_sq > 0.0, wc_sq, np.nan)), wm, g_dressed
-    raise PolaritonError("equivalence mapping starts from an SpC or MoC model")
+    raise PolaritonError(f"{target} is not a dressed model variant")

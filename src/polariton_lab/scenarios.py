@@ -230,21 +230,20 @@ _EPSILON_INF = partial(_number, minimum=1.0)
 _POSITIVE_GRID = partial(_grid, exclusive_minimum=0.0)
 _NONNEGATIVE_GRID = partial(_grid, minimum=0.0)
 
-_VARIANTS = {
-    "SpC": ModelVariant.SPC,
-    "MoC": ModelVariant.MOC,
-    "Linearized": ModelVariant.LINEARIZED,
+# document name -> (variant, column tag, the model whose spectrum a dressing reproduces)
+_MODELS = {
+    "SpC": (ModelVariant.SPC, "spc", None),
+    "MoC": (ModelVariant.MOC, "mc", None),
+    "Linearized": (ModelVariant.LINEARIZED, "lin", None),
+    "A1": (ModelVariant.ALT_COULOMB_DRESSED_CAVITY, "a1", "MoC"),
+    "A2": (ModelVariant.ALT_DIPOLE_DRESSED_MATTER, "a2", "MoC"),
+    "A3": (ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY, "a3", "SpC"),
 }
-_VARIANT_TAGS = {"SpC": "spc", "MoC": "mc", "Linearized": "lin"}
-_ALTERNATIVES = {
-    "A1": (ModelVariant.MOC, ModelVariant.ALT_COULOMB_DRESSED_CAVITY),
-    "A2": (ModelVariant.MOC, ModelVariant.ALT_DIPOLE_DRESSED_MATTER),
-    "A3": (ModelVariant.SPC, ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY),
-}
+_BARE_MODELS = ("SpC", "MoC", "Linearized")
 _BRANCHES = {"upper": +1, "lower": -1}
 _AXES = {"x": 0, "y": 1, "z": 2}
 
-_VARIANT_LIST = partial(_name_list, choices=_VARIANTS)
+_VARIANT_LIST = partial(_name_list, choices=_BARE_MODELS)
 _BRANCH_LIST = partial(_name_list, choices=_BRANCHES)
 _AXIS = partial(_string, choices=tuple(_AXES))
 
@@ -306,8 +305,8 @@ _COUPLING = (
 def _coupling_overrides(value, path: str) -> dict:
     overrides = {}
     for name, spec in _as_mapping(value, path).items():
-        if name not in _VARIANTS:
-            raise SchemaError(_join(path, name), f"expected one of {sorted(_VARIANTS)}")
+        if name not in _BARE_MODELS:
+            raise SchemaError(_join(path, name), f"expected one of {sorted(_BARE_MODELS)}")
         overrides[name] = _validate(_COUPLING, spec, _join(path, name))
     return overrides
 
@@ -318,7 +317,7 @@ _EIGEN_SWEEP = (
     _Field("coupling", _COUPLING),
     _Field("coupling_overrides", _coupling_overrides, None),
     _Field("sweep", _POSITIVE_GRID),
-    _Field("alternatives", partial(_name_list, choices=_ALTERNATIVES, nonempty=False), None),
+    _Field("alternatives", partial(_name_list, choices=("A1", "A2", "A3"), nonempty=False), None),
 )
 
 
@@ -331,34 +330,32 @@ def _coupling_value(spec: dict, omega_cav: np.ndarray, omega_mat: float):
 def _run_eigen_sweep(p: dict) -> _Table:
     alt_names = p["alternatives"] or []
     for alt in alt_names:
-        base_variant = _ALTERNATIVES[alt][0]
-        if base_variant.value not in p["variants"]:
-            raise SchemaError(
-                "parameters.alternatives",
-                f"{alt} is a dressed form of {base_variant.value}; add it to variants",
-            )
+        base = _MODELS[alt][2]
+        if base not in p["variants"]:
+            message = f"{alt} is a dressed form of {base}; add it to variants"
+            raise SchemaError("parameters.alternatives", message)
     overrides = p["coupling_overrides"] or {}
     omega_mat = p["omega_mat"]
     omega_cav = p["sweep"] * omega_mat
     columns = [("omega_cav/omega_mat (1)", p["sweep"])]
 
-    def branch_columns(variant, wc, wm, g, label, tag):
+    def branch_columns(name, wc, wm, g):
+        variant, tag, _ = _MODELS[name]
         plus, minus = branch_frequencies(variant, wc, wm, g)
-        _check_det_residual(variant, wc, wm, g, plus, f"{label} upper branch")
-        _check_det_residual(variant, wc, wm, g, minus, f"{label} lower branch")
+        _check_det_residual(variant, wc, wm, g, plus, f"{name} upper branch")
+        _check_det_residual(variant, wc, wm, g, minus, f"{name} lower branch")
         columns.append((f"omega_plus_{tag} (omega_mat)", plus / omega_mat))
         columns.append((f"omega_minus_{tag} (omega_mat)", minus / omega_mat))
 
     for name in p["variants"]:
         g = _coupling_value(overrides.get(name, p["coupling"]), omega_cav, omega_mat)
-        branch_columns(_VARIANTS[name], omega_cav, omega_mat, g, name, _VARIANT_TAGS[name])
+        branch_columns(name, omega_cav, omega_mat, g)
 
     for alt in alt_names:
-        base_variant, target = _ALTERNATIVES[alt]
-        g = _coupling_value(overrides.get(base_variant.value, p["coupling"]), omega_cav, omega_mat)
+        target, _, base = _MODELS[alt]
+        g = _coupling_value(overrides.get(base, p["coupling"]), omega_cav, omega_mat)
         # an invalid dressing gives NaN parameters, which mask both branches
-        wc, wm, g_dressed = dressed_parameters(base_variant, target, omega_cav, omega_mat, g)
-        branch_columns(target, wc, wm, g_dressed, alt, alt.lower())
+        branch_columns(alt, *dressed_parameters(target, omega_cav, omega_mat, g))
 
     return _Table(columns, extras={"omega_mat_eV": omega_mat})
 
@@ -378,8 +375,8 @@ def _run_min_splitting(p: dict) -> _Table:
     # in units of omega_mat the minimum splitting depends on g/omega_mat alone
     columns = [("g/omega_mat (1)", p["g_grid"])]
     for name in p["variants"]:
-        result = min_splitting(_VARIANTS[name], p["g_grid"], 1.0)
-        columns.append((f"Omega_min_{_VARIANT_TAGS[name]} (omega_mat)", result.Omega_min))
+        variant, tag, _ = _MODELS[name]
+        columns.append((f"Omega_min_{tag} (omega_mat)", min_splitting(variant, p["g_grid"], 1.0).Omega_min))
     return _Table(columns, extras={"omega_mat_eV": p["omega_mat"]})
 
 
@@ -427,8 +424,7 @@ def _run_spectrum(p: dict) -> _Table:
     columns = [("omega (eV)", omega_grid)]
     for curve in p["curves"]:
         pair = OscillatorPair(curve["omega_cav"], curve["omega_mat"], curve["kappa"], curve["gamma"])
-        variant = _VARIANTS[curve["variant"]]
-        model = CoupledModel(pair, variant, curve["g"])
+        model = CoupledModel(pair, _MODELS[curve["variant"]][0], curve["g"])
         drive = DriveSpec(
             E_inc=e_inc,
             omega=omega_grid,
@@ -547,19 +543,16 @@ def _run_fieldmap(p: dict) -> _Table:
 
     spec = p["nanoparticle"]
     scene = NanoparticleScene(
-        n_dcav=spec.pop("orientation_cav"), n_dmat=spec.pop("orientation_mat"), **spec
+        spec["R_cav"], spec["r_cav"], spec["r_mat"], spec["orientation_cav"], spec["orientation_mat"]
     )
-    plus, minus = branch_frequencies(ModelVariant.SPC, scene.omega_cav, scene.omega_mat, g)
+    pair = OscillatorPair(spec["omega_cav"], spec["omega_mat"], spec["kappa"], spec["gamma"])
+    plus, minus = branch_frequencies(ModelVariant.SPC, pair.omega_cav, pair.omega_mat, g)
     if np.isnan(minus):
         raise PolaritonError("lower hybrid mode is not real; cannot set the drive frequency")
     drive_freqs = {"upper": float(plus), "lower": float(minus)}
-    lossy = CoupledModel(
-        OscillatorPair(scene.omega_cav, scene.omega_mat, scene.kappa, scene.gamma),
-        ModelVariant.SPC,
-        g,
-    )
-    f_cav_red = _reduced_strength(scene.f_cav)
-    f_mat_red = _reduced_strength(scene.f_mat)
+    lossy = CoupledModel(pair, ModelVariant.SPC, g)
+    f_cav_red = _reduced_strength(spec["f_cav"])
+    f_mat_red = _reduced_strength(spec["f_mat"])
     extras = {"omega_plus_eV": drive_freqs["upper"], "omega_minus_eV": drive_freqs["lower"]}
     for name in p["drive"]["at"]:
         drive = DriveSpec(
@@ -738,10 +731,11 @@ def _run_permittivity(p: dict) -> _Table:
     omega_grid = p["omega_grid"]
     columns = [("omega/Omega_mat (1)", omega_grid / omega_mat)]
     for name in p["models"]:
-        model = PermittivityModel(omega_mat, g_coupling, epsilon_inf, _VARIANTS[name])
-        if model.variant is ModelVariant.MOC:
+        variant, tag, _ = _MODELS[name]
+        model = PermittivityModel(omega_mat, g_coupling, epsilon_inf, variant)
+        if variant is ModelVariant.MOC:
             extras["reststrahlen_lo_eV"] = reststrahlen_band(model)[1]
-        columns.append((f"eps_{_VARIANT_TAGS[name]} (1)", np.asarray(permittivity(model, omega_grid))))
+        columns.append((f"eps_{tag} (1)", np.asarray(permittivity(model, omega_grid))))
     extras["Omega_mat_eV"] = omega_mat
     extras["G_eV"] = g_coupling
     return _Table(columns, extras=extras)
@@ -768,19 +762,19 @@ def _run_dispersion(p: dict) -> _Table:
     g_coupling = p["G_over_omega_to"] * omega_to
     k_grid = k_grid_rel * omega_to / UNITS.hbar_c
     omega_lo = reststrahlen_band(PermittivityModel(omega_to, g_coupling))[1]
-    tags = {"MoC": "mc", "A1": "a1", "A2": "a2"}
     columns = [("ck/omega_TO (1)", k_grid_rel)]
     if p["content"] == "dispersion":
         for name in p["models"]:
-            branches = bulk_dispersion(name, omega_to, g_coupling, k_grid, epsilon_inf=epsilon_inf)
-            tag = tags[name]
+            variant, tag, _ = _MODELS[name]
+            branches = bulk_dispersion(variant, omega_to, g_coupling, k_grid, epsilon_inf=epsilon_inf)
             columns.append((f"omega_lower_{tag} (omega_TO)", branches.lower / omega_to))
             columns.append((f"omega_upper_{tag} (omega_TO)", branches.upper / omega_to))
             columns.append((f"omega_photon_{tag} (omega_TO)", branches.photon / omega_to))
     else:
         for name in p["models"]:
-            profile = coupling_profiles(name, omega_to, g_coupling, k_grid, epsilon_inf=epsilon_inf)
-            columns.append((f"G_{tags[name]} (omega_TO)", np.asarray(profile) / omega_to))
+            variant, tag, _ = _MODELS[name]
+            profile = coupling_profiles(variant, omega_to, g_coupling, k_grid, epsilon_inf=epsilon_inf)
+            columns.append((f"G_{tag} (omega_TO)", np.asarray(profile) / omega_to))
     return _Table(columns, extras={"omega_lo_over_omega_to": omega_lo / omega_to})
 
 
@@ -1130,12 +1124,30 @@ def run_scenario_document(
 
 
 def load_scenario_file(path) -> tuple:
-    """Parse a scenario file; returns (document, raw bytes)."""
+    """Parse a scenario file; returns (document, raw bytes).
+
+    A key repeated in one mapping is a :class:`SchemaError`, where YAML would
+    keep its last value.  Keys merged in with ``<<`` still give way to the
+    mapping's own keys.
+    """
     import yaml  # only files are YAML; a figure document is built in code
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def compose_mapping_node(self, anchor):
+            node = super().compose_mapping_node(anchor)  # its keys as written: no merge spliced in yet
+            keys = set()
+            for key_node, _ in node.value:
+                if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                if (key_node.tag, key_node.value) in keys:
+                    at = f"line {key_node.start_mark.line + 1}"
+                    raise SchemaError("(file)", f"key {key_node.value!r} is repeated in one mapping ({at})")
+                keys.add((key_node.tag, key_node.value))
+            return node
 
     raw = Path(path).read_bytes()
     try:
-        document = yaml.safe_load(raw)
+        document = yaml.load(raw, Loader=UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise SchemaError("(file)", f"could not parse scenario file: {exc}") from exc
     return document, raw

@@ -339,16 +339,16 @@ def test_negative_permittivity_band_is_exactly_the_reststrahlen_window():
 def test_bulk_dispersion_parameterizations_are_equivalent():
     omega_to, g = 1.0, 0.3
     k_grid = np.linspace(0.0, 10.0, 400) * omega_to / UNITS.hbar_c
-    lower_ref, upper_ref, _ = bulk_dispersion("MoC", omega_to, g, k_grid)
-    for alternative in ("A1", "A2"):
+    lower_ref, upper_ref, _ = bulk_dispersion(ModelVariant.MOC, omega_to, g, k_grid)
+    for alternative in (ModelVariant.ALT_COULOMB_DRESSED_CAVITY, ModelVariant.ALT_DIPOLE_DRESSED_MATTER):
         lower, upper, _ = bulk_dispersion(alternative, omega_to, g, k_grid)
         assert lower[0] == pytest.approx(lower_ref[0], abs=1e-10)
         assert np.max(np.abs(lower[1:] - lower_ref[1:]) / lower_ref[1:]) <= 1e-10
         assert np.max(np.abs(upper - upper_ref) / upper_ref) <= 1e-10
     # the dressings move the k dependence into the coupling differently:
     # the velocity form is k-independent, the dressed-resonance form starts at 0
-    profile_mc = coupling_profiles("MoC", omega_to, g, k_grid)
-    profile_a2 = coupling_profiles("A2", omega_to, g, k_grid)
+    profile_mc = coupling_profiles(ModelVariant.MOC, omega_to, g, k_grid)
+    profile_a2 = coupling_profiles(ModelVariant.ALT_DIPOLE_DRESSED_MATTER, omega_to, g, k_grid)
     assert np.ptp(profile_mc) == 0.0
     assert profile_mc[0] == pytest.approx(g, rel=1e-14)
     assert profile_a2[0] == 0.0

@@ -85,6 +85,15 @@ def test_schema_error_exits_2(tmp_path, capsys):
     assert "schema error:" in capsys.readouterr().err
 
 
+def test_repeated_key_exits_2(tmp_path, capsys):
+    repeated = _ORACLE.replace("  g_qed: 0.3\n", "  g_qed: 0.1\n  g_qed: 0.45\n")
+    scenario = _write(tmp_path, "repeated.yaml", repeated)
+    code = main(["run", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "schema error: (file): key 'g_qed' is repeated in one mapping (line 8)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_svg_output_path_naming_the_csv_exits_2(tmp_path, capsys):
     scenario = _write(
         tmp_path, "drawn.yaml", _SWEEP + "output:\n  path: plot.svg\n  format: svg\n"
@@ -397,6 +406,7 @@ def _mutated(document, path, value):
         ("ensemble_n20", ("parameters", "lattice", "shape"), [2**70, 1, 1]),
         ("ensemble_n20", ("parameters", "lattice", "shape"), [1000, 1000, 1000]),
         ("ensemble_n20", ("parameters", "cavity", "modes"), [{"n": 1}, {"n": 1, "k_parallel": [0, 0]}]),
+        ("ensemble_n20", ("parameters", "cavity", "modes"), [{"n": n} for n in range(1, 502)]),
     ],
     ids=[
         "fit-omega_lo-1e200",
@@ -411,6 +421,7 @@ def _mutated(document, path, value):
         "lattice-shape-2**70",
         "lattice-shape-1000**3",
         "repeated-mode",
+        "modes-501",
     ],
 )
 def test_hostile_values_exit_3(tmp_path, capsys, source, path, value):

@@ -64,6 +64,13 @@ def test_cavity_spec_rejects_a_repeated_mode():
         FabryPerotSpec(L_cav=100.0, lateral_period=10.0, modes=((1, (0, 0)), (1.0, [0.0, 0.0])))
 
 
+def test_cavity_spec_bounds_the_mode_count():
+    modes = [(n, (0.0, 0.0)) for n in range(1, 502)]
+    assert len(_fp(modes=modes[:500]).modes) == 500
+    with pytest.raises(PolaritonError, match="M=501 exceeds the desk-scale bound of 500 cavity modes"):
+        _fp(modes=modes)
+
+
 def test_single_dipole_coupling_bound():
     fp = _fp()
     f_red = DipoleLattice(
@@ -458,14 +465,15 @@ def test_interaction_shift_of_a_dipole_pair():
 
 
 def test_interaction_sum_converges_within_the_cutoff():
-    # r^-3 lattice sums change by well under a percent when the neighbor
-    # cutoff is doubled
+    # the r^-3 lattice sum within the 10-spacing cutoff is within a percent
+    # of the sum over all pairs of a 20-dipole chain (19 spacings long)
     fp = _fp(L_cav=60.0)
     lat = cubic_dipole_lattice(fp, 3.0, (1, 1, 20), _F_DIP, 3.0)
-    near = collective_reduce(lat, fp, _MODE, cutoff_factor=10.0)
-    far = collective_reduce(lat, fp, _MODE, cutoff_factor=20.0)
-    assert far.g_shift != near.g_shift
-    assert abs(far.g_shift - near.g_shift) / abs(far.g_shift) < 0.01
+    near = collective_reduce(lat, fp, _MODE).g_shift
+    _, g_pairs = lat.pair_couplings
+    all_pairs = float(np.mean(g_pairs.sum(axis=1)))  # k_parallel = 0: no phases
+    assert all_pairs != near
+    assert abs(all_pairs - near) / abs(all_pairs) < 0.01
 
 
 def test_reduction_guards():

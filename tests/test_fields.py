@@ -183,10 +183,6 @@ def _np_scene():
         r_mat=np.array([10.0, 0.0, 0.0]),
         n_dcav=_Z,
         n_dmat=_Z,
-        f_cav=4345.0**2,
-        f_mat=_F_MAT,
-        omega_cav=3.0,
-        omega_mat=3.0,
     )
 
 
@@ -265,10 +261,6 @@ def test_nanoparticle_scene_validation():
             r_mat=np.array([4.0, 0.0, 0.0]),
             n_dcav=_Z,
             n_dmat=_Z,
-            f_cav=1.0,
-            f_mat=1.0,
-            omega_cav=3.0,
-            omega_mat=3.0,
         )
     with pytest.raises(PolaritonError):
         NanoparticleScene(
@@ -276,10 +268,5 @@ def test_nanoparticle_scene_validation():
             r_cav=np.zeros(3),
             r_mat=np.array([10.0, 0.0, 0.0]),
             n_dcav=_Z,
-            n_dmat=_Z,
-            f_cav=1.0,
-            f_mat=1.0,
-            omega_cav=3.0,
-            omega_mat=3.0,
-            kappa=-0.1,
+            n_dmat=np.array([1.0, 1.0, 0.0]),  # not normalized
         )

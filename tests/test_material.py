@@ -19,6 +19,9 @@ from polariton_lab.units import UNITS
 
 _SIC_TO = 0.0983  # eV
 _SIC_LO = 0.1205  # eV
+_MOC = ModelVariant.MOC
+_A1 = ModelVariant.ALT_COULOMB_DRESSED_CAVITY
+_A2 = ModelVariant.ALT_DIPOLE_DRESSED_MATTER
 
 
 def _mc(omega=1.0, g=0.3, eps_inf=1.0):
@@ -160,8 +163,8 @@ def _k_grid(omega_to=_SIC_TO, n=101, upto=10.0):
 def test_dispersion_parameterizations_agree():
     g = 0.3 * _SIC_TO
     k = _k_grid()
-    reference = bulk_dispersion("MoC", _SIC_TO, g, k)
-    for name in ("A1", "A2"):
+    reference = bulk_dispersion(_MOC, _SIC_TO, g, k)
+    for name in (_A1, _A2):
         branches = bulk_dispersion(name, _SIC_TO, g, k)
         assert np.max(np.abs(branches.lower - reference.lower)) < 1e-10
         assert np.max(np.abs(branches.upper - reference.upper)) < 1e-10
@@ -171,20 +174,18 @@ def test_dispersion_photon_is_the_coupled_cavity_frequency():
     g = 0.3 * _SIC_TO
     k = _k_grid()
     omega_k = UNITS.hbar_c * k
-    assert np.array_equal(bulk_dispersion("MoC", _SIC_TO, g, k).photon, omega_k)
-    assert np.array_equal(bulk_dispersion("A2", _SIC_TO, g, k).photon, omega_k)
+    assert np.array_equal(bulk_dispersion(_MOC, _SIC_TO, g, k).photon, omega_k)
+    assert np.array_equal(bulk_dispersion(_A2, _SIC_TO, g, k).photon, omega_k)
     # A1 couples the Coulomb-dressed photon of the models layer
-    dressed_cav, _, dressed_g = dressed_parameters(
-        ModelVariant.MOC, ModelVariant.ALT_COULOMB_DRESSED_CAVITY, omega_k, _SIC_TO, g
-    )
-    assert np.array_equal(bulk_dispersion("A1", _SIC_TO, g, k).photon, dressed_cav)
-    assert np.array_equal(coupling_profiles("A1", _SIC_TO, g, k), dressed_g)
+    dressed_cav, _, dressed_g = dressed_parameters(_A1, omega_k, _SIC_TO, g)
+    assert np.array_equal(bulk_dispersion(_A1, _SIC_TO, g, k).photon, dressed_cav)
+    assert np.array_equal(coupling_profiles(_A1, _SIC_TO, g, k), dressed_g)
 
 
 def test_dispersion_zone_center_limits():
     g = 0.3 * _SIC_TO
     omega_lo = math.sqrt(_SIC_TO**2 + 4.0 * g**2)
-    for name in ("MoC", "A1", "A2"):
+    for name in (_MOC, _A1, _A2):
         lower, upper, _ = bulk_dispersion(name, _SIC_TO, g, _k_grid())
         assert lower[0] == 0.0
         assert upper[0] == pytest.approx(omega_lo, rel=1e-14)
@@ -193,7 +194,7 @@ def test_dispersion_zone_center_limits():
 def test_dispersion_branches_avoid_the_band():
     g = 0.3 * _SIC_TO
     omega_lo = math.sqrt(_SIC_TO**2 + 4.0 * g**2)
-    lower, upper, _ = bulk_dispersion("MoC", _SIC_TO, g, _k_grid())
+    lower, upper, _ = bulk_dispersion(_MOC, _SIC_TO, g, _k_grid())
     assert np.all(lower <= _SIC_TO + 1e-15)
     assert np.all(upper >= omega_lo - 1e-15)
     # both branches grow monotonically with k
@@ -204,7 +205,7 @@ def test_dispersion_branches_avoid_the_band():
 def test_dispersion_asymptotes():
     g = 0.3 * _SIC_TO
     k = _k_grid(upto=40.0)
-    lower, upper, _ = bulk_dispersion("MoC", _SIC_TO, g, k)
+    lower, upper, _ = bulk_dispersion(_MOC, _SIC_TO, g, k)
     omega_k = UNITS.hbar_c * k[-1]
     # far from resonance the upper branch rides the photon line, the lower
     # saturates at the transverse edge
@@ -214,7 +215,7 @@ def test_dispersion_asymptotes():
 
 def test_uncoupled_dispersion_is_photon_plus_flat_line():
     k = _k_grid()
-    lower, upper, _ = bulk_dispersion("MoC", _SIC_TO, 0.0, k)
+    lower, upper, _ = bulk_dispersion(_MOC, _SIC_TO, 0.0, k)
     photon = UNITS.hbar_c * k
     expect_upper = np.maximum(photon, _SIC_TO)
     expect_lower = np.minimum(photon, _SIC_TO)
@@ -225,25 +226,27 @@ def test_uncoupled_dispersion_is_photon_plus_flat_line():
 def test_background_dielectric_slows_the_photon_line():
     g = 0.3 * _SIC_TO
     k = _k_grid(upto=40.0)
-    upper_vac = bulk_dispersion("MoC", _SIC_TO, g, k).upper
-    upper_bg = bulk_dispersion("MoC", _SIC_TO, g, k, epsilon_inf=4.0).upper
+    upper_vac = bulk_dispersion(_MOC, _SIC_TO, g, k).upper
+    upper_bg = bulk_dispersion(_MOC, _SIC_TO, g, k, epsilon_inf=4.0).upper
     assert upper_bg[-1] == pytest.approx(upper_vac[-1] / 2.0, rel=1e-2)
 
 
 def test_dispersion_validation():
-    with pytest.raises(PolaritonError, match="expected one of"):
-        bulk_dispersion("SpC", _SIC_TO, 0.01, _k_grid())
+    # only MoC and its A1 and A2 dressings have a bulk dispersion; the error names the variant
+    for variant in (ModelVariant.SPC, ModelVariant.ALT_DIPOLE_DIPOLE_DRESSED_CAVITY):
+        with pytest.raises(PolaritonError, match=f"no dispersion for {variant}"):
+            bulk_dispersion(variant, _SIC_TO, 0.01, _k_grid())
     with pytest.raises(PolaritonError):
-        bulk_dispersion("MoC", _SIC_TO, -0.01, _k_grid())
+        bulk_dispersion(_MOC, _SIC_TO, -0.01, _k_grid())
     with pytest.raises(PolaritonError):
-        bulk_dispersion("MoC", _SIC_TO, 0.01, np.array([-1.0, 0.0]))
+        bulk_dispersion(_MOC, _SIC_TO, 0.01, np.array([-1.0, 0.0]))
 
 
 @pytest.mark.parametrize("epsilon_inf", [0.5, 0.0, -1.0])
 @pytest.mark.parametrize("function", [bulk_dispersion, coupling_profiles])
 def test_dispersion_functions_reject_epsilon_inf_below_one(function, epsilon_inf):
     with pytest.raises(PolaritonError, match="epsilon_inf must be >= 1"):
-        function("A2", _SIC_TO, 0.01, _k_grid(), epsilon_inf=epsilon_inf)
+        function(_A2, _SIC_TO, 0.01, _k_grid(), epsilon_inf=epsilon_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +256,13 @@ def test_dispersion_functions_reject_epsilon_inf_below_one(function, epsilon_inf
 def test_coupling_profiles_shapes():
     g = 0.3 * _SIC_TO
     k = _k_grid()
-    moc = coupling_profiles("MoC", _SIC_TO, g, k)
+    moc = coupling_profiles(_MOC, _SIC_TO, g, k)
     assert np.all(moc == g)
-    a2 = coupling_profiles("A2", _SIC_TO, g, k)
+    a2 = coupling_profiles(_A2, _SIC_TO, g, k)
     assert a2[0] == 0.0
     # grows like the square root of the photon frequency
     assert a2[40] / a2[10] == pytest.approx(2.0, rel=1e-12)
-    a1 = coupling_profiles("A1", _SIC_TO, g, k)
+    a1 = coupling_profiles(_A1, _SIC_TO, g, k)
     assert np.all(a1 < 0.0)
     assert abs(a1[0]) == pytest.approx(g * math.sqrt(_SIC_TO / (2.0 * g)), rel=1e-12)
     with pytest.raises(PolaritonError):
@@ -275,7 +278,7 @@ def test_branches_solve_the_bulk_mode_condition():
     g = 0.3 * _SIC_TO
     model = _mc(omega=_SIC_TO, g=g)
     k = _k_grid(n=41)[1:]  # skip k = 0
-    lower, upper, _ = bulk_dispersion("MoC", _SIC_TO, g, k)
+    lower, upper, _ = bulk_dispersion(_MOC, _SIC_TO, g, k)
     for branch in (lower, upper):
         target = (UNITS.hbar_c * k) ** 2
         value = branch**2 * permittivity(model, branch)

@@ -363,7 +363,7 @@ def test_linearized_accuracy_degrades_with_coupling():
 
 
 def _assert_same_spectrum(base, target, omega_cav, omega_mat, g, tol=1e-10):
-    dressed = dressed_parameters(base, target, omega_cav, omega_mat, g)
+    dressed = dressed_parameters(target, omega_cav, omega_mat, g)
     a_plus, a_minus = branch_frequencies(base, omega_cav, omega_mat, g)
     b_plus, b_minus = branch_frequencies(target, *dressed)
     assert b_plus == pytest.approx(a_plus, rel=tol)
@@ -384,7 +384,7 @@ def test_momentum_base_maps_to_both_amplitude_dressings(ratio, g):
 
 
 def test_coulomb_dressing_stiffens_the_cavity():
-    wc, wm, _ = dressed_parameters(_MOC, _COULOMB, 1.0, 1.0, 0.3)
+    wc, wm, _ = dressed_parameters(_COULOMB, 1.0, 1.0, 0.3)
     assert float(wc) == pytest.approx(math.sqrt(1.0 + 4.0 * 0.09), rel=1e-14)
     assert wm == 1.0
 
@@ -397,7 +397,7 @@ def test_spring_dressing_fails_when_dressed_cavity_collapses():
     # omega_cav^2 - 4 g'^2 <= 0 at (0.4, 1.0, 0.32): no valid velocity-coupled
     # twin there, while (0.8, 1.0, 0.2) on the same grid is valid
     omega_cav, g = np.array([0.8, 0.4]), np.array([0.2, 0.32])
-    wc, wm, g_dressed = dressed_parameters(_SPC, _DIPOLE_DIPOLE, omega_cav, 1.0, g)
+    wc, wm, g_dressed = dressed_parameters(_DIPOLE_DIPOLE, omega_cav, 1.0, g)
     assert not np.isnan(wc[0])
     assert np.isnan(wc[1])
     assert np.all(np.isfinite(g_dressed))
@@ -409,19 +409,17 @@ def test_spring_dressing_fails_when_dressed_cavity_collapses():
 
 
 def test_alternative_equivalence_identity_at_zero_coupling():
-    wc, _, g = dressed_parameters(_MOC, _COULOMB, 1.1, 1.0, 0.0)
+    wc, _, g = dressed_parameters(_COULOMB, 1.1, 1.0, 0.0)
     assert float(wc) == pytest.approx(1.1, rel=1e-14)
     assert g == 0.0
     _assert_same_spectrum(_MOC, _COULOMB, 1.1, 1.0, 0.0, tol=1e-13)
 
 
 def test_alternative_equivalence_input_validation():
-    with pytest.raises(PolaritonError, match="starts from an SpC or MoC model"):
-        dressed_parameters(ModelVariant.LINEARIZED, _COULOMB, 1.0, 1.0, 0.2)
-    with pytest.raises(PolaritonError, match="no SpC dressing"):
-        dressed_parameters(_SPC, _COULOMB, 1.0, 1.0, 0.2)
-    with pytest.raises(PolaritonError, match="no MoC dressing"):
-        dressed_parameters(_MOC, _DIPOLE_DIPOLE, 1.0, 1.0, 0.2)
+    # only a dressed variant has dressed parameters; the error names the variant
+    for variant in (_SPC, _MOC, ModelVariant.LINEARIZED):
+        with pytest.raises(PolaritonError, match=f"{variant} is not a dressed model variant"):
+            dressed_parameters(variant, 1.0, 1.0, 0.2)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,39 @@ def test_malformed_yaml_file_reported(tmp_path):
         load_scenario_file(bad)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("parameters:\n  g_qed: 0.1\n  g_qed: 0.45\n", "g_qed"),
+        ("kind: oracle\nkind: oracle\n", "kind"),
+        ("curves:\n  - {label: a, 'label': b}\n", "label"),
+    ],
+    ids=["nested", "top-level", "quoted-in-a-list"],
+)
+def test_repeated_key_in_a_file_is_a_schema_error(tmp_path, text, key):
+    # plain YAML keeps the last value without a word
+    path = tmp_path / "repeated.yaml"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=f"key '{key}' is repeated in one mapping"):
+        load_scenario_file(path)
+
+
+def test_merge_keys_give_way_to_the_mapping_own_keys(tmp_path):
+    # c merges a after a's own merge has been spliced in, and e reads a again
+    path = tmp_path / "merged.yaml"
+    path.write_text(
+        "base: &b {x: 1, y: 2}\n"
+        "outer:\n  a: &a {<<: *b, x: 2}\n"
+        "c: {<<: *a, y: 5}\n"
+        "d: {<<: [*b, *a], z: 1}\n"
+        "e: *a\n"
+    )
+    document, _ = load_scenario_file(path)
+    assert document == yaml.safe_load(path.read_text())
+    assert document["c"] == {"x": 2, "y": 5}
+    assert document["e"] == {"x": 2, "y": 2}
+
+
 @pytest.mark.parametrize("omega_mat, rho_plus", [(2.2, None), (3.0, None), (3.5, -0.0)])
 def test_uncoupled_box_fieldmap_reports_the_ratio_pole(tmp_path, omega_mat, rho_plus):
     # at g = 0 the upper branch is the bare cavity when omega_mat <= omega_cav,

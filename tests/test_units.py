@@ -287,9 +287,9 @@ def _ensemble_check(tolerance):
     return full_vs_reduced_check(lattice, _FP, _MODE, tolerance=tolerance)
 
 
-def _collective(cutoff_factor=10.0, mode=_MODE):
+def _collective(mode=_MODE):
     lattice = cubic_dipole_lattice(_FP, 3.0, (2, 2, 1), 14099.1876, 3.0)
-    return collective_reduce(lattice, _FP, mode, cutoff_factor=cutoff_factor)
+    return collective_reduce(lattice, _FP, mode)
 
 
 def _fock(n_max, n_levels):
@@ -319,7 +319,6 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         (lambda: contribution_fractions(_box(), math.inf, +1, _ON_AXIS), "MoC coupling"),
         (lambda: contribution_fractions(_box(), math.nan, +1, _ON_AXIS), "MoC coupling"),
         (lambda: _ensemble_check(math.nan), "tolerance"),
-        (lambda: _collective(math.nan), "cutoff_factor"),
         (lambda: _FP.mode_profile(_MODE, (math.nan, 0.0, 10.0)), "r must be finite"),
         (lambda: FabryPerotSpec(206.64, 10.0, ((1.7, (0.0, 0.0)),)), "mode index n must be an integer"),
         (lambda: FabryPerotSpec(206.64, 10.0, ((math.nan, (0.0, 0.0)),)), "mode index n must be an integer"),
@@ -346,7 +345,6 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         "fractions-inf-coupling",
         "fractions-nan-coupling",
         "ensemble-nan-tolerance",
-        "collective-nan-cutoff",
         "mode-profile-nan-position",
         "cavity-fractional-mode-index",
         "cavity-nan-mode-index",
