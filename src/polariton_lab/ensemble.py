@@ -385,7 +385,6 @@ class FullVsReducedReport:
     max_rel_deviation: float
     omega_full: tuple
     omega_reduced: tuple
-    tolerance: float
     passed: bool
     collective: CollectiveMode
 
@@ -417,7 +416,6 @@ def full_vs_reduced_check(
         max_rel_deviation=dev,
         omega_full=picked,
         omega_reduced=targets,
-        tolerance=tolerance,
         passed=dev <= tolerance,
         collective=cm,
     )

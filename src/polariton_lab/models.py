@@ -167,19 +167,12 @@ def determinant_residual(variant: ModelVariant, omega_cav, omega_mat, g, omega) 
 def mode_ratio(variant: ModelVariant, omega_cav, omega_mat, g, omega):
     """x_cav / x_mat on the branch with eigenfrequency ``omega``, over arrays.
 
-    Bare frequencies may be complex (lossy).  Raises :class:`PoleError` where
-    the branch frequency coincides with the bare cavity frequency.
+    Read off the first row of :func:`frequency_domain_matrix`, so complex for
+    every variant; bare frequencies may be complex (lossy).  Raises
+    :class:`PoleError` where the branch frequency equals the bare cavity one.
     """
-    wc, wm, g, omega = (np.asarray(v) for v in (omega_cav, omega_mat, g, omega))
-    if variant is ModelVariant.LINEARIZED:
-        den = wc - omega
-        num = -g
-    elif variant in _AMPLITUDE_FORM:
-        den = wc * wc - omega * omega
-        num = -2.0 * g * np.sqrt(wc * wm + 0j)
-    else:
-        den = wc * wc - omega * omega
-        num = -2.0j * omega * g
+    m = frequency_domain_matrix(variant, omega_cav, omega_mat, g, omega)
+    den, num = m[..., 0, 0], -m[..., 0, 1]
     poles = np.flatnonzero(den == 0)
     if poles.size:
         i = int(poles[0])

@@ -20,7 +20,10 @@ None; or ``_OPTIONAL``, where absent reads as None but a given null is
 checked.  :func:`_validate` pops the keys in table order, checks each at its
 dotted key path and rejects unknown keys, so a typo never silently falls
 back to a default; it never modifies the document.  Rules relating two or
-more fields are plain code in the handlers, run after validation.
+more fields are plain code in the handlers, run after validation.  The
+three kinds that drive a dipole pair share two fragments, ``_PAIR`` (bare
+frequencies, decay rates, strengths) and ``_PLACEMENT`` (dipole positions
+and orientations), and build and drive that pair in :func:`_drive_pair`.
 
 ``FIGURES`` maps each canned figure id understood by ``reproduce`` to a
 document builder bound to that figure's published parameterization
@@ -386,16 +389,27 @@ def _run_min_splitting(p: dict) -> _Table:
 
 _MAX_CURVES = 8
 
-_CURVE = (
-    _Field("label", _string),
-    _Field("variant", partial(_string, choices=("SpC", "MoC"))),
+_PAIR = (
     _Field("omega_cav", _POSITIVE),
     _Field("omega_mat", _POSITIVE),
     _Field("kappa", _NONNEGATIVE, 0.0),
     _Field("gamma", _NONNEGATIVE, 0.0),
-    _Field("g", _number),
     _Field("f_cav", _POSITIVE),
     _Field("f_mat", _POSITIVE),
+)
+
+_PLACEMENT = (
+    _Field("r_cav", _vector, (0.0, 0.0, 0.0)),
+    _Field("r_mat", _vector),
+    _Field("orientation_cav", _vector, (1.0, 0.0, 0.0)),
+    _Field("orientation_mat", _vector, (1.0, 0.0, 0.0)),
+)
+
+_CURVE = (
+    _Field("label", _string),
+    _Field("variant", partial(_string, choices=("SpC", "MoC"))),
+    *_PAIR,
+    _Field("g", _number),
     _Field("R_cav", _POSITIVE, None),
 )
 
@@ -408,8 +422,18 @@ _SPECTRUM = (
 )
 
 
+def _drive_pair(spec: dict, variant: ModelVariant, g, e_inc: float, omega):
+    """Driven response of the validated ``_PAIR`` fields of ``spec``, coupled by ``g``."""
+    from .driven import DriveSpec, driven_response
+
+    pair = OscillatorPair(spec["omega_cav"], spec["omega_mat"], spec["kappa"], spec["gamma"])
+    model = CoupledModel(pair, variant, g)
+    f_cav, f_mat = _reduced_strength(spec["f_cav"]), _reduced_strength(spec["f_mat"])
+    return driven_response(model, DriveSpec(E_inc=e_inc, omega=omega, f_cav=f_cav, f_mat=f_mat))
+
+
 def _run_spectrum(p: dict) -> _Table:
-    from .driven import DriveSpec, driven_response, scattering_cross_section
+    from .driven import scattering_cross_section
 
     labels = [curve["label"] for curve in p["curves"]]
     for i, label in enumerate(labels):
@@ -423,17 +447,8 @@ def _run_spectrum(p: dict) -> _Table:
     omega_grid, e_inc = p["omega_grid"], p["E_inc"]
     columns = [("omega (eV)", omega_grid)]
     for curve in p["curves"]:
-        pair = OscillatorPair(curve["omega_cav"], curve["omega_mat"], curve["kappa"], curve["gamma"])
-        model = CoupledModel(pair, _MODELS[curve["variant"]][0], curve["g"])
-        drive = DriveSpec(
-            E_inc=e_inc,
-            omega=omega_grid,
-            f_cav=_reduced_strength(curve["f_cav"]),
-            f_mat=_reduced_strength(curve["f_mat"]),
-        )
-        sigma = scattering_cross_section(
-            driven_response(model, drive), p["orientation_cav"], p["orientation_mat"], e_inc, omega_grid
-        )
+        resp = _drive_pair(curve, _MODELS[curve["variant"]][0], curve["g"], e_inc, omega_grid)
+        sigma = scattering_cross_section(resp, p["orientation_cav"], p["orientation_mat"], e_inc, omega_grid)
         columns.append((f"sigma_{curve['label']} (nm^2)", sigma))
         if curve["R_cav"] is not None:
             geometric = math.pi * curve["R_cav"] ** 2
@@ -463,19 +478,7 @@ _LINE = (
     _Field("offset", _vector, (0.0, 0.0, 0.0)),
 )
 
-_NANOPARTICLE = (
-    _Field("R_cav", _POSITIVE),
-    _Field("r_cav", _vector, (0.0, 0.0, 0.0)),
-    _Field("r_mat", _vector),
-    _Field("orientation_cav", _vector, (1.0, 0.0, 0.0)),
-    _Field("orientation_mat", _vector, (1.0, 0.0, 0.0)),
-    _Field("f_cav", _POSITIVE),
-    _Field("f_mat", _POSITIVE),
-    _Field("omega_cav", _POSITIVE),
-    _Field("omega_mat", _POSITIVE),
-    _Field("kappa", _NONNEGATIVE, 0.0),
-    _Field("gamma", _NONNEGATIVE, 0.0),
-)
+_NANOPARTICLE = (_Field("R_cav", _POSITIVE), *_PLACEMENT, *_PAIR)
 
 _SCENE = partial(_string, choices=("box", "nanoparticle"))
 
@@ -502,7 +505,6 @@ _FIELDMAP = {
 
 
 def _run_fieldmap(p: dict) -> _Table:
-    from .driven import DriveSpec, driven_response
     from .fields import BoxCavityScene, NanoparticleScene, dielectric_field_arrays, quasistatic_field_arrays
 
     line = p["line"]
@@ -545,20 +547,13 @@ def _run_fieldmap(p: dict) -> _Table:
     scene = NanoparticleScene(
         spec["R_cav"], spec["r_cav"], spec["r_mat"], spec["orientation_cav"], spec["orientation_mat"]
     )
-    pair = OscillatorPair(spec["omega_cav"], spec["omega_mat"], spec["kappa"], spec["gamma"])
-    plus, minus = branch_frequencies(ModelVariant.SPC, pair.omega_cav, pair.omega_mat, g)
+    plus, minus = branch_frequencies(ModelVariant.SPC, spec["omega_cav"], spec["omega_mat"], g)
     if np.isnan(minus):
         raise PolaritonError("lower hybrid mode is not real; cannot set the drive frequency")
     drive_freqs = {"upper": float(plus), "lower": float(minus)}
-    lossy = CoupledModel(pair, ModelVariant.SPC, g)
-    f_cav_red = _reduced_strength(spec["f_cav"])
-    f_mat_red = _reduced_strength(spec["f_mat"])
     extras = {"omega_plus_eV": drive_freqs["upper"], "omega_minus_eV": drive_freqs["lower"]}
     for name in p["drive"]["at"]:
-        drive = DriveSpec(
-            E_inc=p["drive"]["E_inc"], omega=drive_freqs[name], f_cav=f_cav_red, f_mat=f_mat_red
-        )
-        resp = driven_response(lossy, drive)
+        resp = _drive_pair(spec, ModelVariant.SPC, g, p["drive"]["E_inc"], drive_freqs[name])
         fields = quasistatic_field_arrays(scene, resp, positions, core_radius=core_radius)
         field_columns(fields, name)
     return _Table(columns, extras=extras)
@@ -805,16 +800,8 @@ _ORACLE = {
     ),
     "polarizability": (
         _FLAVOR,
-        _Field("omega_cav", _POSITIVE),
-        _Field("omega_mat", _POSITIVE),
-        _Field("kappa", _NONNEGATIVE, 0.0),
-        _Field("gamma", _NONNEGATIVE, 0.0),
-        _Field("f_cav", _POSITIVE),
-        _Field("f_mat", _POSITIVE),
-        _Field("r_cav", _vector, (0.0, 0.0, 0.0)),
-        _Field("r_mat", _vector),
-        _Field("orientation_cav", _vector, (1.0, 0.0, 0.0)),
-        _Field("orientation_mat", _vector, (1.0, 0.0, 0.0)),
+        *_PAIR,
+        *_PLACEMENT,
         _Field("E_inc", _POSITIVE, 1.0),
         _Field("omega_grid", _POSITIVE_GRID),
     ),
@@ -822,7 +809,7 @@ _ORACLE = {
 
 
 def _run_oracle(p: dict) -> _Table:
-    from .driven import DriveSpec, driven_response, polarizability_oracle
+    from .driven import polarizability_oracle
     from .hopfield import (
         HopfieldParams,
         _ladder_deviation,
@@ -875,17 +862,11 @@ def _run_oracle(p: dict) -> _Table:
     r_cav, r_mat, n_dcav, n_dmat = p["r_cav"], p["r_mat"], p["orientation_cav"], p["orientation_mat"]
     e_inc, omega_grid = p["E_inc"], p["omega_grid"]
     g_geo = coupling_dipole_dipole(f_cav, f_mat, r_cav, r_mat, n_dcav, n_dmat, omega_cav, omega_mat)
-    model = CoupledModel(
-        OscillatorPair(omega_cav, omega_mat, kappa, gamma), ModelVariant.SPC, g_geo
-    )
-    f_cav_red = _reduced_strength(f_cav)
-    f_mat_red = _reduced_strength(f_mat)
     reference = polarizability_oracle(
-        f_cav_red, f_mat_red, omega_cav, omega_mat, kappa, gamma,
+        _reduced_strength(f_cav), _reduced_strength(f_mat), omega_cav, omega_mat, kappa, gamma,
         r_cav, r_mat, n_dcav, n_dmat, e_inc, omega_grid,
     )
-    drive = DriveSpec(E_inc=e_inc, omega=omega_grid, f_cav=f_cav_red, f_mat=f_mat_red)
-    resp = driven_response(model, drive)
+    resp = _drive_pair(p, ModelVariant.SPC, g_geo, e_inc, omega_grid)
     scale = np.maximum(np.abs(reference.x_cav), np.abs(reference.x_mat))
     dev = np.maximum(np.abs(resp.x_cav - reference.x_cav), np.abs(resp.x_mat - reference.x_mat))
     deviations = np.divide(dev, scale, out=np.full(dev.shape, math.inf), where=scale > 0)
@@ -1168,8 +1149,8 @@ def run_scenario_file(path, out_dir=None) -> ScenarioRun:
 # figure registry
 
 
-_FIG3_F_CAV = 4345.0**2
-_FIG3_F_MAT = 118.74**2
+# the Fig. 3 nanosphere (cavity) and emitter (matter); a spectrum curve detunes omega_mat
+_FIG3_PAIR = dict(omega_cav=3.0, omega_mat=3.0, kappa=0.020, gamma=0.010, f_cav=4345.0**2, f_mat=118.74**2)
 _SPC_MOC = ("SpC", "MoC")
 _WITH_LINEARIZED = ("SpC", "MoC", "Linearized")
 _SPC_VS_MOC = (("spc", "SpC", 3.0), ("mc", "MoC", 3.0))
@@ -1262,12 +1243,7 @@ def _nanoparticle_fieldmap_doc() -> dict:
                 "r_mat": [6.0, 0.0, 0.0],
                 "orientation_cav": [1.0, 0.0, 0.0],
                 "orientation_mat": [1.0, 0.0, 0.0],
-                "f_cav": _FIG3_F_CAV,
-                "f_mat": _FIG3_F_MAT,
-                "omega_cav": 3.0,
-                "omega_mat": 3.0,
-                "kappa": 0.020,
-                "gamma": 0.010,
+                **_FIG3_PAIR,
             },
             "g": 0.1 * 3.0,
             "drive": {"E_inc": 1.0, "at": ["upper", "lower"]},
@@ -1288,17 +1264,7 @@ def _spectrum_doc(g: float, curves, start: float, stop: float) -> dict:
             "orientation_cav": [1.0, 0.0, 0.0],
             "orientation_mat": [1.0, 0.0, 0.0],
             "curves": [
-                {
-                    "label": label,
-                    "variant": variant,
-                    "omega_cav": 3.0,
-                    "omega_mat": omega_mat,
-                    "kappa": 0.020,
-                    "gamma": 0.010,
-                    "g": g,
-                    "f_cav": _FIG3_F_CAV,
-                    "f_mat": _FIG3_F_MAT,
-                }
+                {**_FIG3_PAIR, "label": label, "variant": variant, "omega_mat": omega_mat, "g": g}
                 for label, variant, omega_mat in curves
             ],
         },

@@ -348,11 +348,12 @@ print(json.dumps([code, loaded]))
 
 # what a reproduce loads whatever the figure: the CLI, the scenario layer and its imports
 _REPRODUCE_CORE = {"cli", "scenarios", "models", "units", "exceptions", "_version"}
-# the layers each figure kind loads besides
+# the layers each figure kind (a fieldmap: each scene) loads besides
 _KIND_LAYERS = {
     "eigen_sweep": set(),
     "min_splitting": set(),
-    "fieldmap": {"driven", "fields"},
+    "fieldmap/box": {"fields"},
+    "fieldmap/nanoparticle": {"driven", "fields"},
     "fractions": {"fields"},
     "spectrum": {"driven"},
     "permittivity": {"material"},
@@ -372,7 +373,11 @@ def test_reproduce_imports_only_what_its_figure_needs(tmp_path, figure_id):
     code, loaded = _fresh_main("reproduce", figure_id, "--out", str(tmp_path))
     assert code == 0
     assert not loaded & {"yaml", "html", "ensemble", "hopfield"}
-    assert loaded == _REPRODUCE_CORE | _KIND_LAYERS[scenarios.figure_document(figure_id)["kind"]]
+    document = scenarios.figure_document(figure_id)
+    kind = document["kind"]
+    if kind == "fieldmap":
+        kind += "/" + document["parameters"]["scene"]
+    assert loaded == _REPRODUCE_CORE | _KIND_LAYERS[kind]
 
 
 def test_run_loads_yaml_and_the_oracle_layer_on_use(tmp_path):
@@ -380,6 +385,13 @@ def test_run_loads_yaml_and_the_oracle_layer_on_use(tmp_path):
     assert code == 0
     assert {"yaml", "hopfield"} <= loaded
     assert (tmp_path / "oracle_quantum.csv").is_file()
+
+
+def _source_document(source):
+    """A figure's document, or a sample scenario's, by figure id or sample stem."""
+    if source in scenarios.FIGURE_IDS:
+        return scenarios.figure_document(source)
+    return yaml.safe_load((_SAMPLES / f"{source}.yaml").read_text())
 
 
 def _mutated(document, path, value):
@@ -425,11 +437,30 @@ def _mutated(document, path, value):
     ],
 )
 def test_hostile_values_exit_3(tmp_path, capsys, source, path, value):
-    if source in scenarios.FIGURE_IDS:
-        document = scenarios.figure_document(source)
-    else:
-        document = yaml.safe_load((_SAMPLES / f"{source}.yaml").read_text())
-    scenario = _write(tmp_path, "hostile.yaml", yaml.safe_dump(_mutated(document, path, value)))
+    document = _mutated(_source_document(source), path, value)
+    scenario = _write(tmp_path, "hostile.yaml", yaml.safe_dump(document))
     code = main(["run", str(scenario), "--out", str(tmp_path)])
     assert code == 3
     assert f"scenario {str(scenario)!r}" in capsys.readouterr().err
+
+
+# one bad value of each driven-pair field, and where each kind that drives a pair declares it
+_PAIR_BAD_VALUES = {"omega_cav": 0, "omega_mat": -1, "kappa": -1, "gamma": -0.5, "f_cav": 0, "f_mat": 0}
+_PAIR_HOSTS = {
+    "spectrum": ("nanoparticle_spectrum", ("parameters", "curves", 0)),
+    "fieldmap": ("fig3b", ("parameters", "nanoparticle")),
+    "oracle": ("oracle_polarizability", ("parameters",)),
+}
+
+
+@pytest.mark.parametrize("key", _PAIR_BAD_VALUES)
+@pytest.mark.parametrize("kind", _PAIR_HOSTS)
+def test_bad_pair_field_exits_2_naming_its_key_path(tmp_path, capsys, kind, key):
+    source, host = _PAIR_HOSTS[kind]
+    document = _mutated(_source_document(source), (*host, key), _PAIR_BAD_VALUES[key])
+    scenario = _write(tmp_path, "bad_pair.yaml", yaml.safe_dump(document))
+    code = main(["run", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 2
+    key_path = ".".join(map(str, (*host, key)))
+    assert f"schema error: {key_path}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -170,13 +170,15 @@ def test_branch_ordering_and_bracketing():
 # eigenvectors
 
 
-def test_eigenvector_satisfies_secular_equation():
-    spc = ModelVariant.SPC
-    omega = np.array(branch_frequencies(spc, 1.2, 1.0, 0.3))  # (omega_plus, omega_minus)
-    ratio = mode_ratio(spc, 1.2, 1.0, 0.3, omega)
+@pytest.mark.parametrize("g", [0.3, 0.6])
+@pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
+def test_eigenvector_satisfies_secular_equation(variant, g):
+    omega = np.array(branch_frequencies(variant, 1.2, 1.0, g))  # (omega_plus, omega_minus)
+    omega = omega[~np.isnan(omega)]  # a masked lower branch has no eigenvector
+    ratio = mode_ratio(variant, 1.2, 1.0, g, omega)
     vec = np.stack([ratio, np.ones_like(ratio)], axis=-1)
-    residual = (frequency_domain_matrix(spc, 1.2, 1.0, 0.3, omega) @ vec[..., None])[..., 0]
-    assert residual.shape == (2, 2)
+    residual = (frequency_domain_matrix(variant, 1.2, 1.0, g, omega) @ vec[..., None])[..., 0]
+    assert residual.shape == (len(omega), 2)
     for row, r in zip(residual, ratio):
         assert np.max(np.abs(row)) < 1e-10 * max(abs(r), 1.0)
 

@@ -300,7 +300,7 @@ def test_merge_keys_give_way_to_the_mapping_own_keys(tmp_path):
     assert document["e"] == {"x": 2, "y": 2}
 
 
-@pytest.mark.parametrize("omega_mat, rho_plus", [(2.2, None), (3.0, None), (3.5, -0.0)])
+@pytest.mark.parametrize("omega_mat, rho_plus", [(2.2, None), (3.0, None), (3.5, 0.0)])
 def test_uncoupled_box_fieldmap_reports_the_ratio_pole(tmp_path, omega_mat, rho_plus):
     # at g = 0 the upper branch is the bare cavity when omega_mat <= omega_cav,
     # where x_cav / x_mat has a pole
@@ -310,7 +310,7 @@ def test_uncoupled_box_fieldmap_reports_the_ratio_pole(tmp_path, omega_mat, rho_
     summary = _run(doc, tmp_path).summary
     assert summary["rho_plus"] == rho_plus
     if rho_plus is not None:
-        assert math.copysign(1.0, summary["rho_plus"]) == -1.0
+        assert math.copysign(1.0, summary["rho_plus"]) == +1.0
 
 
 # ---------------------------------------------------------------------------
