@@ -27,6 +27,7 @@ from .models import CoupledModel, ModelVariant, frequency_domain_matrix
 from .units import (
     UNITS,
     _as_vec,
+    _raise_first_bad,
     _require_finite,
     _require_nonnegative,
     _require_positive,
@@ -101,14 +102,12 @@ def driven_response(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes
     scale = np.sqrt(
         (np.abs(m00) ** 2 + np.abs(m01) ** 2) * (np.abs(m10) ** 2 + np.abs(m11) ** 2)
     )
-    poles = np.flatnonzero(np.abs(det) <= 1e-12 * np.maximum(scale, np.finfo(float).tiny))
-    if poles.size:
-        i = int(poles[0])
-        where = f" (grid row {i})" if omega.ndim else ""
-        raise PoleError(
-            "driven response diverges: drive frequency "
-            f"{float(omega.flat[i])!r} eV{where} sits on an undamped hybrid mode"
-        )
+    _raise_first_bad(
+        np.abs(det) <= 1e-12 * np.maximum(scale, np.finfo(float).tiny),
+        PoleError,
+        lambda i, where: "driven response diverges: drive frequency "
+        f"{float(omega.flat[i])!r} eV{where} sits on an undamped hybrid mode",
+    )
     rhs = np.broadcast_to(np.array([drive.F_cav, drive.F_mat], dtype=complex), matrix.shape[:-1])
     x = np.linalg.solve(matrix, rhs[..., None])[..., 0]
     x_cav, x_mat = x[..., 0], x[..., 1]
@@ -197,14 +196,12 @@ def polarizability_oracle(
     matrix[..., 1, 1] = (wm * wm - omega**2) / f_mat
     det = matrix[..., 0, 0] * matrix[..., 1, 1] - matrix[..., 0, 1] * matrix[..., 1, 0]
     scale = np.abs(matrix[..., 0, 0] * matrix[..., 1, 1]) + np.abs(matrix[..., 0, 1] * matrix[..., 1, 0])
-    singular = np.flatnonzero(np.abs(det) <= 1e-12 * np.maximum(scale, np.finfo(float).tiny))
-    if singular.size:
-        i = int(singular[0])
-        where = f" (grid row {i})" if omega.ndim else ""
-        raise PoleError(
-            "coupled-dipole system is singular at drive frequency "
-            f"{float(omega.flat[i])!r} eV{where}"
-        )
+    _raise_first_bad(
+        np.abs(det) <= 1e-12 * np.maximum(scale, np.finfo(float).tiny),
+        PoleError,
+        lambda i, where: "coupled-dipole system is singular at drive frequency "
+        f"{float(omega.flat[i])!r} eV{where}",
+    )
     rhs = np.full(omega.shape + (2, 1), abs(E_inc), dtype=complex)
     d = np.linalg.solve(matrix, rhs)[..., 0]
     d_cav, d_mat = d[..., 0], d[..., 1]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import PoleError, PolaritonError
-from .units import _require_finite, _require_nonnegative, _require_positive
+from .units import _raise_first_bad, _require_finite, _require_nonnegative, _require_positive
 
 __all__ = [
     "ModelVariant",
@@ -173,15 +173,12 @@ def mode_ratio(variant: ModelVariant, omega_cav, omega_mat, g, omega):
     """
     m = frequency_domain_matrix(variant, omega_cav, omega_mat, g, omega)
     den, num = m[..., 0, 0], -m[..., 0, 1]
-    poles = np.flatnonzero(den == 0)
-    if poles.size:
-        i = int(poles[0])
-        where = f" (grid row {i})" if np.ndim(den) else ""
-        raise PoleError(
-            "eigenvector ratio has a pole: branch frequency "
-            f"{np.broadcast_to(omega, den.shape).flat[i]} coincides with the bare cavity "
-            f"frequency{where}"
-        )
+    _raise_first_bad(
+        den == 0,
+        PoleError,
+        lambda i, where: "eigenvector ratio has a pole: branch frequency "
+        f"{np.broadcast_to(omega, den.shape).flat[i]} coincides with the bare cavity frequency{where}",
+    )
     return num / den
 
 

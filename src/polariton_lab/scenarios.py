@@ -43,7 +43,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -61,7 +61,9 @@ from .models import (
     min_splitting,
     mode_ratio,
 )
-from .units import UNITS, _reduced_strength, coupling_dipole_dipole, dipole_moment_to_oscillator_strength
+from .units import (
+    UNITS, _raise_first_bad, _reduced_strength, coupling_dipole_dipole, dipole_moment_to_oscillator_strength
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -285,14 +287,13 @@ def _check_det_residual(variant: ModelVariant, omega_cav, omega_mat, g, omega, l
     that fails.
     """
     residual = determinant_residual(variant, omega_cav, omega_mat, g, omega)
-    bad = np.flatnonzero(residual > _DET_RESIDUAL_BOUND)
-    if bad.size:
-        i = int(bad[0])
-        raise PolaritonError(
-            f"internal inconsistency: {label} frequency-domain determinant residual "
-            f"{residual[i]:.3e} exceeds {_DET_RESIDUAL_BOUND:g} at eigenfrequency "
-            f"{omega[i]} (sweep row {i})"
-        )
+    _raise_first_bad(
+        residual > _DET_RESIDUAL_BOUND,
+        PolaritonError,
+        lambda i, where: f"internal inconsistency: {label} frequency-domain determinant residual "
+        f"{residual[i]:.3e} exceeds {_DET_RESIDUAL_BOUND:g} at eigenfrequency {omega[i]}{where}",
+        row="sweep row",
+    )
 
 
 # --------------------------------------------------------------------------
@@ -504,8 +505,17 @@ _FIELDMAP = {
 }
 
 
+def _box_scene(box: dict, omega_mat):
+    """The ``BoxCavityScene`` of a validated ``_BOX`` mapping, with emitter frequency ``omega_mat``."""
+    from .fields import BoxCavityScene
+
+    return BoxCavityScene(
+        box["L"], box["V_eff"], box["omega_cav"], box["emitter"], box["orientation"], box["f_mat"], omega_mat
+    )
+
+
 def _run_fieldmap(p: dict) -> _Table:
-    from .fields import BoxCavityScene, NanoparticleScene, dielectric_field_arrays, quasistatic_field_arrays
+    from .fields import NanoparticleScene, dielectric_field_arrays, quasistatic_field_arrays
 
     line = p["line"]
     if line["stop"] <= line["start"]:
@@ -525,8 +535,7 @@ def _run_fieldmap(p: dict) -> _Table:
         columns.append((f"excluded_{name} (1)", fields.excluded.astype(int)))
 
     if p["scene"] == "box":
-        box = p["box"]
-        scene = BoxCavityScene(r_mat=box.pop("emitter"), n_d=box.pop("orientation"), **box)
+        scene = _box_scene(p["box"], p["box"]["omega_mat"])
         plus, minus = branch_frequencies(ModelVariant.MOC, scene.omega_cav, scene.omega_mat, g)
         # the upper-branch ratio has a pole (reported as None) where that
         # branch is the bare cavity, as it is at g = 0 with omega_mat <= omega_cav
@@ -570,7 +579,7 @@ _FRACTIONS = (
 
 
 def _run_fractions(p: dict) -> _Table:
-    from .fields import BoxCavityScene, contribution_fractions
+    from .fields import contribution_fractions
 
     box, detuning = p["box"], p["detuning_grid"]
     omega_cav = box["omega_cav"]
@@ -581,9 +590,7 @@ def _run_fractions(p: dict) -> _Table:
             f"omega_mat = omega_cav + detuning must stay positive; got detuning {bad[0]}",
         )
 
-    scene = BoxCavityScene(
-        r_mat=box.pop("emitter"), n_d=box.pop("orientation"), omega_mat=omega_cav + detuning, **box
-    )
+    scene = _box_scene(box, omega_cav + detuning)
     columns = [("detuning (eV)", detuning)]
     for name in p["branches"]:
         sigma_cav, sigma_mat = contribution_fractions(
@@ -926,13 +933,106 @@ _DOCUMENT = (
 # artifact output
 
 
+_CSV_BLOCK = 4096  # cells per block, so that the temporaries do not grow with the table
+# 10**(k-300) = (hi + lo) * 2**shift to 106 bits, as hi's Dekker halves, lo and shift; NaN until first used
+_P10 = np.full((4, 650), np.nan)
+
+
+def _scaled(f, b, k):
+    """``f * 2**b * 10**k`` as a normalized double-double ``(hi, lo)``, for f in [0.5, 1)."""
+    k = k + 300
+    for j in set(k[np.isnan(_P10[0].take(k))].tolist()):
+        n = 10 ** abs(j - 300)
+        width = n.bit_length()  # q * 2**t: 10**(j-300) to 121 bits
+        q, t = (n << 121 >> width, width - 121) if j >= 300 else ((1 << width + 120) // n, -width - 120)
+        hi = math.ldexp(q >> 68, -52)
+        split = hi * 134217729.0 - (hi * 134217729.0 - hi)
+        _P10[:, j] = split, hi - split, math.ldexp(q & (1 << 68) - 1, -120), t + 120
+    hh, hl, lo, shift = _P10.take(k, axis=1)
+    p = f * (hh + hl)  # Dekker's product: p + err is f * hi exactly
+    fh = f * 134217729.0 - (f * 134217729.0 - f)
+    err = fh * hh - p + fh * hl + (f - fh) * hh + (f - fh) * hl + f * lo
+    t = (b + shift).astype(np.int32)  # np.ldexp is slow for int64 exponents
+    p, err = np.ldexp(p, t), np.ldexp(err, t)
+    return p + err, err - (p + err - p)
+
+
+@cache
+def _csv_tables():
+    """Lookup tables of :func:`_g17_cells`: digits, exponent classes and slot layouts."""
+    d = np.arange(48, 58, dtype="<u4")  # "0000" .. "9999" as little-endian words
+    digits4 = np.add.outer(np.add.outer(d, d << 8), np.add.outer(d << 16, d << 24)).ravel()
+    # a class per exponent E = index - 330: 0-20 fixed (E = -4..16), 21-24 e+dd, e+ddd, e-dd, e-ddd
+    e = np.arange(-330, 310)
+    form = np.where((e < -4) | (e > 16), 21 + 2 * (e < 0) + (abs(e) >= 100), e + 4) * 17 - 1
+    # a 30-byte slot per (sign, class, digit count): sign, "0.000" lead, 17 digits and a point, "e+308",
+    # separator; as a template, and the slots taking their own digit or the one before
+    sign, cls, count = (v.reshape(-1, 1) for v in np.indices((2, 25, 18))[:, :, :, 1:])
+    j, exp, sci = np.arange(30) - 6, cls - 4, cls >= 21  # j: the digit slot
+    point = np.where(sci, 1, np.where(exp >= 0, exp + 1, 17))
+    tpl = np.select([j == point, j == -6, j == 23], [46 * (point < count), 45 * sign, 44])
+    tpl[:, 1:6] = np.where(np.arange(5) < np.where(exp < 0, 1 - exp, 0), np.frombuffer(b"0.000", np.uint8), 0)
+    tpl[:, 24:26] = sci * np.hstack([np.full_like(cls, 101), np.where(cls >= 23, 45, 43)])
+    own = (j >= 0) & (j < np.where(exp < 0, count, point))  # fixed notation keeps every integer digit
+    own[:, 26:29] = sci & np.hstack([cls % 2 == 0, sci, sci])  # two or three exponent digits
+    masks = (tpl, own, (j > point) & (j <= count))
+    layout = [np.ascontiguousarray(m, np.uint8).view("V30").ravel() for m in masks]
+    return digits4, form, layout
+
+
+def _g17_cells(x):
+    """``"{:.17g}".format`` of each float64 of ``x``, in NUL-padded 30-byte slots ending in ','.
+
+    |x| = f * 2**b is scaled by 10**(16 - E) and rounded to 17 digits; a scaled value
+    within 2**-30 of a half-integer, a tie or too near one to call, is left to Python.
+    """
+    digits4, form, layout = _csv_tables()
+    real = np.isfinite(x) & (x != 0)
+    a = np.where(real, np.abs(x), 1.0)
+    f, b = np.frexp(a)
+    exp = np.floor(np.log10(a)).astype(np.int32)
+    hi, lo = _scaled(f, b, 16 - exp)
+    fix = np.flatnonzero((hi < 1e16) | (hi > 1e17) | (hi == 1e16) & (lo < 0) | (hi == 1e17) & (lo >= 0))
+    if fix.size:  # the estimate of E = floor(log10 |x|) was one off
+        exp[fix] += np.where(hi[fix] > 5e16, 1, -1)
+        hi[fix], lo[fix] = _scaled(f[fix], b[fix], 16 - exp[fix])
+    ties = np.flatnonzero(np.abs(np.abs(lo - np.rint(lo)) - 0.5) < 2.0**-30)
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    up = d == 10**17  # rounded up to the next power of ten
+    d, exp = np.where(up, 10**16, d), exp + up
+    top, low = np.divmod(d, 10**8)  # the lead digit, then four groups of four
+    groups = np.stack(np.divmod(np.stack([top % 10**8, low], axis=1), 10**4), axis=-1).reshape(-1, 4)
+    flat = np.zeros(len(x) * 30 + 1, np.uint8)  # the cells, and flat[:-1] the same one byte later
+    cells = flat[1:].reshape(-1, 30)
+    cells[:, 6] = top // 10**8 + 48
+    cells[:, 7:23] = digits4.take(groups).view(np.uint8)
+    cells[:, 26:29] = digits4.take(np.abs(exp)).view(np.uint8).reshape(-1, 4)[:, 1:]
+    count = 17 - np.argmax(cells[:, 22:5:-1] != 48, axis=1)  # digits up to the last nonzero one
+    for where, word in ((np.isnan(x), b"nan"), (np.isinf(x), b"inf"), (x == 0, b"0")):
+        cells[where, 6 : 6 + len(word)] = np.frombuffer(word, np.uint8)
+        exp[where] = len(word) - 1
+    code = form.take(exp + 330) + count + 425 * (np.signbit(x) & ~np.isnan(x))
+    tpl, own, shifted = (table.take(code).view(np.uint8) for table in layout)
+    text = tpl + flat[1:] * own + flat[:-1] * shifted
+    for i in ties.tolist():
+        text[30 * i : 30 * i + 29] = np.frombuffer("{:.17g}".format(x[i]).encode().ljust(29, b"\0"), np.uint8)
+    return text.reshape(-1, 30)
+
+
 def _render_csv(table: _Table) -> bytes:
-    header = ",".join(cell for cell, _ in table.columns)
-    columns = [
-        map(str if values.dtype.kind in "iu" else "{:.17g}".format, values.tolist())
-        for _, values in table.columns
-    ]
-    return ("\n".join([header, *map(",".join, zip(*columns))]) + "\n").encode("utf-8")
+    """``"{:.17g}".format(x)`` of each float cell and ``str(n)`` of each integer one, a block at a time."""
+    step = max(1, _CSV_BLOCK // len(table.columns))
+    chunks = [",".join(cell for cell, _ in table.columns).encode("utf-8") + b"\n"]
+    for start in range(0, table.n_rows(), step):
+        block = [values[start : start + step] for _, values in table.columns]
+        floats = np.column_stack([np.zeros(len(v)) if v.dtype.kind in "iu" else v for v in block])
+        cells = _g17_cells(floats.astype(float).ravel()).reshape(len(floats), len(block), 30)
+        cells[:, -1, -1] = ord("\n")
+        for c, values in enumerate(block):
+            if values.dtype.kind in "iu":
+                cells[:, c, :-1] = values.astype("S29").view(np.uint8).reshape(-1, 29)
+        chunks.append(cells.tobytes().translate(None, b"\0"))
+    return b"".join(chunks)
 
 
 _SVG_PALETTE = (

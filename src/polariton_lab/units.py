@@ -39,6 +39,14 @@ __all__ = [
 ]
 
 
+def _raise_first_bad(bad, error, message, row: str = "grid row") -> None:
+    """Raise ``error(message(i, where))`` at the first true element ``i`` of ``bad``, if any,
+    with ``where`` " (grid row i)" for an array ``bad`` and empty for a scalar one."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise error(message(i, f" ({row} {i})" if np.ndim(bad) else ""))
+
+
 def _require(name: str, value, rule: str, ok=None):
     """Return ``value`` if each of its elements is finite and passes ``ok``.
 
@@ -47,12 +55,10 @@ def _require(name: str, value, rule: str, ok=None):
     """
     arr = np.asarray(value, dtype=float)
     good = np.isfinite(arr) if ok is None else np.isfinite(arr) & ok(arr)
-    if good.all():
-        return value
-    if arr.ndim == 0:
-        raise PolaritonError(f"{name} must be {rule}, got {value}")
-    i = int(np.flatnonzero(~good.reshape(len(arr), -1).all(axis=1))[0])
-    raise PolaritonError(f"{name} must be {rule}, got {arr[i]} (grid row {i})")
+    if not good.all():
+        bad, got = (~good, [value]) if arr.ndim == 0 else (~good.reshape(len(arr), -1).all(axis=1), arr)
+        _raise_first_bad(bad, PolaritonError, lambda i, where: f"{name} must be {rule}, got {got[i]}{where}")
+    return value
 
 
 _require_finite = partial(_require, rule="finite")

@@ -378,6 +378,37 @@ def test_svg_output_is_wellformed(tmp_path):
         assert f"{stem}.svg" in run.summary["outputs"]
 
 
+def _reference_csv(table: _Table) -> bytes:
+    """The CSV dialect written one cell at a time by Python's own formatters."""
+    header = ",".join(cell for cell, _ in table.columns)
+    columns = [
+        map(str if values.dtype.kind in "iu" else "{:.17g}".format, values.tolist())
+        for _, values in table.columns
+    ]
+    return ("\n".join([header, *map(",".join, zip(*columns))]) + "\n").encode("utf-8")
+
+
+def _near_ties(exp10: int, count: int = 4) -> list:
+    """Doubles x in [10**exp10, 4 * 10**exp10) whose x * 10**(16 - exp10) is a hair off a half-integer.
+
+    With x = m * 2**e and 2**52 <= m < 2**53, x * 10**k is m * 5**k / 2**j; m is
+    solved mod 2**j for a remainder d above or below 2**(j - 1), so the scaled
+    value is d * 2**-j, far below double-double round-off, from the tie.
+    """
+    k = 16 - exp10
+    e = math.ceil(exp10 * math.log2(10)) - 52
+    j = -(e + k)
+    inverse = pow(5**k, -1, 2**j)
+    found, d = [], 1
+    while len(found) < count:
+        for remainder in (2 ** (j - 1) + d, 2 ** (j - 1) - d):
+            m = remainder * inverse % 2**j
+            if 2**52 <= m < 2**53:
+                found.append(math.ldexp(m, e))
+        d += 1
+    return found
+
+
 def test_csv_dialect_is_pinned():
     floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e22, 3.0]
     integers = [0, 1, -2, 42, 10**17 + 1, -(2**63), 2**63 - 1, 7]
@@ -393,9 +424,90 @@ def test_csv_dialect_is_pinned():
         b"9223372036854775807,1e+22\n"
         b"7,3\n"
     )
+    tiny, largest = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    pinned = {
+        1e-304: "9.9999999999999997e-305",  # below 10**-304: E is -305, not -304
+        tiny: "4.9406564584124654e-324",
+        np.nextafter(np.finfo(float).tiny, 0): "2.2250738585072009e-308",  # the largest subnormal
+        largest: "1.7976931348623157e+308",
+        -largest: "-1.7976931348623157e+308",
+        63041149076823.1875: "63041149076823.188",  # an exact tie at the 17th digit
+        1e-14: "1e-14",  # the double lies below 10**-14; rounded to 17 digits it carries up to it
+        -math.nan: "nan",
+        1e16: "10000000000000000",
+        1e17: "1e+17",
+        1e-4: "0.0001",
+        1e-5: "1.0000000000000001e-05",
+        123.5: "123.5",
+    }
+    table = _Table([("v (1)", np.array(list(pinned))), ("u (1)", np.full(len(pinned), 2**64 - 1, np.uint64))])
+    assert _render_csv(table).decode().splitlines()[1:] == [f"{text},18446744073709551615" for text in pinned.values()]
+    # 10**k and its two neighbouring doubles for every decimal exponent of a double
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edges = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), [tiny, largest]])
+    table = _Table([("v (1)", edges), ("w (1)", -edges)])
+    assert _render_csv(table) == _reference_csv(table)
+    # too near a tie to call in double-double arithmetic: Python formats these cells
+    near = np.array([x for exp10 in (-8, -9, -10, -11) for x in _near_ties(exp10)])
+    table = _Table([("v (1)", near), ("w (1)", -near)])
+    assert _render_csv(table) == _reference_csv(table)
     for bad in ([1.0, 2.0], np.ones(3, dtype=bool), np.ones(3, dtype=complex)):
         with pytest.raises(PolaritonError, match="'bad \\(1\\)'"):
             _Table([("x (1)", np.arange(3.0)), ("bad (1)", bad)])
+
+
+def test_every_figure_and_sample_csv_matches_the_reference_renderer(tmp_path, monkeypatch):
+    tables = []
+
+    def spy(table):
+        tables.append(table)
+        return _render_csv(table)
+
+    monkeypatch.setattr(scenarios, "_render_csv", spy)
+    for figure_id in FIGURE_IDS:
+        reproduce_figure(figure_id, tmp_path)
+    samples = sorted(_SAMPLES.glob("*.yaml"))
+    for sample in samples:
+        run_scenario_file(sample, tmp_path / "samples")
+    assert len(tables) == len(FIGURE_IDS) + len(samples)
+    for table in tables:
+        assert _render_csv(table) == _reference_csv(table)
+
+
+_COLUMN_KINDS = st.lists(st.sampled_from(["bits", "bits", "int64", "uint64"]), min_size=1, max_size=4)
+
+
+@given(
+    kinds=_COLUMN_KINDS,
+    extra_rows=st.integers(min_value=1, max_value=4095),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    patterns=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=20),
+)
+@settings(max_examples=40, deadline=None)
+def test_csv_of_raw_bit_patterns_matches_the_reference_renderer(kinds, extra_rows, seed, patterns):
+    """Tables longer than one block of cells and not a multiple of it.
+
+    Float columns hold raw 64-bit patterns: every sign, exponent and mantissa,
+    subnormals, infinities and NaN payloads; ``patterns`` are spread over them.
+    """
+    rows_per_block = scenarios._CSV_BLOCK // len(kinds)
+    n_rows = rows_per_block + extra_rows
+    if extra_rows % rows_per_block == 0:
+        n_rows += 1
+    rng = np.random.default_rng(seed)
+    columns = []
+    for c, kind in enumerate(kinds):
+        if kind == "int64":
+            values = rng.integers(-(2**63), 2**63 - 1, n_rows, endpoint=True)
+        elif kind == "uint64":
+            values = rng.integers(0, 2**64 - 1, n_rows, dtype=np.uint64, endpoint=True)
+        else:
+            bits = rng.integers(0, 2**64 - 1, n_rows, dtype=np.uint64, endpoint=True)
+            bits[rng.integers(0, n_rows, len(patterns))] = np.array(patterns, dtype=np.uint64)
+            values = bits.view(np.float64)
+        columns.append((f"c{c} (1)", values))
+    table = _Table(columns)
+    assert _render_csv(table) == _reference_csv(table)
 
 
 def test_svg_breaks_series_at_gaps_and_draws_lone_points():
