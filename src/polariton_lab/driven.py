@@ -87,8 +87,10 @@ class ResponseAmplitudes:
 def driven_response(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes:
     """Steady state of an SpC or MoC model at every drive frequency.
 
-    One stacked 2x2 solve of the frequency-domain system; a drive frequency
-    on an undamped hybrid mode raises :class:`PoleError`.
+    Cramer's rule on the frequency-domain system, dividing by the same
+    determinant whose near-vanishing (a drive frequency on an undamped
+    hybrid mode) raises :class:`PoleError` first.  For a 2x2 system the
+    closed form is forward stable and needs no LU factorization.
     """
     if model.variant not in (ModelVariant.SPC, ModelVariant.MOC):
         raise PolaritonError(f"driven_response needs an SpC or MoC model, got {model.variant.value}")
@@ -108,9 +110,8 @@ def driven_response(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes
         lambda i, where: "driven response diverges: drive frequency "
         f"{float(omega.flat[i])!r} eV{where} sits on an undamped hybrid mode",
     )
-    rhs = np.broadcast_to(np.array([drive.F_cav, drive.F_mat], dtype=complex), matrix.shape[:-1])
-    x = np.linalg.solve(matrix, rhs[..., None])[..., 0]
-    x_cav, x_mat = x[..., 0], x[..., 1]
+    x_cav = (m11 * drive.F_cav - m01 * drive.F_mat) / det
+    x_mat = (m00 * drive.F_mat - m10 * drive.F_cav) / det
     if omega.ndim == 0:
         x_cav, x_mat = complex(x_cav), complex(x_mat)
     return ResponseAmplitudes(
@@ -168,7 +169,10 @@ def polarizability_oracle(
     carries in the coupled-oscillator picture (for lossless constituents it
     reduces to the bare geometric kernel).  This shares no code with the
     model solvers and serves as an independent check on ``driven_response``.
-    An array of drive frequencies gives array-valued amplitudes.
+    It keeps the LAPACK LU solve on purpose: ``driven_response`` uses
+    Cramer's rule, so the cross-check compares two solve algorithms rather
+    than two calls of one routine.  An array of drive frequencies gives
+    array-valued amplitudes.
     """
     for name, value in (("f_cav", f_cav), ("f_mat", f_mat), ("omega_cav", omega_cav), ("omega_mat", omega_mat)):
         _require_positive(name, value)

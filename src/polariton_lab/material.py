@@ -83,7 +83,10 @@ def permittivity(model: PermittivityModel, omega):
         raise PoleError(f"permittivity pole at omega = Omega_mat = {model.Omega_mat}")
     if amplitude:
         t = 2.0 * model.G**2 * model.Omega_mat / (w * (model.Omega_mat**2 - w**2))
-        eps = (t + np.sqrt(1.0 + t * t)) ** 2
+        # above the pole t < 0 and t + sqrt(1 + t^2) cancels; it equals
+        # 1 / (|t| + sqrt(1 + t^2)), which does not
+        base = np.abs(t) + np.sqrt(1.0 + t * t)
+        eps = np.where(t < 0, 1.0 / base, base) ** 2
     else:
         eps = model.epsilon_inf * (1.0 + 4.0 * model.G**2 / (model.Omega_mat**2 - w**2))
     return eps if eps.ndim else float(eps)

@@ -1,6 +1,8 @@
 """Driven steady-state response and the coupled-dipole cross-check."""
 
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,10 @@ from polariton_lab.models import (
     branch_frequencies,
     frequency_domain_matrix,
 )
+from polariton_lab.scenarios import figure_document, load_scenario_file
 from polariton_lab.units import OscillatorStrength, coupling_dipole_dipole
 
+_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _X = np.array([1.0, 0.0, 0.0])
 _Z = np.array([0.0, 0.0, 1.0])
 
@@ -299,3 +303,124 @@ def test_oracle_input_validation():
         polarizability_oracle(
             1.0, 1.0, 1.0, 1.0, -0.1, 0.0, np.zeros(3), 5.0 * _X, _X, _X, 1.0, 1.0
         )
+
+
+# ---------------------------------------------------------------------------
+# the closed form against an exact evaluation of the same float64 entries
+
+_U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _exact(z) -> tuple:
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _mul(a, b) -> tuple:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _sub(a, b) -> tuple:
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _div(a, b) -> tuple:
+    norm = b[0] * b[0] + b[1] * b[1]
+    re, im = _mul(a, (b[0], -b[1]))
+    return re / norm, im / norm
+
+
+def _abs(a) -> float:
+    return math.hypot(float(a[0]), float(a[1]))
+
+
+def _closed_form_error(model, drive) -> float:
+    """Worst ``|x - x_exact| / (u kappa ||x_exact||)`` of ``driven_response`` over the grid.
+
+    ``x_exact`` is Cramer's rule evaluated in exact rational arithmetic on
+    the same float64 matrix entries and forces, and ``kappa = scale / |det|``
+    with ``scale`` the product of the two row norms (so ``kappa >= 1``).
+    Each rounded product and difference perturbs the numerators by a few
+    ``u`` times ``scale ||x||`` and the determinant by a few ``u`` times
+    ``scale``, which bounds the ratio by a constant.
+    """
+    resp = driven_response(model, drive)
+    matrix = frequency_domain_matrix(
+        model.variant, model.pair.complex_cav, model.pair.complex_mat, model.g, drive.omega
+    )
+    x_cav, x_mat = np.atleast_1d(resp.x_cav), np.atleast_1d(resp.x_mat)
+    f_cav, f_mat = (Fraction(drive.F_cav), 0), (Fraction(drive.F_mat), 0)
+    worst = 0.0
+    for i, m in enumerate(matrix.reshape(-1, 2, 2)):
+        m00, m01, m10, m11 = (_exact(z) for z in m.flat)
+        det = _sub(_mul(m00, m11), _mul(m01, m10))
+        want_cav = _div(_sub(_mul(m11, f_cav), _mul(m01, f_mat)), det)
+        want_mat = _div(_sub(_mul(m00, f_mat), _mul(m10, f_cav)), det)
+        scale = math.hypot(*(abs(z) for z in m[0])) * math.hypot(*(abs(z) for z in m[1]))
+        kappa = scale / _abs(det)
+        size = math.hypot(_abs(want_cav), _abs(want_mat))
+        error = max(
+            _abs(_sub(_exact(x_cav[i]), want_cav)), _abs(_sub(_exact(x_mat[i]), want_mat))
+        )
+        worst = max(worst, error / (_U * kappa * size))
+    return worst
+
+
+_CLOSED_FORM_BOUND = 16.0  # in units of u kappa ||x||
+
+
+def _spectrum_curves(document):
+    """(label, model, drive) of every curve of a spectrum document."""
+    p = document["parameters"]
+    grid = p["omega_grid"]
+    omega = np.linspace(grid["start"], grid["stop"], grid["num"])
+    for curve in p["curves"]:
+        pair = OscillatorPair(curve["omega_cav"], curve["omega_mat"], curve["kappa"], curve["gamma"])
+        model = CoupledModel(pair, ModelVariant(curve["variant"]), curve["g"])
+        drive = DriveSpec(
+            E_inc=p["E_inc"],
+            omega=omega,
+            f_cav=OscillatorStrength(curve["f_cav"]).reduced(),
+            f_mat=OscillatorStrength(curve["f_mat"]).reduced(),
+        )
+        yield curve["label"], model, drive
+
+
+@pytest.mark.parametrize("name", ["fig3c", "fig3d", "fig3e", "nanoparticle_spectrum"])
+def test_closed_form_matches_exact_cramer_on_the_spectra(name):
+    if name.startswith("fig"):
+        document = figure_document(name)
+    else:
+        document, _ = load_scenario_file(_SCENARIOS / f"{name}.yaml")
+    for label, model, drive in _spectrum_curves(document):
+        worst = _closed_form_error(model, drive)
+        assert worst <= _CLOSED_FORM_BOUND, (name, label, worst)
+
+
+@given(
+    variant=st.sampled_from([ModelVariant.SPC, ModelVariant.MOC]),
+    omega_cav=st.floats(min_value=0.5, max_value=2.0),
+    g=st.floats(min_value=0.01, max_value=0.3),
+    log_kappa=st.floats(min_value=-16.0, max_value=-4.0),
+    log_gamma=st.floats(min_value=-16.0, max_value=-4.0),
+    upper=st.booleans(),
+    log_offset=st.floats(min_value=-16.0, max_value=-6.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    f_cav=st.floats(min_value=0.1, max_value=10.0),
+    f_mat=st.floats(min_value=0.1, max_value=10.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_near_the_pole_guard_is_bounded_or_a_pole(
+    variant, omega_cav, g, log_kappa, log_gamma, upper, log_offset, sign, f_cav, f_mat
+):
+    # nearly lossless pairs driven within a relative 1e-16..1e-6 of a
+    # lossless branch: |det| / scale straddles the 1e-12 pole guard
+    model = _model(variant, g, 10.0**log_kappa, 10.0**log_gamma, omega_cav=omega_cav)
+    omega_plus, omega_minus = _branches(model)
+    branch = omega_plus if upper else omega_minus
+    omega = branch * (1.0 + sign * 10.0**log_offset)
+    drive = DriveSpec(E_inc=1.0, omega=omega, f_cav=f_cav, f_mat=f_mat)
+    try:
+        worst = _closed_form_error(model, drive)
+    except PoleError:
+        return
+    assert worst <= _CLOSED_FORM_BOUND

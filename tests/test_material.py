@@ -1,6 +1,7 @@
 """Bulk permittivity, reststrahlen band, and polariton dispersion."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -110,6 +111,29 @@ def test_permittivity_dispatches_on_the_variant():
     assert permittivity(_mc(), 2.0) == pytest.approx(1.0 + 0.36 / (1.0 - 4.0), rel=1e-14)
     t = 2.0 * 0.09 * 1.0 / (2.0 * (1.0 - 4.0))
     assert permittivity(_spc(), 2.0) == pytest.approx((t + math.sqrt(1.0 + t * t)) ** 2, rel=1e-14)
+
+
+def _amplitude_permittivity_decimal(omega_mat: float, g: float, w: float) -> Decimal:
+    """(t + sqrt(1 + t^2))^2 of the same float inputs, at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        big_omega, w = Decimal(omega_mat), Decimal(w)
+        t = 2 * Decimal(g) ** 2 * big_omega / (w * (big_omega**2 - w**2))
+        return (t + (1 + t * t).sqrt()) ** 2
+
+
+@pytest.mark.parametrize("offset", [1e-3, 1e-5, 1e-7, 1e-9])
+def test_amplitude_permittivity_above_its_pole_is_accurate(offset):
+    # just above Omega_mat, t is large and negative and t + sqrt(1 + t^2)
+    # would cancel; what is left is the rounding of Omega^2 - omega^2, whose
+    # condition number is about 2 Omega / |omega - Omega|
+    omega_mat, g = 1.0, 0.2
+    w = omega_mat + offset
+    got = permittivity(_spc(omega_mat, g), w)
+    want = _amplitude_permittivity_decimal(omega_mat, g, w)
+    rel = abs((Decimal(got) - want) / want)
+    condition = 2.0 * omega_mat / abs(w - omega_mat)
+    assert rel <= 4.0 * np.finfo(float).eps * (1.0 + condition)
 
 
 def test_amplitude_permittivity_trivial_without_coupling():
