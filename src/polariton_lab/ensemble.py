@@ -48,6 +48,7 @@ __all__ = [
 _MAX_DIPOLES = 500
 _MAX_MODES = 500
 _CUTOFF_SPACINGS = 10.0
+_PAIR_ROWS = 64  # rows per block of the pair-coupling kernel
 
 
 def _check_dipole_count(n: int) -> None:
@@ -147,7 +148,11 @@ class DipoleLattice:
 
     @cached_property
     def pair_couplings(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (distance matrix, amplitude-coupling matrix g_ij), computed once per lattice."""
+        """Read-only (distance matrix, amplitude-coupling matrix g_ij), computed once per lattice.
+
+        Each row block of ``_PAIR_ROWS`` dipoles is computed over the upper
+        triangle only and mirrored, exactly, into the lower one.
+        """
         dist, g = _pairwise_couplings(self)
         dist.flags.writeable = g.flags.writeable = False
         return dist, g
@@ -200,21 +205,34 @@ def _pairwise_couplings(lattice: DipoleLattice) -> tuple[np.ndarray, np.ndarray]
     """(distance matrix, amplitude-coupling matrix g_ij) with zero diagonals.
 
     ``g_ij = f 1/2 (1 - 3 (n.rhat)^2) / (r^3 omega_dip)`` for the shared
-    orientation; raises on coincident dipoles.
+    orientation; raises on coincident dipoles.  Both matrices are computed in
+    triangular row blocks: the ``_PAIR_ROWS`` rows ``[s, e)`` over the columns
+    ``j >= s`` only, whose transpose then fills the columns ``[s, e)`` of the
+    rows below.  The mirror is exact, since ``x_j - x_i == -(x_i - x_j)`` in
+    IEEE arithmetic only flips the sign of ``n.rhat``, and the temporaries
+    stay the size of a block.
     """
     pos = lattice.positions
     n = pos.shape[0]
-    dx, dy, dz = (c[:, None] - c for c in pos.T)
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    off = ~np.eye(n, dtype=bool)
-    if np.any(dist[off] == 0.0):
-        i, j = np.argwhere((dist == 0.0) & off)[0]
-        raise PolaritonError(f"dipoles {i} and {j} overlap at {pos[i]}")
-    safe = np.where(off, dist, 1.0)
     nx, ny, nz = lattice.orientation
-    cos_align = (dx * nx + dy * ny + dz * nz) / safe
-    ang = 1.0 - 3.0 * cos_align**2
-    g = np.where(off, 0.5 * lattice.f_dip_reduced * ang / (safe**3 * lattice.omega_dip), 0.0)
+    scale = 0.5 * lattice.f_dip_reduced
+    dist = np.empty((n, n))
+    g = np.empty((n, n))
+    for s in range(0, n, _PAIR_ROWS):
+        e = min(s + _PAIR_ROWS, n)
+        dx, dy, dz = (c[s:e, None] - c[s:] for c in pos.T)
+        d = np.sqrt(dx * dx + dy * dy + dz * dz)
+        np.fill_diagonal(d, 1.0)  # entry (r, r) pairs dipole s + r with itself
+        if not d.all():  # the first hit in row-major order lies above the diagonal
+            i, j = np.argwhere(d == 0.0)[0] + s
+            raise PolaritonError(f"dipoles {i} and {j} overlap at {pos[i]}")
+        cos_align = (dx * nx + dy * ny + dz * nz) / d
+        ang = 1.0 - 3.0 * cos_align**2
+        block = scale * ang / (d**3 * lattice.omega_dip)
+        dist[s:e, s:], dist[s:, s:e] = d, d.T
+        g[s:e, s:], g[s:, s:e] = block, block.T
+    np.fill_diagonal(dist, 0.0)
+    np.fill_diagonal(g, 0.0)
     return dist, g
 
 
@@ -247,10 +265,18 @@ class FullSystem:
                 f"got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}"
             )
         _require_positive("mode frequency", self.mode_frequencies)
+        for block in ("K_dd", "coupling"):  # NaN or inf would end in LAPACK's "did not converge"
+            value = getattr(self, block)
+            if np.iscomplexobj(value):  # a float cast would drop the imaginary part with a warning
+                _require_finite(f"{block} (real part)", value.real)
+                _require_finite(f"{block} (imaginary part)", value.imag)
+            else:
+                _require_finite(block, value)
         # eigvalsh reads one triangle: an asymmetric K_dd would be solved as another matrix
         k_dd = self.K_dd
-        if float(np.max(np.abs(k_dd - k_dd.T))) > 1e-12 * max(float(np.max(np.abs(k_dd))), 1.0):
-            raise PolaritonError("stiffness block K_dd is not symmetric")
+        if not np.array_equal(k_dd, k_dd.T):  # the exact test settles a built system in one pass
+            if float(np.max(np.abs(k_dd - k_dd.T))) > 1e-12 * max(float(np.max(np.abs(k_dd))), 1.0):
+                raise PolaritonError("stiffness block K_dd is not symmetric")
 
     @property
     def n_dip(self) -> int:
@@ -273,8 +299,14 @@ class FullSystem:
         is not positive definite has no real spectrum and is rejected.
         """
         c, omega = self.coupling, self.mode_frequencies
+        n, dim = self.n_dip, self.n_dip + self.n_modes
         dressed = c * omega
-        gauge = np.block([[self.K_dd + c @ c.conj().T, dressed], [dressed.conj().T, np.diag(omega**2)]])
+        gauge = np.empty((dim, dim), dtype=np.result_type(self.K_dd, c, omega))
+        np.matmul(c, c.conj().T, out=gauge[:n, :n])
+        gauge[:n, :n] += self.K_dd
+        gauge[:n, n:] = dressed
+        gauge[n:, :n] = dressed.conj().T
+        gauge[n:, n:] = np.diag(omega**2)
         squared = np.linalg.eigvalsh(gauge)
         if squared[0] <= 0.0:
             lowest = float(np.linalg.eigvalsh(self.K_dd)[0])
@@ -316,9 +348,11 @@ def build_full_system(
         raise PolaritonError("all dipoles must lie strictly between the mirrors (0 < z < L_cav)")
     _, g_pairs = lattice.pair_couplings  # also rejects coincident dipoles
     wd = lattice.omega_dip
-    k_dd = wd * wd * np.eye(n)
     if include_dipole_dipole:
-        k_dd += 2.0 * wd * g_pairs
+        k_dd = 2.0 * wd * g_pairs
+        np.fill_diagonal(k_dd, wd * wd)
+    else:
+        k_dd = wd * wd * np.eye(n)
     gmax = fp.g_max(lattice.f_dip_reduced)
     coupling = np.empty((n, len(fp.modes)), dtype=complex)
     for alpha, mode in enumerate(fp.modes):
@@ -354,7 +388,7 @@ def collective_reduce(
     if include_dipole_dipole and lattice.n_dip > 1:
         dist, g_pairs = lattice.pair_couplings
         cutoff = _CUTOFF_SPACINGS * lattice.spacing * (1.0 + 1e-12)
-        within = (dist > 0.0) & (dist <= cutoff)
+        within = dist <= cutoff  # the diagonal of g_pairs is zero
         # sum over neighbors j of each reference i, phased by k_par.(r_i - r_j)
         phase = np.exp(1j * (lattice.positions[:, :2] @ np.array(mode[1])))
         sums = phase * (np.where(within, g_pairs, 0.0) @ phase.conj())

@@ -1,9 +1,13 @@
 """Molecular ensembles in a planar cavity: full system vs collective reduction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polariton_lab import PolaritonError
 from polariton_lab.ensemble import (
@@ -355,6 +359,23 @@ def test_hand_built_system_accepts_lists():
     assert FullSystem(blocks[0], [[1.0], [0.5j]], blocks[2]).coupling.dtype == complex
 
 
+@pytest.mark.parametrize(
+    "k_dd, coupling, match",
+    [
+        ([[9.0, 0.0], [0.0, math.nan]], [[1.0], [1.0]], r"K_dd must be finite, got .* \(grid row 1\)"),
+        ([[math.inf, 0.0], [0.0, 9.0]], [[1.0], [1.0]], r"K_dd must be finite, got .* \(grid row 0\)"),
+        (np.eye(2), [[1.0], [-math.inf]], r"coupling must be finite, got \[-inf\] \(grid row 1\)"),
+        (np.eye(2), [[1.0], [complex(math.nan, 1.0)]], r"coupling \(real part\) must be finite, got \[nan\] \(grid row 1\)"),
+        (np.eye(2), [[complex(1.0, math.inf)], [1.0]], r"coupling \(imaginary part\) must be finite, got \[inf\] \(grid row 0\)"),
+    ],
+    ids=["nan-K_dd", "inf-K_dd", "inf-coupling", "nan-complex-coupling-real", "inf-complex-coupling-imaginary"],
+)
+def test_hand_built_system_needs_finite_blocks(k_dd, coupling, match):
+    # these used to pass and end in LAPACK's bare "Eigenvalues did not converge"
+    with pytest.raises(PolaritonError, match=match):
+        FullSystem(K_dd=k_dd, coupling=coupling, mode_frequencies=[3.0])
+
+
 def test_two_dipoles_without_modes_split_symmetrically():
     # side-by-side pair: amplitude coupling g splits the degenerate line into
     # sqrt(w^2 -/+ 2 w g) (the repulsive perpendicular arrangement raises the
@@ -481,3 +502,142 @@ def test_reduction_guards():
     lat = cubic_dipole_lattice(fp, 3.0, (1, 1, 2), _F_DIP, 3.0)
     with pytest.raises(PolaritonError, match="not among"):
         collective_reduce(lat, fp, (2, (0.0, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# the blocked pair kernel and the preallocated gauge matrix, bit for bit
+# against the dense N x N formulation they replaced
+
+
+def _dense_pairwise_couplings(lattice):
+    """The dense formulation of ``_pairwise_couplings``, kept as an oracle."""
+    pos = lattice.positions
+    n = pos.shape[0]
+    dx, dy, dz = (c[:, None] - c for c in pos.T)
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    off = ~np.eye(n, dtype=bool)
+    if np.any(dist[off] == 0.0):
+        i, j = np.argwhere((dist == 0.0) & off)[0]
+        raise PolaritonError(f"dipoles {i} and {j} overlap at {pos[i]}")
+    safe = np.where(off, dist, 1.0)
+    nx, ny, nz = lattice.orientation
+    cos_align = (dx * nx + dy * ny + dz * nz) / safe
+    ang = 1.0 - 3.0 * cos_align**2
+    g = np.where(off, 0.5 * lattice.f_dip_reduced * ang / (safe**3 * lattice.omega_dip), 0.0)
+    return dist, g
+
+
+def _dense_k_dd(lattice, include_dipole_dipole):
+    """The stiffness block as ``wd^2 I + 2 wd g``, from the dense pair couplings."""
+    n = lattice.n_dip
+    _, g_pairs = _dense_pairwise_couplings(lattice)
+    wd = lattice.omega_dip
+    k_dd = wd * wd * np.eye(n)
+    if include_dipole_dipole:
+        k_dd += 2.0 * wd * g_pairs
+    return k_dd
+
+
+def _block_gauge(full):
+    """The dipole-gauge matrix assembled with ``np.block``."""
+    c, omega = full.coupling, full.mode_frequencies
+    dressed = c * omega
+    return np.block([[full.K_dd + c @ c.conj().T, dressed], [dressed.conj().T, np.diag(omega**2)]])
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def _solved_gauge(full, monkeypatch):
+    """The matrix ``full.eigenfrequencies()`` hands to ``eigvalsh`` first, and its
+    result (None when the stiffness block is rejected as indefinite)."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrix):
+        seen.append(matrix.copy())
+        return eigvalsh(matrix)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", spy)
+        try:
+            freqs = full.eigenfrequencies()
+        except PolaritonError as exc:
+            assert "not positive definite" in str(exc)
+            freqs = None
+    return seen[0], freqs
+
+
+def _assert_matches_the_dense_build(lattice, fp, monkeypatch):
+    dist, g = lattice.pair_couplings
+    dense_dist, dense_g = _dense_pairwise_couplings(lattice)
+    _assert_same_bits(dist, dense_dist)
+    _assert_same_bits(g, dense_g)
+    _assert_same_bits(dist, dist.T)  # the mirrored triangle is exact
+    _assert_same_bits(g, g.T)
+    for dipole_dipole in (False, True):
+        full = build_full_system(lattice, fp, include_dipole_dipole=dipole_dipole)
+        _assert_same_bits(full.K_dd, _dense_k_dd(lattice, dipole_dipole))
+        gauge, freqs = _solved_gauge(full, monkeypatch)
+        expected = _block_gauge(full)
+        _assert_same_bits(gauge, expected)
+        squared = np.linalg.eigvalsh(expected)
+        if freqs is None:  # close dipoles can make the stiffness block indefinite
+            assert squared[0] <= 0.0
+        else:
+            _assert_same_bits(freqs, np.sqrt(squared))
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (2, 1, 1), (7, 9, 1), (4, 4, 4), (5, 13, 1), (8, 8, 2), (5, 5, 20)],
+    ids=lambda shape: f"N{math.prod(shape)}",
+)
+@pytest.mark.parametrize("modes", [(_MODE,), _TILTED_MODES], ids=["real-coupling", "complex-coupling"])
+def test_lattice_matrices_are_bit_identical_to_the_dense_build(shape, modes, monkeypatch):
+    # N = 63, 64 and 65 straddle one block of rows, 128 fills two, 500 is the cap
+    fp = _fp(L_cav=206.64, period=60.0, modes=modes)
+    orientation = (math.cos(math.pi / 6.0), math.sin(math.pi / 6.0), 0.0)
+    lat = cubic_dipole_lattice(fp, 10.0, shape, _F_DIP, 3.0, orientation=orientation)
+    _assert_matches_the_dense_build(lat, fp, monkeypatch)
+
+
+_SITES = np.array([(4.0 + 8.0 * x, 4.0 + 8.0 * y, 10.0 + 20.0 * z) for z in range(3) for y in range(7) for x in range(7)])
+
+
+@given(
+    sites=st.permutations(range(len(_SITES))),
+    jitter=st.one_of(st.integers(1, 64), st.integers(65, 140)).flatmap(
+        lambda n: arrays(np.float64, (n, 3), elements=st.floats(min_value=-3.0, max_value=3.0))
+    ),
+    theta=st.floats(min_value=0.0, max_value=math.pi),
+    phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+@settings(max_examples=60, deadline=None)
+def test_off_lattice_matrices_are_bit_identical_to_the_dense_build(sites, jitter, theta, phi):
+    # N dipoles, each within 3 nm of its own site of an 8 nm grid (so none coincide),
+    # in shuffled order and at out-of-plane orientations; N spans one to three row blocks
+    positions = _SITES[sites[: len(jitter)]] + jitter
+    orientation = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    lat = DipoleLattice(positions, orientation, _F_DIP, 3.0, 3.0)
+    fp = _fp(L_cav=60.0, period=60.0, modes=_TILTED_MODES)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_matches_the_dense_build(lat, fp, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "copies", [((3, 5),), ((3, 130),), ((70, 100), (3, 130)), ((64, 65),)],
+    ids=["within-a-block", "across-blocks", "first-in-row-order", "block-edge"],
+)
+def test_coincident_dipoles_are_named_as_in_the_dense_build(copies):
+    positions = np.column_stack([np.arange(140) * 3.0 + 1.0, np.zeros(140), np.full(140, 10.0)])
+    for source, target in copies:
+        positions[target] = positions[source]
+    lat = DipoleLattice(positions, (1.0, 0.0, 0.0), _F_DIP, 3.0, 3.0)
+    with pytest.raises(PolaritonError) as dense:
+        _dense_pairwise_couplings(lat)
+    i, j = copies[-1]
+    assert str(dense.value) == f"dipoles {i} and {j} overlap at {positions[i]}"
+    with pytest.raises(PolaritonError, match=f"^{re.escape(str(dense.value))}$"):
+        lat.pair_couplings
