@@ -13,6 +13,14 @@ path with the classical solvers.  Untruncated, every level is
 truncated levels with those of the dipole-gauge partner, a different
 truncated matrix with the same untruncated spectrum, so it measures
 truncation error.
+
+The truncated Hamiltonian is solved for its lowest levels only.  Each parity
+block, sorted by photon number with photon numbers paired, is a
+block-tridiagonal band of super-blocks of ``n_max + 1`` rows.  From a shift
+that a block Cholesky factorization proves lies below the spectrum,
+shift-and-invert block Krylov converges the wanted levels, and the Sylvester
+inertia of the block LDL^T just above the last of them certifies that none
+was missed.  Bands too small for Krylov to pay are diagonalized whole.
 """
 
 from __future__ import annotations
@@ -25,6 +33,12 @@ import numpy as np
 
 from .exceptions import PolaritonError
 from .units import _require_integer, _require_nonnegative, _require_positive
+
+# Krylov stops when every wanted Ritz residual is at most this, times the largest diagonal entry
+_RESIDUAL = 1e-10
+# a parity block is solved by Krylov only when a basis of this many blocks, twice
+# the steps a solve typically takes, fits in half of it
+_KRYLOV_BLOCKS = 24
 
 __all__ = [
     "HopfieldParams",
@@ -116,44 +130,174 @@ def _fock_terms(p: HopfieldParams, n_max: int, *, rwa: bool = False) -> list[tup
     return [(wc * num + self_term, eye), (eye, wm * num), *coupling, (0.5 * (wc + wm) * eye, eye)]
 
 
-def _parity_blocks(terms: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd parity blocks of H = sum_k kron(A_k, B_k).
+def _band(terms: list[tuple[np.ndarray, np.ndarray]], parity: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The block of states with n_a + n_b of parity ``parity`` as a block-tridiagonal band ``(diag, sub, size)``.
 
-    Every interaction used here changes the total excitation number by 0 or
-    +/-2, so (n_a + n_b) mod 2 is conserved and H splits into two blocks of
-    roughly half the dimension.  Listing each mode's even Fock states before
-    its odd ones, the even block is spanned by the (n_a, n_b) parity sectors
-    (even, even) and (odd, odd), the odd block by (even, odd) and (odd, even),
-    each sector in kron order.  Each term adds only the products of the
-    nonzero entries of A_k and B_k, scattered to their rows and columns in the
-    blocks, in the order of ``terms``; the d^2 x d^2 matrix and the dense
-    kron products are never formed.
+    Every interaction changes n_a + n_b by 0 or +/-2.  Photon-major, with
+    photon numbers 2j and 2j + 1 in super-block j of d = n_max + 1 rows and
+    matter numbers ascending, only neighbouring super-blocks meet (the
+    coupling moves n_a by 1, the self-term by 2): ``sub[j]`` couples rows of
+    super-block j + 1 to columns of super-block j.  Entries sum the term
+    products in term order from 0, as the kron sum does.  Rows from ``size``
+    on (photon number d, for odd d) are decoupled, with a diagonal above
+    every level.
     """
     d = terms[0][0].shape[0]
-    sizes = np.array([(d + 1) // 2, d // 2])  # even and odd Fock states of one mode
-    half, parity = np.divmod(np.arange(d), 2)
-    # row of the pair state (n_a, n_b) in its block: the offset of its parity
-    # sector, then its kron-order index within that sector
-    offset = parity[:, None] * sizes[0] * sizes[1 - parity]
-    row = offset + half[:, None] * sizes[parity] + half
-    pair_parity = (parity[:, None] + parity) % 2
-    n_even, n_odd = sizes
-    blocks = (np.zeros((n_even**2 + n_odd**2,) * 2), np.zeros((2 * n_even * n_odd,) * 2))
+    m = (d + 1) // 2
+    matter = np.concatenate((np.arange(parity, d, 2), np.arange(1 - parity, d, 2)))
+    photon = 2 * np.arange(m)[:, None] + (np.arange(d) >= (d + 1 - parity) // 2)
+    inner = photon[:, :, None] * 2 * m + photon[:, None, :]  # flat indices into the padded A_k
+    lower = photon[1:, :, None] * 2 * m + photon[:-1, None, :]
+    padded = np.zeros((2 * m, 2 * m))  # photon number d, if any, has no entries
+    diag = sub = 0
     for a, b in terms:
-        ra, ca = np.nonzero(a)
-        rb, cb = np.nonzero(b)
-        rows, cols = row[ra[:, None], rb], row[ca[:, None], cb]
-        values = np.multiply.outer(a[ra, ca], b[rb, cb])
-        row_parity, col_parity = pair_parity[ra[:, None], rb], pair_parity[ca[:, None], cb]
-        for p, block in enumerate(blocks):
-            keep = (row_parity == p) & (col_parity == p)
-            block[rows[keep], cols[keep]] += values[keep]
-    return blocks
+        padded[:d, :d] = a
+        b = b[matter[:, None], matter]
+        diag = diag + padded.ravel()[inner] * b
+        sub = sub + padded.ravel()[lower] * b
+    size = d * d // 2 + (d % 2) * (1 - parity)
+    phantom = np.arange(size - (m - 1) * d, d)
+    # twice a bound on the largest row sum, so above every level
+    bound = np.abs(diag).sum(axis=2).max() + np.abs(sub).sum(axis=2).max() + np.abs(sub).sum(axis=1).max()
+    diag[-1, phantom, phantom] = 2.0 * bound
+    return diag, sub, size
 
 
-def _all_levels(terms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """All eigenvalues of H = sum_k kron(A_k, B_k), sorted, one parity block at a time."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in _parity_blocks(terms)]))
+def _band_product(diag: np.ndarray, sub: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H @ x for the band of ``_band`` and ``x`` of shape (rows, columns)."""
+    x = x.reshape(*diag.shape[:2], -1)
+    y = diag @ x
+    y[1:] += sub @ x[:-1]
+    y[:-1] += sub.transpose(0, 2, 1) @ x[1:]
+    return y.reshape(-1, x.shape[2])
+
+
+def _ldl(diag: np.ndarray, sub: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Block LDL^T of H - shift: inverted pivots, multipliers and the number of eigenvalues below ``shift``.
+
+    Pivot j is S_j = diag[j] - shift - sub[j-1] S_{j-1}^-1 sub[j-1]^T.  By
+    Sylvester's law of inertia H - shift has as many negative eigenvalues as
+    the pivots together; a pivot whose Cholesky factorization succeeds has none.
+    """
+    eye = np.eye(diag.shape[1])
+    inverses, multipliers = np.empty_like(diag), np.empty_like(sub)
+    below = 0
+    pivot = diag[0] - shift * eye
+    for j in range(len(diag)):
+        try:
+            np.linalg.cholesky(pivot)
+        except np.linalg.LinAlgError:
+            below += int(np.count_nonzero(np.linalg.eigvalsh(pivot) < 0.0))
+        inverses[j] = np.linalg.inv(pivot)
+        if j < len(sub):
+            multipliers[j] = sub[j] @ inverses[j]
+            pivot = diag[j + 1] - shift * eye - multipliers[j] @ sub[j].T
+    return inverses, multipliers, below
+
+
+def _shifted_solve(inverses: np.ndarray, multipliers: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(H - shift)^-1 @ x from the factorization of ``_ldl``, a super-block at a time."""
+    z = x.reshape(*inverses.shape[:2], -1).copy()
+    for j, multiplier in enumerate(multipliers):
+        z[j + 1] -= multiplier @ z[j]
+    z = inverses @ z
+    for j in reversed(range(len(multipliers))):
+        z[j] -= multipliers[j].T @ z[j + 1]
+    return z.reshape(x.shape)
+
+
+def _certify(diag: np.ndarray, sub: np.ndarray, levels: np.ndarray, gap: float, count: int) -> None:
+    """Raise unless exactly ``len(levels)`` eigenvalues lie below ``levels[-1] + gap``: none was missed."""
+    below = _ldl(diag, sub, levels[-1] + gap)[2]
+    if below != len(levels):
+        raise PolaritonError(
+            f"truncated Fock solve at n_max={diag.shape[1] - 1}, n_levels={count - 1} missed a level: "
+            f"{below} eigenvalues of a parity block lie just above the lowest {len(levels)} found, or below"
+        )
+
+
+def _krylov_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int) -> np.ndarray | None:
+    """The lowest ``count`` levels of a band by shift-and-invert block Krylov, or None if the basis fills half of it.
+
+    The basis grows until the lowest ``count`` Ritz pairs, with any Ritz
+    values clustered just above them, have residuals of at most
+    ``_RESIDUAL`` times the largest diagonal entry; those are certified and
+    refined by a last Rayleigh-Ritz pass of their own.
+    """
+    n = diag.shape[0] * diag.shape[1]
+    exponent = math.frexp(float(np.max(np.abs(diag))))[1]  # scaled exactly to entries of at most 1
+    diag, sub = np.ldexp(diag, -exponent), np.ldexp(sub, -exponent)
+    diagonal = np.diagonal(diag, axis1=1, axis2=2).ravel()
+    scale = float(diagonal[:size].max())
+    width, limit, tol = count + 2, n // 2, _RESIDUAL * scale
+    gap = 10.0 * tol  # Ritz values closer than 2 * gap are one cluster, reported whole
+    # the lowest super-block level lies above the lowest level (interlacing); step
+    # down from it until the factorization proves the shift is below the spectrum
+    top = float(np.linalg.eigvalsh(diag).min())
+    step = 1e-3 * scale
+    while (factor := _ldl(diag, sub, top - step))[2]:
+        step *= 4.0
+    # deterministic start: the lowest-diagonal unit vectors, perturbed off the phantom rows
+    start = 1e-2 * np.cos(np.outer(np.arange(n), np.arange(1, width + 1)))
+    start[size:] = 0.0
+    start[np.argsort(diagonal, kind="stable")[:width], np.arange(width)] += 1.0
+    block = np.linalg.qr(start)[0]
+    rows, products, projected = np.empty((limit, n)), np.empty((limit, n)), np.empty((limit, limit))
+    k = steps = check = 0
+    while k + width <= limit:
+        rows[k : k + width] = block.T
+        products[k : k + width] = _band_product(diag, sub, block).T
+        projected[k : k + width, : k + width] = products[k : k + width] @ rows[: k + width].T
+        k += width
+        steps += 1
+        if steps >= check:
+            ritz, vectors = np.linalg.eigh(projected[:k, :k])  # reads the lower triangle
+            found = count
+            while found < k and ritz[found] - ritz[found - 1] <= 2.0 * gap:
+                found += 1
+            if found >= width and np.min(ritz[width - 1 : found] - ritz[: found - width + 1]) <= 2.0 * gap:
+                return None  # a cluster as wide as the block, whose multiplicity the basis cannot see
+            if found < k:
+                wanted = vectors[:, :found].T
+                ritz_vectors = wanted @ rows[:k]
+                misfit = wanted @ products[:k] - ritz[:found, None] * ritz_vectors
+                residual = np.max(np.linalg.norm(misfit, axis=1))
+                if residual <= tol:
+                    _certify(diag, sub, ritz[:found], gap, count)
+                    q = np.linalg.qr(ritz_vectors.T)[0]
+                    return np.ldexp(np.linalg.eigvalsh(q.T @ _band_product(diag, sub, q))[:count], exponent)
+                # residuals fall about geometrically: check again when they should be below tol
+                ahead = 1
+                if check and residual < last:
+                    rate = (residual / last) ** (1.0 / (steps - last_step))
+                    ahead = min(max(int(math.log(tol / residual) / math.log(rate)), 1), 4)
+                check, last, last_step = steps + ahead, residual, steps
+        w = _shifted_solve(*factor[:2], block)
+        norm = np.linalg.norm(w)
+        for _ in range(2):
+            w -= rows[:k].T @ (rows[:k] @ w)
+        block, r = np.linalg.qr(w)
+        if np.min(np.abs(np.diagonal(r))) <= 1e-12 * norm:
+            return None  # the new block is not independent of the basis
+    return None
+
+
+def _lowest_levels(terms: list[tuple[np.ndarray, np.ndarray]], count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvalues of H = sum_k kron(A_k, B_k), sorted, from its two parity bands."""
+    levels = []
+    for parity in (0, 1):
+        diag, sub, size = _band(terms, parity)
+        m, d, _ = diag.shape
+        band = None
+        if (count + 2) * _KRYLOV_BLOCKS <= m * d // 2:
+            band = _krylov_levels(diag, sub, size, count)
+        if band is None:  # the whole band as the basis: a dense solve, which misses nothing
+            dense = np.zeros((m, d, m, d))  # eigvalsh reads the lower triangle
+            dense[np.arange(m), :, np.arange(m)] = diag
+            dense[np.arange(1, m), :, np.arange(m - 1)] = sub
+            band = np.linalg.eigvalsh(dense.reshape(m * d, m * d)[:size, :size])[:count]
+        levels.append(band)
+    return np.sort(np.concatenate(levels))[:count]
 
 
 def truncated_fock_spectrum(
@@ -166,6 +310,10 @@ def truncated_fock_spectrum(
     the counter-rotating coupling terms are dropped, which removes the
     ground-state dressing and reduces the excitation energies to the
     first-order (linearized) branch values when ``D = 0``.
+
+    Only the lowest ``n_levels + 1`` levels are computed (see the module
+    notes); if the inertia count finds a level the Krylov solve missed,
+    :class:`PolaritonError` names ``n_max`` and ``n_levels``.
     """
     n_max = _require_integer("n_max", n_max)
     n_levels = _require_integer("n_levels", n_levels)
@@ -175,7 +323,7 @@ def truncated_fock_spectrum(
         raise PolaritonError(
             f"n_levels must be in [1, {total - 1}] for n_max={n_max}, got {n_levels}"
         )
-    levels = _all_levels(terms)
+    levels = _lowest_levels(terms, n_levels + 1)
     e0 = float(levels[0])
     return QuantumSpectrum(
         excitation_energies=levels[1 : 1 + n_levels] - e0,
@@ -222,7 +370,7 @@ def frame_equivalence_check(p: HopfieldParams, spectrum: QuantumSpectrum) -> flo
             f"omega_mat = {wm:.6g} eV: g^2 + D (omega_cav^2 - omega_mat^2) / omega_mat = {g_squared:.6g} eV^2 < 0"
         )
     partner = HopfieldParams(wm, wc, math.sqrt(g_squared), p.D * wc / wm)
-    levels = _all_levels(_fock_terms(partner, spectrum.truncation))
+    levels = _lowest_levels(_fock_terms(partner, spectrum.truncation), len(spectrum.excitation_energies) + 1)
     excitations = levels[1 : 1 + len(spectrum.excitation_energies)] - levels[0]
     ground = abs(float(levels[0]) - spectrum.ground_state_energy)
     return max(ground, float(np.max(np.abs(excitations - spectrum.excitation_energies))))

@@ -4,16 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polariton_lab import PolaritonError
 from polariton_lab.hopfield import (
     HopfieldParams,
     QuantumSpectrum,
-    _all_levels,
+    _band,
+    _certify,
     _fock_terms,
-    _parity_blocks,
+    _lowest_levels,
     frame_equivalence_check,
     hopfield_quartic_eigen,
     truncated_fock_spectrum,
@@ -229,22 +230,15 @@ def _dense_fock_levels(p, n_max, frame):
     return np.linalg.eigvalsh(h)
 
 
-def _kron_parity_blocks(terms):
-    """The two parity blocks assembled from dense np.kron products with np.block.
+def _band_states(d, parity):
+    """Kron indices n_a * d + n_b of one parity block's states, listed by super-block.
 
-    Each sub-block between sectors (r_a, r_b) and (c_a, c_b) is
-    sum_k kron(A_k[r_a, c_a], B_k[r_b, c_b]), summed from 0 in term order.
+    Super-block j holds photon numbers 2j and 2j + 1, photon-major, each
+    photon number's matter numbers ascending.
     """
-    d = terms[0][0].shape[0]
-    even, odd = slice(0, d, 2), slice(1, d, 2)
     return [
-        np.block(
-            [
-                [sum(np.kron(a[ra, ca], b[rb, cb]) for a, b in terms) for ca, cb in sectors]
-                for ra, rb in sectors
-            ]
-        )
-        for sectors in (((even, even), (odd, odd)), ((even, odd), (odd, even)))
+        [n_a * d + n_b for n_a in (2 * j, 2 * j + 1) if n_a < d for n_b in range(d) if (n_a + n_b) % 2 == parity]
+        for j in range((d + 1) // 2)
     ]
 
 
@@ -270,31 +264,92 @@ def _dipole_gauge_partner(p):
 @pytest.mark.parametrize("n_max", [2, 3, 12])
 @pytest.mark.parametrize("frame", ["position", "rwa", "dipole"])
 def test_scattered_parity_blocks_equal_the_kron_assembly(n_max, frame):
+    # each parity block, sorted into its band order, against the dense kron sum
     if frame == "dipole":
         terms = _fock_terms(_dipole_gauge_partner(_DENSE_CASE), n_max)
     else:
         terms = _fock_terms(_DENSE_CASE, n_max, rwa=frame == "rwa")
-    reference = _kron_parity_blocks(terms)
-    assert all(np.array_equal(block, ref) for block, ref in zip(_parity_blocks(terms), reference, strict=True))
-    # the reference is the dense kron sum with its rows and columns sorted by
-    # parity sector, and nothing couples the two blocks
     d = n_max + 1
-    state = np.arange(d * d).reshape(d, d)
-    even, odd = slice(0, d, 2), slice(1, d, 2)
-    order = [
-        np.concatenate([state[ra, rb].ravel() for ra, rb in sectors])
-        for sectors in (((even, even), (odd, odd)), ((even, odd), (odd, even)))
-    ]
     dense = sum(np.kron(a, b) for a, b in terms)
-    assert all(np.array_equal(ref, dense[np.ix_(rows, rows)]) for ref, rows in zip(reference, order))
-    assert not np.any(dense[np.ix_(order[0], order[1])])
+    top = np.linalg.eigvalsh(dense)[-1]
+    blocks = []
+    for parity in (0, 1):
+        diag, sub, size = _band(terms, parity)
+        states = _band_states(d, parity)
+        assert size == sum(map(len, states))
+        for j, rows in enumerate(states):
+            r = len(rows)
+            # bit for bit against the kron sum; phantom rows, if any, are decoupled
+            # and sit above every level
+            assert np.array_equal(diag[j, :r, :r], dense[np.ix_(rows, rows)])
+            assert not np.any(diag[j, r:, :r]) and not np.any(diag[j, :r, r:])
+            phantom = diag[j, r:, r:]
+            assert np.array_equal(phantom, np.diag(np.diag(phantom))) and np.all(np.diag(phantom) > top)
+            if j:
+                assert np.array_equal(sub[j - 1, :r, : len(states[j - 1])], dense[np.ix_(rows, states[j - 1])])
+                assert not np.any(sub[j - 1, r:]) and not np.any(sub[j - 1, :, len(states[j - 1]) :])
+        # nothing lies outside the band: super-blocks two or more apart never meet
+        for j, rows in enumerate(states):
+            for far in states[j + 2 :]:
+                assert not np.any(dense[np.ix_(rows, far)])
+        blocks.append(sum(states, []))
+    # and the two parity blocks share no entry and cover every state
+    assert not np.any(dense[np.ix_(*blocks)])
+    assert sorted(sum(blocks, [])) == list(range(d * d))
 
 
 def test_dipole_gauge_partner_levels_match_the_dense_kron_hamiltonian():
     # the partner is the real build with the mode roles swapped; the reference
     # keeps the mode order and moves the self-term instead
-    levels = _all_levels(_fock_terms(_dipole_gauge_partner(_DENSE_CASE), 12))
+    levels = _lowest_levels(_fock_terms(_dipole_gauge_partner(_DENSE_CASE), 12), 169)
     assert np.max(np.abs(levels - _dense_fock_levels(_DENSE_CASE, 12, "dipole"))) <= 1e-12
+
+
+@st.composite
+def _oracle_cases(draw):
+    """Stable parameters, a frame, a truncation and a level count for the lowest-levels solve.
+
+    g runs up to the SpC instability g^2 = omega_cav * omega_mat / 4 and, with
+    the matched MoC self-term, into deep-strong coupling.
+    """
+    omega_cav = draw(st.floats(0.3, 3.0))
+    if draw(st.booleans()):
+        g = draw(st.floats(0.0, 0.999)) * math.sqrt(omega_cav) / 2.0
+        p = HopfieldParams(omega_cav, 1.0, g, 0.0)
+    else:
+        g = draw(st.floats(0.0, 1.2))
+        p = HopfieldParams(omega_cav, 1.0, g, g * g)
+    n_max = draw(st.integers(2, 40))
+    count = draw(st.one_of(st.integers(1, 8), st.integers(1, (n_max + 1) ** 2)))
+    return p, draw(st.sampled_from(["position", "rwa", "dipole"])), n_max, count
+
+
+@given(case=_oracle_cases())
+@example(case=(HopfieldParams(1.1, 1.0, 0.3, 0.09), "dipole", 40, 6))  # the benchmark box
+@example(case=(HopfieldParams(0.3601, 1.0, 0.3, 0.0), "position", 40, 6))  # SpC near instability
+@example(case=(HopfieldParams(0.3, 1.0, 1.2, 1.44), "position", 40, 6))  # deep-strong MoC
+@example(case=(HopfieldParams(1.0, 1.0, 0.0, 0.0), "position", 28, 4))  # degenerate ladder
+@settings(max_examples=30, deadline=None)
+def test_lowest_levels_match_the_dense_kron_hamiltonian(case):
+    p, frame, n_max, count = case
+    if frame == "dipole":
+        terms = _fock_terms(_dipole_gauge_partner(p), n_max)
+    else:
+        terms = _fock_terms(p, n_max, rwa=frame == "rwa")
+    levels = _lowest_levels(terms, count)
+    assert levels.shape == (count,)
+    assert np.max(np.abs(levels - _dense_fock_levels(p, n_max, frame)[:count])) <= 1e-12
+
+
+def test_certificate_raises_on_a_missed_level():
+    terms = _fock_terms(_DENSE_CASE, 12)
+    diag, sub, _ = _band(terms, 0)
+    dense = sum(np.kron(a, b) for a, b in terms)
+    even = sum(_band_states(13, 0), [])
+    levels = np.linalg.eigvalsh(dense[np.ix_(even, even)])[:6]
+    _certify(diag, sub, levels, 1e-9, 6)
+    with pytest.raises(PolaritonError, match=r"n_max=12, n_levels=5 missed a level"):
+        _certify(diag, sub, np.delete(levels, 2), 1e-9, 6)
 
 
 def test_frame_check_matches_the_dense_kron_hamiltonian():

@@ -743,16 +743,17 @@ def test_frame_check_needs_the_full_hamiltonian(tmp_path):
 
 def test_frame_check_solves_the_position_frame_once(tmp_path, monkeypatch):
     calls = []
-    solve = hopfield._all_levels
+    solve = hopfield._lowest_levels
 
-    def counted(terms):
-        calls.append(len(terms[0][0]))
-        return solve(terms)
+    def counted(terms, count):
+        calls.append((len(terms[0][0]), count))
+        return solve(terms, count)
 
-    monkeypatch.setattr(hopfield, "_all_levels", counted)
+    monkeypatch.setattr(hopfield, "_lowest_levels", counted)
     _run(_quantum_doc(omega_cav=1.2, n_max=12, frame_check=True), tmp_path)
     # one position-frame solve, one dipole-gauge partner solve, both at n_max = 12
-    assert calls == [13, 13]
+    # and for the ground state and the five excitations
+    assert calls == [(13, 6), (13, 6)]
 
 
 # ---------------------------------------------------------------------------
