@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polariton_lab import PolaritonError
+from polariton_lab import PolaritonError, hopfield
 from polariton_lab.hopfield import (
     HopfieldParams,
     QuantumSpectrum,
@@ -339,6 +339,29 @@ def test_lowest_levels_match_the_dense_kron_hamiltonian(case):
     levels = _lowest_levels(terms, count)
     assert levels.shape == (count,)
     assert np.max(np.abs(levels - _dense_fock_levels(p, n_max, frame)[:count])) <= 1e-12
+
+
+def test_benchmark_box_takes_the_certified_krylov_path(monkeypatch):
+    certified = []
+    certify = hopfield._certify
+
+    def counted(diag, sub, levels, gap, count):
+        certified.append(len(levels))
+        return certify(diag, sub, levels, gap, count)
+
+    monkeypatch.setattr(hopfield, "_certify", counted)
+    truncated_fock_spectrum(HopfieldParams(1.1, 1.0, 0.3, 0.09), n_max=40, n_levels=5)
+    # one certificate per parity band, each for at least the six levels asked of it
+    assert len(certified) == 2 and min(certified) >= 6
+
+
+def test_degenerate_level_wider_than_the_krylov_block_is_solved_whole():
+    # uncoupled, with a vanishing matter frequency: the 15 even states of photon
+    # number 0 share the ground level, more copies than a 6-column Krylov block
+    # can hold, so the band is diagonalized whole instead of failing its certificate
+    p = HopfieldParams(omega_cav=1.0, omega_mat=1e-300, g_qed=0.0)
+    levels = _lowest_levels(_fock_terms(p, 28), 4)
+    assert np.max(np.abs(levels - _dense_fock_levels(p, 28, "position")[:4])) <= 1e-12
 
 
 def test_certificate_raises_on_a_missed_level():
