@@ -20,7 +20,9 @@ block-tridiagonal band of super-blocks of ``n_max + 1`` rows.  From a shift
 that a block Cholesky factorization proves lies below the spectrum,
 shift-and-invert block Krylov converges the wanted levels, and the Sylvester
 inertia of the block LDL^T just above the last of them certifies that none
-was missed.  Bands too small for Krylov to pay are diagonalized whole.
+was missed.  The shift bound and a near-converged start both come from one
+dense ``eigh`` of the band's states whose photon and matter numbers are both
+below a cut.  Bands too small for Krylov to pay are diagonalized whole.
 """
 
 from __future__ import annotations
@@ -36,9 +38,12 @@ from .units import _require_integer, _require_nonnegative, _require_positive
 
 # Krylov stops when every wanted Ritz residual is at most this, times the largest diagonal entry
 _RESIDUAL = 1e-10
-# a parity block is solved by Krylov only when a basis of this many blocks, twice
-# the steps a solve typically takes, fits in half of it
-_KRYLOV_BLOCKS = 24
+# a parity block is solved by Krylov only when a basis of this many blocks fits in half
+# of it: measured on n_max 24-40, the Krylov path is the faster from 18-23 blocks up
+_KRYLOV_BLOCKS = 22
+# the Krylov start's principal block: photon and matter numbers below this (128 rows per parity)
+# or below (n_max + 1) / 2, a quarter of a smaller band
+_START_CUT = 16
 
 __all__ = [
     "HopfieldParams",
@@ -130,6 +135,12 @@ def _fock_terms(p: HopfieldParams, n_max: int, *, rwa: bool = False) -> list[tup
     return [(wc * num + self_term, eye), (eye, wm * num), *coupling, (0.5 * (wc + wm) * eye, eye)]
 
 
+def _band_numbers(d: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Photon numbers (super-block, row) and matter numbers (row) of the rows of ``_band``."""
+    matter = np.concatenate((np.arange(parity, d, 2), np.arange(1 - parity, d, 2)))
+    return 2 * np.arange((d + 1) // 2)[:, None] + (np.arange(d) >= (d + 1 - parity) // 2), matter
+
+
 def _band(terms: list[tuple[np.ndarray, np.ndarray]], parity: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The block of states with n_a + n_b of parity ``parity`` as a block-tridiagonal band ``(diag, sub, size)``.
 
@@ -144,8 +155,7 @@ def _band(terms: list[tuple[np.ndarray, np.ndarray]], parity: int) -> tuple[np.n
     """
     d = terms[0][0].shape[0]
     m = (d + 1) // 2
-    matter = np.concatenate((np.arange(parity, d, 2), np.arange(1 - parity, d, 2)))
-    photon = 2 * np.arange(m)[:, None] + (np.arange(d) >= (d + 1 - parity) // 2)
+    photon, matter = _band_numbers(d, parity)
     inner = photon[:, :, None] * 2 * m + photon[:, None, :]  # flat indices into the padded A_k
     lower = photon[1:, :, None] * 2 * m + photon[:-1, None, :]
     padded = np.zeros((2 * m, 2 * m))  # photon number d, if any, has no entries
@@ -170,6 +180,15 @@ def _band_product(diag: np.ndarray, sub: np.ndarray, x: np.ndarray) -> np.ndarra
     y[1:] += sub @ x[:-1]
     y[:-1] += sub.transpose(0, 2, 1) @ x[1:]
     return y.reshape(-1, x.shape[2])
+
+
+def _dense(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """The band of ``_band`` as a dense matrix, its lower triangle only, as ``eigh`` and ``eigvalsh`` read it."""
+    m, d, _ = diag.shape
+    dense = np.zeros((m, d, m, d))
+    dense[np.arange(m), :, np.arange(m)] = diag
+    dense[np.arange(1, m), :, np.arange(m - 1)] = sub
+    return dense.reshape(m * d, m * d)
 
 
 def _ldl(diag: np.ndarray, sub: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -216,13 +235,16 @@ def _certify(diag: np.ndarray, sub: np.ndarray, levels: np.ndarray, gap: float, 
         )
 
 
-def _krylov_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int) -> np.ndarray | None:
-    """The lowest ``count`` levels of a band by shift-and-invert block Krylov, or None if the basis fills half of it.
+def _krylov_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int, low: np.ndarray) -> np.ndarray | None:
+    """The lowest ``count`` levels of a band by shift-and-invert block Krylov, or None if it must be solved whole.
 
-    The basis grows until the lowest ``count`` Ritz pairs, with any Ritz
-    values clustered just above them, have residuals of at most
-    ``_RESIDUAL`` times the largest diagonal entry; those are certified and
-    refined by a last Rayleigh-Ritz pass of their own.
+    One dense ``eigh`` of the principal block on the rows ``low`` and the
+    ``count + 2`` rows of lowest diagonal gives the shift bound (its lowest
+    level, above the band's by Cauchy interlacing) and the start (its lowest
+    eigenvectors, near the band's).  The basis grows until the lowest
+    ``count`` Ritz pairs, with any Ritz values clustered just above them,
+    have residuals of at most ``_RESIDUAL`` times the largest diagonal entry;
+    those are certified and refined by a last Rayleigh-Ritz pass of their own.
     """
     n = diag.shape[0] * diag.shape[1]
     exponent = math.frexp(float(np.max(np.abs(diag))))[1]  # scaled exactly to entries of at most 1
@@ -231,25 +253,31 @@ def _krylov_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int) -> 
     scale = float(diagonal[:size].max())
     width, limit, tol = count + 2, n // 2, _RESIDUAL * scale
     gap = 10.0 * tol  # Ritz values closer than 2 * gap are one cluster, reported whole
-    # the lowest super-block level lies above the lowest level (interlacing); step
-    # down from it until the factorization proves the shift is below the spectrum
-    top = float(np.linalg.eigvalsh(diag).min())
+    # with the rows of lowest diagonal: a soft mode puts low levels beyond the cut
+    principal = np.union1d(low, np.argsort(diagonal[:size], kind="stable")[:width])
+    blocks = principal[-1] // diag.shape[1] + 1
+    levels, near = np.linalg.eigh(_dense(diag[:blocks], sub[: blocks - 1])[np.ix_(principal, principal)])
+    if np.all(np.diff(levels[count - 1 : width + 1]) <= 2.0 * gap):
+        return None  # a degenerate level at the wanted edge that the start's width cuts through
+    # step down from the block's lowest level until the factorization proves the shift is below the spectrum
     step = 1e-3 * scale
-    while (factor := _ldl(diag, sub, top - step))[2]:
+    while (factor := _ldl(diag, sub, levels[0] - step))[2]:
         step *= 4.0
-    # deterministic start: the lowest-diagonal unit vectors, perturbed off the phantom rows
-    start = 1e-2 * np.cos(np.outer(np.arange(n), np.arange(1, width + 1)))
+    # deterministic start, perturbed off the phantom rows so that the next block stays independent of it
+    start = 1e-10 * np.cos(np.outer(np.arange(n), np.arange(1, width + 1)))
     start[size:] = 0.0
-    start[np.argsort(diagonal, kind="stable")[:width], np.arange(width)] += 1.0
+    start[principal] += near[:, :width]
     block = np.linalg.qr(start)[0]
     rows, products, projected = np.empty((limit, n)), np.empty((limit, n)), np.empty((limit, limit))
     k = steps = check = 0
+    dependent = False
     while k + width <= limit:
-        rows[k : k + width] = block.T
-        products[k : k + width] = _band_product(diag, sub, block).T
-        projected[k : k + width, : k + width] = products[k : k + width] @ rows[: k + width].T
-        k += width
-        steps += 1
+        if not dependent:
+            rows[k : k + width] = block.T
+            products[k : k + width] = _band_product(diag, sub, block).T
+            projected[k : k + width, : k + width] = products[k : k + width] @ rows[: k + width].T
+            k += width
+            steps += 1
         if steps >= check:
             ritz, vectors = np.linalg.eigh(projected[:k, :k])  # reads the lower triangle
             found = count
@@ -272,13 +300,15 @@ def _krylov_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int) -> 
                     rate = (residual / last) ** (1.0 / (steps - last_step))
                     ahead = min(max(int(math.log(tol / residual) / math.log(rate)), 1), 4)
                 check, last, last_step = steps + ahead, residual, steps
+            if dependent:
+                return None  # the basis stalls short of convergence
         w = _shifted_solve(*factor[:2], block)
         norm = np.linalg.norm(w)
-        for _ in range(2):
-            w -= rows[:k].T @ (rows[:k] @ w)
-        block, r = np.linalg.qr(w)
+        block, r = np.linalg.qr(w - rows[:k].T @ (rows[:k] @ w))
+        # twice: the QR of a near-dependent block loses orthogonality to the basis by its condition number
+        block = np.linalg.qr(block - rows[:k].T @ (rows[:k] @ block))[0]
         if np.min(np.abs(np.diagonal(r))) <= 1e-12 * norm:
-            return None  # the new block is not independent of the basis
+            dependent, check = True, steps  # a near-converged basis: check it before giving up
     return None
 
 
@@ -290,12 +320,12 @@ def _lowest_levels(terms: list[tuple[np.ndarray, np.ndarray]], count: int) -> np
         m, d, _ = diag.shape
         band = None
         if (count + 2) * _KRYLOV_BLOCKS <= m * d // 2:
-            band = _krylov_levels(diag, sub, size, count)
+            photon, matter = _band_numbers(d, parity)
+            cut = min(_START_CUT, d // 2)
+            low = np.flatnonzero((photon < cut) & (matter < cut))
+            band = _krylov_levels(diag, sub, size, count, low)
         if band is None:  # the whole band as the basis: a dense solve, which misses nothing
-            dense = np.zeros((m, d, m, d))  # eigvalsh reads the lower triangle
-            dense[np.arange(m), :, np.arange(m)] = diag
-            dense[np.arange(1, m), :, np.arange(m - 1)] = sub
-            band = np.linalg.eigvalsh(dense.reshape(m * d, m * d)[:size, :size])[:count]
+            band = np.linalg.eigvalsh(_dense(diag, sub)[:size, :size])[:count]
         levels.append(band)
     return np.sort(np.concatenate(levels))[:count]
 

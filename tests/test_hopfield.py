@@ -329,6 +329,8 @@ def _oracle_cases(draw):
 @example(case=(HopfieldParams(0.3601, 1.0, 0.3, 0.0), "position", 36, 6))  # SpC near instability
 @example(case=(HopfieldParams(0.3, 1.0, 1.2, 1.44), "position", 40, 6))  # deep-strong MoC
 @example(case=(HopfieldParams(1.0, 1.0, 0.0, 0.0), "position", 28, 4))  # degenerate ladder
+@example(case=(HopfieldParams(1.0, 1.0, 0.0, 0.0), "position", 22, 3))  # a degenerate level past the start's width
+@example(case=(HopfieldParams(0.05, 1.0, 0.0, 0.0), "position", 32, 9))  # a soft mode: low levels beyond the start's cut
 @settings(max_examples=15, deadline=None)
 def test_lowest_levels_match_the_dense_kron_hamiltonian(case):
     p, frame, n_max, count = case
@@ -341,18 +343,50 @@ def test_lowest_levels_match_the_dense_kron_hamiltonian(case):
     assert np.max(np.abs(levels - _dense_fock_levels(p, n_max, frame)[:count])) <= 1e-12
 
 
-def test_benchmark_box_takes_the_certified_krylov_path(monkeypatch):
-    certified = []
+@pytest.fixture
+def certified(monkeypatch):
+    """The level count of every certificate issued: one per band that takes the Krylov path."""
+    counts = []
     certify = hopfield._certify
 
     def counted(diag, sub, levels, gap, count):
-        certified.append(len(levels))
+        counts.append(len(levels))
         return certify(diag, sub, levels, gap, count)
 
     monkeypatch.setattr(hopfield, "_certify", counted)
+    return counts
+
+
+def test_benchmark_box_takes_the_certified_krylov_path(certified):
     truncated_fock_spectrum(HopfieldParams(1.1, 1.0, 0.3, 0.09), n_max=40, n_levels=5)
     # one certificate per parity band, each for at least the six levels asked of it
     assert len(certified) == 2 and min(certified) >= 6
+
+
+@pytest.mark.parametrize(
+    "p",
+    [HopfieldParams(0.3601, 1.0, 0.3, 0.0), HopfieldParams(0.3, 1.0, 1.2, 1.44)],
+    ids=["spc-near-instability", "deep-strong-moc"],
+)
+def test_frame_check_edges_take_the_certified_krylov_path(p, certified):
+    # the position frame and its dipole-gauge partner: no band stalls into the whole-band solve
+    frame_equivalence_check(p, truncated_fock_spectrum(p, n_max=40, n_levels=5))
+    assert len(certified) == 4 and min(certified) >= 6
+
+
+@pytest.mark.parametrize("D", [0.09, 0.0], ids=["MoC", "SpC"])
+def test_principal_block_start_needs_few_shifted_solves(D, monkeypatch):
+    solves = []
+    solve = hopfield._shifted_solve
+
+    def counted(inverses, multipliers, x):
+        solves.append(x.shape[1])
+        return solve(inverses, multipliers, x)
+
+    monkeypatch.setattr(hopfield, "_shifted_solve", counted)
+    truncated_fock_spectrum(HopfieldParams(1.1, 1.0, 0.3, D), n_max=40, n_levels=5)
+    # both bands together; a start from the lowest-diagonal unit vectors takes 24
+    assert len(solves) <= 12
 
 
 def test_degenerate_level_wider_than_the_krylov_block_is_solved_whole():
