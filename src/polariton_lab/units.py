@@ -31,10 +31,7 @@ __all__ = [
     "UNITS",
     "OscillatorStrength",
     "dipole_moment_to_oscillator_strength",
-    "oscillator_strength_to_dipole_moment",
-    "coupling_from_mode_volume",
     "coupling_dipole_dipole",
-    "plasmon_oscillator_strength",
     "angular_factor",
 ]
 
@@ -65,7 +62,6 @@ _require_finite = partial(_require, rule="finite")
 _require_positive = partial(_require, rule="finite and positive", ok=lambda a: a > 0)
 _require_nonnegative = partial(_require, rule="finite and >= 0", ok=lambda a: a >= 0)
 _require_at_least_one = partial(_require, rule=">= 1 and finite", ok=lambda a: a >= 1)
-_require_unit_interval = partial(_require, rule="finite and in [-1, 1]", ok=lambda a: np.abs(a) <= 1)
 
 
 def _require_integer(name: str, value) -> int:
@@ -139,34 +135,6 @@ def dipole_moment_to_oscillator_strength(mu: float, omega: float) -> OscillatorS
     return OscillatorStrength(f)
 
 
-def oscillator_strength_to_dipole_moment(f: OscillatorStrength, omega: float) -> float:
-    """Transition dipole moment in Debye for oscillator strength ``f`` at ``omega``."""
-    _require_positive("omega", omega)
-    f_value = _require_nonnegative("oscillator strength", float(f))
-    mu_e_nm = math.sqrt(f_value / (2.0 * UNITS.proton_mass_energy * omega)) * UNITS.hbar_c
-    return mu_e_nm / UNITS.debye_in_e_nm
-
-
-def coupling_from_mode_volume(
-    f_mat,
-    V_eff: float,
-    xi: float,
-    cos_theta: float,
-) -> float:
-    """Light-matter coupling strength (eV) of a dipole in a cavity mode.
-
-    g = (1/2) sqrt(f_mat / (eps0 V_eff)) * Xi * cos(theta), with Xi the
-    normalized mode amplitude at the dipole position and theta the angle
-    between the dipole and the mode polarization.  ``f_mat`` is an
-    :class:`OscillatorStrength` or a plain number in e^2/m_p units.
-    """
-    _require_positive("V_eff", V_eff)
-    _require_unit_interval("mode amplitude xi", xi)
-    _require_unit_interval("cos_theta", cos_theta)
-    f_red = _reduced_strength(f_mat)  # nm^3 eV^2
-    return 0.5 * math.sqrt(4.0 * math.pi * f_red / V_eff) * xi * cos_theta
-
-
 def _as_vec(name: str, value, size: int = 3) -> np.ndarray:
     vec = np.asarray(value, dtype=float)
     if vec.shape != (size,) or not np.all(np.isfinite(vec)):
@@ -233,14 +201,3 @@ def coupling_dipole_dipole(
     ang = angular_factor(n_dcav, n_dmat, axis)
     f_red = math.sqrt(_reduced_strength(f_cav) * _reduced_strength(f_mat))
     return 0.5 * f_red * ang / (dist**3 * math.sqrt(omega_cav * omega_mat))
-
-
-def plasmon_oscillator_strength(R: float, omega_cav: float) -> OscillatorStrength:
-    """Oscillator strength of the dipolar mode of a small metal sphere.
-
-    f_cav = 4 pi eps0 R^3 omega_cav^2, expressed in e^2/m_p units.
-    """
-    _require_positive("R", R)
-    _require_positive("omega_cav", omega_cav)
-    f = R**3 * omega_cav**2 * UNITS.proton_mass_energy / (UNITS.coulomb_const * UNITS.hbar_c**2)
-    return OscillatorStrength(f)

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import coupling_from_mode_volume, plasmon_oscillator_strength
 
 from polariton_lab.driven import (
     DriveSpec,
@@ -54,9 +55,7 @@ from polariton_lab.units import (
     UNITS,
     OscillatorStrength,
     coupling_dipole_dipole,
-    coupling_from_mode_volume,
     dipole_moment_to_oscillator_strength,
-    plasmon_oscillator_strength,
 )
 
 # Reference dipole pair used throughout: a plasmonic-sphere-like mode and a

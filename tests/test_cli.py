@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from conftest import SAMPLES
 
 from polariton_lab import __version__, scenarios
 from polariton_lab.cli import main
@@ -336,12 +337,14 @@ def test_cli_import_does_not_load_scipy():
 _SAMPLES = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-# runs cli.main on its arguments in a fresh interpreter, then prints the
-# exit code and the package modules (and yaml and html) that the run loaded
+# runs the console script's entry, cli.main() with no arguments (so it reads
+# sys.argv and runs without the collector), in a fresh interpreter, then prints
+# the exit code and the package modules (and yaml and html) that the run loaded
 _FRESH_MAIN = """\
 import json, sys
 from polariton_lab import cli
-code = cli.main(sys.argv[1:])
+sys.argv[0] = "polariton-lab"
+code = cli.main()
 loaded = sorted(m.split(".")[-1] for m in sys.modules if m in ("yaml", "html") or m.startswith("polariton_lab."))
 print(json.dumps([code, loaded]))
 """
@@ -368,8 +371,17 @@ def _fresh_main(*argv):
     return code, set(loaded)
 
 
+def _assert_same_outputs(process_dir, inprocess_dir, stem):
+    """The process wrote the CSV, any SVG and the summary of ``stem`` that the in-process pass wrote, byte for byte."""
+    written = sorted(path.name for path in process_dir.glob(f"{stem}.*"))
+    assert {f"{stem}.csv", f"{stem}.summary.json"} <= set(written)
+    assert written == sorted(path.name for path in inprocess_dir.glob(f"{stem}.*"))
+    for name in written:
+        assert (process_dir / name).read_bytes() == (inprocess_dir / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("figure_id", scenarios.FIGURE_IDS)
-def test_reproduce_imports_only_what_its_figure_needs(tmp_path, figure_id):
+def test_reproduce_imports_only_what_its_figure_needs(tmp_path, inprocess_dir, figure_id):
     code, loaded = _fresh_main("reproduce", figure_id, "--out", str(tmp_path))
     assert code == 0
     assert not loaded & {"yaml", "html", "ensemble", "hopfield"}
@@ -378,13 +390,17 @@ def test_reproduce_imports_only_what_its_figure_needs(tmp_path, figure_id):
     if kind == "fieldmap":
         kind += "/" + document["parameters"]["scene"]
     assert loaded == _REPRODUCE_CORE | _KIND_LAYERS[kind]
+    _assert_same_outputs(tmp_path, inprocess_dir, figure_id)
 
 
-def test_run_loads_yaml_and_the_oracle_layer_on_use(tmp_path):
-    code, loaded = _fresh_main("run", str(_SAMPLES / "oracle_quantum.yaml"), "--out", str(tmp_path))
+@pytest.mark.parametrize("sample", SAMPLES, ids=lambda sample: sample.stem)
+def test_run_loads_yaml_and_the_oracle_layer_on_use(tmp_path, inprocess_dir, sample):
+    # the in-process pass's path string, which the summary records as its source
+    code, loaded = _fresh_main("run", str(sample), "--out", str(tmp_path))
     assert code == 0
-    assert {"yaml", "hopfield"} <= loaded
-    assert (tmp_path / "oracle_quantum.csv").is_file()
+    assert "yaml" in loaded
+    assert ("hopfield" in loaded) == (_source_document(sample.stem)["kind"] == "oracle")
+    _assert_same_outputs(tmp_path, inprocess_dir / "samples", sample.stem)
 
 
 def _source_document(source):
@@ -464,3 +480,61 @@ def test_bad_pair_field_exits_2_naming_its_key_path(tmp_path, capsys, kind, key)
     key_path = ".".join(map(str, (*host, key)))
     assert f"schema error: {key_path}: must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _ensemble_n500(include_dipole_dipole):
+    """The sample ensemble grown to 5 x 5 x 20 = 500 dipoles, the package's cap."""
+    document = _mutated(_source_document("ensemble_n20"), ("parameters", "lattice", "shape"), [5, 5, 20])
+    document["parameters"]["include_dipole_dipole"] = include_dipole_dipole
+    return document
+
+
+def _fock_frame_check(D, omega_cav, g_qed):
+    parameters = dict(flavor="quantum", omega_cav=omega_cav, omega_mat=1.0, g_qed=g_qed, D=D, n_max=40, frame_check=True)
+    return {"kind": "oracle", "schema": 1, "parameters": parameters}
+
+
+# the 500-dipole ensembles; the Fock documents of the benchmark box; and the two
+# converged edges where the Fock solve's principal-block start is weakest
+_REPEATED_DOCUMENTS = {
+    "n500-false": _ensemble_n500(False),
+    "n500-true": _ensemble_n500(True),
+    "fock-SpC": _fock_frame_check("SpC", 1.1, 0.3),
+    "fock-MoC": _fock_frame_check("MoC", 1.1, 0.3),
+    "edge-SpC": _fock_frame_check("SpC", 0.5, 0.3),
+    "edge-MoC": _fock_frame_check("MoC", 0.5, 0.8),
+}
+
+# runs each scenario file given after the output directory, as `run` does
+_RUN_EACH = """\
+import sys
+from polariton_lab.cli import main
+out_dir, *paths = sys.argv[1:]
+sys.exit(max(main(["run", path, "--out", out_dir]) for path in paths))
+"""
+
+
+@pytest.fixture(scope="module")
+def repeated_runs(tmp_path_factory):
+    """Each of ``_REPEATED_DOCUMENTS`` run once in this process and once in a fresh
+    one (all six in one); the two output directories."""
+    root = tmp_path_factory.mktemp("repeated")
+    paths = [str(_write(root, f"{name}.yaml", yaml.safe_dump(doc))) for name, doc in _REPEATED_DOCUMENTS.items()]
+    inprocess_dir, process_dir = root / "inprocess", root / "process"
+    for path in paths:
+        assert main(["run", path, "--out", str(inprocess_dir)]) == 0
+    proc = subprocess.run([sys.executable, "-c", _RUN_EACH, str(process_dir), *paths], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return inprocess_dir, process_dir
+
+
+@pytest.mark.parametrize("name", _REPEATED_DOCUMENTS)
+def test_ensemble_and_fock_documents_write_the_same_bytes_on_every_run(repeated_runs, name):
+    inprocess_dir, process_dir = repeated_runs
+    _assert_same_outputs(process_dir, inprocess_dir, name)
+
+
+@pytest.mark.parametrize("name", ["edge-SpC", "edge-MoC"])
+def test_fock_edges_keep_the_lowest_levels_on_the_exact_ladder(repeated_runs, name):
+    summary = json.loads((repeated_runs[0] / f"{name}.summary.json").read_text())
+    assert summary["fock_ladder_deviation_eV"] <= 1e-11

@@ -25,12 +25,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import OUTPUT_NAMES, write_outputs
 
-from polariton_lab.scenarios import FIGURE_IDS, reproduce_figure, run_scenario_file
-
-_HERE = Path(__file__).resolve().parent
-_FINGERPRINTS = _HERE / "fingerprints.json"
-_SAMPLES = sorted((_HERE.parent / "scenarios").glob("*.yaml"))
+_FINGERPRINTS = Path(__file__).resolve().parent / "fingerprints.json"
 _RELATIVE = 1e-12
 _SPACED_ROWS = 16
 
@@ -72,32 +69,18 @@ def _fingerprint(csv_path: Path) -> dict:
     }
 
 
-def _outputs(out_dir: Path) -> dict:
-    """CSV path of every reproduction (by figure id) and sample (by ``samples/<stem>``)."""
-    paths = {figure_id: reproduce_figure(figure_id, out_dir).csv_path for figure_id in FIGURE_IDS}
-    for sample in _SAMPLES:
-        paths[f"samples/{sample.stem}"] = run_scenario_file(sample, out_dir / "samples").csv_path
-    return paths
-
-
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    return _outputs(tmp_path_factory.mktemp("fingerprints"))
-
-
 # absent only while the file is being written for the first time
 _PINNED = json.loads(_FINGERPRINTS.read_text()) if _FINGERPRINTS.exists() else {}
 
 
 def test_every_reproduction_and_sample_is_pinned():
-    expected = [*FIGURE_IDS, *(f"samples/{sample.stem}" for sample in _SAMPLES)]
-    assert list(_PINNED) == expected
+    assert list(_PINNED) == OUTPUT_NAMES
 
 
 @pytest.mark.parametrize("name", list(_PINNED))
-def test_output_matches_its_fingerprint(outputs, name):
+def test_output_matches_its_fingerprint(inprocess_dir, name):
     pinned = _PINNED[name]
-    cells, values = _read_csv(outputs[name])
+    cells, values = _read_csv(inprocess_dir / f"{name}.csv")
     assert cells == [column["name"] for column in pinned["columns"]]
     assert len(values) == pinned["rows"]
     for j, column in enumerate(pinned["columns"]):
@@ -119,7 +102,8 @@ def test_output_matches_its_fingerprint(outputs, name):
 
 def _write(out_dir: Path) -> None:
     """Rewrite ``fingerprints.json`` from the outputs of the tree on ``sys.path``."""
-    entries = {name: _fingerprint(path) for name, path in _outputs(out_dir).items()}
+    write_outputs(out_dir)
+    entries = {name: _fingerprint(out_dir / f"{name}.csv") for name in OUTPUT_NAMES}
     lines = []
     for name, entry in entries.items():
         columns = ",\n".join("    " + json.dumps(column) for column in entry["columns"])

@@ -474,6 +474,19 @@ def test_every_figure_and_sample_csv_matches_the_reference_renderer(tmp_path, mo
         assert _render_csv(table) == _reference_csv(table)
 
 
+def test_200000_rows_write_each_cell_as_its_own_17_digit_text(tmp_path):
+    grid = {"start": 0.0, "stop": 3.0, "num": 200_000, "sampling": "midpoints"}
+    document = {
+        "kind": "permittivity",
+        "schema": 1,
+        "parameters": {"models": ["MoC", "SpC"], "Omega_mat": 1.0, "G": 0.25, "omega_grid": grid},
+    }
+    text = _run(document, tmp_path, "rows-200k").csv_path.read_text()
+    assert text.count("\n") == 200_001
+    bad = [cell for line in text.splitlines()[1:] for cell in line.split(",") if format(float(cell), ".17g") != cell]
+    assert not bad, f"not .17g text: {bad[:5]}"
+
+
 _COLUMN_KINDS = st.lists(st.sampled_from(["bits", "bits", "int64", "uint64"]), min_size=1, max_size=4)
 
 

