@@ -22,7 +22,8 @@ shift-and-invert block Krylov converges the wanted levels, and the Sylvester
 inertia of the block LDL^T just above the last of them certifies that none
 was missed.  The shift bound and a near-converged start both come from one
 dense ``eigh`` of the band's states whose photon and matter numbers are both
-below a cut.  Bands too small for Krylov to pay are diagonalized whole.
+below a cut.  Bands too small for Krylov to pay are diagonalized whole,
+each level refined by the Rayleigh quotient of its eigenvector.
 """
 
 from __future__ import annotations
@@ -312,6 +313,30 @@ def _krylov_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int, low
     return None
 
 
+def _dense_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int) -> np.ndarray:
+    """The lowest ``count`` levels of a band from one dense ``eigh``, each refined by the Rayleigh quotient of its vector.
+
+    The eigenvalues of ``eigh`` carry the round-off of its reduction to
+    tridiagonal form, which grows with the band: up to 6e-12 at levels near
+    1200 for n_max 40.  The quotient is off by the square of the vector's
+    error only.  It is summed as the level plus v^T (H - level) v, with the
+    diagonal's part taken before the product, so that the round-off scales
+    with the off-diagonal entries and the small residual, not with the level:
+    within an ulp or two of the level.
+    """
+    levels, vectors = np.linalg.eigh(_dense(diag, sub)[:size, :size])
+    levels, vectors = levels[:count], vectors[:, :count]
+    rows = np.arange(diag.shape[1])
+    off = diag.copy()
+    off[:, rows, rows] = 0.0
+    padded = np.zeros((diag.shape[0] * diag.shape[1], vectors.shape[1]))
+    padded[:size] = vectors
+    diagonal = np.diagonal(diag, axis1=1, axis2=2).ravel()[:size, None]
+    residuals = _band_product(off, sub, padded)[:size] + (diagonal - levels) * vectors
+    # transposed so that each column's sum runs along a contiguous row, where numpy sums pairwise
+    return np.sort(levels + np.sum((vectors * residuals).T, axis=1) / np.sum((vectors * vectors).T, axis=1))
+
+
 def _lowest_levels(terms: list[tuple[np.ndarray, np.ndarray]], count: int) -> np.ndarray:
     """The lowest ``count`` eigenvalues of H = sum_k kron(A_k, B_k), sorted, from its two parity bands."""
     levels = []
@@ -325,7 +350,7 @@ def _lowest_levels(terms: list[tuple[np.ndarray, np.ndarray]], count: int) -> np
             low = np.flatnonzero((photon < cut) & (matter < cut))
             band = _krylov_levels(diag, sub, size, count, low)
         if band is None:  # the whole band as the basis: a dense solve, which misses nothing
-            band = np.linalg.eigvalsh(_dense(diag, sub)[:size, :size])[:count]
+            band = _dense_levels(diag, sub, size, count)
         levels.append(band)
     return np.sort(np.concatenate(levels))[:count]
 

@@ -227,7 +227,13 @@ def _dense_fock_levels(p, n_max, frame):
         cav = cav + p.D * (x @ x)
     h = np.kron(cav, eye) + np.kron(eye, mat) + coupling
     h += 0.5 * (p.omega_cav + p.omega_mat) * np.eye(d * d)
-    return np.linalg.eigvalsh(h)
+    # each level refined by the Rayleigh quotient of its eigenvector, as level + v^T (H - level) v
+    # with the diagonal apart: eigvalsh alone is off by up to 6e-12 at the top of an n_max 40
+    # spectrum, the quotient by an ulp or two
+    levels, vectors = np.linalg.eigh(h)
+    diagonal = np.diagonal(h).copy()
+    residuals = (h - np.diag(diagonal)) @ vectors + (diagonal[:, None] - levels) * vectors
+    return np.sort(levels + np.sum((vectors * residuals).T, axis=1) / np.sum((vectors * vectors).T, axis=1))
 
 
 def _band_states(d, parity):
@@ -331,6 +337,8 @@ def _oracle_cases(draw):
 @example(case=(HopfieldParams(1.0, 1.0, 0.0, 0.0), "position", 28, 4))  # degenerate ladder
 @example(case=(HopfieldParams(1.0, 1.0, 0.0, 0.0), "position", 22, 3))  # a degenerate level past the start's width
 @example(case=(HopfieldParams(0.05, 1.0, 0.0, 0.0), "position", 32, 9))  # a soft mode: low levels beyond the start's cut
+@example(case=(HopfieldParams(1.0, 1.0, 1.0, 1.0), "rwa", 30, 657))  # high levels of a dense solve: round-off near 1e-12
+@example(case=(HopfieldParams(3.0, 1.0, 1.2, 1.44), "dipole", 40, 1681))  # every level, up to 1215 eV
 @settings(max_examples=15, deadline=None)
 def test_lowest_levels_match_the_dense_kron_hamiltonian(case):
     p, frame, n_max, count = case
