@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import PoleError, PolaritonError
-from .models import CoupledModel, ModelVariant, frequency_domain_matrix
+from .models import CoupledModel, ModelVariant, _system
 from .units import (
     UNITS,
     _as_vec,
@@ -95,11 +95,7 @@ def driven_response(model: CoupledModel, drive: DriveSpec) -> ResponseAmplitudes
     if model.variant not in (ModelVariant.SPC, ModelVariant.MOC):
         raise PolaritonError(f"driven_response needs an SpC or MoC model, got {model.variant.value}")
     omega = np.asarray(drive.omega, dtype=float)
-    matrix = frequency_domain_matrix(
-        model.variant, model.pair.complex_cav, model.pair.complex_mat, model.g, omega
-    )
-    m00, m01 = matrix[..., 0, 0], matrix[..., 0, 1]
-    m10, m11 = matrix[..., 1, 0], matrix[..., 1, 1]
+    m00, m01, m10, m11 = _system(model.variant, model.pair.complex_cav, model.pair.complex_mat, model.g, omega)
     det = m00 * m11 - m01 * m10
     scale = np.sqrt(
         (np.abs(m00) ** 2 + np.abs(m01) ** 2) * (np.abs(m10) ** 2 + np.abs(m11) ** 2)

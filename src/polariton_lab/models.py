@@ -15,6 +15,7 @@ the model they were derived from.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,7 +30,6 @@ __all__ = [
     "OscillatorPair",
     "CoupledModel",
     "MinSplitting",
-    "frequency_domain_matrix",
     "min_splitting",
     "branch_frequencies",
     "mode_ratio",
@@ -124,32 +124,22 @@ def _velocity_modes_sq(wc, wm, g):
     return s_plus, s_minus
 
 
-def frequency_domain_matrix(variant: ModelVariant, omega_cav, omega_mat, g, omega) -> np.ndarray:
-    """2x2 matrices M(omega) with M @ (x_cav, x_mat) = 0 on an eigenmode.
+def _system(variant: ModelVariant, omega_cav, omega_mat, g, omega) -> tuple:
+    """Entries ``(m00, m01, m10, m11)`` of the 2x2 system M(omega): M @ (x_cav, x_mat) = 0 on an eigenmode.
 
-    The arguments broadcast; the result has shape ``broadcast(...) + (2, 2)``.
-    Bare frequencies may be complex (lossy, ``omega - i rate / 2``).
+    The arguments broadcast; each entry is a complex array of their shape, 0-d
+    for scalars.  Bare frequencies may be complex (lossy, ``omega - i rate / 2``).
     """
     wc, wm, g, omega = np.broadcast_arrays(omega_cav, omega_mat, g, omega)
-    m = np.empty(wc.shape + (2, 2), dtype=complex)
     if variant in _AMPLITUDE_FORM:
         cross = 2.0 * g * np.sqrt(wc * wm + 0j)
-        m[..., 0, 1] = cross
-        m[..., 1, 0] = cross
+        entries = (wc * wc - omega**2, cross, cross, wm * wm - omega**2)
     elif variant in _VELOCITY_FORM:
         cross = 2.0j * omega * g
-        m[..., 0, 1] = cross
-        m[..., 1, 0] = -cross
-    else:
-        # linearized: first order in omega
-        m[..., 0, 0] = wc - omega
-        m[..., 1, 1] = wm - omega
-        m[..., 0, 1] = g
-        m[..., 1, 0] = g
-        return m
-    m[..., 0, 0] = wc * wc - omega**2
-    m[..., 1, 1] = wm * wm - omega**2
-    return m
+        entries = (wc * wc - omega**2, cross, -cross, wm * wm - omega**2)
+    else:  # linearized: first order in omega
+        entries = (wc - omega, g, g, wm - omega)
+    return tuple(np.asarray(e, dtype=complex) for e in entries)
 
 
 def determinant_residual(variant: ModelVariant, omega_cav, omega_mat, g, omega) -> np.ndarray:
@@ -158,28 +148,26 @@ def determinant_residual(variant: ModelVariant, omega_cav, omega_mat, g, omega) 
     At an eigenfrequency the determinant vanishes, so this is a self-check of
     any branch computation; NaN rows (masked points) give NaN.
     """
-    m = frequency_domain_matrix(variant, omega_cav, omega_mat, g, omega)
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return np.abs(det) / (scale * scale)
+    m00, m01, m10, m11 = _system(variant, omega_cav, omega_mat, g, omega)
+    scale = functools.reduce(np.maximum, map(np.abs, (m00, m01, m10, m11)), 1.0)
+    return np.abs(m00 * m11 - m01 * m10) / (scale * scale)
 
 
 def mode_ratio(variant: ModelVariant, omega_cav, omega_mat, g, omega):
     """x_cav / x_mat on the branch with eigenfrequency ``omega``, over arrays.
 
-    Read off the first row of :func:`frequency_domain_matrix`, so complex for
-    every variant; bare frequencies may be complex (lossy).  Raises
+    Read off the first row of the 2x2 system M(omega), so complex for every
+    variant; bare frequencies may be complex (lossy).  Raises
     :class:`PoleError` where the branch frequency equals the bare cavity one.
     """
-    m = frequency_domain_matrix(variant, omega_cav, omega_mat, g, omega)
-    den, num = m[..., 0, 0], -m[..., 0, 1]
+    m00, m01 = _system(variant, omega_cav, omega_mat, g, omega)[:2]
     _raise_first_bad(
-        den == 0,
+        m00 == 0,
         PoleError,
         lambda i, where: "eigenvector ratio has a pole: branch frequency "
-        f"{np.broadcast_to(omega, den.shape).flat[i]} coincides with the bare cavity frequency{where}",
+        f"{np.broadcast_to(omega, m00.shape).flat[i]} coincides with the bare cavity frequency{where}",
     )
-    return num / den
+    return -m01 / m00
 
 
 def branch_frequencies(variant: ModelVariant, omega_cav, omega_mat, g):

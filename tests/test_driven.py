@@ -21,8 +21,8 @@ from polariton_lab.models import (
     CoupledModel,
     ModelVariant,
     OscillatorPair,
+    _system,
     branch_frequencies,
-    frequency_domain_matrix,
 )
 from polariton_lab.scenarios import figure_document, load_scenario_file
 from polariton_lab.units import OscillatorStrength, coupling_dipole_dipole
@@ -113,10 +113,8 @@ def test_response_satisfies_linear_system(omega, g, ratio):
         model = _model(variant, g, kappa=0.05, gamma=0.02, omega_cav=ratio)
         drive = DriveSpec(E_inc=1.5, omega=omega, f_cav=2.0, f_mat=0.5)
         resp = driven_response(model, drive)
-        m = frequency_domain_matrix(
-            variant, model.pair.complex_cav, model.pair.complex_mat, model.g, omega
-        )
-        lhs = m @ np.array([resp.x_cav, resp.x_mat])
+        m00, m01, m10, m11 = _system(variant, model.pair.complex_cav, model.pair.complex_mat, model.g, omega)
+        lhs = np.array([m00 * resp.x_cav + m01 * resp.x_mat, m10 * resp.x_cav + m11 * resp.x_mat])
         rhs = np.array([drive.F_cav, drive.F_mat])
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(np.max(np.abs(rhs)), 1.0)
 
@@ -344,18 +342,16 @@ def _closed_form_error(model, drive) -> float:
     ``scale``, which bounds the ratio by a constant.
     """
     resp = driven_response(model, drive)
-    matrix = frequency_domain_matrix(
-        model.variant, model.pair.complex_cav, model.pair.complex_mat, model.g, drive.omega
-    )
+    entries = _system(model.variant, model.pair.complex_cav, model.pair.complex_mat, model.g, drive.omega)
     x_cav, x_mat = np.atleast_1d(resp.x_cav), np.atleast_1d(resp.x_mat)
     f_cav, f_mat = (Fraction(drive.F_cav), 0), (Fraction(drive.F_mat), 0)
     worst = 0.0
-    for i, m in enumerate(matrix.reshape(-1, 2, 2)):
-        m00, m01, m10, m11 = (_exact(z) for z in m.flat)
+    for i, m in enumerate(zip(*(entry.ravel() for entry in entries))):
+        m00, m01, m10, m11 = (_exact(z) for z in m)
         det = _sub(_mul(m00, m11), _mul(m01, m10))
         want_cav = _div(_sub(_mul(m11, f_cav), _mul(m01, f_mat)), det)
         want_mat = _div(_sub(_mul(m00, f_mat), _mul(m10, f_cav)), det)
-        scale = math.hypot(*(abs(z) for z in m[0])) * math.hypot(*(abs(z) for z in m[1]))
+        scale = math.hypot(abs(m[0]), abs(m[1])) * math.hypot(abs(m[2]), abs(m[3]))
         kappa = scale / _abs(det)
         size = math.hypot(_abs(want_cav), _abs(want_mat))
         error = max(

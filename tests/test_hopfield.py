@@ -397,6 +397,25 @@ def test_principal_block_start_needs_few_shifted_solves(D, monkeypatch):
     assert len(solves) <= 12
 
 
+def test_a_stalled_krylov_basis_still_gives_the_levels(monkeypatch):
+    # a shifted solve that returns its input adds only round-off directions to the basis;
+    # the double QR keeps the basis orthonormal, so a stalled basis either converges under
+    # the certificate or fills up and leaves the band to the whole-band solve
+    terms = _fock_terms(HopfieldParams(1.1, 1.0, 0.3, 0.09), 30)
+    want = _lowest_levels(terms, 6)
+    krylov, calls = hopfield._krylov_levels, []
+
+    def counted(*args):
+        calls.append(args[3])
+        return krylov(*args)
+
+    monkeypatch.setattr(hopfield, "_krylov_levels", counted)
+    monkeypatch.setattr(hopfield, "_shifted_solve", lambda inverses, multipliers, x: x)
+    levels = _lowest_levels(terms, 6)
+    assert calls == [6, 6]  # both bands take the Krylov path
+    assert np.max(np.abs(levels - want)) <= 1e-12
+
+
 def test_degenerate_level_wider_than_the_krylov_block_is_solved_whole():
     # uncoupled, with a vanishing matter frequency: the 15 even states of photon
     # number 0 share the ground level, more copies than a 6-column Krylov block

@@ -17,9 +17,9 @@ from polariton_lab.models import (
     ModelVariant,
     OscillatorPair,
     _spc_tau,
+    _system,
     branch_frequencies,
     dressed_parameters,
-    frequency_domain_matrix,
     min_splitting,
     mode_ratio,
 )
@@ -176,8 +176,8 @@ def test_eigenvector_satisfies_secular_equation(variant, g):
     omega = np.array(branch_frequencies(variant, 1.2, 1.0, g))  # (omega_plus, omega_minus)
     omega = omega[~np.isnan(omega)]  # a masked lower branch has no eigenvector
     ratio = mode_ratio(variant, 1.2, 1.0, g, omega)
-    vec = np.stack([ratio, np.ones_like(ratio)], axis=-1)
-    residual = (frequency_domain_matrix(variant, 1.2, 1.0, g, omega) @ vec[..., None])[..., 0]
+    m00, m01, m10, m11 = _system(variant, 1.2, 1.0, g, omega)
+    residual = np.stack([m00 * ratio + m01, m10 * ratio + m11], axis=-1)
     assert residual.shape == (len(omega), 2)
     for row, r in zip(residual, ratio):
         assert np.max(np.abs(row)) < 1e-10 * max(abs(r), 1.0)
@@ -437,15 +437,23 @@ def test_oscillator_pair_validation():
         OscillatorPair(1.0, 1.0, kappa=-0.5)
 
 
-def test_frequency_domain_matrix_shapes():
-    m = frequency_domain_matrix(ModelVariant.SPC, 1.0, 1.0, 0.2, 1.1)
-    assert m.shape == (2, 2)
-    assert m.dtype == complex
+def test_system_entries():
+    for variant in ModelVariant:
+        # scalar arguments give 0-d complex arrays, not numpy scalars
+        for entry in _system(variant, 1.0, 1.0, 0.2, 1.1):
+            assert type(entry) is np.ndarray
+            assert entry.shape == ()
+            assert entry.dtype == complex
+        # a grid in any argument gives complex entries of its shape
+        for omega_cav, omega in ((np.ones(3), 1.1), (1.0, np.ones(3))):
+            for entry in _system(variant, omega_cav, 1.0, 0.2, omega):
+                assert entry.shape == (3,)
+                assert entry.dtype == complex
     # spring coupling: symmetric off-diagonal
-    assert m[0, 1] == m[1, 0]
-    # a grid of drive frequencies gives the stacked matrices
-    assert frequency_domain_matrix(ModelVariant.SPC, 1.0, 1.0, 0.2, np.ones(3)).shape == (3, 2, 2)
-    moc = frequency_domain_matrix(ModelVariant.MOC, 1.0, 1.0, 0.2, 1.1)
+    _, m01, m10, _ = _system(ModelVariant.SPC, 1.0, 1.0, 0.2, 1.1)
+    assert m01 == m10
     # momentum coupling: antisymmetric, purely imaginary off-diagonal
-    assert moc[0, 1] == -moc[1, 0]
-    assert moc[0, 1].real == 0.0
+    _, m01, m10, _ = _system(ModelVariant.MOC, 1.0, 1.0, 0.2, 1.1)
+    assert m01 == -m10
+    assert m01.real == 0.0
+    assert m01.imag != 0.0
