@@ -236,6 +236,22 @@ def _pairwise_couplings(lattice: DipoleLattice) -> tuple[np.ndarray, np.ndarray]
     return dist, g
 
 
+def _reject_coincident(positions: np.ndarray) -> None:
+    """Raise on the first pair (i, j), i < j in row-major order, of equal positions, as ``_pairwise_couplings`` does.
+
+    The positions are sorted lexicographically, stably, so each run of equal
+    rows lists its dipoles in ascending order; the run whose first dipole
+    comes first holds the first pair, that dipole and the next in the run.
+    """
+    order = np.lexsort(positions.T[::-1])
+    ordered = positions[order]
+    equal = np.flatnonzero(np.all(ordered[1:] == ordered[:-1], axis=1))
+    if equal.size:
+        k = equal[np.argmin(order[equal])]
+        i, j = order[k], order[k + 1]
+        raise PolaritonError(f"dipoles {i} and {j} overlap at {positions[i]}")
+
+
 @dataclass(frozen=True)
 class FullSystem:
     """Normal-mode system of N dipoles and M cavity modes, held as three blocks.
@@ -340,18 +356,20 @@ def build_full_system(
 
     Dipole-mode couplings are profile-weighted velocity terms; dipole-dipole
     couplings are quasistatic amplitude terms over all pairs (no cutoff).
-    The pair couplings are read from the lattice, which computes them once.
+    The pair couplings are read from the lattice, which computes them once,
+    and only when they are included; either way coincident dipoles are
+    rejected, named as the pair kernel names them.
     """
     n = lattice.n_dip
     z = lattice.positions[:, 2]
     if np.any(z <= 0.0) or np.any(z >= fp.L_cav):
         raise PolaritonError("all dipoles must lie strictly between the mirrors (0 < z < L_cav)")
-    _, g_pairs = lattice.pair_couplings  # also rejects coincident dipoles
     wd = lattice.omega_dip
     if include_dipole_dipole:
-        k_dd = 2.0 * wd * g_pairs
+        k_dd = 2.0 * wd * lattice.pair_couplings[1]  # the pair kernel also rejects coincident dipoles
         np.fill_diagonal(k_dd, wd * wd)
     else:
+        _reject_coincident(lattice.positions)
         k_dd = wd * wd * np.eye(n)
     gmax = fp.g_max(lattice.f_dip_reduced)
     coupling = np.empty((n, len(fp.modes)), dtype=complex)

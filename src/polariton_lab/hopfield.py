@@ -16,11 +16,15 @@ truncation error.
 
 The truncated Hamiltonian is solved for its lowest levels only.  Each parity
 block, sorted by photon number with photon numbers paired, is a
-block-tridiagonal band of super-blocks of ``n_max + 1`` rows.  From a shift
-that a block Cholesky factorization proves lies below the spectrum,
-shift-and-invert block Krylov converges the wanted levels, and the Sylvester
-inertia of the block LDL^T just above the last of them certifies that none
-was missed.  The shift bound and a near-converged start both come from one
+block-tridiagonal band of super-blocks of ``n_max + 1`` rows, built from the
+products of the nonzero factor entries alone.  From a shift that a block
+Cholesky factorization proves lies below the spectrum, shift-and-invert
+block Krylov converges the wanted levels, and the Sylvester inertia of the
+block LDL^T just above the last of them certifies that none was missed.  The
+inertia count stops at the first pivot after which the rest of the band is
+strictly diagonally dominant above the shift: by Gershgorin's theorem that
+rest is positive definite, so by Sylvester's law it adds no eigenvalue below
+the shift.  The shift bound and a near-converged start both come from one
 dense ``eigh`` of the band's states whose photon and matter numbers are both
 below a cut.  Bands too small for Krylov to pay are diagonalized whole,
 each level refined by the Rayleigh quotient of its eigenvector.
@@ -28,6 +32,7 @@ each level refined by the Rayleigh quotient of its eigenvector.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -39,6 +44,9 @@ from .units import _require_integer, _require_nonnegative, _require_positive
 
 # Krylov stops when every wanted Ritz residual is at most this, times the largest diagonal entry
 _RESIDUAL = 1e-10
+# the inertia count stops where the rest of the band is diagonally dominant by more than this,
+# times the largest diagonal entry: far above the round-off of row sums of 41 entries
+_ROUNDOFF = 1e-12
 # a parity block is solved by Krylov only when a basis of this many blocks fits in half
 # of it: measured on n_max 24-40, the Krylov path is the faster from 18-23 blocks up
 _KRYLOV_BLOCKS = 22
@@ -142,36 +150,71 @@ def _band_numbers(d: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     return 2 * np.arange((d + 1) // 2)[:, None] + (np.arange(d) >= (d + 1 - parity) // 2), matter
 
 
-def _band(terms: list[tuple[np.ndarray, np.ndarray]], parity: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The block of states with n_a + n_b of parity ``parity`` as a block-tridiagonal band ``(diag, sub, size)``.
+@functools.lru_cache(maxsize=8)
+def _scatter_layout(d: int, parity: int, pattern: tuple[bytes, ...]) -> tuple:
+    """Where ``_band`` puts the products of nonzero factor entries, for the factors' nonzero ``pattern``.
+
+    Per term ``(src_a, src_b, dst)``: the flat indices of the nonzero entries
+    of A_k and B_k whose product lies in the parity band, on its diagonal
+    super-blocks or below them, and the flat index of that product in the
+    buffer that holds ``diag`` and then ``sub``.  Also the phantom rows of the
+    last super-block.  Indices are int32: a layout at n_max 40 takes 0.07 MiB,
+    and the cache holds at most eight.
+    """
+    m = (d + 1) // 2
+    photon, matter = _band_numbers(d, parity)
+    row = np.full((d + 1, d), -1)  # position of state (n_a, n_b) in its super-block
+    row[photon, matter] = np.arange(d)
+    layout = []
+    for a_mask, b_mask in zip(pattern[::2], pattern[1::2]):
+        src_a = np.flatnonzero(np.frombuffer(a_mask, dtype=bool))
+        src_b = np.flatnonzero(np.frombuffer(b_mask, dtype=bool))
+        # a product of A_k[n_a, n_a'] and B_k[n_b, n_b'] is the entry ((n_a, n_b), (n_a', n_b')) of the kron
+        n_a, n_a_col = (x[:, None] for x in np.divmod(src_a, d))
+        n_b, n_b_col = np.divmod(src_b, d)
+        src_a, src_b = np.broadcast_arrays(src_a[:, None], src_b)
+        i, j = row[n_a, n_b], row[n_a_col, n_b_col]  # row and column in their super-blocks
+        block, step = n_a // 2, n_a // 2 - n_a_col // 2
+        keep = ((n_a + n_b) % 2 == parity) & ((n_a_col + n_b_col) % 2 == parity) & (step >= 0) & (step <= 1)
+        # diag[block] for a step of 0, sub[block - 1] (after the m diagonal blocks) for a step of 1
+        dst = ((block + step * (m - 1)) * d + i) * d + j
+        layout.append(tuple(x[keep].astype(np.int32) for x in (src_a, src_b, dst)))
+    return tuple(layout), np.flatnonzero(photon[-1] == d)
+
+
+def _band(terms: list[tuple[np.ndarray, np.ndarray]], parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block of states with n_a + n_b of parity ``parity`` as a block-tridiagonal band ``(diag, sub, floor)``.
 
     Every interaction changes n_a + n_b by 0 or +/-2.  Photon-major, with
     photon numbers 2j and 2j + 1 in super-block j of d = n_max + 1 rows and
     matter numbers ascending, only neighbouring super-blocks meet (the
     coupling moves n_a by 1, the self-term by 2): ``sub[j]`` couples rows of
     super-block j + 1 to columns of super-block j.  Entries sum the term
-    products in term order from 0, as the kron sum does.  Rows from ``size``
-    on (photon number d, for odd d) are decoupled, with a diagonal above
-    every level.
+    products in term order from 0, as the kron sum does; only the products of
+    nonzero factor entries are formed, since every other product is a zero
+    (the factor entries are finite), which leaves a sum unchanged.  The rows of photon number d (for odd d,
+    the last rows of the last super-block) are decoupled phantoms, with a
+    diagonal above every level.
+    ``floor[j]`` is the least Gershgorin bound, diagonal minus the absolute
+    off-diagonal row sum, over the rows of super-blocks j and on.
     """
     d = terms[0][0].shape[0]
     m = (d + 1) // 2
-    photon, matter = _band_numbers(d, parity)
-    inner = photon[:, :, None] * 2 * m + photon[:, None, :]  # flat indices into the padded A_k
-    lower = photon[1:, :, None] * 2 * m + photon[:-1, None, :]
-    padded = np.zeros((2 * m, 2 * m))  # photon number d, if any, has no entries
-    diag = sub = 0
-    for a, b in terms:
-        padded[:d, :d] = a
-        b = b[matter[:, None], matter]
-        diag = diag + padded.ravel()[inner] * b
-        sub = sub + padded.ravel()[lower] * b
-    size = d * d // 2 + (d % 2) * (1 - parity)
-    phantom = np.arange(size - (m - 1) * d, d)
+    layout, phantom = _scatter_layout(d, parity, tuple((f != 0.0).tobytes() for term in terms for f in term))
+    flat = np.zeros((2 * m - 1) * d * d)
+    for (a, b), (src_a, src_b, dst) in zip(terms, layout):
+        flat[dst] += a.ravel()[src_a] * b.ravel()[src_b]
+    diag, sub = flat[: m * d * d].reshape(m, d, d), flat[m * d * d :].reshape(m - 1, d, d)
+    rows, sub_rows, sub_cols = np.abs(diag).sum(axis=2), np.abs(sub).sum(axis=2), np.abs(sub).sum(axis=1)
     # twice a bound on the largest row sum, so above every level
-    bound = np.abs(diag).sum(axis=2).max() + np.abs(sub).sum(axis=2).max() + np.abs(sub).sum(axis=1).max()
+    bound = rows.max() + sub_rows.max() + sub_cols.max()
+    diagonal = np.diagonal(diag, axis1=1, axis2=2)  # a view: the phantom rows read 0 here, 2 * bound below
+    radii = rows - np.abs(diagonal)  # the absolute off-diagonal row sums
+    radii[1:] += sub_rows
+    radii[:-1] += sub_cols
     diag[-1, phantom, phantom] = 2.0 * bound
-    return diag, sub, size
+    floor = np.minimum.accumulate(np.min(diagonal - radii, axis=1)[::-1])[::-1]
+    return diag, sub, floor
 
 
 def _band_product(diag: np.ndarray, sub: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -192,22 +235,46 @@ def _dense(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return dense.reshape(m * d, m * d)
 
 
-def _ldl(diag: np.ndarray, sub: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _ldl(
+    diag: np.ndarray, sub: np.ndarray, shift: float, floor: np.ndarray | None = None, stop: bool = False
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Block LDL^T of H - shift: inverted pivots, multipliers and the number of eigenvalues below ``shift``.
 
     Pivot j is S_j = diag[j] - shift - sub[j-1] S_{j-1}^-1 sub[j-1]^T.  By
     Sylvester's law of inertia H - shift has as many negative eigenvalues as
     the pivots together; a pivot whose Cholesky factorization succeeds has none.
+
+    Given the Gershgorin ``floor`` of ``_band``, the count ends at the first
+    pivot S_J after which the rest of H - shift, the Schur complement made of
+    S_J, the super-blocks below it and their couplings, is strictly
+    diagonally dominant by more than ``_ROUNDOFF`` times the largest diagonal
+    entry.  That rest is positive definite, so it adds no eigenvalue below
+    ``shift``: the pivots from S_J on are factored unchecked or, with
+    ``stop``, not at all, and only those before S_J are returned.
     """
     eye = np.eye(diag.shape[1])
     inverses, multipliers = np.empty_like(diag), np.empty_like(sub)
-    below = 0
+    if floor is not None:
+        margin = _ROUNDOFF * float(np.max(np.diagonal(diag, axis1=1, axis2=2)))
+    below, counting = 0, True
     pivot = diag[0] - shift * eye
     for j in range(len(diag)):
-        try:
-            np.linalg.cholesky(pivot)
-        except np.linalg.LinAlgError:
-            below += int(np.count_nonzero(np.linalg.eigvalsh(pivot) < 0.0))
+        if (
+            counting
+            and floor is not None
+            and j < len(sub)
+            and floor[j + 1] - shift > margin
+            # Gershgorin on the rows of S_J: their couplings are S_J's own and sub[J]'s columns
+            and np.all(2.0 * np.diagonal(pivot) - np.abs(pivot).sum(axis=1) - np.abs(sub[j]).sum(axis=0) > margin)
+        ):
+            if stop:
+                return inverses[:j], multipliers[:j], below
+            counting = False
+        if counting:
+            try:
+                np.linalg.cholesky(pivot)
+            except np.linalg.LinAlgError:
+                below += int(np.count_nonzero(np.linalg.eigvalsh(pivot) < 0.0))
         inverses[j] = np.linalg.inv(pivot)
         if j < len(sub):
             multipliers[j] = sub[j] @ inverses[j]
@@ -226,9 +293,16 @@ def _shifted_solve(inverses: np.ndarray, multipliers: np.ndarray, x: np.ndarray)
     return z.reshape(x.shape)
 
 
-def _certify(diag: np.ndarray, sub: np.ndarray, levels: np.ndarray, gap: float, count: int) -> None:
-    """Raise unless exactly ``len(levels)`` eigenvalues lie below ``levels[-1] + gap``: none was missed."""
-    below = _ldl(diag, sub, levels[-1] + gap)[2]
+def _certify(
+    diag: np.ndarray, sub: np.ndarray, levels: np.ndarray, gap: float, count: int, floor: np.ndarray | None = None
+) -> None:
+    """Raise unless exactly ``len(levels)`` eigenvalues lie below ``levels[-1] + gap``: none was missed.
+
+    The count is the inertia of a block LDL^T; given the band's Gershgorin
+    ``floor``, it stops as soon as the rest of the band is provably positive
+    definite above the shift (see ``_ldl``).
+    """
+    below = _ldl(diag, sub, levels[-1] + gap, floor, stop=True)[2]
     if below != len(levels):
         raise PolaritonError(
             f"truncated Fock solve at n_max={diag.shape[1] - 1}, n_levels={count - 1} missed a level: "
@@ -236,7 +310,9 @@ def _certify(diag: np.ndarray, sub: np.ndarray, levels: np.ndarray, gap: float, 
         )
 
 
-def _krylov_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int, low: np.ndarray) -> np.ndarray | None:
+def _krylov_levels(
+    diag: np.ndarray, sub: np.ndarray, size: int, count: int, low: np.ndarray, floor: np.ndarray
+) -> np.ndarray | None:
     """The lowest ``count`` levels of a band by shift-and-invert block Krylov, or None if it must be solved whole.
 
     One dense ``eigh`` of the principal block on the rows ``low`` and the
@@ -245,11 +321,12 @@ def _krylov_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int, low
     eigenvectors, near the band's).  The basis grows until the lowest
     ``count`` Ritz pairs, with any Ritz values clustered just above them,
     have residuals of at most ``_RESIDUAL`` times the largest diagonal entry;
-    those are certified and refined by a last Rayleigh-Ritz pass of their own.
+    those are certified, with the band's Gershgorin ``floor``, and refined by
+    a last Rayleigh-Ritz pass of their own.
     """
     n = diag.shape[0] * diag.shape[1]
     exponent = math.frexp(float(np.max(np.abs(diag))))[1]  # scaled exactly to entries of at most 1
-    diag, sub = np.ldexp(diag, -exponent), np.ldexp(sub, -exponent)
+    diag, sub, floor = (np.ldexp(x, -exponent) for x in (diag, sub, floor))
     diagonal = np.diagonal(diag, axis1=1, axis2=2).ravel()
     scale = float(diagonal[:size].max())
     width, limit, tol = count + 2, n // 2, _RESIDUAL * scale
@@ -262,7 +339,7 @@ def _krylov_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int, low
         return None  # a degenerate level at the wanted edge that the start's width cuts through
     # step down from the block's lowest level until the factorization proves the shift is below the spectrum
     step = 1e-3 * scale
-    while (factor := _ldl(diag, sub, levels[0] - step))[2]:
+    while (factor := _ldl(diag, sub, levels[0] - step, floor))[2]:
         step *= 4.0
     # deterministic start, perturbed off the phantom rows so that the next block stays independent of it
     start = 1e-10 * np.cos(np.outer(np.arange(n), np.arange(1, width + 1)))
@@ -290,7 +367,7 @@ def _krylov_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int, low
                 misfit = wanted @ products[:k] - ritz[:found, None] * ritz_vectors
                 residual = np.max(np.linalg.norm(misfit, axis=1))
                 if residual <= tol:
-                    _certify(diag, sub, ritz[:found], gap, count)
+                    _certify(diag, sub, ritz[:found], gap, count, floor)
                     q = np.linalg.qr(ritz_vectors.T)[0]
                     return np.ldexp(np.linalg.eigvalsh(q.T @ _band_product(diag, sub, q))[:count], exponent)
                 # residuals fall about geometrically: check again when they should be below tol
@@ -334,14 +411,15 @@ def _lowest_levels(terms: list[tuple[np.ndarray, np.ndarray]], count: int) -> np
     """The lowest ``count`` eigenvalues of H = sum_k kron(A_k, B_k), sorted, from its two parity bands."""
     levels = []
     for parity in (0, 1):
-        diag, sub, size = _band(terms, parity)
+        diag, sub, floor = _band(terms, parity)
         m, d, _ = diag.shape
+        size = d * d // 2 + (d % 2) * (1 - parity)  # the rows that are states, before the phantoms
         band = None
         if (count + 2) * _KRYLOV_BLOCKS <= m * d // 2:
             photon, matter = _band_numbers(d, parity)
             cut = min(_START_CUT, d // 2)
             low = np.flatnonzero((photon < cut) & (matter < cut))
-            band = _krylov_levels(diag, sub, size, count, low)
+            band = _krylov_levels(diag, sub, size, count, low, floor)
         if band is None:  # the whole band as the basis: a dense solve, which misses nothing
             band = _dense_levels(diag, sub, size, count)
         levels.append(band)

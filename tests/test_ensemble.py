@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polariton_lab import PolaritonError
+from polariton_lab import PolaritonError, ensemble
 from polariton_lab.ensemble import (
     DipoleLattice,
     FabryPerotSpec,
@@ -626,18 +626,38 @@ def test_off_lattice_matrices_are_bit_identical_to_the_dense_build(sites, jitter
         _assert_matches_the_dense_build(lat, fp, monkeypatch)
 
 
-@pytest.mark.parametrize(
+_COPIES = pytest.mark.parametrize(
     "copies", [((3, 5),), ((3, 130),), ((70, 100), (3, 130)), ((64, 65),)],
     ids=["within-a-block", "across-blocks", "first-in-row-order", "block-edge"],
 )
-def test_coincident_dipoles_are_named_as_in_the_dense_build(copies):
+
+
+def _coincident_lattice(copies):
+    """140 dipoles in a row, with each ``(source, target)`` of ``copies`` moved onto its source."""
     positions = np.column_stack([np.arange(140) * 3.0 + 1.0, np.zeros(140), np.full(140, 10.0)])
     for source, target in copies:
         positions[target] = positions[source]
-    lat = DipoleLattice(positions, (1.0, 0.0, 0.0), _F_DIP, 3.0, 3.0)
+    return DipoleLattice(positions, (1.0, 0.0, 0.0), _F_DIP, 3.0, 3.0)
+
+
+@_COPIES
+def test_coincident_dipoles_are_named_as_in_the_dense_build(copies):
+    lat = _coincident_lattice(copies)
+    positions = lat.positions
     with pytest.raises(PolaritonError) as dense:
         _dense_pairwise_couplings(lat)
     i, j = copies[-1]
     assert str(dense.value) == f"dipoles {i} and {j} overlap at {positions[i]}"
     with pytest.raises(PolaritonError, match=f"^{re.escape(str(dense.value))}$"):
         lat.pair_couplings
+
+
+@_COPIES
+def test_a_build_without_dipole_dipole_coupling_names_the_same_coincident_pair(copies, monkeypatch):
+    # no pair kernel runs: the positions are checked on their own
+    lat = _coincident_lattice(copies)
+    with pytest.raises(PolaritonError) as dense:
+        _dense_pairwise_couplings(lat)
+    monkeypatch.setattr(ensemble, "_pairwise_couplings", None)
+    with pytest.raises(PolaritonError, match=f"^{re.escape(str(dense.value))}$"):
+        build_full_system(lat, _fp(L_cav=20.0), include_dipole_dipole=False)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polariton_lab import PolaritonError, hopfield
@@ -13,6 +13,7 @@ from polariton_lab.hopfield import (
     QuantumSpectrum,
     _band,
     _certify,
+    _dense,
     _fock_terms,
     _lowest_levels,
     frame_equivalence_check,
@@ -267,22 +268,40 @@ def _dipole_gauge_partner(p):
     return HopfieldParams(p.omega_mat, p.omega_cav, g_prime, p.D * p.omega_cav / p.omega_mat)
 
 
-@pytest.mark.parametrize("n_max", [2, 3, 12])
-@pytest.mark.parametrize("frame", ["position", "rwa", "dipole"])
+def _gershgorin_floor(diag, sub):
+    """``floor[j]`` of ``_band`` from the dense band: the least Gershgorin bound of the rows from super-block j on."""
+    full = np.tril(_dense(diag, sub))
+    full = full + np.tril(full, -1).T
+    bounds = np.diag(full) - (np.sum(np.abs(full), axis=1) - np.abs(np.diag(full)))
+    return np.minimum.accumulate(np.min(bounds.reshape(-1, diag.shape[1]), axis=1)[::-1])[::-1]
+
+
+# the dense case, and the same with a term that vanishes: no coupling (g = 0) or no self-term (D = 0)
+_SCATTER_CASES = {
+    "": _DENSE_CASE,
+    "g0": HopfieldParams(omega_cav=1.3, omega_mat=1.0, g_qed=0.0, D=0.16),
+    "D0": HopfieldParams(omega_cav=1.3, omega_mat=1.0, g_qed=0.4, D=0.0),
+}
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 12, 40])
+@pytest.mark.parametrize("frame", [f"{frame}-{case}".strip("-") for case in _SCATTER_CASES for frame in ("position", "rwa", "dipole")])
 def test_scattered_parity_blocks_equal_the_kron_assembly(n_max, frame):
     # each parity block, sorted into its band order, against the dense kron sum
+    frame, _, case = frame.partition("-")
+    p = _SCATTER_CASES[case]
     if frame == "dipole":
-        terms = _fock_terms(_dipole_gauge_partner(_DENSE_CASE), n_max)
+        terms = _fock_terms(_dipole_gauge_partner(p), n_max)
     else:
-        terms = _fock_terms(_DENSE_CASE, n_max, rwa=frame == "rwa")
+        terms = _fock_terms(p, n_max, rwa=frame == "rwa")
     d = n_max + 1
     dense = sum(np.kron(a, b) for a, b in terms)
-    top = np.linalg.eigvalsh(dense)[-1]
+    top = np.max(np.sum(np.abs(dense), axis=1))  # at least every level
     blocks = []
     for parity in (0, 1):
-        diag, sub, size = _band(terms, parity)
+        diag, sub, floor = _band(terms, parity)
         states = _band_states(d, parity)
-        assert size == sum(map(len, states))
+        assert np.allclose(floor, _gershgorin_floor(diag, sub), rtol=0.0, atol=1e-12 * top)
         for j, rows in enumerate(states):
             r = len(rows)
             # bit for bit against the kron sum; phantom rows, if any, are decoupled
@@ -312,19 +331,21 @@ def test_dipole_gauge_partner_levels_match_the_dense_kron_hamiltonian():
 
 
 @st.composite
-def _oracle_cases(draw):
-    """Stable parameters, a frame, a truncation and a level count for the lowest-levels solve.
-
-    g runs up to the SpC instability g^2 = omega_cav * omega_mat / 4 and, with
-    the matched MoC self-term, into deep-strong coupling.
-    """
+def _stable_params(draw):
+    """Stable parameters: g runs up to the SpC instability g^2 = omega_cav * omega_mat / 4
+    and, with the matched MoC self-term, into deep-strong coupling."""
     omega_cav = draw(st.floats(0.3, 3.0))
     if draw(st.booleans()):
         g = draw(st.floats(0.0, 0.999)) * math.sqrt(omega_cav) / 2.0
-        p = HopfieldParams(omega_cav, 1.0, g, 0.0)
-    else:
-        g = draw(st.floats(0.0, 1.2))
-        p = HopfieldParams(omega_cav, 1.0, g, g * g)
+        return HopfieldParams(omega_cav, 1.0, g, 0.0)
+    g = draw(st.floats(0.0, 1.2))
+    return HopfieldParams(omega_cav, 1.0, g, g * g)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """Stable parameters, a frame, a truncation and a level count for the lowest-levels solve."""
+    p = draw(_stable_params())
     n_max = draw(st.integers(2, 40))
     count = draw(st.one_of(st.integers(1, 8), st.integers(1, (n_max + 1) ** 2)))
     return p, draw(st.sampled_from(["position", "rwa", "dipole"])), n_max, count
@@ -357,9 +378,9 @@ def certified(monkeypatch):
     counts = []
     certify = hopfield._certify
 
-    def counted(diag, sub, levels, gap, count):
+    def counted(diag, sub, levels, gap, count, floor=None):
         counts.append(len(levels))
-        return certify(diag, sub, levels, gap, count)
+        return certify(diag, sub, levels, gap, count, floor)
 
     monkeypatch.setattr(hopfield, "_certify", counted)
     return counts
@@ -369,6 +390,64 @@ def test_benchmark_box_takes_the_certified_krylov_path(certified):
     truncated_fock_spectrum(HopfieldParams(1.1, 1.0, 0.3, 0.09), n_max=40, n_levels=5)
     # one certificate per parity band, each for at least the six levels asked of it
     assert len(certified) == 2 and min(certified) >= 6
+
+
+def test_benchmark_box_certificates_stop_early(monkeypatch):
+    # the rest of each band is provably positive definite after a few of its 21 pivots
+    factored = []
+    ldl = hopfield._ldl
+
+    def counted(diag, sub, shift, floor=None, stop=False):
+        factors = ldl(diag, sub, shift, floor, stop)
+        if stop:
+            factored.append(len(factors[0]))
+        return factors
+
+    monkeypatch.setattr(hopfield, "_ldl", counted)
+    truncated_fock_spectrum(HopfieldParams(1.1, 1.0, 0.3, 0.09), n_max=40, n_levels=5)
+    assert len(factored) == 2 and max(factored) <= 8
+
+
+@given(case=st.tuples(_stable_params(), st.booleans(), st.integers(2, 20), st.integers(0, 1), st.integers(0, 51)))
+@example(case=(HopfieldParams(1.1, 1.0, 0.3, 0.09), False, 20, 0, 6))  # the benchmark box
+@example(case=(HopfieldParams(1.1, 1.0, 0.3, 0.09), False, 20, 1, 51))
+@example(case=(HopfieldParams(0.3601, 1.0, 0.3, 0.0), False, 20, 0, 0))  # SpC near instability
+@settings(max_examples=40, deadline=None)
+def test_early_stopping_inertia_count_matches_the_dense_spectrum(case):
+    # a parity band at n_max <= 20 (rwa or not) and a shift between two of its lowest 51 levels
+    p, rwa, n_max, parity, below = case
+    terms = _fock_terms(p, n_max, rwa=rwa)
+    diag, sub, floor = _band(terms, parity)
+    states = sum(_band_states(n_max + 1, parity), [])
+    dense = sum(np.kron(a, b) for a, b in terms)
+    levels = np.linalg.eigvalsh(dense[np.ix_(states, states)])
+    below = min(below, len(levels))
+    # the shift sits between level below - 1 and level below, at least 1e-6 of the spread from each
+    low = levels[below - 1] if below else levels[0] - 1.0
+    high = levels[below] if below < len(levels) else levels[-1] + 1.0
+    assume(high - low > 2e-6 * (levels[-1] - levels[0] + 1.0))
+    # as the certificate counts, stopping early, and as the shift probe does, factoring every pivot
+    for stop in (True, False):
+        assert hopfield._ldl(diag, sub, 0.5 * (low + high), floor, stop)[2] == below
+
+
+@pytest.mark.parametrize(
+    "diag, sub, shift",
+    [
+        # the first pivot is dominant, but the last block holds a level below the shift
+        ([10.0, 10.0, 0.5], [0.1, 0.1], 1.0),
+        # the first pivot is dominant by itself, but its coupling to the next block makes a level below the shift
+        ([0.5, 3.0], [2.0], 0.0),
+    ],
+    ids=["level-in-a-later-block", "level-from-the-coupling"],
+)
+def test_inertia_count_does_not_stop_at_a_pivot_that_is_dominant_alone(diag, sub, shift):
+    # 1 x 1 super-blocks, so that the Gershgorin test of each part can be made to fail on its own
+    diag, sub = np.reshape(diag, (-1, 1, 1)), np.reshape(sub, (-1, 1, 1))
+    below = int(np.count_nonzero(np.linalg.eigvalsh(_dense(diag, sub)) < shift))
+    assert below == 1
+    for stop in (True, False):
+        assert hopfield._ldl(diag, sub, shift, _gershgorin_floor(diag, sub), stop)[2] == below
 
 
 @pytest.mark.parametrize(
