@@ -182,8 +182,10 @@ def _scatter_layout(d: int, parity: int, pattern: tuple[bytes, ...]) -> tuple:
     return tuple(layout), np.flatnonzero(photon[-1] == d)
 
 
-def _band(terms: list[tuple[np.ndarray, np.ndarray]], parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block of states with n_a + n_b of parity ``parity`` as a block-tridiagonal band ``(diag, sub, floor)``.
+def _band(
+    terms: list[tuple[np.ndarray, np.ndarray]], parity: int
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The block of states with n_a + n_b of parity ``parity`` as a block-tridiagonal band ``(diag, sub, size, floor)``.
 
     Every interaction changes n_a + n_b by 0 or +/-2.  Photon-major, with
     photon numbers 2j and 2j + 1 in super-block j of d = n_max + 1 rows and
@@ -192,9 +194,9 @@ def _band(terms: list[tuple[np.ndarray, np.ndarray]], parity: int) -> tuple[np.n
     super-block j + 1 to columns of super-block j.  Entries sum the term
     products in term order from 0, as the kron sum does; only the products of
     nonzero factor entries are formed, since every other product is a zero
-    (the factor entries are finite), which leaves a sum unchanged.  The rows of photon number d (for odd d,
-    the last rows of the last super-block) are decoupled phantoms, with a
-    diagonal above every level.
+    (the factor entries are finite), which leaves a sum unchanged.  Rows
+    from ``size`` on (photon number d, for odd d) are decoupled phantoms,
+    with a diagonal above every level.
     ``floor[j]`` is the least Gershgorin bound, diagonal minus the absolute
     off-diagonal row sum, over the rows of super-blocks j and on.
     """
@@ -214,7 +216,7 @@ def _band(terms: list[tuple[np.ndarray, np.ndarray]], parity: int) -> tuple[np.n
     radii[:-1] += sub_cols
     diag[-1, phantom, phantom] = 2.0 * bound
     floor = np.minimum.accumulate(np.min(diagonal - radii, axis=1)[::-1])[::-1]
-    return diag, sub, floor
+    return diag, sub, m * d - len(phantom), floor
 
 
 def _band_product(diag: np.ndarray, sub: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -236,7 +238,7 @@ def _dense(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
 
 
 def _ldl(
-    diag: np.ndarray, sub: np.ndarray, shift: float, floor: np.ndarray | None = None, stop: bool = False
+    diag: np.ndarray, sub: np.ndarray, shift: float, floor: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Block LDL^T of H - shift: inverted pivots, multipliers and the number of eigenvalues below ``shift``.
 
@@ -249,32 +251,28 @@ def _ldl(
     S_J, the super-blocks below it and their couplings, is strictly
     diagonally dominant by more than ``_ROUNDOFF`` times the largest diagonal
     entry.  That rest is positive definite, so it adds no eigenvalue below
-    ``shift``: the pivots from S_J on are factored unchecked or, with
-    ``stop``, not at all, and only those before S_J are returned.
+    ``shift``: S_J and the pivots after it are not factored, and only those
+    before S_J are returned.
     """
     eye = np.eye(diag.shape[1])
     inverses, multipliers = np.empty_like(diag), np.empty_like(sub)
     if floor is not None:
         margin = _ROUNDOFF * float(np.max(np.diagonal(diag, axis1=1, axis2=2)))
-    below, counting = 0, True
+    below = 0
     pivot = diag[0] - shift * eye
     for j in range(len(diag)):
         if (
-            counting
-            and floor is not None
+            floor is not None
             and j < len(sub)
             and floor[j + 1] - shift > margin
             # Gershgorin on the rows of S_J: their couplings are S_J's own and sub[J]'s columns
             and np.all(2.0 * np.diagonal(pivot) - np.abs(pivot).sum(axis=1) - np.abs(sub[j]).sum(axis=0) > margin)
         ):
-            if stop:
-                return inverses[:j], multipliers[:j], below
-            counting = False
-        if counting:
-            try:
-                np.linalg.cholesky(pivot)
-            except np.linalg.LinAlgError:
-                below += int(np.count_nonzero(np.linalg.eigvalsh(pivot) < 0.0))
+            return inverses[:j], multipliers[:j], below
+        try:
+            np.linalg.cholesky(pivot)
+        except np.linalg.LinAlgError:
+            below += int(np.count_nonzero(np.linalg.eigvalsh(pivot) < 0.0))
         inverses[j] = np.linalg.inv(pivot)
         if j < len(sub):
             multipliers[j] = sub[j] @ inverses[j]
@@ -302,7 +300,7 @@ def _certify(
     ``floor``, it stops as soon as the rest of the band is provably positive
     definite above the shift (see ``_ldl``).
     """
-    below = _ldl(diag, sub, levels[-1] + gap, floor, stop=True)[2]
+    below = _ldl(diag, sub, levels[-1] + gap, floor)[2]
     if below != len(levels):
         raise PolaritonError(
             f"truncated Fock solve at n_max={diag.shape[1] - 1}, n_levels={count - 1} missed a level: "
@@ -339,7 +337,7 @@ def _krylov_levels(
         return None  # a degenerate level at the wanted edge that the start's width cuts through
     # step down from the block's lowest level until the factorization proves the shift is below the spectrum
     step = 1e-3 * scale
-    while (factor := _ldl(diag, sub, levels[0] - step, floor))[2]:
+    while (factor := _ldl(diag, sub, levels[0] - step))[2]:
         step *= 4.0
     # deterministic start, perturbed off the phantom rows so that the next block stays independent of it
     start = 1e-10 * np.cos(np.outer(np.arange(n), np.arange(1, width + 1)))
@@ -411,9 +409,8 @@ def _lowest_levels(terms: list[tuple[np.ndarray, np.ndarray]], count: int) -> np
     """The lowest ``count`` eigenvalues of H = sum_k kron(A_k, B_k), sorted, from its two parity bands."""
     levels = []
     for parity in (0, 1):
-        diag, sub, floor = _band(terms, parity)
+        diag, sub, size, floor = _band(terms, parity)
         m, d, _ = diag.shape
-        size = d * d // 2 + (d % 2) * (1 - parity)  # the rows that are states, before the phantoms
         band = None
         if (count + 2) * _KRYLOV_BLOCKS <= m * d // 2:
             photon, matter = _band_numbers(d, parity)

@@ -299,8 +299,9 @@ def test_scattered_parity_blocks_equal_the_kron_assembly(n_max, frame):
     top = np.max(np.sum(np.abs(dense), axis=1))  # at least every level
     blocks = []
     for parity in (0, 1):
-        diag, sub, floor = _band(terms, parity)
+        diag, sub, size, floor = _band(terms, parity)
         states = _band_states(d, parity)
+        assert size == sum(map(len, states))
         assert np.allclose(floor, _gershgorin_floor(diag, sub), rtol=0.0, atol=1e-12 * top)
         for j, rows in enumerate(states):
             r = len(rows)
@@ -397,9 +398,9 @@ def test_benchmark_box_certificates_stop_early(monkeypatch):
     factored = []
     ldl = hopfield._ldl
 
-    def counted(diag, sub, shift, floor=None, stop=False):
-        factors = ldl(diag, sub, shift, floor, stop)
-        if stop:
+    def counted(diag, sub, shift, floor=None):
+        factors = ldl(diag, sub, shift, floor)
+        if floor is not None:  # the certificate's count; the shift probe factors every pivot
             factored.append(len(factors[0]))
         return factors
 
@@ -417,7 +418,7 @@ def test_early_stopping_inertia_count_matches_the_dense_spectrum(case):
     # a parity band at n_max <= 20 (rwa or not) and a shift between two of its lowest 51 levels
     p, rwa, n_max, parity, below = case
     terms = _fock_terms(p, n_max, rwa=rwa)
-    diag, sub, floor = _band(terms, parity)
+    diag, sub, _, floor = _band(terms, parity)
     states = sum(_band_states(n_max + 1, parity), [])
     dense = sum(np.kron(a, b) for a, b in terms)
     levels = np.linalg.eigvalsh(dense[np.ix_(states, states)])
@@ -427,8 +428,8 @@ def test_early_stopping_inertia_count_matches_the_dense_spectrum(case):
     high = levels[below] if below < len(levels) else levels[-1] + 1.0
     assume(high - low > 2e-6 * (levels[-1] - levels[0] + 1.0))
     # as the certificate counts, stopping early, and as the shift probe does, factoring every pivot
-    for stop in (True, False):
-        assert hopfield._ldl(diag, sub, 0.5 * (low + high), floor, stop)[2] == below
+    for bound in (floor, None):
+        assert hopfield._ldl(diag, sub, 0.5 * (low + high), bound)[2] == below
 
 
 @pytest.mark.parametrize(
@@ -446,8 +447,8 @@ def test_inertia_count_does_not_stop_at_a_pivot_that_is_dominant_alone(diag, sub
     diag, sub = np.reshape(diag, (-1, 1, 1)), np.reshape(sub, (-1, 1, 1))
     below = int(np.count_nonzero(np.linalg.eigvalsh(_dense(diag, sub)) < shift))
     assert below == 1
-    for stop in (True, False):
-        assert hopfield._ldl(diag, sub, shift, _gershgorin_floor(diag, sub), stop)[2] == below
+    for floor in (_gershgorin_floor(diag, sub), None):
+        assert hopfield._ldl(diag, sub, shift, floor)[2] == below
 
 
 @pytest.mark.parametrize(
@@ -506,7 +507,7 @@ def test_degenerate_level_wider_than_the_krylov_block_is_solved_whole():
 
 def test_certificate_raises_on_a_missed_level():
     terms = _fock_terms(_DENSE_CASE, 12)
-    diag, sub, _ = _band(terms, 0)
+    diag, sub, _, _ = _band(terms, 0)
     dense = sum(np.kron(a, b) for a, b in terms)
     even = sum(_band_states(13, 0), [])
     levels = np.linalg.eigvalsh(dense[np.ix_(even, even)])[:6]
