@@ -96,10 +96,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from dataclasses import asdict
+
     from .units import UNITS
 
-    for name in ("hbar_c", "coulomb_const", "proton_mass_energy", "debye_in_e_nm", "light_speed"):
-        print(f"{name} = {format(getattr(UNITS, name), '.17g')}")
+    for name, value in asdict(UNITS).items():
+        print(f"{name} = {value:.17g}")
     return 0
 
 

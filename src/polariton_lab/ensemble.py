@@ -21,6 +21,8 @@ import numpy as np
 from .exceptions import PolaritonError
 from .models import ModelVariant, branch_frequencies
 from .units import (
+    _MAX_DIPOLES,
+    _MAX_MODES,
     UNITS,
     _as_points,
     _as_vec,
@@ -45,8 +47,6 @@ __all__ = [
     "full_vs_reduced_check",
 ]
 
-_MAX_DIPOLES = 500
-_MAX_MODES = 500
 _CUTOFF_SPACINGS = 10.0
 _PAIR_ROWS = 64  # rows per block of the pair-coupling kernel
 
@@ -56,6 +56,22 @@ def _check_dipole_count(n: int) -> None:
         raise PolaritonError("lattice has no dipoles")
     if n > _MAX_DIPOLES:
         raise PolaritonError(f"N={n} exceeds the desk-scale bound of {_MAX_DIPOLES} dipoles")
+
+
+def _reject_coincident(positions: np.ndarray) -> None:
+    """Raise on the first pair (i, j), i < j in row-major order, of equal positions, as ``_pairwise_couplings`` does.
+
+    The positions are sorted lexicographically, stably, so each run of equal
+    rows lists its dipoles in ascending order; the run whose first dipole
+    comes first holds the first pair, that dipole and the next in the run.
+    """
+    order = np.lexsort(positions.T[::-1])
+    ordered = positions[order]
+    equal = np.flatnonzero(np.all(ordered[1:] == ordered[:-1], axis=1))
+    if equal.size:
+        k = equal[np.argmin(order[equal])]
+        i, j = order[k], order[k + 1]
+        raise PolaritonError(f"dipoles {i} and {j} overlap at {positions[i]}")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -134,6 +150,7 @@ class DipoleLattice:
         object.__setattr__(self, "positions", _read_only(_as_points("positions", self.positions)))
         object.__setattr__(self, "orientation", _read_only(_unit_vector("orientation", self.orientation)))
         _check_dipole_count(self.n_dip)
+        _reject_coincident(self.positions)
         _require_positive("omega_dip", self.omega_dip)
         _require_positive("spacing", self.spacing)
         _reduced_strength(self.f_dip)
@@ -205,12 +222,13 @@ def _pairwise_couplings(lattice: DipoleLattice) -> tuple[np.ndarray, np.ndarray]
     """(distance matrix, amplitude-coupling matrix g_ij) with zero diagonals.
 
     ``g_ij = f 1/2 (1 - 3 (n.rhat)^2) / (r^3 omega_dip)`` for the shared
-    orientation; raises on coincident dipoles.  Both matrices are computed in
-    triangular row blocks: the ``_PAIR_ROWS`` rows ``[s, e)`` over the columns
-    ``j >= s`` only, whose transpose then fills the columns ``[s, e)`` of the
-    rows below.  The mirror is exact, since ``x_j - x_i == -(x_i - x_j)`` in
-    IEEE arithmetic only flips the sign of ``n.rhat``, and the temporaries
-    stay the size of a block.
+    orientation; raises on a zero distance, which distinct positions reach
+    by underflow.  Both matrices are computed in triangular row blocks: the
+    ``_PAIR_ROWS`` rows ``[s, e)`` over the columns ``j >= s`` only, whose
+    transpose then fills the columns ``[s, e)`` of the rows below.  The
+    mirror is exact, since ``x_j - x_i == -(x_i - x_j)`` in IEEE arithmetic
+    only flips the sign of ``n.rhat``, and the temporaries stay the size of
+    a block.
     """
     pos = lattice.positions
     n = pos.shape[0]
@@ -234,22 +252,6 @@ def _pairwise_couplings(lattice: DipoleLattice) -> tuple[np.ndarray, np.ndarray]
     np.fill_diagonal(dist, 0.0)
     np.fill_diagonal(g, 0.0)
     return dist, g
-
-
-def _reject_coincident(positions: np.ndarray) -> None:
-    """Raise on the first pair (i, j), i < j in row-major order, of equal positions, as ``_pairwise_couplings`` does.
-
-    The positions are sorted lexicographically, stably, so each run of equal
-    rows lists its dipoles in ascending order; the run whose first dipole
-    comes first holds the first pair, that dipole and the next in the run.
-    """
-    order = np.lexsort(positions.T[::-1])
-    ordered = positions[order]
-    equal = np.flatnonzero(np.all(ordered[1:] == ordered[:-1], axis=1))
-    if equal.size:
-        k = equal[np.argmin(order[equal])]
-        i, j = order[k], order[k + 1]
-        raise PolaritonError(f"dipoles {i} and {j} overlap at {positions[i]}")
 
 
 @dataclass(frozen=True)
@@ -349,6 +351,12 @@ def _bright_band_spread(full: FullSystem, alpha: int, omega_dip: float) -> float
     return math.sqrt(max(float(np.vdot(shifted, shifted).real) - mean * mean, 0.0))
 
 
+def _check_between_mirrors(lattice: DipoleLattice, fp: FabryPerotSpec) -> None:
+    z = lattice.positions[:, 2]
+    if np.any(z <= 0.0) or np.any(z >= fp.L_cav):
+        raise PolaritonError("all dipoles must lie strictly between the mirrors (0 < z < L_cav)")
+
+
 def build_full_system(
     lattice: DipoleLattice, fp: FabryPerotSpec, include_dipole_dipole: bool = True
 ) -> FullSystem:
@@ -357,19 +365,15 @@ def build_full_system(
     Dipole-mode couplings are profile-weighted velocity terms; dipole-dipole
     couplings are quasistatic amplitude terms over all pairs (no cutoff).
     The pair couplings are read from the lattice, which computes them once,
-    and only when they are included; either way coincident dipoles are
-    rejected, named as the pair kernel names them.
+    and only when they are included.
     """
+    _check_between_mirrors(lattice, fp)
     n = lattice.n_dip
-    z = lattice.positions[:, 2]
-    if np.any(z <= 0.0) or np.any(z >= fp.L_cav):
-        raise PolaritonError("all dipoles must lie strictly between the mirrors (0 < z < L_cav)")
     wd = lattice.omega_dip
     if include_dipole_dipole:
-        k_dd = 2.0 * wd * lattice.pair_couplings[1]  # the pair kernel also rejects coincident dipoles
+        k_dd = 2.0 * wd * lattice.pair_couplings[1]
         np.fill_diagonal(k_dd, wd * wd)
     else:
-        _reject_coincident(lattice.positions)
         k_dd = wd * wd * np.eye(n)
     gmax = fp.g_max(lattice.f_dip_reduced)
     coupling = np.empty((n, len(fp.modes)), dtype=complex)
@@ -393,6 +397,7 @@ def collective_reduce(
     reports the largest deviation of a single reference dipole's sum from
     that average (a homogeneity diagnostic).
     """
+    _check_between_mirrors(lattice, fp)
     mode = _mode_label(mode)
     if mode not in fp.modes:
         raise PolaritonError(f"mode {mode!r} is not among the cavity's modes")
@@ -460,8 +465,6 @@ def full_vs_reduced_check(
     targets = (float(plus), float(minus))
     full = build_full_system(lattice, fp, include_dipole_dipole=include_dipole_dipole)
     freqs = full.eigenfrequencies()
-    if freqs.size < 2:
-        raise PolaritonError("full system produced fewer than two positive eigenfrequencies")
     picked = tuple(float(freqs[np.argmin(np.abs(freqs - t))]) for t in targets)
     dev = max(abs(p - t) / t for p, t in zip(picked, targets))
     return FullVsReducedReport(

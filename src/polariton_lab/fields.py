@@ -19,7 +19,9 @@ import numpy as np
 
 from .exceptions import PolaritonError
 from .models import ModelVariant, branch_frequencies, mode_ratio
-from .units import _as_points, _as_vec, _reduced_strength, _require_nonnegative, _require_positive, _unit_vector
+from .units import (
+    _as_points, _as_vec, _raise_first_bad, _reduced_strength, _require_nonnegative, _require_positive, _unit_vector
+)
 
 __all__ = [
     "NEAR_FIELD_CALIBRATION",
@@ -120,10 +122,8 @@ def mode_profile_box(scene: BoxCavityScene, positions) -> np.ndarray:
     """
     pos = _as_points("positions", positions)
     lx, ly, _ = scene.L
-    outside = np.flatnonzero(np.any(np.abs(pos) > np.asarray(scene.L) / 2, axis=1))
-    if outside.size:
-        i = int(outside[0])
-        raise PolaritonError(f"position {pos[i]} (row {i}) lies outside the box")
+    outside = np.any(np.abs(pos) > np.asarray(scene.L) / 2, axis=1)
+    _raise_first_bad(outside, PolaritonError, lambda i, at: f"position {pos[i]}{at} lies outside the box", row="row")
     return np.cos(math.pi * pos[:, 0] / lx) * np.cos(math.pi * pos[:, 1] / ly)
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import PolaritonError
-from .units import _require_integer, _require_nonnegative, _require_positive
+from .units import _MAX_FOCK_ROWS, _require_integer, _require_nonnegative, _require_positive
 
 # Krylov stops when every wanted Ritz residual is at most this, times the largest diagonal entry
 _RESIDUAL = 1e-10
@@ -128,8 +128,8 @@ def _fock_terms(p: HopfieldParams, n_max: int, *, rwa: bool = False) -> list[tup
     if n_max < 2:
         raise PolaritonError(f"n_max must be >= 2, got {n_max}")
     d = n_max + 1
-    if d * d > 4096:
-        raise PolaritonError(f"Fock matrix dimension {d * d} exceeds the desk-scale bound of 4096 rows")
+    if d * d > _MAX_FOCK_ROWS:
+        raise PolaritonError(f"Fock matrix dimension {d * d} exceeds the desk-scale bound of {_MAX_FOCK_ROWS} rows")
     low = _ladder(d)
     num = np.diag(np.arange(d, dtype=float))
     q = low + low.T

@@ -62,7 +62,8 @@ from .models import (
     mode_ratio,
 )
 from .units import (
-    UNITS, _raise_first_bad, _reduced_strength, coupling_dipole_dipole, dipole_moment_to_oscillator_strength
+    _MAX_DIPOLES, _MAX_FOCK_ROWS, _MAX_MODES, UNITS, _raise_first_bad, _reduced_strength, coupling_dipole_dipole,
+    dipole_moment_to_oscillator_strength,
 )
 
 __all__ = [
@@ -143,7 +144,7 @@ def _table_list(value, path: str, *, table, what: str, maximum=None) -> list:
     return [_validate(table, v, _join(path, i)) for i, v in enumerate(value)]
 
 
-def _number(value, path: str, *, minimum=None, exclusive_minimum=None, maximum=None) -> float:
+def _number(value, path: str, *, minimum=None, exclusive_minimum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {value!r}")
     v = float(value)
@@ -153,8 +154,6 @@ def _number(value, path: str, *, minimum=None, exclusive_minimum=None, maximum=N
         raise SchemaError(path, f"must be >= {minimum}, got {v}")
     if exclusive_minimum is not None and v <= exclusive_minimum:
         raise SchemaError(path, f"must be > {exclusive_minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        raise SchemaError(path, f"must be <= {maximum}, got {v}")
     return v
 
 
@@ -608,7 +607,10 @@ def _run_fractions(p: dict) -> _Table:
 def _lattice_shape(value, path: str) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise SchemaError(path, f"expected [nx, ny, nz], got {value!r}")
-    return tuple(_integer(v, _join(path, i), minimum=1) for i, v in enumerate(value))
+    shape = tuple(_integer(v, _join(path, i), minimum=1) for i, v in enumerate(value))
+    if math.prod(shape) > _MAX_DIPOLES:
+        raise SchemaError(path, f"at most {_MAX_DIPOLES} dipoles (nx * ny * nz), got {math.prod(shape)}")
+    return shape
 
 
 _MODE = (
@@ -617,7 +619,7 @@ _MODE = (
 )
 
 _CAVITY = (
-    _Field("modes", partial(_table_list, table=_MODE, what="mode")),
+    _Field("modes", partial(_table_list, table=_MODE, what="mode", maximum=_MAX_MODES)),
     _Field("L_cav", _POSITIVE),
     _Field("lateral_period", _POSITIVE),
     _Field("epsilon_inf", _EPSILON_INF, 1.0),
@@ -800,7 +802,7 @@ _ORACLE = {
         _Field("omega_mat", _POSITIVE),
         _Field("g_qed", _NONNEGATIVE),
         _Field("D", _diamagnetic, 0.0),
-        _Field("n_max", partial(_integer, minimum=2, maximum=63), 40),
+        _Field("n_max", partial(_integer, minimum=2, maximum=math.isqrt(_MAX_FOCK_ROWS) - 1), 40),
         _Field("n_levels", partial(_integer, minimum=1), 5),
         _Field("rwa", _boolean, False),
         _Field("frame_check", _boolean, False),
@@ -1170,8 +1172,6 @@ def run_scenario_document(
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             table = handler(_validate(spec, doc["parameters"], "parameters"))
-    except SchemaError:
-        raise
     except PolaritonError as exc:
         raise type(exc)(f"scenario {source_name!r} ({kind}): {exc}") from exc
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

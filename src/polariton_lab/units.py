@@ -12,7 +12,9 @@ The input guards (``_require_*``, ``_as_vec``, ``_as_points`` and
 finite-and-in-range and integer arguments through them, so a non-finite,
 out-of-range or fractional number or array element raises
 :class:`PolaritonError` naming the argument (and, for an array, its first bad
-grid row) instead of turning into NaN or being truncated.
+grid row) instead of turning into NaN or being truncated.  The desk-scale
+bounds (``_MAX_*``) are here too, so that the layers and the scenario schema
+read one number each.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ __all__ = [
     "coupling_dipole_dipole",
     "angular_factor",
 ]
+
+_MAX_DIPOLES = 500  # dipoles per lattice
+_MAX_MODES = 500  # cavity modes per Fabry-Perot spec
+_MAX_FOCK_ROWS = 4096  # rows of the two-mode truncated Fock space, (n_max + 1)^2
 
 
 def _raise_first_bad(bad, error, message, row: str = "grid row") -> None:
@@ -83,10 +89,6 @@ class UnitSystem:
     proton_mass_energy: float = 9.38272088e8  # m_p c^2, eV
     debye_in_e_nm: float = 0.020819434  # e nm per Debye
     light_speed: float = 1.0
-
-    def __post_init__(self):
-        for name in ("hbar_c", "coulomb_const", "proton_mass_energy", "debye_in_e_nm", "light_speed"):
-            _require_positive(f"unit-system constant {name}", getattr(self, name))
 
 
 UNITS = UnitSystem()

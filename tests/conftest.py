@@ -3,12 +3,15 @@
 * :func:`write_outputs` and the session fixture ``inprocess_dir``: one
   in-process pass of the 19 reproductions and the 10 sample scenarios, which
   the fingerprint pins and the process-identity checks both read.
+* ``ROUND_OFF``: the floor for a value that is a BLAS kernel's round-off
+  only, a relative deviation whose physical scale is 1.
 * Unit-bookkeeping oracles that the package does not ship: the dipole moment
   of an oscillator strength, the coupling of a dipole in a cavity mode of given
   volume, and the oscillator strength of a small metal sphere.
 """
 
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,8 @@ from polariton_lab.units import UNITS, OscillatorStrength
 SAMPLES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
 # an output's name: its figure id, or samples/<stem> for a sample scenario
 OUTPUT_NAMES = [*FIGURE_IDS, *(f"samples/{sample.stem}" for sample in SAMPLES)]
+# 8 ulps of 1: the SkylakeX, Haswell and Sandybridge kernels of OpenBLAS 0.3.31 move such values by up to 1.3 ulps
+ROUND_OFF = 8 * sys.float_info.epsilon
 
 
 def write_outputs(out_dir: Path) -> None:

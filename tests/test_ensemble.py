@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polariton_lab import PolaritonError, ensemble
+from polariton_lab import PolaritonError
 from polariton_lab.ensemble import (
     DipoleLattice,
     FabryPerotSpec,
@@ -504,6 +505,24 @@ def test_reduction_guards():
         collective_reduce(lat, fp, (2, (0.0, 0.0)))
 
 
+def test_the_reduction_keeps_the_dipoles_between_the_mirrors_as_the_build_does():
+    fp = _fp(L_cav=206.64)
+    lat = DipoleLattice([[5.0, 5.0, 100.0], [5.0, 5.0, 300.0]], (1.0, 0.0, 0.0), _F_DIP, 3.0, 3.0)
+    with pytest.raises(PolaritonError) as build:
+        build_full_system(lat, fp)
+    assert "strictly between the mirrors" in str(build.value)
+    with pytest.raises(PolaritonError, match=f"^{re.escape(str(build.value))}$"):
+        collective_reduce(lat, fp, _MODE)
+
+
+def test_a_mode_that_vanishes_on_every_dipole_has_no_collective_mode():
+    # at z = 1e-170 nm the profile sin(pi z / L_cav) is about 1.5e-172, and its square underflows to 0
+    fp = _fp()
+    lat = DipoleLattice([[2.0, 5.0, 1e-170], [8.0, 5.0, 1e-170]], (1.0, 0.0, 0.0), _F_DIP, 3.0, 6.0)
+    with pytest.raises(PolaritonError, match="mode profile vanishes on every dipole"):
+        collective_reduce(lat, fp, _MODE)
+
+
 # ---------------------------------------------------------------------------
 # the blocked pair kernel and the preallocated gauge matrix, bit for bit
 # against the dense N x N formulation they replaced
@@ -626,38 +645,26 @@ def test_off_lattice_matrices_are_bit_identical_to_the_dense_build(sites, jitter
         _assert_matches_the_dense_build(lat, fp, monkeypatch)
 
 
-_COPIES = pytest.mark.parametrize(
+@pytest.mark.parametrize(
     "copies", [((3, 5),), ((3, 130),), ((70, 100), (3, 130)), ((64, 65),)],
     ids=["within-a-block", "across-blocks", "first-in-row-order", "block-edge"],
 )
-
-
-def _coincident_lattice(copies):
-    """140 dipoles in a row, with each ``(source, target)`` of ``copies`` moved onto its source."""
+def test_coincident_dipoles_are_named_as_in_the_dense_build(copies):
+    # 140 dipoles in a row, with each (source, target) of copies moved onto its source:
+    # the lattice rejects them when it is built, before any pair kernel runs
     positions = np.column_stack([np.arange(140) * 3.0 + 1.0, np.zeros(140), np.full(140, 10.0)])
     for source, target in copies:
         positions[target] = positions[source]
-    return DipoleLattice(positions, (1.0, 0.0, 0.0), _F_DIP, 3.0, 3.0)
-
-
-@_COPIES
-def test_coincident_dipoles_are_named_as_in_the_dense_build(copies):
-    lat = _coincident_lattice(copies)
-    positions = lat.positions
     with pytest.raises(PolaritonError) as dense:
-        _dense_pairwise_couplings(lat)
+        _dense_pairwise_couplings(SimpleNamespace(positions=positions))
     i, j = copies[-1]
     assert str(dense.value) == f"dipoles {i} and {j} overlap at {positions[i]}"
     with pytest.raises(PolaritonError, match=f"^{re.escape(str(dense.value))}$"):
+        DipoleLattice(positions, (1.0, 0.0, 0.0), _F_DIP, 3.0, 3.0)
+
+
+def test_the_pair_kernel_rejects_distinct_dipoles_whose_distance_underflows():
+    # 1e-170 nm apart: the squared distance 1e-340 underflows to 0
+    lat = DipoleLattice([[0.0, 5.0, 10.0], [1e-170, 5.0, 10.0]], (1.0, 0.0, 0.0), _F_DIP, 3.0, 3.0)
+    with pytest.raises(PolaritonError, match=r"^dipoles 0 and 1 overlap at \[ *0\. +5\. +10\.\]$"):
         lat.pair_couplings
-
-
-@_COPIES
-def test_a_build_without_dipole_dipole_coupling_names_the_same_coincident_pair(copies, monkeypatch):
-    # no pair kernel runs: the positions are checked on their own
-    lat = _coincident_lattice(copies)
-    with pytest.raises(PolaritonError) as dense:
-        _dense_pairwise_couplings(lat)
-    monkeypatch.setattr(ensemble, "_pairwise_couplings", None)
-    with pytest.raises(PolaritonError, match=f"^{re.escape(str(dense.value))}$"):
-        build_full_system(lat, _fp(L_cav=20.0), include_dipole_dipole=False)

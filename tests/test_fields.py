@@ -134,6 +134,18 @@ def test_map_without_normalization_anchor_is_rejected():
         dielectric_field_arrays(_box(), 0.0, +1, core_only)
 
 
+def test_map_of_a_scene_with_many_matter_frequencies_is_rejected():
+    with pytest.raises(PolaritonError, match="a field map needs a single omega_mat"):
+        dielectric_field_arrays(_box(omega_mat=np.array([2.9, 3.0])), 0.3, +1, _axis_positions())
+
+
+def test_branch_frequencies_that_overflow_are_rejected():
+    # omega_cav^2 overflows, and the lower branch comes out NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PolaritonError, match="branch eigenfrequencies must be real for a field map"):
+            dielectric_field_arrays(_box(omega_cav=1e200), 0.3, +1, _axis_positions())
+
+
 def test_invalid_branch_rejected():
     with pytest.raises(PolaritonError):
         dielectric_field_arrays(_box(), 0.3, 2, _axis_positions())
@@ -170,6 +182,15 @@ def test_fractions_of_pure_cavity_mode():
     scene = _box(omega_cav=3.2, omega_mat=3.0)
     assert contribution_fractions(scene, 0.0, +1, (4.0, 0.0, 5.0)) == (1.0, 0.0)
     assert contribution_fractions(scene, 0.0, -1, (4.0, 0.0, 5.0)) == (0.0, 1.0)
+
+
+def test_fractions_where_both_contributions_vanish_are_rejected():
+    # uncoupled, so the matter-like branch has no cavity term, and an emitter of zero strength
+    scene = BoxCavityScene(
+        L=(20.0, 20.0, 20.0), V_eff=1.0e6, omega_cav=3.2, r_mat=np.zeros(3), n_d=_Z, f_mat=0.0, omega_mat=3.0
+    )
+    with pytest.raises(PolaritonError, match=r"^both field contributions vanish at \[4\. 0\. 5\.\]; fractions"):
+        contribution_fractions(scene, 0.0, -1, (4.0, 0.0, 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +272,11 @@ def test_box_scene_validation():
             f_mat=_F_MAT,
             omega_mat=3.0,
         )
+
+
+def test_box_scene_takes_a_number_or_a_1d_array_of_matter_frequencies():
+    with pytest.raises(PolaritonError, match="omega_mat must be a number or a 1-D array"):
+        _box(omega_mat=np.full((2, 2), 3.0))
 
 
 def test_nanoparticle_scene_validation():

@@ -505,6 +505,53 @@ def test_degenerate_level_wider_than_the_krylov_block_is_solved_whole():
     assert np.max(np.abs(levels - _dense_fock_levels(p, 28, "position")[:4])) <= 1e-12
 
 
+def test_shift_probe_steps_down_until_no_level_lies_below_it(monkeypatch):
+    # deep-strong MoC: the principal block's lowest level lies far above the band's, so the
+    # first probe shift is not below the spectrum and the probe steps further down
+    p = HopfieldParams(omega_cav=0.3, omega_mat=1.0, g_qed=2.0, D=4.0)
+    below = []
+    ldl = hopfield._ldl
+
+    def counted(diag, sub, shift, floor=None):
+        factors = ldl(diag, sub, shift, floor)
+        if floor is None:  # the shift probe; the certificate passes the band's floor
+            below.append(factors[2])
+        return factors
+
+    monkeypatch.setattr(hopfield, "_ldl", counted)
+    levels = _lowest_levels(_fock_terms(p, 20), 2)
+    assert max(below) > 0 and below.count(0) == 2  # a retry, and one accepted shift per band
+    assert np.max(np.abs(levels - _dense_fock_levels(p, 20, "position")[:2])) <= 1e-12
+
+
+def test_a_band_that_fills_the_krylov_basis_is_solved_whole(monkeypatch):
+    # beyond the SpC instability (4 g^2 > omega_cav omega_mat) the truncated band's lowest
+    # levels lie at the largest photon numbers, far from the principal-block start, and the
+    # basis fills half the band without converging
+    p = HopfieldParams(omega_cav=1.0, omega_mat=1.0, g_qed=1.0, D=0.0)
+    assert not p.stable
+    calls = []
+    krylov, solve = hopfield._krylov_levels, hopfield._shifted_solve
+
+    def counted_solve(inverses, multipliers, x):
+        calls[-1]["solves"] += 1
+        return solve(inverses, multipliers, x)
+
+    def spied(diag, sub, size, count, low, floor):
+        # the basis holds at most half the band, in blocks of count + 2 columns
+        call = {"solves": 0, "blocks": diag.shape[0] * diag.shape[1] // 2 // (count + 2)}
+        calls.append(call)
+        call["levels"] = krylov(diag, sub, size, count, low, floor)
+        return call["levels"]
+
+    monkeypatch.setattr(hopfield, "_krylov_levels", spied)
+    monkeypatch.setattr(hopfield, "_shifted_solve", counted_solve)
+    levels = _lowest_levels(_fock_terms(p, 30), 9)
+    # a band gave up after one shifted solve per block that fits
+    assert any(call["levels"] is None and call["solves"] == call["blocks"] for call in calls)
+    assert np.max(np.abs(levels - _dense_fock_levels(p, 30, "position")[:9])) <= 1e-12
+
+
 def test_certificate_raises_on_a_missed_level():
     terms = _fock_terms(_DENSE_CASE, 12)
     diag, sub, _, _ = _band(terms, 0)

@@ -266,6 +266,13 @@ def test_dispersion_validation():
         bulk_dispersion(_MOC, _SIC_TO, 0.01, np.array([-1.0, 0.0]))
 
 
+@pytest.mark.parametrize("k_grid", [np.array([]), np.full((2, 2), 0.1)], ids=["empty", "2-D"])
+@pytest.mark.parametrize("function", [bulk_dispersion, coupling_profiles])
+def test_dispersion_functions_need_a_nonempty_1d_wavevector_grid(function, k_grid):
+    with pytest.raises(PolaritonError, match="k_grid must be a nonempty 1-D array"):
+        function(_MOC, _SIC_TO, 0.01, k_grid)
+
+
 @pytest.mark.parametrize("epsilon_inf", [0.5, 0.0, -1.0])
 @pytest.mark.parametrize("function", [bulk_dispersion, coupling_profiles])
 def test_dispersion_functions_reject_epsilon_inf_below_one(function, epsilon_inf):
