@@ -81,9 +81,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _parts(name: str, value, form: str, count: int) -> tuple:
+    """The ``count`` parts of ``value``, or PolaritonError naming ``name`` and its ``form``."""
+    parts = tuple(value) if np.iterable(value) else ()
+    if len(parts) != count:
+        raise PolaritonError(f"{name} must be {form}, got {value!r}")
+    return parts
+
+
 def _mode_label(mode) -> tuple:
     """A mode ``(n, k_parallel)`` as ``(int, (float, float))``, n a whole number >= 1."""
-    n, k_par = mode
+    n, k_par = _parts("mode", mode, "(n, k_parallel)", 2)
     n = _require_integer("mode index n", n)
     if n < 1:
         raise PolaritonError(f"mode index n must be >= 1, got {n}")
@@ -201,7 +209,7 @@ def cubic_dipole_lattice(
     the lateral period.  The lattice is simple cubic when L_cav = nz*spacing.
     """
     _require_positive("spacing", spacing)  # before it turns the positions into NaN
-    nx, ny, nz = (_require_integer("lattice shape", v) for v in shape)
+    nx, ny, nz = (_require_integer("lattice shape", v) for v in _parts("lattice shape", shape, "(nx, ny, nz)", 3))
     if nx < 1 or ny < 1 or nz < 1:
         raise PolaritonError(f"lattice shape must be positive, got {shape!r}")
     _check_dipole_count(nx * ny * nz)

@@ -254,11 +254,13 @@ def contribution_fractions(
     e_mat = NEAR_FIELD_CALIBRATION * math.sqrt(scene.f_mat_reduced) * _dipole_pattern(scene.n_d, rel)[0]
     cav_sq = np.abs(cav * xi) ** 2
     total = cav_sq + np.where(matter, float(np.sum(np.abs(e_mat) ** 2)), 0.0)
-    vanish = np.flatnonzero(total == 0.0)
-    if vanish.size:
-        i = int(vanish[0])
-        where = f" at omega_mat = {np.ravel(scene.omega_mat)[i]} (row {i})" if np.ndim(total) else ""
-        raise PolaritonError(f"both field contributions vanish at {vec}{where}; fractions undefined")
+    _raise_first_bad(
+        total == 0.0,
+        PolaritonError,
+        lambda i, row: f"both field contributions vanish at {vec}"
+        f"{f' at omega_mat = {np.ravel(scene.omega_mat)[i]}' if row else ''}{row}; fractions undefined",
+        row="row",
+    )
     sigma_cav = cav_sq / total
     if np.ndim(sigma_cav) == 0:
         sigma_cav = float(sigma_cav)

@@ -20,7 +20,8 @@ block-tridiagonal band of super-blocks of ``n_max + 1`` rows, built from the
 products of the nonzero factor entries alone.  From a shift that a block
 Cholesky factorization proves lies below the spectrum, shift-and-invert
 block Krylov converges the wanted levels, and the Sylvester inertia of the
-block LDL^T just above the last of them certifies that none was missed.  The
+block LDL^T just above the last of them certifies that none was missed; a
+band whose levels the certificate rejects is solved whole instead.  The
 inertia count stops at the first pivot after which the rest of the band is
 strictly diagonally dominant above the shift: by Gershgorin's theorem that
 rest is positive definite, so by Sylvester's law it adds no eigenvalue below
@@ -291,23 +292,6 @@ def _shifted_solve(inverses: np.ndarray, multipliers: np.ndarray, x: np.ndarray)
     return z.reshape(x.shape)
 
 
-def _certify(
-    diag: np.ndarray, sub: np.ndarray, levels: np.ndarray, gap: float, count: int, floor: np.ndarray | None = None
-) -> None:
-    """Raise unless exactly ``len(levels)`` eigenvalues lie below ``levels[-1] + gap``: none was missed.
-
-    The count is the inertia of a block LDL^T; given the band's Gershgorin
-    ``floor``, it stops as soon as the rest of the band is provably positive
-    definite above the shift (see ``_ldl``).
-    """
-    below = _ldl(diag, sub, levels[-1] + gap, floor)[2]
-    if below != len(levels):
-        raise PolaritonError(
-            f"truncated Fock solve at n_max={diag.shape[1] - 1}, n_levels={count - 1} missed a level: "
-            f"{below} eigenvalues of a parity block lie just above the lowest {len(levels)} found, or below"
-        )
-
-
 def _krylov_levels(
     diag: np.ndarray, sub: np.ndarray, size: int, count: int, low: np.ndarray, floor: np.ndarray
 ) -> np.ndarray | None:
@@ -320,7 +304,8 @@ def _krylov_levels(
     ``count`` Ritz pairs, with any Ritz values clustered just above them,
     have residuals of at most ``_RESIDUAL`` times the largest diagonal entry;
     those are certified, with the band's Gershgorin ``floor``, and refined by
-    a last Rayleigh-Ritz pass of their own.
+    a last Rayleigh-Ritz pass of their own.  None means the certificate
+    counted levels that the basis missed, or the basis filled half the band.
     """
     n = diag.shape[0] * diag.shape[1]
     exponent = math.frexp(float(np.max(np.abs(diag))))[1]  # scaled exactly to entries of at most 1
@@ -333,8 +318,6 @@ def _krylov_levels(
     principal = np.union1d(low, np.argsort(diagonal[:size], kind="stable")[:width])
     blocks = principal[-1] // diag.shape[1] + 1
     levels, near = np.linalg.eigh(_dense(diag[:blocks], sub[: blocks - 1])[np.ix_(principal, principal)])
-    if np.all(np.diff(levels[count - 1 : width + 1]) <= 2.0 * gap):
-        return None  # a degenerate level at the wanted edge that the start's width cuts through
     # step down from the block's lowest level until the factorization proves the shift is below the spectrum
     step = 1e-3 * scale
     while (factor := _ldl(diag, sub, levels[0] - step))[2]:
@@ -357,15 +340,14 @@ def _krylov_levels(
             found = count
             while found < k and ritz[found] - ritz[found - 1] <= 2.0 * gap:
                 found += 1
-            if found >= width and np.min(ritz[width - 1 : found] - ritz[: found - width + 1]) <= 2.0 * gap:
-                return None  # a cluster as wide as the block, whose multiplicity the basis cannot see
             if found < k:
                 wanted = vectors[:, :found].T
                 ritz_vectors = wanted @ rows[:k]
                 misfit = wanted @ products[:k] - ritz[:found, None] * ritz_vectors
                 residual = np.max(np.linalg.norm(misfit, axis=1))
                 if residual <= tol:
-                    _certify(diag, sub, ritz[:found], gap, count, floor)
+                    if _ldl(diag, sub, ritz[found - 1] + gap, floor)[2] != found:
+                        return None  # a level the basis missed, as a degenerate one wider than the block
                     q = np.linalg.qr(ritz_vectors.T)[0]
                     return np.ldexp(np.linalg.eigvalsh(q.T @ _band_product(diag, sub, q))[:count], exponent)
                 # residuals fall about geometrically: check again when they should be below tol
@@ -435,8 +417,8 @@ def truncated_fock_spectrum(
     first-order (linearized) branch values when ``D = 0``.
 
     Only the lowest ``n_levels + 1`` levels are computed (see the module
-    notes); if the inertia count finds a level the Krylov solve missed,
-    :class:`PolaritonError` names ``n_max`` and ``n_levels``.
+    notes); a parity band whose Krylov levels the inertia count rejects is
+    solved whole.
     """
     n_max = _require_integer("n_max", n_max)
     n_levels = _require_integer("n_levels", n_levels)

@@ -525,8 +525,9 @@ def _fock_frame_check(D, omega_cav, g_qed):
     return {"kind": "oracle", "schema": 1, "parameters": parameters}
 
 
-# the 500-dipole ensembles; the Fock documents of the benchmark box; and the two
-# converged edges where the Fock solve's principal-block start is weakest
+# the 500-dipole ensembles; the Fock documents of the benchmark box; the two
+# converged edges where the Fock solve's principal-block start is weakest; and a
+# strong-coupling RWA document whose Krylov levels miss one, so a band is solved whole
 _REPEATED_DOCUMENTS = {
     "n500-false": _ensemble_n500(False),
     "n500-true": _ensemble_n500(True),
@@ -534,6 +535,11 @@ _REPEATED_DOCUMENTS = {
     "fock-MoC": _fock_frame_check("MoC", 1.1, 0.3),
     "edge-SpC": _fock_frame_check("SpC", 0.5, 0.3),
     "edge-MoC": _fock_frame_check("MoC", 0.5, 0.8),
+    "rwa-strong": {
+        "kind": "oracle",
+        "schema": 1,
+        "parameters": dict(flavor="quantum", omega_cav=1, omega_mat=1, g_qed=1.5, D="MoC", n_max=40, n_levels=12, rwa=True),
+    },
 }
 
 # runs each scenario file given after the output directory, as `run` does
@@ -548,7 +554,7 @@ sys.exit(max(main(["run", path, "--out", out_dir]) for path in paths))
 @pytest.fixture(scope="module")
 def repeated_runs(tmp_path_factory):
     """Each of ``_REPEATED_DOCUMENTS`` run once in this process and once in a fresh
-    one (all six in one); the two output directories."""
+    one (all of them in one); the two output directories."""
     root = tmp_path_factory.mktemp("repeated")
     paths = [str(_write(root, f"{name}.yaml", yaml.safe_dump(doc))) for name, doc in _REPEATED_DOCUMENTS.items()]
     inprocess_dir, process_dir = root / "inprocess", root / "process"

@@ -191,6 +191,13 @@ def test_fractions_where_both_contributions_vanish_are_rejected():
     )
     with pytest.raises(PolaritonError, match=r"^both field contributions vanish at \[4\. 0\. 5\.\]; fractions"):
         contribution_fractions(scene, 0.0, -1, (4.0, 0.0, 5.0))
+    # over an omega_mat array, the first row where both vanish is named with its omega_mat
+    scene = BoxCavityScene(
+        L=(20.0, 20.0, 20.0), V_eff=1.0e6, omega_cav=3.2, r_mat=np.zeros(3), n_d=_Z, f_mat=0.0, omega_mat=np.array([2.5, 3.0])
+    )
+    at = r"^both field contributions vanish at \[4\. 0\. 5\.\] at omega_mat = 2\.5 \(row 0\); fractions undefined$"
+    with pytest.raises(PolaritonError, match=at):
+        contribution_fractions(scene, 0.0, -1, (4.0, 0.0, 5.0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from polariton_lab.hopfield import (
     HopfieldParams,
     QuantumSpectrum,
     _band,
-    _certify,
     _dense,
     _fock_terms,
     _lowest_levels,
@@ -361,6 +360,7 @@ def _oracle_cases(draw):
 @example(case=(HopfieldParams(0.05, 1.0, 0.0, 0.0), "position", 32, 9))  # a soft mode: low levels beyond the start's cut
 @example(case=(HopfieldParams(1.0, 1.0, 1.0, 1.0), "rwa", 30, 657))  # high levels of a dense solve: round-off near 1e-12
 @example(case=(HopfieldParams(3.0, 1.0, 1.2, 1.44), "dipole", 40, 1681))  # every level, up to 1215 eV
+@example(case=(HopfieldParams(0.5, 1.0, 1.5, 2.25), "rwa", 34, 11))  # Krylov misses a level: the band is solved whole
 @settings(max_examples=15, deadline=None)
 def test_lowest_levels_match_the_dense_kron_hamiltonian(case):
     p, frame, n_max, count = case
@@ -377,13 +377,15 @@ def test_lowest_levels_match_the_dense_kron_hamiltonian(case):
 def certified(monkeypatch):
     """The level count of every certificate issued: one per band that takes the Krylov path."""
     counts = []
-    certify = hopfield._certify
+    ldl = hopfield._ldl
 
-    def counted(diag, sub, levels, gap, count, floor=None):
-        counts.append(len(levels))
-        return certify(diag, sub, levels, gap, count, floor)
+    def counted(diag, sub, shift, floor=None):
+        factors = ldl(diag, sub, shift, floor)
+        if floor is not None:  # the certificate's count; the shift probe factors every pivot
+            counts.append(factors[2])
+        return factors
 
-    monkeypatch.setattr(hopfield, "_certify", counted)
+    monkeypatch.setattr(hopfield, "_ldl", counted)
     return counts
 
 
@@ -496,12 +498,21 @@ def test_a_stalled_krylov_basis_still_gives_the_levels(monkeypatch):
     assert np.max(np.abs(levels - want)) <= 1e-12
 
 
-def test_degenerate_level_wider_than_the_krylov_block_is_solved_whole():
+def test_degenerate_level_wider_than_the_krylov_block_is_solved_whole(monkeypatch):
     # uncoupled, with a vanishing matter frequency: the 15 even states of photon
     # number 0 share the ground level, more copies than a 6-column Krylov block
-    # can hold, so the band is diagonalized whole instead of failing its certificate
+    # can hold, so the certificate rejects the Krylov levels and the band is diagonalized whole
     p = HopfieldParams(omega_cav=1.0, omega_mat=1e-300, g_qed=0.0)
+    whole = []
+    dense_levels = hopfield._dense_levels
+
+    def spied(diag, sub, size, count):
+        whole.append(diag.shape)
+        return dense_levels(diag, sub, size, count)
+
+    monkeypatch.setattr(hopfield, "_dense_levels", spied)
     levels = _lowest_levels(_fock_terms(p, 28), 4)
+    assert whole == [(15, 29, 29)] * 2  # both parity bands, the odd one holding 14 copies
     assert np.max(np.abs(levels - _dense_fock_levels(p, 28, "position")[:4])) <= 1e-12
 
 
@@ -550,17 +561,6 @@ def test_a_band_that_fills_the_krylov_basis_is_solved_whole(monkeypatch):
     # a band gave up after one shifted solve per block that fits
     assert any(call["levels"] is None and call["solves"] == call["blocks"] for call in calls)
     assert np.max(np.abs(levels - _dense_fock_levels(p, 30, "position")[:9])) <= 1e-12
-
-
-def test_certificate_raises_on_a_missed_level():
-    terms = _fock_terms(_DENSE_CASE, 12)
-    diag, sub, _, _ = _band(terms, 0)
-    dense = sum(np.kron(a, b) for a, b in terms)
-    even = sum(_band_states(13, 0), [])
-    levels = np.linalg.eigvalsh(dense[np.ix_(even, even)])[:6]
-    _certify(diag, sub, levels, 1e-9, 6)
-    with pytest.raises(PolaritonError, match=r"n_max=12, n_levels=5 missed a level"):
-        _certify(diag, sub, np.delete(levels, 2), 1e-9, 6)
 
 
 def test_frame_check_matches_the_dense_kron_hamiltonian():

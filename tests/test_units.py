@@ -310,6 +310,10 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         (lambda: FabryPerotSpec(206.64, 10.0, ((math.nan, (0.0, 0.0)),)), "mode index n must be an integer"),
         (lambda: cubic_dipole_lattice(_FP, 3.0, (2.9, 1, 1), 14099.1876, 3.0), "lattice shape must be an integer"),
         (lambda: cubic_dipole_lattice(_FP, math.nan, (2, 1, 1), 14099.1876, 3.0), "spacing"),
+        (lambda: cubic_dipole_lattice(_FP, 3.0, (2, 2), 14099.1876, 3.0), r"lattice shape must be \(nx, ny, nz\)"),
+        (lambda: cubic_dipole_lattice(_FP, 3.0, 5, 14099.1876, 3.0), r"lattice shape must be \(nx, ny, nz\)"),
+        (lambda: FabryPerotSpec(206.64, 10.0, ((1,),)), r"mode must be \(n, k_parallel\)"),
+        (lambda: FabryPerotSpec(206.64, 10.0, ((1, (0.0, 0.0), 3),)), r"mode must be \(n, k_parallel\)"),
         (lambda: _collective(mode=(1.2, (0.0, 0.0))), "mode index n must be an integer"),
         (lambda: _fock(2.5, 2), "n_max must be an integer"),
         (lambda: _fock(4, True), "n_levels must be an integer"),
@@ -335,6 +339,10 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         "cavity-nan-mode-index",
         "lattice-fractional-shape",
         "lattice-nan-spacing",
+        "lattice-shape-of-two",
+        "lattice-scalar-shape",
+        "cavity-mode-of-one-part",
+        "cavity-mode-of-three-parts",
         "collective-fractional-mode-index",
         "fock-fractional-n_max",
         "fock-boolean-n_levels",
