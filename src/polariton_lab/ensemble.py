@@ -129,14 +129,14 @@ class FabryPerotSpec:
         return self.lateral_period**2 * self.L_cav / 2.0
 
     def mode_frequency(self, mode) -> float:
-        n, k_par = mode
+        n, k_par = _mode_label(mode)
         kz = n * math.pi / self.L_cav
         k2 = kz * kz + k_par[0] ** 2 + k_par[1] ** 2
         return UNITS.hbar_c * math.sqrt(k2) / math.sqrt(self.epsilon_inf)
 
     def mode_profile(self, mode, r):
         """Profile of ``mode`` at one position ``r`` (3,) or at each row of an (N, 3) array."""
-        n, k_par = mode
+        n, k_par = _mode_label(mode)
         r = np.asarray(_require_finite("r", r), dtype=float)
         phase = k_par[0] * r[..., 0] + k_par[1] * r[..., 1]
         return np.sin(n * math.pi * r[..., 2] / self.L_cav) * np.exp(1j * phase)

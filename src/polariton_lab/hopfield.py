@@ -17,18 +17,18 @@ truncation error.
 The truncated Hamiltonian is solved for its lowest levels only.  Each parity
 block, sorted by photon number with photon numbers paired, is a
 block-tridiagonal band of super-blocks of ``n_max + 1`` rows, built from the
-products of the nonzero factor entries alone.  From a shift that a block
-Cholesky factorization proves lies below the spectrum, shift-and-invert
-block Krylov converges the wanted levels, and the Sylvester inertia of the
-block LDL^T just above the last of them certifies that none was missed; a
-band whose levels the certificate rejects is solved whole instead.  The
-inertia count stops at the first pivot after which the rest of the band is
-strictly diagonally dominant above the shift: by Gershgorin's theorem that
-rest is positive definite, so by Sylvester's law it adds no eigenvalue below
-the shift.  The shift bound and a near-converged start both come from one
-dense ``eigh`` of the band's states whose photon and matter numbers are both
-below a cut.  Bands too small for Krylov to pay are diagonalized whole,
-each level refined by the Rayleigh quotient of its eigenvector.
+products of the nonzero factor entries alone.  A dense ``eigh`` of each band's
+states with photon and matter numbers below a cut bounds its levels from
+above, which splits the wanted levels into a share per band, and gives a start
+near them.  A band whose start has not converged runs shift-and-invert block
+Krylov for its share, from a shift that a block Cholesky factorization proves
+lies below the spectrum.  The Sylvester inertia of each band's block LDL^T at
+one common threshold, just above the levels found, certifies that none was
+missed; a band with more levels below it is solved again, and then whole.
+The count stops at the first pivot after which the rest of the band is
+strictly diagonally dominant above the threshold, so positive definite
+(Gershgorin), adding no eigenvalue below it (Sylvester).  Bands too small for
+Krylov are diagonalized whole, each level refined by its Rayleigh quotient.
 """
 
 from __future__ import annotations
@@ -199,7 +199,8 @@ def _band(
     from ``size`` on (photon number d, for odd d) are decoupled phantoms,
     with a diagonal above every level.
     ``floor[j]`` is the least Gershgorin bound, diagonal minus the absolute
-    off-diagonal row sum, over the rows of super-blocks j and on.
+    off-diagonal row sum, over the rows of super-blocks j and on; every band
+    entry is a sum of products of factor entries >= 0, so no absolute value is taken.
     """
     d = terms[0][0].shape[0]
     m = (d + 1) // 2
@@ -208,11 +209,11 @@ def _band(
     for (a, b), (src_a, src_b, dst) in zip(terms, layout):
         flat[dst] += a.ravel()[src_a] * b.ravel()[src_b]
     diag, sub = flat[: m * d * d].reshape(m, d, d), flat[m * d * d :].reshape(m - 1, d, d)
-    rows, sub_rows, sub_cols = np.abs(diag).sum(axis=2), np.abs(sub).sum(axis=2), np.abs(sub).sum(axis=1)
+    rows, sub_rows, sub_cols = diag.sum(axis=2), sub.sum(axis=2), sub.sum(axis=1)
     # twice a bound on the largest row sum, so above every level
     bound = rows.max() + sub_rows.max() + sub_cols.max()
     diagonal = np.diagonal(diag, axis1=1, axis2=2)  # a view: the phantom rows read 0 here, 2 * bound below
-    radii = rows - np.abs(diagonal)  # the absolute off-diagonal row sums
+    radii = rows - diagonal  # the absolute off-diagonal row sums
     radii[1:] += sub_rows
     radii[:-1] += sub_cols
     diag[-1, phantom, phantom] = 2.0 * bound
@@ -292,75 +293,95 @@ def _shifted_solve(inverses: np.ndarray, multipliers: np.ndarray, x: np.ndarray)
     return z.reshape(x.shape)
 
 
-def _krylov_levels(
-    diag: np.ndarray, sub: np.ndarray, size: int, count: int, low: np.ndarray, floor: np.ndarray
-) -> np.ndarray | None:
-    """The lowest ``count`` levels of a band by shift-and-invert block Krylov, or None if it must be solved whole.
+def _start_block(diag: np.ndarray, sub: np.ndarray, size: int, low: np.ndarray, width: int) -> tuple:
+    """The band's scaling exponent, and the rows, levels and eigenvectors of its principal block, scaled.
 
-    One dense ``eigh`` of the principal block on the rows ``low`` and the
-    ``count + 2`` rows of lowest diagonal gives the shift bound (its lowest
-    level, above the band's by Cauchy interlacing) and the start (its lowest
-    eigenvectors, near the band's).  The basis grows until the lowest
-    ``count`` Ritz pairs, with any Ritz values clustered just above them,
-    have residuals of at most ``_RESIDUAL`` times the largest diagonal entry;
-    those are certified, with the band's Gershgorin ``floor``, and refined by
-    a last Rayleigh-Ritz pass of their own.  None means the certificate
-    counted levels that the basis missed, or the basis filled half the band.
+    The block holds the rows ``low`` and the ``width`` rows of lowest diagonal
+    (a soft mode puts low levels beyond the cut).  By Cauchy interlacing each
+    of its levels bounds the band's of the same rank from above.
     """
-    n = diag.shape[0] * diag.shape[1]
     exponent = math.frexp(float(np.max(np.abs(diag))))[1]  # scaled exactly to entries of at most 1
-    diag, sub, floor = (np.ldexp(x, -exponent) for x in (diag, sub, floor))
     diagonal = np.diagonal(diag, axis1=1, axis2=2).ravel()
-    scale = float(diagonal[:size].max())
-    width, limit, tol = count + 2, n // 2, _RESIDUAL * scale
-    gap = 10.0 * tol  # Ritz values closer than 2 * gap are one cluster, reported whole
-    # with the rows of lowest diagonal: a soft mode puts low levels beyond the cut
     principal = np.union1d(low, np.argsort(diagonal[:size], kind="stable")[:width])
     blocks = principal[-1] // diag.shape[1] + 1
-    levels, near = np.linalg.eigh(_dense(diag[:blocks], sub[: blocks - 1])[np.ix_(principal, principal)])
-    # step down from the block's lowest level until the factorization proves the shift is below the spectrum
-    step = 1e-3 * scale
-    while (factor := _ldl(diag, sub, levels[0] - step))[2]:
-        step *= 4.0
-    # deterministic start, perturbed off the phantom rows so that the next block stays independent of it
-    start = 1e-10 * np.cos(np.outer(np.arange(n), np.arange(1, width + 1)))
-    start[size:] = 0.0
-    start[principal] += near[:, :width]
-    block = np.linalg.qr(start)[0]
-    rows, products, projected = np.empty((limit, n)), np.empty((limit, n)), np.empty((limit, limit))
-    k = steps = check = 0
-    while k + width <= limit:
-        rows[k : k + width] = block.T
-        products[k : k + width] = _band_product(diag, sub, block).T
-        projected[k : k + width, : k + width] = products[k : k + width] @ rows[: k + width].T
-        k += width
-        steps += 1
-        if steps >= check:
-            ritz, vectors = np.linalg.eigh(projected[:k, :k])  # reads the lower triangle
-            found = count
-            while found < k and ritz[found] - ritz[found - 1] <= 2.0 * gap:
-                found += 1
-            if found < k:
-                wanted = vectors[:, :found].T
-                ritz_vectors = wanted @ rows[:k]
-                misfit = wanted @ products[:k] - ritz[:found, None] * ritz_vectors
-                residual = np.max(np.linalg.norm(misfit, axis=1))
+    block = np.ldexp(_dense(diag[:blocks], sub[: blocks - 1])[np.ix_(principal, principal)], -exponent)
+    return (exponent, principal, *np.linalg.eigh(block))
+
+
+def _ritz_pairs(projected: np.ndarray, rows: np.ndarray, products: np.ndarray, share: int, gap: float):
+    """Largest residual and vectors of the lowest ``share`` Ritz pairs on orthonormal ``rows``, with band ``products``.
+
+    Ritz values closer than ``2 * gap`` are one cluster, reported whole; None
+    if it fills the basis.
+    """
+    ritz, vectors = np.linalg.eigh(projected)  # reads the lower triangle
+    found = share
+    while found < len(ritz) and ritz[found] - ritz[found - 1] <= 2.0 * gap:
+        found += 1
+    if found == len(ritz):
+        return None
+    wanted = vectors[:, :found].T
+    ritz_vectors = wanted @ rows
+    misfit = wanted @ products - ritz[:found, None] * ritz_vectors
+    return float(np.max(np.linalg.norm(misfit, axis=1))), ritz_vectors
+
+
+def _krylov_levels(
+    diag: np.ndarray, sub: np.ndarray, size: int, share: int, start: tuple, scale: float
+) -> np.ndarray | None:
+    """The lowest ``share`` levels of a band and any clustered just above them, or None if the basis fills half the band.
+
+    Pairs converge at residuals of ``_RESIDUAL`` times ``scale``, the largest
+    diagonal entry.  The start, the lowest ``share + 2`` eigenvectors of the
+    principal block of ``_start_block``, is checked alone first; only if it
+    has not converged is a shift factored and a shift-and-invert block Krylov
+    basis grown from it.  A last Rayleigh-Ritz pass refines the converged
+    pairs; the caller certifies them.
+    """
+    exponent, principal, levels, near = start
+    diag, sub, scale = np.ldexp(diag, -exponent), np.ldexp(sub, -exponent), math.ldexp(scale, -exponent)
+    n = diag.shape[0] * diag.shape[1]
+    width, limit, tol = share + 2, n // 2, _RESIDUAL * scale
+    gap = 10.0 * tol
+    block = np.zeros((n, width))
+    block[principal] = near[:, :width]
+    products = _band_product(diag, sub, block).T
+    pairs = _ritz_pairs(products @ block, block.T, products, share, gap)
+    if pairs is None or pairs[0] > tol:
+        # step down from the block's lowest level until the factorization proves the shift is below the spectrum
+        step = 1e-3 * scale
+        while (factor := _ldl(diag, sub, levels[0] - step))[2]:
+            step *= 4.0
+        # deterministic start, perturbed off the phantom rows so that the next block stays independent of it
+        perturbed = 1e-10 * np.cos(np.outer(np.arange(n), np.arange(1, width + 1)))
+        perturbed[size:] = 0.0
+        block = np.linalg.qr(perturbed + block)[0]
+        rows, products, projected = np.empty((limit, n)), np.empty((limit, n)), np.empty((limit, limit))
+        k = steps = check = 0
+        while k + width <= limit:
+            rows[k : k + width] = block.T
+            products[k : k + width] = _band_product(diag, sub, block).T
+            projected[k : k + width, : k + width] = products[k : k + width] @ rows[: k + width].T
+            k += width
+            steps += 1
+            if steps >= check and (pairs := _ritz_pairs(projected[:k, :k], rows[:k], products[:k], share, gap)):
+                residual = pairs[0]
                 if residual <= tol:
-                    if _ldl(diag, sub, ritz[found - 1] + gap, floor)[2] != found:
-                        return None  # a level the basis missed, as a degenerate one wider than the block
-                    q = np.linalg.qr(ritz_vectors.T)[0]
-                    return np.ldexp(np.linalg.eigvalsh(q.T @ _band_product(diag, sub, q))[:count], exponent)
+                    break
                 # residuals fall about geometrically: check again when they should be below tol
                 ahead = 1
                 if check and residual < last:
                     rate = (residual / last) ** (1.0 / (steps - last_step))
                     ahead = min(max(int(math.log(tol / residual) / math.log(rate)), 1), 4)
                 check, last, last_step = steps + ahead, residual, steps
-        w = _shifted_solve(*factor[:2], block)
-        block = np.linalg.qr(w - rows[:k].T @ (rows[:k] @ w))[0]
-        # twice: the QR of a near-dependent block loses orthogonality to the basis by its condition number
-        block = np.linalg.qr(block - rows[:k].T @ (rows[:k] @ block))[0]
-    return None
+            w = _shifted_solve(*factor[:2], block)
+            block = np.linalg.qr(w - rows[:k].T @ (rows[:k] @ w))[0]
+            # twice: the QR of a near-dependent block loses orthogonality to the basis by its condition number
+            block = np.linalg.qr(block - rows[:k].T @ (rows[:k] @ block))[0]
+        else:
+            return None
+    q = np.linalg.qr(pairs[1].T)[0]
+    return np.ldexp(np.linalg.eigvalsh(q.T @ _band_product(diag, sub, q)), exponent)
 
 
 def _dense_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int) -> np.ndarray:
@@ -388,20 +409,43 @@ def _dense_levels(diag: np.ndarray, sub: np.ndarray, size: int, count: int) -> n
 
 
 def _lowest_levels(terms: list[tuple[np.ndarray, np.ndarray]], count: int) -> np.ndarray:
-    """The lowest ``count`` eigenvalues of H = sum_k kron(A_k, B_k), sorted, from its two parity bands."""
-    levels = []
-    for parity in (0, 1):
-        diag, sub, size, floor = _band(terms, parity)
-        m, d, _ = diag.shape
-        band = None
-        if (count + 2) * _KRYLOV_BLOCKS <= m * d // 2:
-            photon, matter = _band_numbers(d, parity)
-            cut = min(_START_CUT, d // 2)
-            low = np.flatnonzero((photon < cut) & (matter < cut))
-            band = _krylov_levels(diag, sub, size, count, low, floor)
-        if band is None:  # the whole band as the basis: a dense solve, which misses nothing
-            band = _dense_levels(diag, sub, size, count)
-        levels.append(band)
+    """The lowest ``count`` eigenvalues of H = sum_k kron(A_k, B_k), sorted, from its two parity bands.
+
+    The principal blocks' levels split the lowest ``count`` into a share per
+    band, and each band solves for its share, one after the other.  One
+    inertia count per band, at the ``count``-th level found plus the cluster
+    gap, certifies them; a band with more levels below it than it found is
+    solved again for that many, once, and otherwise whole (a dense solve,
+    which misses nothing), as is a band too small for Krylov or whose basis fills.
+    """
+    bands = [_band(terms, parity) for parity in (0, 1)]
+    m, d, _ = bands[0][0].shape
+    budget = m * d // 2 // _KRYLOV_BLOCKS - 2  # the most levels a band solves by Krylov
+    if count > budget:
+        return np.sort(np.concatenate([_dense_levels(*band[:3], count) for band in bands]))[:count]
+    cut = min(_START_CUT, d // 2)
+    starts = []
+    for parity, (diag, sub, size, _) in enumerate(bands):
+        photon, matter = _band_numbers(d, parity)
+        starts.append(_start_block(diag, sub, size, np.flatnonzero((photon < cut) & (matter < cut)), count + 2))
+    bounds = [np.ldexp(start[2][:count], start[0]) for start in starts]
+    odd = np.count_nonzero(np.argsort(np.concatenate(bounds), kind="stable")[:count] >= len(bounds[0]))
+    scale = max(float(np.max(np.diagonal(diag, axis1=1, axis2=2).ravel()[:size])) for diag, _, size, _ in bands)
+    levels, whole = [], []
+    for band, share, start in zip(bands, (count - odd, odd), starts):
+        found = _krylov_levels(*band[:3], share, start, scale) if share else np.empty(0)
+        whole.append(found is None)
+        levels.append(_dense_levels(*band[:3], count) if found is None else found)
+    threshold = np.sort(np.concatenate(levels))[count - 1] + 10.0 * _RESIDUAL * scale  # the cluster gap
+    for i, ((diag, sub, size, floor), start) in enumerate(zip(bands, starts)):
+        if whole[i]:
+            continue
+        below, returned = _ldl(diag, sub, threshold, floor)[2], np.count_nonzero(levels[i] < threshold)
+        if below != returned:
+            found = _krylov_levels(diag, sub, size, below, start, scale) if returned < below <= budget else None
+            if found is None or np.count_nonzero(found < threshold) != below:
+                found = _dense_levels(diag, sub, size, count)
+            levels[i] = found
     return np.sort(np.concatenate(levels))[:count]
 
 
@@ -417,8 +461,10 @@ def truncated_fock_spectrum(
     first-order (linearized) branch values when ``D = 0``.
 
     Only the lowest ``n_levels + 1`` levels are computed (see the module
-    notes); a parity band whose Krylov levels the inertia count rejects is
-    solved whole.
+    notes).  Each parity band solves for its share of them, a band whose
+    start has converged factors no shift, and one inertia count per band at
+    a common threshold certifies the merged levels; a band with more levels
+    below it than it found is solved again for them, and then whole.
     """
     n_max = _require_integer("n_max", n_max)
     n_levels = _require_integer("n_levels", n_levels)

@@ -40,8 +40,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import itertools
 import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import cache, partial
 from pathlib import Path
@@ -1117,8 +1117,15 @@ def _render_svg(table: _Table, title: str) -> bytes:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to a new file beside ``path`` with the mode ``open(path, "wb")`` gives, then rename it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    for attempt in itertools.count():
+        tmp = path.parent / f".{path.name}.{os.getpid()}.{attempt}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+            break
+        except FileExistsError:  # another write of this path under way, or left by a process of the same id
+            pass
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

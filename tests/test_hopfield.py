@@ -323,6 +323,21 @@ def test_scattered_parity_blocks_equal_the_kron_assembly(n_max, frame):
     assert sorted(sum(blocks, [])) == list(range(d * d))
 
 
+@pytest.mark.parametrize("frame", ["position", "rwa", "dipole"])
+def test_fock_factors_and_bands_have_no_negative_entry(frame):
+    # the Gershgorin row sums of ``_band`` take no absolute values on this: omega, g and D
+    # are >= 0, and the ladder, q, the number operator and the identity have no negative entry
+    for p in (*_SCATTER_CASES.values(), HopfieldParams(0.3, 1.0, 1.2, 1.44)):
+        if frame == "dipole":
+            terms = _fock_terms(_dipole_gauge_partner(p), 12)
+        else:
+            terms = _fock_terms(p, 12, rwa=frame == "rwa")
+        assert all(np.all(factor >= 0.0) for term in terms for factor in term)
+        for parity in (0, 1):
+            diag, sub, _, _ = _band(terms, parity)
+            assert np.all(diag >= 0.0) and np.all(sub >= 0.0)
+
+
 def test_dipole_gauge_partner_levels_match_the_dense_kron_hamiltonian():
     # the partner is the real build with the mode roles swapped; the reference
     # keeps the mode order and moves the self-term instead
@@ -361,6 +376,8 @@ def _oracle_cases(draw):
 @example(case=(HopfieldParams(1.0, 1.0, 1.0, 1.0), "rwa", 30, 657))  # high levels of a dense solve: round-off near 1e-12
 @example(case=(HopfieldParams(3.0, 1.0, 1.2, 1.44), "dipole", 40, 1681))  # every level, up to 1215 eV
 @example(case=(HopfieldParams(0.5, 1.0, 1.5, 2.25), "rwa", 34, 11))  # Krylov misses a level: the band is solved whole
+@example(case=(HopfieldParams(1.084, 1.0, 0.295, 0.295**2), "position", 40, 6))  # a benchmark draw split (3, 3)
+@example(case=(HopfieldParams(0.919, 1.0, 0.163, 0.163**2), "position", 40, 6))  # a benchmark draw split (4, 2)
 @settings(max_examples=15, deadline=None)
 def test_lowest_levels_match_the_dense_kron_hamiltonian(case):
     p, frame, n_max, count = case
@@ -375,24 +392,80 @@ def test_lowest_levels_match_the_dense_kron_hamiltonian(case):
 
 @pytest.fixture
 def certified(monkeypatch):
-    """The level count of every certificate issued: one per band that takes the Krylov path."""
-    counts = []
-    ldl = hopfield._ldl
+    """What each band was asked for and what certified it, in call order.
+
+    ``shares``: the share of every Krylov solve.  ``certificates``: the
+    threshold and count of every inertia count made with the band's floor;
+    the shift probe factors every pivot and passes none.  ``probes``: the
+    count of every shift probe.
+    """
+    calls = {"shares": [], "certificates": [], "probes": []}
+    ldl, krylov = hopfield._ldl, hopfield._krylov_levels
 
     def counted(diag, sub, shift, floor=None):
         factors = ldl(diag, sub, shift, floor)
-        if floor is not None:  # the certificate's count; the shift probe factors every pivot
-            counts.append(factors[2])
+        if floor is None:
+            calls["probes"].append(factors[2])
+        else:
+            calls["certificates"].append((shift, factors[2]))
         return factors
 
+    def spied(diag, sub, size, share, start, scale):
+        calls["shares"].append(share)
+        return krylov(diag, sub, size, share, start, scale)
+
     monkeypatch.setattr(hopfield, "_ldl", counted)
-    return counts
+    monkeypatch.setattr(hopfield, "_krylov_levels", spied)
+    return calls
+
+
+def _assert_each_band_certified_for_its_share(certified, count, solves):
+    # one Krylov solve and one certificate per band, nothing solved again
+    assert len(certified["shares"]) == len(certified["certificates"]) == 2 * solves
+    for i in range(0, 2 * solves, 2):
+        (threshold, even), (shared, odd) = certified["certificates"][i : i + 2]
+        assert threshold == shared  # one threshold for both bands
+        assert [even, odd] == certified["shares"][i : i + 2]
+        assert even + odd == count
 
 
 def test_benchmark_box_takes_the_certified_krylov_path(certified):
     truncated_fock_spectrum(HopfieldParams(1.1, 1.0, 0.3, 0.09), n_max=40, n_levels=5)
-    # one certificate per parity band, each for at least the six levels asked of it
-    assert len(certified) == 2 and min(certified) >= 6
+    _assert_each_band_certified_for_its_share(certified, 6, 1)
+
+
+def test_a_settled_start_skips_the_shift_probe(certified):
+    # a weakly coupled benchmark draw: the principal-block start of both bands already
+    # meets the residual test, so no shift is factored and no shifted solve runs
+    p = HopfieldParams(0.919, 1.0, 0.163, 0.163**2)
+    levels = truncated_fock_spectrum(p, n_max=40, n_levels=5)
+    assert certified["probes"] == []
+    _assert_each_band_certified_for_its_share(certified, 6, 1)
+    reference = _dense_fock_levels(p, 40, "position")[:6]
+    assert abs(levels.ground_state_energy - reference[0]) <= 1e-12
+    assert np.max(np.abs(levels.excitation_energies - (reference[1:] - reference[0]))) <= 1e-12
+
+
+def test_a_wrong_split_is_caught_by_the_common_certificate(certified):
+    # near the SpC instability the principal blocks bound the levels loosely and
+    # predict three of the lowest seven in the even band, where there are four.  The
+    # threshold sits just above the odd band's fourth level, the seventh found; the even
+    # band counts four levels below it and is solved again for them
+    p = HopfieldParams(0.93, 1.0, 0.46, 0.0)
+    levels = _lowest_levels(_fock_terms(p, 32), 7)
+    assert certified["shares"] == [3, 4, 4]
+    assert [count for _, count in certified["certificates"]] == [4, 4]
+    assert len({threshold for threshold, _ in certified["certificates"]}) == 1
+    assert np.max(np.abs(levels - _dense_fock_levels(p, 32, "position")[:7])) <= 1e-12
+
+
+def test_a_band_with_no_share_runs_only_its_certificate(certified):
+    # the ground level is even: the odd band's share of one level is 0
+    p = HopfieldParams(1.1, 1.0, 0.3, 0.09)
+    levels = _lowest_levels(_fock_terms(p, 40), 1)
+    assert certified["shares"] == [1]
+    assert [count for _, count in certified["certificates"]] == [1, 0]
+    assert np.max(np.abs(levels - _dense_fock_levels(p, 40, "position")[:1])) <= 1e-12
 
 
 def test_benchmark_box_certificates_stop_early(monkeypatch):
@@ -461,7 +534,7 @@ def test_inertia_count_does_not_stop_at_a_pivot_that_is_dominant_alone(diag, sub
 def test_frame_check_edges_take_the_certified_krylov_path(p, certified):
     # the position frame and its dipole-gauge partner: no band stalls into the whole-band solve
     frame_equivalence_check(p, truncated_fock_spectrum(p, n_max=40, n_levels=5))
-    assert len(certified) == 4 and min(certified) >= 6
+    _assert_each_band_certified_for_its_share(certified, 6, 2)
 
 
 @pytest.mark.parametrize("D", [0.09, 0.0], ids=["MoC", "SpC"])
@@ -482,19 +555,19 @@ def test_principal_block_start_needs_few_shifted_solves(D, monkeypatch):
 def test_a_stalled_krylov_basis_still_gives_the_levels(monkeypatch):
     # a shifted solve that returns its input adds only round-off directions to the basis;
     # the double QR keeps the basis orthonormal, so a stalled basis either converges under
-    # the certificate or fills up and leaves the band to the whole-band solve
+    # the certificate or fills up and leaves the band to the whole-band solve.  At n_max 30
+    # the benchmark box's starts do not settle, so both bands run shifted solves.
     terms = _fock_terms(HopfieldParams(1.1, 1.0, 0.3, 0.09), 30)
     want = _lowest_levels(terms, 6)
-    krylov, calls = hopfield._krylov_levels, []
+    solves = []
 
-    def counted(*args):
-        calls.append(args[3])
-        return krylov(*args)
+    def stalled(inverses, multipliers, x):
+        solves.append(x.shape[1])
+        return x
 
-    monkeypatch.setattr(hopfield, "_krylov_levels", counted)
-    monkeypatch.setattr(hopfield, "_shifted_solve", lambda inverses, multipliers, x: x)
+    monkeypatch.setattr(hopfield, "_shifted_solve", stalled)
     levels = _lowest_levels(terms, 6)
-    assert calls == [6, 6]  # both bands take the Krylov path
+    assert solves
     assert np.max(np.abs(levels - want)) <= 1e-12
 
 
@@ -537,22 +610,24 @@ def test_shift_probe_steps_down_until_no_level_lies_below_it(monkeypatch):
 
 def test_a_band_that_fills_the_krylov_basis_is_solved_whole(monkeypatch):
     # beyond the SpC instability (4 g^2 > omega_cav omega_mat) the truncated band's lowest
-    # levels lie at the largest photon numbers, far from the principal-block start, and the
-    # basis fills half the band without converging
+    # levels lie at the largest photon numbers, far from the principal-block start.  A block
+    # of share + 2 columns still converges them here, in 23 or 24 of the 35 to 41 shifted
+    # solves that fit, so the solve is stalled (it returns its input) and the basis fills
+    # half the band without converging
     p = HopfieldParams(omega_cav=1.0, omega_mat=1.0, g_qed=1.0, D=0.0)
     assert not p.stable
     calls = []
-    krylov, solve = hopfield._krylov_levels, hopfield._shifted_solve
+    krylov = hopfield._krylov_levels
 
     def counted_solve(inverses, multipliers, x):
         calls[-1]["solves"] += 1
-        return solve(inverses, multipliers, x)
+        return x
 
-    def spied(diag, sub, size, count, low, floor):
-        # the basis holds at most half the band, in blocks of count + 2 columns
-        call = {"solves": 0, "blocks": diag.shape[0] * diag.shape[1] // 2 // (count + 2)}
+    def spied(diag, sub, size, share, start, scale):
+        # the basis holds at most half the band, in blocks of share + 2 columns
+        call = {"solves": 0, "blocks": diag.shape[0] * diag.shape[1] // 2 // (share + 2)}
         calls.append(call)
-        call["levels"] = krylov(diag, sub, size, count, low, floor)
+        call["levels"] = krylov(diag, sub, size, share, start, scale)
         return call["levels"]
 
     monkeypatch.setattr(hopfield, "_krylov_levels", spied)

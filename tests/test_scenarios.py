@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import xml.etree.ElementTree as ET
@@ -742,6 +743,18 @@ def test_reproduce_is_deterministic(tmp_path):
     a = reproduce_figure("figS1c", out_dir=tmp_path / "a")
     b = reproduce_figure("figS1c", out_dir=tmp_path / "b")
     assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_artifacts_take_the_mode_the_umask_gives_a_new_file(tmp_path, umask, mode):
+    # written through a temporary file and a rename, yet with the mode of open(path, "wb")
+    previous = os.umask(umask)
+    try:
+        run = reproduce_figure("fig1e", out_dir=tmp_path)
+    finally:
+        os.umask(previous)
+    assert [path.stat().st_mode & 0o777 for path in (run.csv_path, run.summary_path)] == [mode, mode]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fig1e.csv", "fig1e.summary.json"]
 
 
 # ---------------------------------------------------------------------------

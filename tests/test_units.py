@@ -315,6 +315,9 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         (lambda: FabryPerotSpec(206.64, 10.0, ((1,),)), r"mode must be \(n, k_parallel\)"),
         (lambda: FabryPerotSpec(206.64, 10.0, ((1, (0.0, 0.0), 3),)), r"mode must be \(n, k_parallel\)"),
         (lambda: _collective(mode=(1.2, (0.0, 0.0))), "mode index n must be an integer"),
+        (lambda: _FP.mode_frequency((1.5, (0.0, 0.0))), "mode index n must be an integer"),
+        (lambda: _FP.mode_frequency((1,)), r"mode must be \(n, k_parallel\)"),
+        (lambda: _FP.mode_profile((1,), (0.0, 0.0, 10.0)), r"mode must be \(n, k_parallel\)"),
         (lambda: _fock(2.5, 2), "n_max must be an integer"),
         (lambda: _fock(4, True), "n_levels must be an integer"),
         (lambda: _fock(4.0, 2.0), None),
@@ -344,6 +347,9 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         "cavity-mode-of-one-part",
         "cavity-mode-of-three-parts",
         "collective-fractional-mode-index",
+        "mode-frequency-fractional-index",
+        "mode-frequency-of-one-part",
+        "mode-profile-of-one-part",
         "fock-fractional-n_max",
         "fock-boolean-n_levels",
         "fock-whole-float-truncation",
