@@ -20,15 +20,17 @@ block-tridiagonal band of super-blocks of ``n_max + 1`` rows, built from the
 products of the nonzero factor entries alone.  A dense ``eigh`` of each band's
 states with photon and matter numbers below a cut bounds its levels from
 above, which splits the wanted levels into a share per band, and gives a start
-near them.  A band whose start has not converged runs shift-and-invert block
-Krylov for its share, from a shift that a block Cholesky factorization proves
-lies below the spectrum.  The Sylvester inertia of each band's block LDL^T at
-one common threshold, just above the levels found, certifies that none was
-missed; a band with more levels below it is solved again, and then whole.
-The count stops at the first pivot after which the rest of the band is
-strictly diagonally dominant above the threshold, so positive definite
-(Gershgorin), adding no eigenvalue below it (Sylvester).  Bands too small for
-Krylov are diagonalized whole, each level refined by its Rayleigh quotient.
+near them.  A band takes Krylov for its share if its basis, at most
+``_KRYLOV_BLOCKS`` blocks of share + 2 columns, fits in half of it: a start
+that has not converged grows a shift-and-invert block Krylov basis from a
+shift that a block Cholesky factorization proves lies below the spectrum.  The
+Sylvester inertia of each band's block LDL^T at one common threshold, just
+above the levels found, certifies that none was missed; a band with more
+levels below it is solved again, and then whole.  The count stops at the first
+pivot after which the rest of the band is strictly diagonally dominant above
+the threshold, so positive definite (Gershgorin), adding no eigenvalue below
+it (Sylvester).  A band over that budget or whose basis fills, or both when no
+split fits, is solved whole, each level refined by its Rayleigh quotient.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ _RESIDUAL = 1e-10
 # the inertia count stops where the rest of the band is diagonally dominant by more than this,
 # times the largest diagonal entry: far above the round-off of row sums of 41 entries
 _ROUNDOFF = 1e-12
-# a parity block is solved by Krylov only when a basis of this many blocks fits in half
-# of it: measured on n_max 24-40, the Krylov path is the faster from 18-23 blocks up
+# the most blocks of share + 2 columns a band's Krylov basis holds; it takes Krylov only if they fit in half of it
 _KRYLOV_BLOCKS = 22
 # the Krylov start's principal block: photon and matter numbers below this (128 rows per parity)
 # or below (n_max + 1) / 2, a quarter of a smaller band
@@ -329,19 +330,19 @@ def _ritz_pairs(projected: np.ndarray, rows: np.ndarray, products: np.ndarray, s
 def _krylov_levels(
     diag: np.ndarray, sub: np.ndarray, size: int, share: int, start: tuple, scale: float
 ) -> np.ndarray | None:
-    """The lowest ``share`` levels of a band and any clustered just above them, or None if the basis fills half the band.
+    """The lowest ``share`` levels of a band and any clustered just above them, or None if its basis fills.
 
     Pairs converge at residuals of ``_RESIDUAL`` times ``scale``, the largest
     diagonal entry.  The start, the lowest ``share + 2`` eigenvectors of the
     principal block of ``_start_block``, is checked alone first; only if it
     has not converged is a shift factored and a shift-and-invert block Krylov
-    basis grown from it.  A last Rayleigh-Ritz pass refines the converged
-    pairs; the caller certifies them.
+    basis grown from it, up to ``_KRYLOV_BLOCKS`` blocks.  A last Rayleigh-Ritz
+    pass refines the converged pairs; the caller certifies them.
     """
     exponent, principal, levels, near = start
     diag, sub, scale = np.ldexp(diag, -exponent), np.ldexp(sub, -exponent), math.ldexp(scale, -exponent)
     n = diag.shape[0] * diag.shape[1]
-    width, limit, tol = share + 2, n // 2, _RESIDUAL * scale
+    width, limit, tol = share + 2, _KRYLOV_BLOCKS * (share + 2), _RESIDUAL * scale
     gap = 10.0 * tol
     block = np.zeros((n, width))
     block[principal] = near[:, :width]
@@ -412,16 +413,16 @@ def _lowest_levels(terms: list[tuple[np.ndarray, np.ndarray]], count: int) -> np
     """The lowest ``count`` eigenvalues of H = sum_k kron(A_k, B_k), sorted, from its two parity bands.
 
     The principal blocks' levels split the lowest ``count`` into a share per
-    band, and each band solves for its share, one after the other.  One
-    inertia count per band, at the ``count``-th level found plus the cluster
-    gap, certifies them; a band with more levels below it than it found is
-    solved again for that many, once, and otherwise whole (a dense solve,
-    which misses nothing), as is a band too small for Krylov or whose basis fills.
+    band, and each band solves for its share, one after the other: by Krylov
+    within ``budget``, otherwise whole (a dense solve, which misses nothing).
+    One inertia count per band, at the ``count``-th level found plus the
+    cluster gap, certifies them; a band with more levels below it than it found
+    is solved again for that many, once, by the same rule, and then whole.
     """
     bands = [_band(terms, parity) for parity in (0, 1)]
     m, d, _ = bands[0][0].shape
     budget = m * d // 2 // _KRYLOV_BLOCKS - 2  # the most levels a band solves by Krylov
-    if count > budget:
+    if count > 2 * budget:  # no split keeps both bands in budget
         return np.sort(np.concatenate([_dense_levels(*band[:3], count) for band in bands]))[:count]
     cut = min(_START_CUT, d // 2)
     starts = []
@@ -433,7 +434,7 @@ def _lowest_levels(terms: list[tuple[np.ndarray, np.ndarray]], count: int) -> np
     scale = max(float(np.max(np.diagonal(diag, axis1=1, axis2=2).ravel()[:size])) for diag, _, size, _ in bands)
     levels, whole = [], []
     for band, share, start in zip(bands, (count - odd, odd), starts):
-        found = _krylov_levels(*band[:3], share, start, scale) if share else np.empty(0)
+        found = None if share > budget else _krylov_levels(*band[:3], share, start, scale) if share else np.empty(0)
         whole.append(found is None)
         levels.append(_dense_levels(*band[:3], count) if found is None else found)
     threshold = np.sort(np.concatenate(levels))[count - 1] + 10.0 * _RESIDUAL * scale  # the cluster gap
@@ -461,10 +462,9 @@ def truncated_fock_spectrum(
     first-order (linearized) branch values when ``D = 0``.
 
     Only the lowest ``n_levels + 1`` levels are computed (see the module
-    notes).  Each parity band solves for its share of them, a band whose
-    start has converged factors no shift, and one inertia count per band at
-    a common threshold certifies the merged levels; a band with more levels
-    below it than it found is solved again for them, and then whole.
+    notes): each parity band's share by block Krylov, in at most
+    ``_KRYLOV_BLOCKS`` blocks, where they fit in half the band, and by a
+    dense solve otherwise; one inertia count per band certifies them.
     """
     n_max = _require_integer("n_max", n_max)
     n_levels = _require_integer("n_levels", n_levels)

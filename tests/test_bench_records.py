@@ -6,6 +6,21 @@ from pathlib import Path
 import pytest
 
 _RECORDS = sorted((Path(__file__).resolve().parent.parent).glob("BENCH_*.json"))
+# records written before every record had to name the BLAS kernel it ran on (ROADMAP item 1)
+_BEFORE_BLAS_CORE = {
+    "BENCH_assembly.json",
+    "BENCH_cli_gc.json",
+    "BENCH_cli_import.json",
+    "BENCH_csv_text.json",
+    "BENCH_driven_closed_form.json",
+    "BENCH_ensemble_gauge.json",
+    "BENCH_ensemble_pairs.json",
+    "BENCH_fock_band.json",
+    "BENCH_fock_idle.json",
+    "BENCH_fock_oracle.json",
+    "BENCH_fock_share.json",
+    "BENCH_fock_start.json",
+}
 
 
 def test_there_are_benchmark_records():
@@ -19,3 +34,6 @@ def test_benchmark_record_parses_and_names_its_machine(path):
     for key in ("cores", "cpu", "python", "numpy"):
         assert machine.get(key), f"{path.name}: machine record lacks {key!r}"
     assert isinstance(machine["cores"], int) and machine["cores"] >= 1
+    if path.name not in _BEFORE_BLAS_CORE:
+        # the OpenBLAS kernel moves timings and last bits alike
+        assert machine.get("blas_core"), f"{path.name}: machine record lacks 'blas_core'"

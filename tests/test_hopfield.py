@@ -378,6 +378,7 @@ def _oracle_cases(draw):
 @example(case=(HopfieldParams(0.5, 1.0, 1.5, 2.25), "rwa", 34, 11))  # Krylov misses a level: the band is solved whole
 @example(case=(HopfieldParams(1.084, 1.0, 0.295, 0.295**2), "position", 40, 6))  # a benchmark draw split (3, 3)
 @example(case=(HopfieldParams(0.919, 1.0, 0.163, 0.163**2), "position", 40, 6))  # a benchmark draw split (4, 2)
+@example(case=(HopfieldParams(1.1, 1.0, 0.3, 0.09), "position", 40, 24))  # over one band's budget, not over a share's
 @settings(max_examples=15, deadline=None)
 def test_lowest_levels_match_the_dense_kron_hamiltonian(case):
     p, frame, n_max, count = case
@@ -466,6 +467,61 @@ def test_a_band_with_no_share_runs_only_its_certificate(certified):
     assert certified["shares"] == [1]
     assert [count for _, count in certified["certificates"]] == [1, 0]
     assert np.max(np.abs(levels - _dense_fock_levels(p, 40, "position")[:1])) <= 1e-12
+
+
+def _budget(n_max):
+    """The most levels a band of ``_band`` at ``n_max`` solves by Krylov: _KRYLOV_BLOCKS blocks of share + 2 fit in half of it."""
+    return (n_max + 2) // 2 * (n_max + 1) // 2 // hopfield._KRYLOV_BLOCKS - 2
+
+
+def _spy(monkeypatch, name):
+    """The calls made to ``hopfield.<name>``, as their argument tuples, in call order."""
+    calls, function = [], getattr(hopfield, name)
+
+    def spied(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(hopfield, name, spied)
+    return calls
+
+
+def test_each_band_takes_krylov_for_its_share(certified, monkeypatch):
+    # 18 levels at n_max 40 are more than the budget of 17, but each band's share is within it
+    whole = _spy(monkeypatch, "_dense_levels")
+    p = HopfieldParams(1.1, 1.0, 0.3, 0.09)
+    levels = truncated_fock_spectrum(p, n_max=40, n_levels=17)
+    assert _budget(40) == 17
+    assert len(certified["shares"]) == 2 and sum(certified["shares"]) == 18
+    assert max(certified["shares"]) <= 17
+    assert whole == []
+    reference = _dense_fock_levels(p, 40, "position")[:18]
+    assert abs(levels.ground_state_energy - reference[0]) <= 1e-12
+    assert np.max(np.abs(levels.excitation_energies - (reference[1:] - reference[0]))) <= 1e-12
+
+
+def test_a_band_over_its_budget_is_solved_whole_and_the_other_by_krylov(certified, monkeypatch):
+    # at n_max 20 the budget is 3 levels: the even band's share of 4 goes whole, the odd band's 2 take Krylov
+    whole = _spy(monkeypatch, "_dense_levels")
+    p = HopfieldParams(0.919, 1.0, 0.163, 0.163**2)
+    terms = _fock_terms(p, 20)
+    levels = _lowest_levels(terms, 6)
+    assert _budget(20) == 3
+    assert certified["shares"] == [2]
+    assert len(whole) == 1 and whole[0][3] == 6
+    assert np.array_equal(whole[0][0], _band(terms, 0)[0])  # the even band, whole
+    assert [count for _, count in certified["certificates"]] == [2]  # only the Krylov band is certified
+    assert np.max(np.abs(levels - _dense_fock_levels(p, 20, "position")[:6])) <= 1e-12
+
+
+def test_more_levels_than_both_budgets_skip_the_principal_blocks(monkeypatch):
+    # 35 levels at n_max 40 are more than twice the budget of 17: both bands go whole at once
+    starts, krylov = _spy(monkeypatch, "_start_block"), _spy(monkeypatch, "_krylov_levels")
+    p = HopfieldParams(1.1, 1.0, 0.3, 0.09)
+    levels = _lowest_levels(_fock_terms(p, 40), 35)
+    assert 35 > 2 * _budget(40)
+    assert starts == [] and krylov == []
+    assert np.max(np.abs(levels - _dense_fock_levels(p, 40, "position")[:35])) <= 1e-12
 
 
 def test_benchmark_box_certificates_stop_early(monkeypatch):
@@ -611,9 +667,9 @@ def test_shift_probe_steps_down_until_no_level_lies_below_it(monkeypatch):
 def test_a_band_that_fills_the_krylov_basis_is_solved_whole(monkeypatch):
     # beyond the SpC instability (4 g^2 > omega_cav omega_mat) the truncated band's lowest
     # levels lie at the largest photon numbers, far from the principal-block start.  A block
-    # of share + 2 columns still converges them here, in 23 or 24 of the 35 to 41 shifted
-    # solves that fit, so the solve is stalled (it returns its input) and the basis fills
-    # half the band without converging
+    # of share + 2 columns would need 23 or 24 shifted solves, more than the _KRYLOV_BLOCKS
+    # blocks the basis holds; the solve is also stalled (it returns its input), so that the
+    # basis fills without converging whatever the rate
     p = HopfieldParams(omega_cav=1.0, omega_mat=1.0, g_qed=1.0, D=0.0)
     assert not p.stable
     calls = []
@@ -624,8 +680,8 @@ def test_a_band_that_fills_the_krylov_basis_is_solved_whole(monkeypatch):
         return x
 
     def spied(diag, sub, size, share, start, scale):
-        # the basis holds at most half the band, in blocks of share + 2 columns
-        call = {"solves": 0, "blocks": diag.shape[0] * diag.shape[1] // 2 // (share + 2)}
+        # the basis holds at most _KRYLOV_BLOCKS blocks of share + 2 columns
+        call = {"solves": 0, "blocks": hopfield._KRYLOV_BLOCKS}
         calls.append(call)
         call["levels"] = krylov(diag, sub, size, share, start, scale)
         return call["levels"]
