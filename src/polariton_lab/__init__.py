@@ -13,16 +13,32 @@ The scenario layer (:mod:`polariton_lab.scenarios`) and the ``polariton-lab``
 CLI expose all of it through declarative YAML documents with deterministic
 CSV artifacts.
 
-Importing the package loads only the version and the exceptions.  The layers
-are loaded on first use: a submodule attribute such as
-``polariton_lab.models`` loads that layer alone, and any other public name, or
-``__all__``, loads all eight and binds their public names here.
+The version and the exception types are defined here; importing the package
+loads nothing else.  The layers are loaded on first use: a submodule attribute
+such as ``polariton_lab.models`` loads that layer alone, and any other public
+name, or ``__all__``, loads all eight and binds their public names here.
 """
 
 import importlib
 
-from ._version import __version__
-from .exceptions import PolaritonError, PoleError, SchemaError
+__version__ = "0.1.0"
+
+
+class PolaritonError(ValueError):
+    """Domain error in a physics operation (bad parameters, unstable system...)."""
+
+
+class PoleError(PolaritonError):
+    """A driven system was evaluated exactly at a lossless resonance."""
+
+
+class SchemaError(ValueError):
+    """A scenario document does not conform to the documented schema."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}" if path else message)
+
 
 # the layers whose public names the package re-exports, in the order listed
 _LAYERS = ("units", "models", "hopfield", "driven", "fields", "ensemble", "material", "scenarios")

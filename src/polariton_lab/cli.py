@@ -21,8 +21,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ._version import __version__
-from .exceptions import PolaritonError, SchemaError
+from . import PolaritonError, SchemaError, __version__
 
 if TYPE_CHECKING:
     from .scenarios import ScenarioRun

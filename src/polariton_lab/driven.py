@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import PoleError, PolaritonError
+from . import PoleError, PolaritonError
 from .models import CoupledModel, ModelVariant, _system
 from .units import (
     UNITS,

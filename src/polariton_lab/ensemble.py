@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import PolaritonError
+from . import PolaritonError
 from .models import ModelVariant, branch_frequencies
 from .units import (
     _MAX_DIPOLES,

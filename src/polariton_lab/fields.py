@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import PolaritonError
+from . import PolaritonError
 from .models import ModelVariant, branch_frequencies, mode_ratio
 from .units import (
     _as_points, _as_vec, _raise_first_bad, _reduced_strength, _require_nonnegative, _require_positive, _unit_vector

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import PolaritonError
+from . import PolaritonError
 from .units import _MAX_FOCK_ROWS, _require_integer, _require_nonnegative, _require_positive
 
 # Krylov stops when every wanted Ritz residual is at most this, times the largest diagonal entry
@@ -500,6 +500,18 @@ def _ladder_deviation(spectrum: QuantumSpectrum, w_plus: float, w_minus: float) 
     return max(ground, float(np.max(np.abs(spectrum.excitation_energies - exact[1:]))))
 
 
+def _frame_partner(p: HopfieldParams) -> HopfieldParams:
+    """The dipole-gauge partner of ``p`` (see :func:`frame_equivalence_check`), where it exists."""
+    wc, wm = p.omega_cav, p.omega_mat
+    g_squared = p.g_qed**2 + p.D * (wc - wm) * (wc + wm) / wm
+    if g_squared < 0.0:
+        raise PolaritonError(
+            f"no dipole-gauge frame partner for D = {p.D:.6g} eV, omega_cav = {wc:.6g} eV, "
+            f"omega_mat = {wm:.6g} eV: g^2 + D (omega_cav^2 - omega_mat^2) / omega_mat = {g_squared:.6g} eV^2 < 0"
+        )
+    return HopfieldParams(wm, wc, math.sqrt(g_squared), p.D * wc / wm)
+
+
 def frame_equivalence_check(p: HopfieldParams, spectrum: QuantumSpectrum) -> float:
     """Max miss of ``spectrum`` against the dipole-gauge partner at its truncation.
 
@@ -513,14 +525,6 @@ def frame_equivalence_check(p: HopfieldParams, spectrum: QuantumSpectrum) -> flo
     operator and the miss is round-off.  Where ``g'**2 < 0`` there is no
     partner and :class:`PolaritonError` is raised.
     """
-    wc, wm = p.omega_cav, p.omega_mat
-    g_squared = p.g_qed**2 + p.D * (wc - wm) * (wc + wm) / wm
-    if g_squared < 0.0:
-        raise PolaritonError(
-            f"no dipole-gauge frame partner for D = {p.D:.6g} eV, omega_cav = {wc:.6g} eV, "
-            f"omega_mat = {wm:.6g} eV: g^2 + D (omega_cav^2 - omega_mat^2) / omega_mat = {g_squared:.6g} eV^2 < 0"
-        )
-    partner = HopfieldParams(wm, wc, math.sqrt(g_squared), p.D * wc / wm)
-    other = truncated_fock_spectrum(partner, spectrum.truncation, len(spectrum.excitation_energies))
+    other = truncated_fock_spectrum(_frame_partner(p), spectrum.truncation, len(spectrum.excitation_energies))
     ground = abs(other.ground_state_energy - spectrum.ground_state_energy)
     return max(ground, float(np.max(np.abs(other.excitation_energies - spectrum.excitation_energies))))

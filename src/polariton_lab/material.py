@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import PoleError, PolaritonError
+from . import PoleError, PolaritonError
 from .models import ModelVariant, _amplitude_modes_sq, _velocity_modes_sq, dressed_parameters
 from .units import UNITS, _require_at_least_one, _require_finite, _require_nonnegative, _require_positive
 

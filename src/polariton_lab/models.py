@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import PoleError, PolaritonError
+from . import PoleError, PolaritonError
 from .units import _raise_first_bad, _require_finite, _require_nonnegative, _require_positive
 
 __all__ = [

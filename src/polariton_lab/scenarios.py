@@ -1,13 +1,13 @@
-"""Scenario documents, figure registry, and deterministic artifact output.
+"""Scenario documents: what each of the nine kinds accepts and computes, and how a document runs.
 
 A scenario is a YAML mapping with a ``kind`` selecting one of the nine
 drivers below, a ``parameters`` block mirroring the corresponding module
 types, and an optional ``output`` block.  Every scenario is deterministic
 end to end -- there is no RNG anywhere in the pipeline.  Each driver returns
-a table of integer or float columns, which is written atomically as CSV
-with a fixed dialect (comma separator, LF line endings, floats as ``.17g``,
-integers as plain decimals) and, optionally, as an SVG plot, so two runs of
-the same document are byte-identical.
+a table of integer or float columns; :mod:`polariton_lab._render` decides its
+CSV and SVG text and writes them, and :mod:`polariton_lab.figures` holds the
+documents behind the ``reproduce`` figure ids.  The schema stays with the
+drivers: each kind's field table is written in its primitives.
 
 Validation is declarative: every mapping a document may hold has a field
 table, a tuple of ``_Field(key, check, default)`` entries.  ``check`` is a
@@ -25,14 +25,10 @@ three kinds that drive a dipole pair share two fragments, ``_PAIR`` (bare
 frequencies, decay rates, strengths) and ``_PLACEMENT`` (dipole positions
 and orientations), and build and drive that pair in :func:`_drive_pair`.
 
-``FIGURES`` maps each canned figure id understood by ``reproduce`` to a
-document builder bound to that figure's published parameterization
-(:func:`functools.partial`, or the bare builder when it takes none); every
-call returns a fresh document.
-
-Only ``models`` and ``units`` are imported with this module.  Each driver
-imports the layer it runs when it is called, and ``yaml`` is imported only to
-parse a file, so a ``reproduce`` process loads its own figure's layer alone.
+Only ``models``, ``units``, ``_render`` and ``figures`` are imported with this
+module.  Each driver imports the layer it runs when it is called, and ``yaml``
+is imported only to parse a file, so a ``reproduce`` process loads its own
+figure's layer alone.
 """
 
 from __future__ import annotations
@@ -40,17 +36,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import itertools
-import os
-from dataclasses import dataclass, field
-from functools import cache, partial
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from ._version import __version__
-from .exceptions import PoleError, PolaritonError, SchemaError
+from . import PoleError, PolaritonError, SchemaError, __version__
+from ._render import _atomic_write, _render_csv, _render_svg, _Table
+from .figures import FIGURE_IDS, figure_document
 from .models import (
     CoupledModel,
     ModelVariant,
@@ -63,7 +58,6 @@ from .models import (
 )
 from .units import (
     _MAX_DIPOLES, _MAX_FOCK_ROWS, _MAX_MODES, UNITS, _raise_first_bad, _reduced_strength, coupling_dipole_dipole,
-    dipole_moment_to_oscillator_strength,
 )
 
 __all__ = [
@@ -253,27 +247,7 @@ _AXIS = partial(_string, choices=tuple(_AXES))
 
 
 # --------------------------------------------------------------------------
-# result table
-
-
-@dataclass
-class _Table:
-    columns: list  # list of (header cell, 1-D integer or float array)
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.columns = [(cell, np.asarray(values)) for cell, values in self.columns]
-        for cell, values in self.columns:
-            if values.ndim != 1 or values.dtype.kind not in "iuf":
-                raise PolaritonError(
-                    f"column {cell!r} must be a 1-D integer or float array, "
-                    f"got {values.dtype} of shape {values.shape}"
-                )
-            if len(values) != self.n_rows():
-                raise PolaritonError(f"column {cell!r} has {len(values)} rows, expected {self.n_rows()}")
-
-    def n_rows(self) -> int:
-        return len(self.columns[0][1])
+# kind: eigen_sweep
 
 
 _DET_RESIDUAL_BOUND = 1e-8
@@ -293,10 +267,6 @@ def _check_det_residual(variant: ModelVariant, omega_cav, omega_mat, g, omega, l
         f"{residual[i]:.3e} exceeds {_DET_RESIDUAL_BOUND:g} at eigenfrequency {omega[i]}{where}",
         row="sweep row",
     )
-
-
-# --------------------------------------------------------------------------
-# kind: eigen_sweep
 
 
 _COUPLING = (
@@ -821,6 +791,7 @@ def _run_oracle(p: dict) -> _Table:
     from .driven import polarizability_oracle
     from .hopfield import (
         HopfieldParams,
+        _frame_partner,
         _ladder_deviation,
         frame_equivalence_check,
         hopfield_quartic_eigen,
@@ -842,6 +813,8 @@ def _run_oracle(p: dict) -> _Table:
                 "needs rwa: false; the dipole-gauge partner matches the full Hamiltonian, not its RWA",
             )
         hp = HopfieldParams(omega_cav, omega_mat, g_qed, diamagnetic)
+        if p["frame_check"]:
+            _frame_partner(hp)  # a document without a partner fails before the solve, not after it
         spectrum = truncated_fock_spectrum(hp, p["n_max"], p["n_levels"], rwa=p["rwa"])
         extras = {
             "ground_state_energy_eV": spectrum.ground_state_energy,
@@ -931,211 +904,6 @@ _DOCUMENT = (
 )
 
 
-# --------------------------------------------------------------------------
-# artifact output
-
-
-_CSV_BLOCK = 4096  # cells per block, so that the temporaries do not grow with the table
-# 10**(k-300) = (hi + lo) * 2**shift to 106 bits, as hi's Dekker halves, lo and shift; NaN until first used
-_P10 = np.full((4, 650), np.nan)
-
-
-def _scaled(f, b, k):
-    """``f * 2**b * 10**k`` as a normalized double-double ``(hi, lo)``, for f in [0.5, 1)."""
-    k = k + 300
-    for j in set(k[np.isnan(_P10[0].take(k))].tolist()):
-        n = 10 ** abs(j - 300)
-        width = n.bit_length()  # q * 2**t: 10**(j-300) to 121 bits
-        q, t = (n << 121 >> width, width - 121) if j >= 300 else ((1 << width + 120) // n, -width - 120)
-        hi = math.ldexp(q >> 68, -52)
-        split = hi * 134217729.0 - (hi * 134217729.0 - hi)
-        _P10[:, j] = split, hi - split, math.ldexp(q & (1 << 68) - 1, -120), t + 120
-    hh, hl, lo, shift = _P10.take(k, axis=1)
-    p = f * (hh + hl)  # Dekker's product: p + err is f * hi exactly
-    fh = f * 134217729.0 - (f * 134217729.0 - f)
-    err = fh * hh - p + fh * hl + (f - fh) * hh + (f - fh) * hl + f * lo
-    t = (b + shift).astype(np.int32)  # np.ldexp is slow for int64 exponents
-    p, err = np.ldexp(p, t), np.ldexp(err, t)
-    return p + err, err - (p + err - p)
-
-
-@cache
-def _csv_tables():
-    """Lookup tables of :func:`_g17_cells`: digits, exponent classes and slot layouts."""
-    d = np.arange(48, 58, dtype="<u4")  # "0000" .. "9999" as little-endian words
-    digits4 = np.add.outer(np.add.outer(d, d << 8), np.add.outer(d << 16, d << 24)).ravel()
-    # a class per exponent E = index - 330: 0-20 fixed (E = -4..16), 21-24 e+dd, e+ddd, e-dd, e-ddd
-    e = np.arange(-330, 310)
-    form = np.where((e < -4) | (e > 16), 21 + 2 * (e < 0) + (abs(e) >= 100), e + 4) * 17 - 1
-    # a 30-byte slot per (sign, class, digit count): sign, "0.000" lead, 17 digits and a point, "e+308",
-    # separator; as a template, and the slots taking their own digit or the one before
-    sign, cls, count = (v.reshape(-1, 1) for v in np.indices((2, 25, 18))[:, :, :, 1:])
-    j, exp, sci = np.arange(30) - 6, cls - 4, cls >= 21  # j: the digit slot
-    point = np.where(sci, 1, np.where(exp >= 0, exp + 1, 17))
-    tpl = np.select([j == point, j == -6, j == 23], [46 * (point < count), 45 * sign, 44])
-    tpl[:, 1:6] = np.where(np.arange(5) < np.where(exp < 0, 1 - exp, 0), np.frombuffer(b"0.000", np.uint8), 0)
-    tpl[:, 24:26] = sci * np.hstack([np.full_like(cls, 101), np.where(cls >= 23, 45, 43)])
-    own = (j >= 0) & (j < np.where(exp < 0, count, point))  # fixed notation keeps every integer digit
-    own[:, 26:29] = sci & np.hstack([cls % 2 == 0, sci, sci])  # two or three exponent digits
-    masks = (tpl, own, (j > point) & (j <= count))
-    layout = [np.ascontiguousarray(m, np.uint8).view("V30").ravel() for m in masks]
-    return digits4, form, layout
-
-
-def _g17_cells(x):
-    """``"{:.17g}".format`` of each float64 of ``x``, in NUL-padded 30-byte slots ending in ','.
-
-    |x| = f * 2**b is scaled by 10**(16 - E) and rounded to 17 digits; a scaled value
-    within 2**-30 of a half-integer, a tie or too near one to call, is left to Python.
-    """
-    digits4, form, layout = _csv_tables()
-    real = np.isfinite(x) & (x != 0)
-    a = np.where(real, np.abs(x), 1.0)
-    f, b = np.frexp(a)
-    exp = np.floor(np.log10(a)).astype(np.int32)
-    hi, lo = _scaled(f, b, 16 - exp)
-    fix = np.flatnonzero((hi < 1e16) | (hi > 1e17) | (hi == 1e16) & (lo < 0) | (hi == 1e17) & (lo >= 0))
-    if fix.size:  # the estimate of E = floor(log10 |x|) was one off
-        exp[fix] += np.where(hi[fix] > 5e16, 1, -1)
-        hi[fix], lo[fix] = _scaled(f[fix], b[fix], 16 - exp[fix])
-    ties = np.flatnonzero(np.abs(np.abs(lo - np.rint(lo)) - 0.5) < 2.0**-30)
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    up = d == 10**17  # rounded up to the next power of ten
-    d, exp = np.where(up, 10**16, d), exp + up
-    top, low = np.divmod(d, 10**8)  # the lead digit, then four groups of four
-    groups = np.stack(np.divmod(np.stack([top % 10**8, low], axis=1), 10**4), axis=-1).reshape(-1, 4)
-    flat = np.zeros(len(x) * 30 + 1, np.uint8)  # the cells, and flat[:-1] the same one byte later
-    cells = flat[1:].reshape(-1, 30)
-    cells[:, 6] = top // 10**8 + 48
-    cells[:, 7:23] = digits4.take(groups).view(np.uint8)
-    cells[:, 26:29] = digits4.take(np.abs(exp)).view(np.uint8).reshape(-1, 4)[:, 1:]
-    count = 17 - np.argmax(cells[:, 22:5:-1] != 48, axis=1)  # digits up to the last nonzero one
-    for where, word in ((np.isnan(x), b"nan"), (np.isinf(x), b"inf"), (x == 0, b"0")):
-        cells[where, 6 : 6 + len(word)] = np.frombuffer(word, np.uint8)
-        exp[where] = len(word) - 1
-    code = form.take(exp + 330) + count + 425 * (np.signbit(x) & ~np.isnan(x))
-    tpl, own, shifted = (table.take(code).view(np.uint8) for table in layout)
-    text = tpl + flat[1:] * own + flat[:-1] * shifted
-    for i in ties.tolist():
-        text[30 * i : 30 * i + 29] = np.frombuffer("{:.17g}".format(x[i]).encode().ljust(29, b"\0"), np.uint8)
-    return text.reshape(-1, 30)
-
-
-def _render_csv(table: _Table) -> bytes:
-    """``"{:.17g}".format(x)`` of each float cell and ``str(n)`` of each integer one, a block at a time."""
-    step = max(1, _CSV_BLOCK // len(table.columns))
-    chunks = [",".join(cell for cell, _ in table.columns).encode("utf-8") + b"\n"]
-    for start in range(0, table.n_rows(), step):
-        block = [values[start : start + step] for _, values in table.columns]
-        floats = np.column_stack([np.zeros(len(v)) if v.dtype.kind in "iu" else v for v in block])
-        cells = _g17_cells(floats.astype(float).ravel()).reshape(len(floats), len(block), 30)
-        cells[:, -1, -1] = ord("\n")
-        for c, values in enumerate(block):
-            if values.dtype.kind in "iu":
-                cells[:, c, :-1] = values.astype("S29").view(np.uint8).reshape(-1, 29)
-        chunks.append(cells.tobytes().translate(None, b"\0"))
-    return b"".join(chunks)
-
-
-_SVG_PALETTE = (
-    "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
-    "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
-    "#bcbd22", "#e377c2", "#393b79", "#637939",
-)
-
-
-def _render_svg(table: _Table, title: str) -> bytes:
-    """Minimal deterministic line plot: first column is x, the rest are series.
-
-    The title and the column headers are XML-escaped: both can come from the
-    document (the ``output.path`` stem, the spectrum curve labels).
-    ``html.escape`` is used because ``xml.sax.saxutils`` imports
-    ``urllib.request``, about 25 ms of start-up; ``html`` itself is imported
-    here, since only SVG output needs it.
-    """
-    import html
-
-    width, height = 720, 480
-    left, right, top, bottom = 70.0, 20.0, 34.0, 50.0
-    x = np.asarray(table.columns[0][1], dtype=float)
-    series = [(cell, np.asarray(vals, dtype=float)) for cell, vals in table.columns[1:]]
-    finite = np.isfinite(x)
-    finite_x = x[finite]
-    ys = np.concatenate([v[np.isfinite(v)] for _, v in series]) if series else np.array([])
-    if finite_x.size == 0 or ys.size == 0:
-        raise PolaritonError("nothing to plot: no finite data points")
-    x0, x1 = float(finite_x.min()), float(finite_x.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    if x1 == x0:
-        x0, x1 = x0 - 1.0, x1 + 1.0
-    if y1 == y0:
-        y0, y1 = y0 - 1.0, y1 + 1.0
-    pad = 0.05 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{left:.1f}" y="20" font-size="14">{html.escape(title, quote=False)}</text>',
-        f'<line x1="{left:.1f}" y1="{height - bottom:.1f}" x2="{width - right:.1f}" '
-        f'y2="{height - bottom:.1f}" stroke="black"/>',
-        f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}" y2="{height - bottom:.1f}" '
-        f'stroke="black"/>',
-        f'<text x="{left:.1f}" y="{height - bottom + 16:.1f}">{x0:.6g}</text>',
-        f'<text x="{width - right:.1f}" y="{height - bottom + 16:.1f}" text-anchor="end">{x1:.6g}</text>',
-        f'<text x="{left - 6:.1f}" y="{height - bottom:.1f}" text-anchor="end">{y0:.6g}</text>',
-        f'<text x="{left - 6:.1f}" y="{top + 10:.1f}" text-anchor="end">{y1:.6g}</text>',
-        f'<text x="{(left + width - right) / 2:.1f}" y="{height - 12:.1f}" '
-        f'text-anchor="middle">{html.escape(table.columns[0][0], quote=False)}</text>',
-    ]
-    for idx, (cell, values) in enumerate(series):
-        color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
-        # a run is a stretch of consecutive rows where both x and y are finite
-        shown = np.flatnonzero(finite & np.isfinite(values))
-        px = (left + (x[shown] - x0) / (x1 - x0) * (width - left - right)).tolist()
-        py = (height - bottom - (values[shown] - y0) / (y1 - y0) * (height - top - bottom)).tolist()
-        cuts = (np.flatnonzero(np.diff(shown) > 1) + 1).tolist()
-        for start, stop in zip([0, *cuts], [*cuts, len(shown)]):
-            if stop - start == 1:
-                parts.append(f'<circle cx="{px[start]:.3f}" cy="{py[start]:.3f}" r="2" fill="{color}"/>')
-            elif stop > start:  # an all-NaN series is one empty run
-                points = " ".join(map("{:.3f},{:.3f}".format, px[start:stop], py[start:stop]))
-                parts.append(
-                    f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-                )
-        ly = top + 14.0 * idx
-        parts.append(
-            f'<line x1="{width - right - 150:.1f}" y1="{ly:.1f}" x2="{width - right - 130:.1f}" '
-            f'y2="{ly:.1f}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{width - right - 124:.1f}" y="{ly + 4:.1f}">{html.escape(cell, quote=False)}</text>'
-        )
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to a new file beside ``path`` with the mode ``open(path, "wb")`` gives, then rename it."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    for attempt in itertools.count():
-        tmp = path.parent / f".{path.name}.{os.getpid()}.{attempt}.tmp"
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
-            break
-        except FileExistsError:  # another write of this path under way, or left by a process of the same id
-            pass
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass(frozen=True)
@@ -1164,10 +932,7 @@ def run_scenario_document(
     doc = _validate(_DOCUMENT, {} if document is None else document, "")
     kind = doc["kind"]
     output = doc["output"] or {"path": None, "format": "csv"}
-    stem = default_stem or kind
-    csv_path = Path(output["path"] or f"{stem}.csv")
-    if not csv_path.is_absolute():
-        csv_path = Path(out_dir or ".") / csv_path
+    csv_path = Path(out_dir or ".", output["path"] or f"{default_stem or kind}.csv")  # an absolute path stays as is
     svg_path = csv_path.with_suffix(".svg") if output["format"] == "svg" else None
     if svg_path == csv_path:
         raise SchemaError(
@@ -1186,13 +951,9 @@ def run_scenario_document(
             f"scenario {source_name!r} ({kind}): {type(exc).__name__}: {exc}"
         ) from exc
 
-    csv_bytes = _render_csv(table)
-    _atomic_write(csv_path, csv_bytes)
-    outputs = {csv_path.name: {"sha256": hashlib.sha256(csv_bytes).hexdigest(), "bytes": len(csv_bytes)}}
+    outputs = {csv_path.name: _atomic_write(csv_path, _render_csv(table))}
     if svg_path is not None:
-        svg_bytes = _render_svg(table, csv_path.stem)
-        _atomic_write(svg_path, svg_bytes)
-        outputs[svg_path.name] = {"sha256": hashlib.sha256(svg_bytes).hexdigest(), "bytes": len(svg_bytes)}
+        outputs[svg_path.name] = _atomic_write(svg_path, _render_svg(table, csv_path.stem))
 
     summary = {
         "schema": SCHEMA_VERSION,
@@ -1205,9 +966,8 @@ def run_scenario_document(
         "columns": [cell for cell, _ in table.columns],
     }
     summary.update(table.extras)
-    summary_bytes = (json.dumps(summary, sort_keys=True, indent=2) + "\n").encode("utf-8")
     summary_path = csv_path.with_suffix(".summary.json")
-    _atomic_write(summary_path, summary_bytes)
+    _atomic_write(summary_path, (json.dumps(summary, sort_keys=True, indent=2) + "\n").encode("utf-8"))
     return ScenarioRun(kind=kind, csv_path=csv_path, summary_path=summary_path, summary=summary, svg_path=svg_path)
 
 
@@ -1252,191 +1012,6 @@ def run_scenario_file(path, out_dir=None) -> ScenarioRun:
     )
 
 
-# --------------------------------------------------------------------------
-# figure registry
-
-
-# the Fig. 3 nanosphere (cavity) and emitter (matter); a spectrum curve detunes omega_mat
-_FIG3_PAIR = dict(omega_cav=3.0, omega_mat=3.0, kappa=0.020, gamma=0.010, f_cav=4345.0**2, f_mat=118.74**2)
-_SPC_MOC = ("SpC", "MoC")
-_WITH_LINEARIZED = ("SpC", "MoC", "Linearized")
-_SPC_VS_MOC = (("spc", "SpC", 3.0), ("mc", "MoC", 3.0))
-
-
-def _fig2_box(**extra) -> dict:
-    return {
-        "L": [300.0, 300.0, 200.0],
-        "V_eff": 4.483e6,
-        "omega_cav": 3.0,
-        "f_mat": dipole_moment_to_oscillator_strength(15.0, 3.0).value,
-        "emitter": [0.0, 0.0, 0.0],
-        "orientation": [0.0, 0.0, 1.0],
-        **extra,
-    }
-
-
-def _sweep_doc(coupling_value: float, variants) -> dict:
-    return {
-        "kind": "eigen_sweep",
-        "parameters": {
-            "variants": list(variants),
-            "omega_mat": 1.0,
-            "coupling": {"scaling": "fixed", "value": coupling_value},
-            "sweep": {"start": 0.2, "stop": 2.0, "num": 601},
-        },
-    }
-
-
-def _geometric_sweep_doc() -> dict:
-    return {
-        "kind": "eigen_sweep",
-        "parameters": {
-            "variants": ["SpC", "MoC"],
-            "omega_mat": 0.1,
-            "coupling": {"scaling": "fixed", "value": 0.3},
-            "coupling_overrides": {"SpC": {"scaling": "geometric", "value": 0.3}},
-            "sweep": {"start": 0.2, "stop": 2.0, "num": 601},
-        },
-    }
-
-
-def _min_splitting_doc(variants) -> dict:
-    return {
-        "kind": "min_splitting",
-        "parameters": {
-            "variants": list(variants),
-            "omega_mat": 1.0,
-            "g_grid": {"start": 0.0, "stop": 0.5, "num": 251},
-        },
-    }
-
-
-def _box_fieldmap_doc() -> dict:
-    return {
-        "kind": "fieldmap",
-        "parameters": {
-            "scene": "box",
-            "box": _fig2_box(omega_mat=2.9985),
-            "g": 7.5e-4,
-            "branches": ["upper", "lower"],
-            "line": {"axis": "x", "start": -150.0, "stop": 150.0, "num": 1501},
-            "component": "z",
-            "core_radius": 0.1,
-        },
-    }
-
-
-def _fractions_doc(g: float) -> dict:
-    return {
-        "kind": "fractions",
-        "parameters": {
-            "box": _fig2_box(),
-            "g": g,
-            "position": [10.5, 0.0, 0.0],
-            "detuning_grid": {"start": -2.99, "stop": 3.0, "num": 600},
-            "branches": ["upper", "lower"],
-        },
-    }
-
-
-def _nanoparticle_fieldmap_doc() -> dict:
-    return {
-        "kind": "fieldmap",
-        "parameters": {
-            "scene": "nanoparticle",
-            "nanoparticle": {
-                "R_cav": 5.0,
-                "r_cav": [0.0, 0.0, 0.0],
-                "r_mat": [6.0, 0.0, 0.0],
-                "orientation_cav": [1.0, 0.0, 0.0],
-                "orientation_mat": [1.0, 0.0, 0.0],
-                **_FIG3_PAIR,
-            },
-            "g": 0.1 * 3.0,
-            "drive": {"E_inc": 1.0, "at": ["upper", "lower"]},
-            "line": {"axis": "x", "start": -20.0, "stop": 20.0, "num": 1601},
-            "component": "x",
-            "core_radius": 0.1,
-        },
-    }
-
-
-def _spectrum_doc(g: float, curves, start: float, stop: float) -> dict:
-    """Nanoparticle spectra at one coupling ``g``, one per ``(label, variant, omega_mat)``."""
-    return {
-        "kind": "spectrum",
-        "parameters": {
-            "omega_grid": {"start": start, "stop": stop, "num": 1201},
-            "E_inc": 1.0,
-            "orientation_cav": [1.0, 0.0, 0.0],
-            "orientation_mat": [1.0, 0.0, 0.0],
-            "curves": [
-                {**_FIG3_PAIR, "label": label, "variant": variant, "omega_mat": omega_mat, "g": g}
-                for label, variant, omega_mat in curves
-            ],
-        },
-    }
-
-
-def _permittivity_doc() -> dict:
-    return {
-        "kind": "permittivity",
-        "parameters": {
-            "models": ["MoC", "SpC"],
-            "Omega_mat": 1.0,
-            "G": 0.3,
-            "omega_grid": {"start": 0.0, "stop": 3.0, "num": 1200, "sampling": "midpoints"},
-        },
-    }
-
-
-def _dispersion_doc(models, content: str) -> dict:
-    return {
-        "kind": "dispersion",
-        "parameters": {
-            "models": list(models),
-            "omega_to": 0.1,
-            "G_over_omega_to": 0.3,
-            "k_grid": {"start": 0.0, "stop": 10.0, "num": 501},
-            "content": content,
-        },
-    }
-
-
-# each figure id and the document builder, bound to its arguments, that states it
-FIGURES = {
-    "fig1c": partial(_sweep_doc, 0.1, _SPC_MOC),
-    "fig1d": partial(_sweep_doc, 0.3, _SPC_MOC),
-    "fig1e": partial(_min_splitting_doc, _SPC_MOC),
-    "fig2b": _box_fieldmap_doc,
-    "fig2c": partial(_fractions_doc, 2.5e-4 * 3.0),
-    "fig2d": partial(_fractions_doc, 0.2 * 3.0),
-    "fig3b": _nanoparticle_fieldmap_doc,
-    "fig3c": partial(_spectrum_doc, 0.1 * 3.0, (("tuned", "SpC", 3.0), ("detuned", "SpC", 3.2)), 2.4, 3.6),
-    "fig3d": partial(_spectrum_doc, 1e-2 * 3.0, _SPC_VS_MOC, 2.85, 3.15),
-    "fig3e": partial(_spectrum_doc, 0.3 * 3.0, _SPC_VS_MOC, 1.6, 4.6),
-    "fig4b": _permittivity_doc,
-    "figS1a": partial(_sweep_doc, 0.1, _WITH_LINEARIZED),
-    "figS1b": partial(_sweep_doc, 0.3, _WITH_LINEARIZED),
-    "figS1c": partial(_min_splitting_doc, _WITH_LINEARIZED),
-    "figS2": _geometric_sweep_doc,
-    "figS3a": partial(_dispersion_doc, ("MoC",), "dispersion"),
-    "figS3b": partial(_dispersion_doc, ("A1",), "dispersion"),
-    "figS3c": partial(_dispersion_doc, ("A2",), "dispersion"),
-    "figS3d": partial(_dispersion_doc, ("MoC", "A1", "A2"), "couplings"),
-}
-
-FIGURE_IDS = tuple(FIGURES)
-
-
-def figure_document(figure_id: str) -> dict:
-    """The scenario document behind a canned figure id."""
-    if figure_id not in FIGURES:
-        raise SchemaError(
-            "figure_id",
-            f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}",
-        )
-    return FIGURES[figure_id]()
 
 
 def reproduce_figure(figure_id: str, out_dir=".") -> ScenarioRun:

@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .exceptions import PolaritonError
+from . import PolaritonError
 
 __all__ = [
     "UnitSystem",

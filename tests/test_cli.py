@@ -350,7 +350,7 @@ print(json.dumps([code, loaded]))
 """
 
 # what a reproduce loads whatever the figure: the CLI, the scenario layer and its imports
-_REPRODUCE_CORE = {"cli", "scenarios", "models", "units", "exceptions", "_version"}
+_REPRODUCE_CORE = {"cli", "scenarios", "_render", "figures", "models", "units"}
 # the layers each figure kind (a fieldmap: each scene) loads besides
 _KIND_LAYERS = {
     "eigen_sweep": set(),
@@ -391,6 +391,15 @@ def test_reproduce_imports_only_what_its_figure_needs(tmp_path, inprocess_dir, f
         kind += "/" + document["parameters"]["scene"]
     assert loaded == _REPRODUCE_CORE | _KIND_LAYERS[kind]
     _assert_same_outputs(tmp_path, inprocess_dir, figure_id)
+
+
+@pytest.mark.parametrize("module, imports", [("_render", set()), ("figures", {"units"})])
+def test_the_artifact_text_and_the_figure_table_load_no_physics_layer(module, imports):
+    script = f"import json, sys, polariton_lab.{module}; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".")[-1] for name in json.loads(proc.stdout) if name.startswith("polariton_lab.")}
+    assert loaded == {module} | imports
 
 
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda sample: sample.stem)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from polariton_lab import hopfield
 from polariton_lab.cli import main
 
 EDGES = Path(__file__).resolve().parent / "edges"
@@ -69,3 +70,12 @@ def test_edge_document_exits_as_wanted(tmp_path, capsys, name, code, fragment):
 
 def test_every_edge_document_has_a_row():
     assert sorted(path.name for path in EDGES.glob("*.yaml")) == sorted(row.values[0] for row in _EDGES)
+
+
+def test_a_document_without_a_frame_partner_exits_before_the_fock_solve(tmp_path, capsys, monkeypatch):
+    solves = []
+    lowest_levels = hopfield._lowest_levels
+    monkeypatch.setattr(hopfield, "_lowest_levels", lambda *args: solves.append(args) or lowest_levels(*args))
+    assert main(["run", str(EDGES / "no_frame_partner.yaml"), "--out", str(tmp_path)]) == 3
+    assert "no dipole-gauge frame partner" in capsys.readouterr().err
+    assert solves == []

@@ -664,34 +664,50 @@ def test_shift_probe_steps_down_until_no_level_lies_below_it(monkeypatch):
     assert np.max(np.abs(levels - _dense_fock_levels(p, 20, "position")[:2])) <= 1e-12
 
 
-def test_a_band_that_fills_the_krylov_basis_is_solved_whole(monkeypatch):
-    # beyond the SpC instability (4 g^2 > omega_cav omega_mat) the truncated band's lowest
-    # levels lie at the largest photon numbers, far from the principal-block start.  A block
-    # of share + 2 columns would need 23 or 24 shifted solves, more than the _KRYLOV_BLOCKS
-    # blocks the basis holds; the solve is also stalled (it returns its input), so that the
-    # basis fills without converging whatever the rate
-    p = HopfieldParams(omega_cav=1.0, omega_mat=1.0, g_qed=1.0, D=0.0)
-    assert not p.stable
+def _krylov_calls(p, n_max, count, stall):
+    """Each band's Krylov call as (levels returned, shifted solves), and the lowest ``count`` levels of ``p``.
+
+    A stalled shifted solve returns its input, so the basis fills without converging.
+    """
     calls = []
-    krylov = hopfield._krylov_levels
+    krylov, solve = hopfield._krylov_levels, hopfield._shifted_solve
 
     def counted_solve(inverses, multipliers, x):
-        calls[-1]["solves"] += 1
-        return x
+        calls[-1][1] += 1
+        return x if stall else solve(inverses, multipliers, x)
 
-    def spied(diag, sub, size, share, start, scale):
-        # the basis holds at most _KRYLOV_BLOCKS blocks of share + 2 columns
-        call = {"solves": 0, "blocks": hopfield._KRYLOV_BLOCKS}
-        calls.append(call)
-        call["levels"] = krylov(diag, sub, size, share, start, scale)
-        return call["levels"]
+    def spied(*args):
+        calls.append([False, 0])
+        levels = krylov(*args)
+        calls[-1][0] = levels is not None
+        return levels
 
-    monkeypatch.setattr(hopfield, "_krylov_levels", spied)
-    monkeypatch.setattr(hopfield, "_shifted_solve", counted_solve)
-    levels = _lowest_levels(_fock_terms(p, 30), 9)
-    # a band gave up after one shifted solve per block that fits
-    assert any(call["levels"] is None and call["solves"] == call["blocks"] for call in calls)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hopfield, "_krylov_levels", spied)
+        patch.setattr(hopfield, "_shifted_solve", counted_solve)
+        levels = _lowest_levels(_fock_terms(p, n_max), count)
+    return [tuple(call) for call in calls], levels
+
+
+def test_a_band_that_fills_the_krylov_basis_is_solved_whole():
+    # the basis holds at most _KRYLOV_BLOCKS blocks of share + 2 columns: a band that has not
+    # converged after one shifted solve per block gives up and is solved whole
+    blocks = hopfield._KRYLOV_BLOCKS
+    # beyond the SpC instability (4 g^2 > omega_cav omega_mat) the truncated band's lowest
+    # levels lie at the largest photon numbers, far from the principal-block start, and need
+    # 23 or 24 shifted solves, so the basis fills whether the solve is stalled or not
+    p = HopfieldParams(omega_cav=1.0, omega_mat=1.0, g_qed=1.0, D=0.0)
+    assert not p.stable
+    calls, levels = _krylov_calls(p, 30, 9, stall=True)
+    assert (False, blocks) in calls
     assert np.max(np.abs(levels - _dense_fock_levels(p, 30, "position")[:9])) <= 1e-12
+    # the benchmark box converges after two shifted solves a band; only the stall fills its basis
+    box = HopfieldParams(1.1, 1.0, 0.3, 0.09)
+    want = _dense_fock_levels(box, 30, "position")[:6]
+    for stall, expected in ((False, [(True, 2)] * 2), (True, [(False, blocks)] * 2)):
+        calls, levels = _krylov_calls(box, 30, 6, stall)
+        assert calls == expected
+        assert np.max(np.abs(levels - want)) <= 1e-12
 
 
 def test_frame_check_matches_the_dense_kron_hamiltonian():

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import polariton_lab
-from polariton_lab import PolaritonError, SchemaError, ensemble, hopfield, scenarios
+from polariton_lab import PolaritonError, SchemaError, _render, ensemble, hopfield, scenarios
 from polariton_lab.cli import main
 from polariton_lab.ensemble import FabryPerotSpec, _pairwise_couplings, cubic_dipole_lattice
 from polariton_lab.scenarios import (
@@ -153,6 +153,16 @@ def test_alternative_requires_its_base_variant(tmp_path):
     doc["parameters"]["alternatives"] = ["A1"]
     with pytest.raises(SchemaError, match="dressed form of MoC"):
         _run(doc, tmp_path)
+
+
+def test_a_coupling_override_of_an_alternative_names_its_key(tmp_path, capsys):
+    # overrides are for the bare variants; an alternative takes the coupling of its base
+    doc = _sweep_doc()
+    doc["parameters"]["coupling_overrides"] = {"A1": {"scaling": "geometric", "value": 0.3}}
+    scenario = tmp_path / "override.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("schema error: parameters.coupling_overrides.A1: expected one of")
 
 
 def test_duplicate_variant_entries_rejected(tmp_path):
@@ -511,7 +521,7 @@ def test_csv_of_raw_bit_patterns_matches_the_reference_renderer(kinds, extra_row
     Float columns hold raw 64-bit patterns: every sign, exponent and mantissa,
     subnormals, infinities and NaN payloads; ``patterns`` are spread over them.
     """
-    rows_per_block = scenarios._CSV_BLOCK // len(kinds)
+    rows_per_block = _render._CSV_BLOCK // len(kinds)
     n_rows = rows_per_block + extra_rows
     if extra_rows % rows_per_block == 0:
         n_rows += 1
@@ -581,10 +591,49 @@ def test_a_write_that_cannot_be_moved_into_place_exits_4_and_leaves_no_file(tmp_
 
     scenario = tmp_path / "sweep.yaml"
     scenario.write_text(yaml.safe_dump(_sweep_doc()))
-    monkeypatch.setattr(scenarios.os, "replace", refuse)
+    monkeypatch.setattr(_render.os, "replace", refuse)
     assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err.startswith("i/o error: [Errno 13] Permission denied")
     assert list((tmp_path / "out").iterdir()) == []  # the temporary file is gone too
+
+
+def test_a_temporary_file_that_cannot_be_removed_leaves_the_replace_error_to_report(tmp_path, capsys, monkeypatch):
+    def refuse_replace(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    def refuse_unlink(path):
+        raise PermissionError(1, "Operation not permitted", str(path))
+
+    scenario = tmp_path / "sweep.yaml"
+    scenario.write_text(yaml.safe_dump(_sweep_doc()))
+    monkeypatch.setattr(_render.os, "replace", refuse_replace)
+    monkeypatch.setattr(_render.os, "unlink", refuse_unlink)
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: [Errno 13] Permission denied") and err.rstrip().endswith("sweep.csv'")
+    assert [path.name for path in (tmp_path / "out").iterdir()] == [f".sweep.csv.{os.getpid()}.0.tmp"]
+
+
+def test_a_stale_temporary_file_is_left_alone_and_the_write_takes_the_next_name(tmp_path, monkeypatch):
+    # a file of the first temporary name, left by an earlier process of the same id
+    out = tmp_path / "out"
+    out.mkdir()
+    stale = out / f".sweep.csv.{os.getpid()}.0.tmp"
+    stale.write_bytes(b"an earlier, unfinished write")
+    replaced = []
+    replace = os.replace
+
+    def spied(src, dst):
+        replaced.append(Path(src).name)
+        replace(src, dst)
+
+    scenario = tmp_path / "sweep.yaml"
+    scenario.write_text(yaml.safe_dump(_sweep_doc()))
+    monkeypatch.setattr(_render.os, "replace", spied)
+    assert main(["run", str(scenario), "--out", str(out)]) == 0
+    assert replaced == [f".sweep.csv.{os.getpid()}.1.tmp", f".sweep.summary.json.{os.getpid()}.0.tmp"]
+    assert stale.read_bytes() == b"an earlier, unfinished write"
+    assert sorted(path.name for path in out.iterdir()) == [stale.name, "sweep.csv", "sweep.summary.json"]
 
 
 def test_svg_output_path_may_not_name_the_csv(tmp_path):
