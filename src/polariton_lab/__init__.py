@@ -14,12 +14,12 @@ CLI expose all of it through declarative YAML documents with deterministic
 CSV artifacts.
 
 The version and the exception types are defined here; importing the package
-loads nothing else.  The layers are loaded on first use: a submodule attribute
-such as ``polariton_lab.models`` loads that layer alone, and any other public
-name, or ``__all__``, loads all eight and binds their public names here.
+loads nothing else.  The modules are loaded on first use: a submodule attribute
+such as ``polariton_lab.figures`` loads that module alone, and any other public
+name, or ``__all__``, loads all eight layers and binds their public names here.
 """
 
-import importlib
+import importlib.util
 
 __version__ = "0.1.0"
 
@@ -56,9 +56,9 @@ def _export_layers() -> None:
 
 def __getattr__(name):
     """Load a layer, or every layer's public names, on first use (PEP 562)."""
-    # ``from polariton_lab import cli`` asks for the attribute before it
+    # ``from polariton_lab import figures`` asks for the attribute before it
     # imports the submodule, so a submodule name loads that module alone
-    if name in _LAYERS or name == "cli":
+    if importlib.util.find_spec(f"{__name__}.{name}") is not None:
         return importlib.import_module(f".{name}", __name__)
     if "__all__" not in globals():
         _export_layers()

@@ -262,6 +262,51 @@ def _pairwise_couplings(lattice: DipoleLattice) -> tuple[np.ndarray, np.ndarray]
     return dist, g
 
 
+def _gauge(k_dd: np.ndarray, c: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The dipole-gauge matrix [[K_dd + C C^H, C Omega], [Omega C^H, Omega^2]]."""
+    n, dim = k_dd.shape[0], k_dd.shape[0] + omega.shape[0]
+    dressed = c * omega
+    gauge = np.empty((dim, dim), dtype=np.result_type(k_dd, c, omega))
+    np.matmul(c, c.conj().T, out=gauge[:n, :n])
+    gauge[:n, :n] += k_dd
+    gauge[:n, n:] = dressed
+    gauge[n:, :n] = dressed.conj().T
+    gauge[n:, n:] = np.diag(omega**2)
+    return gauge
+
+
+def _centrosymmetric_blocks(k_dd: np.ndarray, c: np.ndarray, omega: np.ndarray) -> list | None:
+    """The blocks of the gauge matrix K' even and odd under inversion, or None when K' is not invariant.
+
+    Inversion P = diag(J, S) reverses the dipole order and multiplies each
+    mode by the sign s = +-1 that takes its column of C nearest its reverse.
+    The blocks, over the pairs (e_i + s e_{N-1-i})/sqrt(2) and an odd N's
+    middle dipole, read the first rows and the lower triangle of K_dd, as
+    eigvalsh reads K', so they are those of a K~ = P K~ P with ||K' - K~||_2
+    <= drift, and by Weyl's inequality no level moves further.  The split is
+    taken when drift <= eps max|diag K'| <= eps ||K'||_2, inside eigvalsh's own backward error.
+    """
+    if np.iscomplexobj(k_dd) or np.iscomplexobj(c):
+        return None
+    n, flipped, omega_max = k_dd.shape[0], c[::-1], float(np.max(omega, initial=0.0))
+    even = np.sum((flipped - c) ** 2, axis=0) <= np.sum((flipped + c) ** 2, axis=0)
+    e = float(np.linalg.norm(c - np.where(even, flipped, -flipped)))  # ||C - J C S||_F
+    # sqrt(2) ||K_dd - J K_dd^T J||_F bounds the departure of K_dd's lower triangle from its mirror image
+    drift = math.sqrt(2.0) * np.linalg.norm(k_dd - k_dd.T[::-1, ::-1]) + e * (2.0 * np.linalg.norm(c) + e + omega_max)
+    if drift > np.finfo(float).eps * max(np.max(np.abs(np.diagonal(k_dd) + np.sum(c * c, axis=1))), omega_max**2):
+        return None
+    half, blocks = math.sqrt(0.5), []
+    for sign, modes in ((1.0, even), (-1.0, ~even)):
+        rows = (n + 1) // 2 if sign > 0 else n // 2
+        dipoles = k_dd[:rows, :rows] + sign * k_dd[::-1][:rows, :rows].T
+        coupling = half * (c[:rows, modes] + sign * flipped[:rows, modes])
+        if 2 * rows > n:  # the middle dipole, which each mirror sum counts twice
+            dipoles[-1], coupling[-1] = half * dipoles[-1], half * coupling[-1]
+            dipoles[:, -1] *= half
+        blocks.append(_gauge(dipoles, coupling, omega[modes]))
+    return blocks
+
+
 @dataclass(frozen=True)
 class FullSystem:
     """Normal-mode system of N dipoles and M cavity modes, held as three blocks.
@@ -319,21 +364,26 @@ class FullSystem:
         x'' + K x + J x' = 0 into x'' + K' x = 0 with the Hermitian
         K' = [[K_dd + C C^H, C Omega], [Omega C^H, Omega^2]]
         (De Bernardis et al., PRA 98, 053819 (2018)), so the squared
-        frequencies are the eigenvalues of K'; it is real when C is.  The
-        Schur complement of Omega^2 in K' is K_dd, so K' and K_dd have the
-        same number of non-positive eigenvalues: a dipole stiffness block that
-        is not positive definite has no real spectrum and is rejected.
+        frequencies are the eigenvalues of K'; it is real when C is.  K' is
+        solved in the invariant blocks it has: if K_dd = w^2 I, the thin QR
+        C = Q R leaves N - min(N, M) levels at w^2 and the gauge matrix of
+        (w^2 I, R, Omega); else, if inversion leaves K' invariant, its even and
+        odd blocks (``_centrosymmetric_blocks``; Cantoni & Butler, Linear
+        Algebra Appl. 13, 275 (1976)); else the whole of K'.  The Schur
+        complement of Omega^2 in K' is K_dd, so K' and K_dd have the same
+        number of non-positive eigenvalues: a dipole stiffness block that is
+        not positive definite has no real spectrum and is rejected.
         """
-        c, omega = self.coupling, self.mode_frequencies
-        n, dim = self.n_dip, self.n_dip + self.n_modes
-        dressed = c * omega
-        gauge = np.empty((dim, dim), dtype=np.result_type(self.K_dd, c, omega))
-        np.matmul(c, c.conj().T, out=gauge[:n, :n])
-        gauge[:n, :n] += self.K_dd
-        gauge[:n, n:] = dressed
-        gauge[n:, :n] = dressed.conj().T
-        gauge[n:, n:] = np.diag(omega**2)
-        squared = np.linalg.eigvalsh(gauge)
+        k_dd, c, omega = self.K_dd, self.coupling, self.mode_frequencies
+        diag = np.diagonal(k_dd)
+        if np.isrealobj(k_dd) and np.all(diag == diag[0]) and np.count_nonzero(k_dd) == np.count_nonzero(diag):
+            r = np.linalg.qr(c, mode="r")
+            bright = np.linalg.eigvalsh(_gauge(diag[0] * np.eye(r.shape[0]), r, omega))
+            squared = np.sort(np.concatenate([np.full(self.n_dip - r.shape[0], diag[0]), bright]))
+        elif (blocks := _centrosymmetric_blocks(k_dd, c, omega)) is not None:
+            squared = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
+        else:
+            squared = np.linalg.eigvalsh(_gauge(k_dd, c, omega))
         if squared[0] <= 0.0:
             lowest = float(np.linalg.eigvalsh(self.K_dd)[0])
             raise PolaritonError(
@@ -418,11 +468,11 @@ def collective_reduce(
     wd = lattice.omega_dip
     if include_dipole_dipole and lattice.n_dip > 1:
         dist, g_pairs = lattice.pair_couplings
-        cutoff = _CUTOFF_SPACINGS * lattice.spacing * (1.0 + 1e-12)
-        within = dist <= cutoff  # the diagonal of g_pairs is zero
-        # sum over neighbors j of each reference i, phased by k_par.(r_i - r_j)
+        within = dist <= _CUTOFF_SPACINGS * lattice.spacing * (1.0 + 1e-12)  # the diagonal of g_pairs is zero
+        near = g_pairs if within.all() else np.where(within, g_pairs, 0.0)
+        # sum over neighbors j of each reference i, phased by k_par.(r_i - r_j), in real products
         phase = np.exp(1j * (lattice.positions[:, :2] @ np.array(mode[1])))
-        sums = phase * (np.where(within, g_pairs, 0.0) @ phase.conj())
+        sums = phase * (near @ phase.real - 1j * (near @ phase.imag))
         mean = complex(np.mean(sums))
         g_shift = mean.real
         spread = float(np.max(np.abs(sums - mean)))

@@ -402,6 +402,16 @@ def test_the_artifact_text_and_the_figure_table_load_no_physics_layer(module, im
     assert loaded == {module} | imports
 
 
+@pytest.mark.parametrize("module, imports", [("_render", set()), ("figures", {"units"}), ("cli", set())])
+def test_a_from_import_of_a_package_module_loads_that_module_alone(module, imports):
+    # the from-import asks the package for the attribute before it imports the submodule
+    script = f"import json, sys; from polariton_lab import {module}; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name for name in json.loads(proc.stdout) if name.split(".")[0] == "polariton_lab"}
+    assert loaded == {"polariton_lab"} | {f"polariton_lab.{name}" for name in {module} | imports}
+
+
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda sample: sample.stem)
 def test_run_loads_yaml_and_the_oracle_layer_on_use(tmp_path, inprocess_dir, sample):
     # the in-process pass's path string, which the summary records as its source

@@ -20,6 +20,7 @@ from polariton_lab.ensemble import (
     cubic_dipole_lattice,
     full_vs_reduced_check,
 )
+from polariton_lab.ensemble import _gauge
 from polariton_lab.units import UNITS
 
 _F_DIP = 14099.1876  # ~15 D at 3 eV, e^2/m_p units
@@ -266,6 +267,68 @@ def test_dipole_gauge_solve_matches_the_hermitian_linearization(dipole_dipole):
     assert np.max(np.abs(freqs - reference) / reference) <= 1e-12
 
 
+_PARITY_MODES = (_MODE, (2, (0.0, 0.0)), (3, (0.0, 0.0)))  # parities +1, -1, +1 at k_parallel = 0
+
+
+@pytest.mark.parametrize(
+    "shape, modes, dipole_dipole, solved",
+    [
+        ((7, 9, 1), (_MODE,), True, [(33, 33), (31, 31)]),  # odd N: the even block holds the middle dipole
+        ((5, 13, 1), (_MODE,), True, [(34, 34), (32, 32)]),
+        ((4, 4, 2), _PARITY_MODES[:2], True, [(17, 17), (17, 17)]),
+        ((1, 1, 2), _PARITY_MODES, True, [(3, 3), (2, 2)]),  # M > N
+        ((2, 1, 1), (), True, [(1, 1), (1, 1)]),
+        ((1, 1, 1), (_MODE,), True, [(2, 2)]),  # one dipole: K_dd is w^2 I
+        ((5, 5, 20), (_MODE,), False, [(2, 2)]),
+        ((4, 4, 2), _PARITY_MODES, False, [(6, 6)]),
+        ((1, 1, 2), _PARITY_MODES, False, [(5, 5)]),  # M > N: nothing to deflate
+        ((4, 4, 2), _TILTED_MODES, False, [(6, 6)]),  # complex couplings
+        ((4, 4, 2), (), False, [(0, 0)]),
+        ((4, 4, 2), _TILTED_MODES, True, [(35, 35)]),  # complex couplings with dipole-dipole blocks: whole
+    ],
+    ids=[
+        "split-N63",
+        "split-N65",
+        "split-mixed-parities",
+        "split-M-over-N",
+        "split-no-modes",
+        "deflated-N1",
+        "deflated-N500",
+        "deflated-mixed-parities",
+        "deflated-M-over-N",
+        "deflated-complex",
+        "deflated-no-modes",
+        "whole-complex",
+    ],
+)
+def test_each_solve_path_matches_the_dense_solve_and_the_hermitian_linearization(
+    shape, modes, dipole_dipole, solved, monkeypatch
+):
+    fp = _fp(L_cav=206.64, period=60.0, modes=modes)
+    orientation = (math.cos(math.pi / 6.0), math.sin(math.pi / 6.0), 0.0)
+    lat = cubic_dipole_lattice(fp, 10.0, shape, _F_DIP, 3.0, orientation=orientation)
+    full = build_full_system(lat, fp, include_dipole_dipole=dipole_dipole)
+    seen, freqs = _solves(full, monkeypatch)
+    assert [matrix.shape for matrix in seen] == solved
+    _assert_matches_the_dense_solve(seen, freqs, _gauge(full.K_dd, full.coupling, full.mode_frequencies))
+    reference = _linearized_eigenfrequencies(full)
+    assert np.max(np.abs(freqs - reference) / reference) <= 1e-12
+
+
+@pytest.mark.parametrize("ulps, solved", [(3, [(3, 3), (2, 2)]), (4, [(5, 5)])], ids=["inside", "outside"])
+def test_a_stiffness_block_just_outside_the_split_bound_is_solved_whole(ulps, solved, monkeypatch):
+    # inversion maps the (0, 1) pair onto the (2, 3) pair: K_dd - J K_dd^T J has four entries
+    # of +-ulps eps, so the drift is sqrt(2) 2 ulps eps, 8.5 eps at 3 ulps and 11.3 eps at 4,
+    # against the bound eps max|diag K'| = 9.04 eps
+    k_dd = 9.0 * np.eye(4)
+    k_dd[0, 1] = k_dd[1, 0] = 1.0
+    k_dd[2, 3] = k_dd[3, 2] = 1.0 + ulps * np.finfo(float).eps
+    full = FullSystem(k_dd, [[0.1], [0.2], [0.2], [0.1]], [3.0])
+    seen, freqs = _solves(full, monkeypatch)
+    assert [matrix.shape for matrix in seen] == solved
+    _assert_matches_the_dense_solve(seen, freqs, _gauge(full.K_dd, full.coupling, full.mode_frequencies))
+
+
 def test_velocity_couplings_match_the_per_dipole_profile():
     fp = _fp(L_cav=60.0, period=30.0, modes=(_MODE, (1, (0.1, 0.05))))
     lat = cubic_dipole_lattice(fp, 3.0, (3, 2, 2), _F_DIP, 3.0)
@@ -289,6 +352,26 @@ def test_indefinite_stiffness_is_reported_not_returned():
     assert np.isrealobj(freqs)
     assert freqs.shape == (stable.n_dip + stable.n_modes,)
     assert np.all(freqs > 0.0)
+
+
+@pytest.mark.parametrize(
+    "modes, hand_built, solved",
+    [((_MODE,), False, [(3, 3), (2, 2)]), (_TILTED_MODES, False, [(7, 7)]), ((_MODE,), True, [(2, 2)])],
+    ids=["split", "whole", "deflated"],
+)
+def test_an_indefinite_stiffness_block_is_rejected_on_every_path(modes, hand_built, solved, monkeypatch):
+    fp = _fp(L_cav=60.0, period=30.0, modes=modes)
+    if hand_built:
+        full = FullSystem(-4.0 * np.eye(4), np.ones((4, 1)), [3.0])
+    else:  # the head-to-tail chain at 0.6 spacing
+        full = build_full_system(cubic_dipole_lattice(fp, 0.6, (4, 1, 1), _F_DIP, 3.0), fp)
+    lowest = np.linalg.eigvalsh(full.K_dd)[0]
+    assert lowest < 0.0
+    seen, freqs = _solves(full, monkeypatch)
+    assert freqs is None
+    assert [matrix.shape for matrix in seen] == solved + [full.K_dd.shape]  # the last one reads off the lowest
+    with pytest.raises(PolaritonError, match=re.escape(f"(lowest eigenvalue {lowest:.6g} eV^2)")):
+        full.eigenfrequencies()
 
 
 def test_solve_rejects_exactly_the_indefinite_stiffness_blocks():
@@ -498,6 +581,23 @@ def test_interaction_sum_converges_within_the_cutoff():
     assert abs(all_pairs - near) / abs(all_pairs) < 0.01
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 1), (4, 4, 8)], ids=["all-within-the-cutoff", "some-beyond-it"])
+def test_the_phased_lattice_sum_matches_the_complex_product(shape):
+    fp = _fp(L_cav=206.64, period=60.0, modes=_TILTED_MODES)
+    lat = cubic_dipole_lattice(fp, 10.0, shape, _F_DIP, 3.0)
+    dist, g = lat.pair_couplings
+    within = dist <= 100.0 * (1.0 + 1e-12)
+    assert within.all() == (shape == (3, 3, 1))
+    tol = 1e-14 * float(np.max(np.sum(np.abs(g), axis=1)))
+    for mode in _TILTED_MODES:
+        phase = np.exp(1j * (lat.positions[:, :2] @ np.array(mode[1])))
+        sums = phase * (np.where(within, g, 0.0).astype(complex) @ phase.conj())
+        mean = np.mean(sums)
+        cm = collective_reduce(lat, fp, mode)
+        assert cm.g_shift == pytest.approx(mean.real, rel=0, abs=tol)
+        assert cm.g_shift_spread == pytest.approx(np.max(np.abs(sums - mean)), rel=0, abs=tol)
+
+
 def test_reduction_guards():
     fp = _fp()
     lat = cubic_dipole_lattice(fp, 3.0, (1, 1, 2), _F_DIP, 3.0)
@@ -569,8 +669,8 @@ def _assert_same_bits(actual, expected):
     assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
-def _solved_gauge(full, monkeypatch):
-    """The matrix ``full.eigenfrequencies()`` hands to ``eigvalsh`` first, and its
+def _solves(full, monkeypatch):
+    """The matrices ``full.eigenfrequencies()`` hands to ``eigvalsh``, in order, and its
     result (None when the stiffness block is rejected as indefinite)."""
     seen = []
     eigvalsh = np.linalg.eigvalsh
@@ -586,7 +686,30 @@ def _solved_gauge(full, monkeypatch):
         except PolaritonError as exc:
             assert "not positive definite" in str(exc)
             freqs = None
-    return seen[0], freqs
+    return seen, freqs
+
+
+def _assert_within_the_split_bound(freqs, gauge):
+    """Squared frequencies against the dense ``eigvalsh`` of the same gauge matrix K'.
+
+    A block solve moves no level by more than eps ||K'||_2, the bound
+    ``_centrosymmetric_blocks`` splits under (the dark-state deflation is
+    exact), and each of the two solves adds its own backward error, taken
+    here as 4 sqrt(dim) eps ||K'||_2 (Householder rounding errors add up
+    like a random walk over the dim columns).
+    """
+    squared = np.linalg.eigvalsh(gauge)
+    norm = float(np.max(np.abs(squared)))
+    assert freqs.shape == squared.shape and freqs.dtype == np.float64
+    assert np.max(np.abs(freqs**2 - squared)) <= (1 + 8 * math.sqrt(gauge.shape[0])) * np.finfo(float).eps * norm
+
+
+def _assert_matches_the_dense_solve(solved, freqs, gauge):
+    """Bit for bit when the first matrix handed to ``eigvalsh`` is the whole gauge matrix, else within the split bound."""
+    if np.array_equal(solved[0], gauge):
+        _assert_same_bits(freqs, np.sqrt(np.linalg.eigvalsh(gauge)))
+    else:
+        _assert_within_the_split_bound(freqs, gauge)
 
 
 def _assert_matches_the_dense_build(lattice, fp, monkeypatch):
@@ -599,14 +722,15 @@ def _assert_matches_the_dense_build(lattice, fp, monkeypatch):
     for dipole_dipole in (False, True):
         full = build_full_system(lattice, fp, include_dipole_dipole=dipole_dipole)
         _assert_same_bits(full.K_dd, _dense_k_dd(lattice, dipole_dipole))
-        gauge, freqs = _solved_gauge(full, monkeypatch)
-        expected = _block_gauge(full)
-        _assert_same_bits(gauge, expected)
-        squared = np.linalg.eigvalsh(expected)
+        gauge = _gauge(full.K_dd, full.coupling, full.mode_frequencies)
+        _assert_same_bits(gauge, _block_gauge(full))
+        solved, freqs = _solves(full, monkeypatch)
+        # complex couplings with dipole-dipole blocks leave no structure to split
+        assert np.array_equal(solved[0], gauge) or not (dipole_dipole and np.iscomplexobj(full.coupling))
         if freqs is None:  # close dipoles can make the stiffness block indefinite
-            assert squared[0] <= 0.0
+            assert np.linalg.eigvalsh(gauge)[0] <= 0.0
         else:
-            _assert_same_bits(freqs, np.sqrt(squared))
+            _assert_matches_the_dense_solve(solved, freqs, gauge)
 
 
 @pytest.mark.parametrize(
