@@ -468,8 +468,8 @@ def collective_reduce(
     wd = lattice.omega_dip
     if include_dipole_dipole and lattice.n_dip > 1:
         dist, g_pairs = lattice.pair_couplings
-        within = dist <= _CUTOFF_SPACINGS * lattice.spacing * (1.0 + 1e-12)  # the diagonal of g_pairs is zero
-        near = g_pairs if within.all() else np.where(within, g_pairs, 0.0)
+        cutoff = _CUTOFF_SPACINGS * lattice.spacing * (1.0 + 1e-12)
+        near = np.where(dist <= cutoff, g_pairs, 0.0)  # the diagonal of g_pairs is zero
         # sum over neighbors j of each reference i, phased by k_par.(r_i - r_j), in real products
         phase = np.exp(1j * (lattice.positions[:, :2] @ np.array(mode[1])))
         sums = phase * (near @ phase.real - 1j * (near @ phase.imag))

@@ -393,23 +393,15 @@ def test_reproduce_imports_only_what_its_figure_needs(tmp_path, inprocess_dir, f
     _assert_same_outputs(tmp_path, inprocess_dir, figure_id)
 
 
-@pytest.mark.parametrize("module, imports", [("_render", set()), ("figures", {"units"})])
-def test_the_artifact_text_and_the_figure_table_load_no_physics_layer(module, imports):
-    script = f"import json, sys, polariton_lab.{module}; print(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    loaded = {name.split(".")[-1] for name in json.loads(proc.stdout) if name.startswith("polariton_lab.")}
-    assert loaded == {module} | imports
-
-
 @pytest.mark.parametrize("module, imports", [("_render", set()), ("figures", {"units"}), ("cli", set())])
-def test_a_from_import_of_a_package_module_loads_that_module_alone(module, imports):
-    # the from-import asks the package for the attribute before it imports the submodule
-    script = f"import json, sys; from polariton_lab import {module}; print(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    loaded = {name for name in json.loads(proc.stdout) if name.split(".")[0] == "polariton_lab"}
-    assert loaded == {"polariton_lab"} | {f"polariton_lab.{name}" for name in {module} | imports}
+def test_the_artifact_text_and_the_figure_table_load_no_physics_layer(module, imports):
+    # a from-import asks the package for the attribute before it imports the submodule
+    for statement in (f"import polariton_lab.{module}", f"from polariton_lab import {module}"):
+        script = f"import json, sys; {statement}; print(json.dumps(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {name for name in json.loads(proc.stdout) if name.split(".")[0] == "polariton_lab"}
+        assert loaded == {"polariton_lab"} | {f"polariton_lab.{name}" for name in {module} | imports}, statement
 
 
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda sample: sample.stem)
