@@ -26,11 +26,11 @@ from . import PoleError, PolaritonError
 from .models import CoupledModel, ModelVariant, _system
 from .units import (
     UNITS,
-    _as_vec,
     _raise_first_bad,
     _require_finite,
     _require_nonnegative,
     _require_positive,
+    _separation,
     _unit_vector,
     angular_factor,
 )
@@ -132,7 +132,7 @@ def scattering_cross_section(
     Array-valued responses and frequencies give an array of cross sections.
     """
     _require_positive("E_inc", E_inc)
-    omega = np.asarray(_require_positive("omega", omega), dtype=float)
+    omega = _require_positive("omega", omega)
     nc = _unit_vector("n_dcav", n_dcav)
     nm_ = _unit_vector("n_dmat", n_dmat)
     total = np.multiply.outer(resp.d_cav, nc) + np.multiply.outer(resp.d_mat, nm_)
@@ -172,15 +172,11 @@ def polarizability_oracle(
     """
     for name, value in (("f_cav", f_cav), ("f_mat", f_mat), ("omega_cav", omega_cav), ("omega_mat", omega_mat)):
         _require_positive(name, value)
-    omega = np.asarray(_require_positive("omega", omega), dtype=float)
+    omega = _require_positive("omega", omega)
     _require_nonnegative("kappa", kappa)
     _require_nonnegative("gamma", gamma)
     _require_finite("E_inc", E_inc)
-    sep = _as_vec("r_mat", r_mat) - _as_vec("r_cav", r_cav)
-    dist = float(np.linalg.norm(sep))
-    if dist == 0:
-        raise PolaritonError("constituent positions must differ")
-    axis = sep / dist
+    dist, axis = _separation("r_cav", r_cav, "r_mat", r_mat)
     nc = _unit_vector("n_dcav", n_dcav)
     nm_ = _unit_vector("n_dmat", n_dmat)
     wc = omega_cav - 0.5j * kappa

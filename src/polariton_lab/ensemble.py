@@ -24,6 +24,7 @@ from .units import (
     _MAX_DIPOLES,
     _MAX_MODES,
     UNITS,
+    _as_array,
     _as_points,
     _as_vec,
     _reduced_strength,
@@ -92,10 +93,7 @@ def _parts(name: str, value, form: str, count: int) -> tuple:
 def _mode_label(mode) -> tuple:
     """A mode ``(n, k_parallel)`` as ``(int, (float, float))``, n a whole number >= 1."""
     n, k_par = _parts("mode", mode, "(n, k_parallel)", 2)
-    n = _require_integer("mode index n", n)
-    if n < 1:
-        raise PolaritonError(f"mode index n must be >= 1, got {n}")
-    return n, tuple(_as_vec("k_parallel", k_par, 2).tolist())
+    return _require_integer("mode index n", n, 1), tuple(_as_vec("k_parallel", k_par, 2).tolist())
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ class FabryPerotSpec:
     def mode_profile(self, mode, r):
         """Profile of ``mode`` at one position ``r`` (3,) or at each row of an (N, 3) array."""
         n, k_par = _mode_label(mode)
-        r = np.asarray(_require_finite("r", r), dtype=float)
+        r = _require_finite("r", r)
         phase = k_par[0] * r[..., 0] + k_par[1] * r[..., 1]
         return np.sin(n * math.pi * r[..., 2] / self.L_cav) * np.exp(1j * phase)
 
@@ -209,9 +207,7 @@ def cubic_dipole_lattice(
     the lateral period.  The lattice is simple cubic when L_cav = nz*spacing.
     """
     _require_positive("spacing", spacing)  # before it turns the positions into NaN
-    nx, ny, nz = (_require_integer("lattice shape", v) for v in _parts("lattice shape", shape, "(nx, ny, nz)", 3))
-    if nx < 1 or ny < 1 or nz < 1:
-        raise PolaritonError(f"lattice shape must be positive, got {shape!r}")
+    nx, ny, nz = (_require_integer("lattice shape", v, 1) for v in _parts("lattice shape", shape, "(nx, ny, nz)", 3))
     _check_dipole_count(nx * ny * nz)
     xs = fp.lateral_period / 2.0 + spacing * (np.arange(nx) - (nx - 1) / 2.0)
     ys = fp.lateral_period / 2.0 + spacing * (np.arange(ny) - (ny - 1) / 2.0)
@@ -286,7 +282,7 @@ def _centrosymmetric_blocks(k_dd: np.ndarray, c: np.ndarray, omega: np.ndarray) 
     <= drift, and by Weyl's inequality no level moves further.  The split is
     taken when drift <= eps max|diag K'| <= eps ||K'||_2, inside eigvalsh's own backward error.
     """
-    if np.iscomplexobj(k_dd) or np.iscomplexobj(c):
+    if np.iscomplexobj(c):
         return None
     n, flipped, omega_max = k_dd.shape[0], c[::-1], float(np.max(omega, initial=0.0))
     even = np.sum((flipped - c) ** 2, axis=0) <= np.sum((flipped + c) ** 2, axis=0)
@@ -313,7 +309,7 @@ class FullSystem:
 
     Over [dipoles..., modes...] the equations of motion are x'' + K x + J x' = 0
     with K = [[K_dd, 0], [0, diag(Omega^2)]] and J = [[0, C], [-C^H, 0]]: the
-    dipole stiffness ``K_dd`` (N x N, symmetric), the dipole-mode velocity couplings
+    dipole stiffness ``K_dd`` (N x N, real symmetric), the dipole-mode velocity couplings
     ``coupling`` C (N x M, real when every mode profile is real) and the mode
     frequencies ``mode_frequencies`` Omega (M,).
     """
@@ -323,26 +319,19 @@ class FullSystem:
     mode_frequencies: np.ndarray
 
     def __post_init__(self):
-        for block in ("K_dd", "coupling", "mode_frequencies"):  # lists too; complex stays complex
-            try:
-                object.__setattr__(self, block, np.asarray(getattr(self, block)))
-            except ValueError as exc:  # a ragged nested list
-                raise PolaritonError(f"block {block} is not a rectangular array: {exc}") from None
-        n, m = self.n_dip, self.n_modes
+        # lists too; NaN or inf would end in LAPACK's "did not converge"
+        object.__setattr__(self, "K_dd", _require_finite("block K_dd", self.K_dd))
+        object.__setattr__(self, "coupling", _as_array("block coupling", self.coupling))  # complex stays complex
+        object.__setattr__(self, "mode_frequencies", _require_positive("mode frequency", self.mode_frequencies))
+        n, m = self.coupling.shape if self.coupling.ndim == 2 else (0, 0)  # a 0-d block has no length
         shapes = (self.K_dd.shape, self.coupling.shape, self.mode_frequencies.shape)
         if n == 0 or shapes != ((n, n), (n, m), (m,)):
             raise PolaritonError(
                 "need a nonempty N x N K_dd, an N x M coupling and M mode frequencies, "
                 f"got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}"
             )
-        _require_positive("mode frequency", self.mode_frequencies)
-        for block in ("K_dd", "coupling"):  # NaN or inf would end in LAPACK's "did not converge"
-            value = getattr(self, block)
-            if np.iscomplexobj(value):  # a float cast would drop the imaginary part with a warning
-                _require_finite(f"{block} (real part)", value.real)
-                _require_finite(f"{block} (imaginary part)", value.imag)
-            else:
-                _require_finite(block, value)
+        c = self.coupling  # a complex one's real and imaginary parts side by side, so a grid row is a dipole
+        _require_finite("block coupling", np.concatenate((c.real, c.imag), axis=1) if np.iscomplexobj(c) else c)
         # eigvalsh reads one triangle: an asymmetric K_dd would be solved as another matrix
         k_dd = self.K_dd
         if not np.array_equal(k_dd, k_dd.T):  # the exact test settles a built system in one pass
@@ -376,7 +365,7 @@ class FullSystem:
         """
         k_dd, c, omega = self.K_dd, self.coupling, self.mode_frequencies
         diag = np.diagonal(k_dd)
-        if np.isrealobj(k_dd) and np.all(diag == diag[0]) and np.count_nonzero(k_dd) == np.count_nonzero(diag):
+        if np.all(diag == diag[0]) and np.count_nonzero(k_dd) == np.count_nonzero(diag):
             r = np.linalg.qr(c, mode="r")
             bright = np.linalg.eigvalsh(_gauge(diag[0] * np.eye(r.shape[0]), r, omega))
             squared = np.sort(np.concatenate([np.full(self.n_dip - r.shape[0], diag[0]), bright]))

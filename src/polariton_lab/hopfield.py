@@ -127,8 +127,6 @@ def _fock_terms(p: HopfieldParams, n_max: int, *, rwa: bool = False) -> list[tup
     A_k acts on the photon mode, B_k on the matter mode, each truncated to
     ``n_max + 1`` Fock states.
     """
-    if n_max < 2:
-        raise PolaritonError(f"n_max must be >= 2, got {n_max}")
     d = n_max + 1
     if d * d > _MAX_FOCK_ROWS:
         raise PolaritonError(f"Fock matrix dimension {d * d} exceeds the desk-scale bound of {_MAX_FOCK_ROWS} rows")
@@ -466,11 +464,11 @@ def truncated_fock_spectrum(
     ``_KRYLOV_BLOCKS`` blocks, where they fit in half the band, and by a
     dense solve otherwise; one inertia count per band certifies them.
     """
-    n_max = _require_integer("n_max", n_max)
-    n_levels = _require_integer("n_levels", n_levels)
+    n_max = _require_integer("n_max", n_max, 2)
+    n_levels = _require_integer("n_levels", n_levels, 1)
     terms = _fock_terms(p, n_max, rwa=rwa)
     total = (n_max + 1) ** 2
-    if not 1 <= n_levels <= total - 1:
+    if n_levels > total - 1:
         raise PolaritonError(
             f"n_levels must be in [1, {total - 1}] for n_max={n_max}, got {n_levels}"
         )

@@ -75,7 +75,7 @@ def permittivity(model: PermittivityModel, omega):
     omega = Omega_mat (and omega = 0 for SpC) raise :class:`PoleError`
     rather than returning inf.
     """
-    w = np.asarray(_require_nonnegative("omega", omega), dtype=float)
+    w = _require_nonnegative("omega", omega)
     amplitude = model.variant is ModelVariant.SPC
     if amplitude and np.any(w == 0.0):
         raise PoleError("permittivity diverges at omega = 0 for the amplitude-coupled medium")
@@ -139,7 +139,7 @@ def _coupled_parameters(
         ModelVariant.MOC, ModelVariant.ALT_COULOMB_DRESSED_CAVITY, ModelVariant.ALT_DIPOLE_DRESSED_MATTER
     ):
         raise PolaritonError(f"no dispersion for {model}; expected MoC or its A1 or A2 dressing")
-    k = np.asarray(_require_nonnegative("k_grid", k_grid), dtype=float)
+    k = _require_nonnegative("k_grid", k_grid)
     if k.ndim != 1 or k.size == 0:
         raise PolaritonError("k_grid must be a nonempty 1-D array of nonnegative wavevectors")
     omega_k = UNITS.hbar_c * k / math.sqrt(epsilon_inf)

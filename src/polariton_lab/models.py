@@ -90,9 +90,8 @@ class CoupledModel:
     g: float
 
     def __post_init__(self):
-        _require_finite("coupling strength", self.g)
-        if self.variant in (ModelVariant.MOC, ModelVariant.LINEARIZED) and self.g < 0:
-            raise PolaritonError(f"{self.variant.value} coupling must be >= 0, got {self.g}")
+        velocity = self.variant in (ModelVariant.MOC, ModelVariant.LINEARIZED)
+        (_require_nonnegative if velocity else _require_finite)(f"{self.variant.value} coupling", self.g)
 
 
 class MinSplitting(NamedTuple):
@@ -221,7 +220,7 @@ def min_splitting(variant: ModelVariant, g, omega_mat: float) -> MinSplitting:
     cancellation at any coupling.  The result holds arrays of g's shape.
     """
     _require_positive("omega_mat", omega_mat)
-    g_in = np.asarray(_require_finite("coupling strength", g), dtype=float)
+    g_in = _require_finite("coupling strength", g)
     g_abs = np.abs(g_in)
     if variant in _AMPLITUDE_FORM:
         tau = _spc_tau(g_abs / omega_mat)

@@ -7,14 +7,14 @@ dimensionless multiples of e^2/m_p, and the combination f/(4 pi eps0), which
 is what actually enters couplings and polarizabilities, carries units of
 nm^3 eV^2.
 
-The input guards (``_require_*``, ``_as_vec``, ``_as_points`` and
-``_reduced_strength``) live here and nowhere else: every layer checks its
-finite-and-in-range and integer arguments through them, so a non-finite,
-out-of-range or fractional number or array element raises
-:class:`PolaritonError` naming the argument (and, for an array, its first bad
-grid row) instead of turning into NaN or being truncated.  The desk-scale
-bounds (``_MAX_*``) are here too, so that the layers and the scenario schema
-read one number each.
+The input guards (``_require_*``, ``_as_array``, ``_as_vec``, ``_as_points``,
+``_separation`` and ``_reduced_strength``) live here and nowhere else, and a
+layer reads the float array a guard returns.  A ragged, complex, non-finite,
+out-of-range or fractional number or array element, or two equal points,
+raise :class:`PolaritonError` naming the argument (and, for an array, its
+first bad grid row) instead of being dropped, truncated or turned into NaN.
+The desk-scale bounds (``_MAX_*``) are here too, so that the layers and the
+scenario schema read one number each.
 """
 
 from __future__ import annotations
@@ -50,18 +50,30 @@ def _raise_first_bad(bad, error, message, row: str = "grid row") -> None:
         raise error(message(i, f" ({row} {i})" if np.ndim(bad) else ""))
 
 
-def _require(name: str, value, rule: str, ok=None):
-    """Return ``value`` if each of its elements is finite and passes ``ok``.
+def _as_array(name: str, value) -> np.ndarray:
+    """``value`` as an array, complex if it is; raise naming ``name`` if it is a ragged nested list."""
+    try:
+        return np.asarray(value)
+    except ValueError as exc:
+        raise PolaritonError(f"{name} is not a rectangular array: {exc}") from None
 
-    Otherwise raise naming ``name``, the ``rule`` and the first bad element;
-    an array's is named by its grid row (a whole row for an (N, 3) array).
-    """
-    arr = np.asarray(value, dtype=float)
-    good = np.isfinite(arr) if ok is None else np.isfinite(arr) & ok(arr)
+
+def _reject(name: str, value, arr: np.ndarray, good: np.ndarray, rule: str) -> None:
+    """Raise naming ``name``, the ``rule`` and the first element, or grid row of an array, not all ``good``."""
     if not good.all():
         bad, got = (~good, [value]) if arr.ndim == 0 else (~good.reshape(len(arr), -1).all(axis=1), arr)
         _raise_first_bad(bad, PolaritonError, lambda i, where: f"{name} must be {rule}, got {got[i]}{where}")
-    return value
+
+
+def _require(name: str, value, rule: str, ok=None) -> np.ndarray:
+    """``value`` as a float array, not copied if it is one, if it is rectangular and real, finite and ``ok``."""
+    arr = _as_array(name, value)
+    if arr.dtype.kind == "c":  # a float cast would drop the imaginary part with only a warning
+        _reject(name, value, arr, arr.imag == 0, "real")
+        arr = arr.real
+    arr = arr.astype(float, copy=False)
+    _reject(name, value, arr, np.isfinite(arr) if ok is None else np.isfinite(arr) & ok(arr), rule)
+    return arr
 
 
 _require_finite = partial(_require, rule="finite")
@@ -70,13 +82,13 @@ _require_nonnegative = partial(_require, rule="finite and >= 0", ok=lambda a: a 
 _require_at_least_one = partial(_require, rule=">= 1 and finite", ok=lambda a: a >= 1)
 
 
-def _require_integer(name: str, value) -> int:
-    """``value`` as an int if it is a whole number (4 or 4.0, not 4.5, NaN or True)."""
+def _require_integer(name: str, value, minimum: int) -> int:
+    """``value`` as an int if it is a whole number >= ``minimum`` (4 or 4.0, not 4.5, NaN or True)."""
     whole = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
     )
-    if isinstance(value, bool) or not whole:
-        raise PolaritonError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not whole or value < minimum:
+        raise PolaritonError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -138,20 +150,30 @@ def dipole_moment_to_oscillator_strength(mu: float, omega: float) -> OscillatorS
 
 
 def _as_vec(name: str, value, size: int = 3) -> np.ndarray:
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (size,) or not np.all(np.isfinite(vec)):
-        raise PolaritonError(f"{name} must be a finite {size}-vector, got {value!r}")
+    vec = _require_finite(name, value)
+    if vec.shape != (size,):
+        raise PolaritonError(f"{name} must be a {size}-vector, got {value!r}")
     return vec
 
 
 def _as_points(name: str, value) -> np.ndarray:
     """An (N, 3) array of finite points; an empty input gives shape (0, 3)."""
-    pts = np.asarray(value, dtype=float)
+    pts = _require_finite(name, value)
     if pts.size == 0:
         pts = pts.reshape(0, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise PolaritonError(f"{name} must be an (N, 3) array of 3-vectors, got an array of shape {pts.shape}")
-    return _require_finite(name, pts)
+    return pts
+
+
+def _separation(name_a: str, a, name_b: str, b) -> tuple[float, np.ndarray]:
+    """The distance from point ``a`` to point ``b`` and the unit vector along it; a zero distance raises."""
+    a, b = _as_vec(name_a, a), _as_vec(name_b, b)
+    sep = b - a
+    dist = float(np.linalg.norm(sep))
+    if dist == 0.0:
+        raise PolaritonError(f"{name_a} and {name_b} must be distinct points, got {a} and {b}")
+    return dist, sep / dist
 
 
 def _unit_vector(name: str, n) -> np.ndarray:
@@ -191,15 +213,9 @@ def coupling_dipole_dipole(
     """
     _require_positive("omega_cav", omega_cav)
     _require_positive("omega_mat", omega_mat)
-    r_cav = _as_vec("r_cav", r_cav)
-    r_mat = _as_vec("r_mat", r_mat)
+    dist, axis = _separation("r_cav", r_cav, "r_mat", r_mat)
     n_dcav = _unit_vector("n_dcav", n_dcav)
     n_dmat = _unit_vector("n_dmat", n_dmat)
-    sep = r_mat - r_cav
-    dist = float(np.linalg.norm(sep))
-    if dist <= 0.0:
-        raise PolaritonError("dipole positions coincide; separation must be > 0")
-    axis = sep / dist
     ang = angular_factor(n_dcav, n_dmat, axis)
     f_red = math.sqrt(_reduced_strength(f_cav) * _reduced_strength(f_mat))
     return 0.5 * f_red * ang / (dist**3 * math.sqrt(omega_cav * omega_mat))

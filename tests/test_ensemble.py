@@ -403,6 +403,8 @@ def test_solve_rejects_exactly_the_indefinite_stiffness_blocks():
         (np.ones((2, 3)), np.ones((2, 1)), np.array([3.0]), "got shapes"),
         (np.zeros((0, 0)), np.ones((0, 1)), np.array([3.0]), "got shapes"),
         (np.eye(2), np.ones((2, 1)), np.array([[3.0]]), "got shapes"),
+        (9.0, [[1.0]], [3.0], "got shapes"),
+        ([[9.0]], [[1.0]], 3.0, "got shapes"),
         (np.eye(2), np.ones((2, 1)), np.array([0.0]), "mode frequency must be finite and positive"),
         (np.eye(2), np.ones((2, 1)), np.array([math.nan]), "mode frequency must be finite and positive"),
         ([[9.0, 0.0], [0.0]], [[1.0], [1.0]], [3.0], "block K_dd is not a rectangular array"),
@@ -414,6 +416,8 @@ def test_solve_rejects_exactly_the_indefinite_stiffness_blocks():
         "K_dd-not-square",
         "no-dipoles",
         "mode-frequencies-2d",
+        "K_dd-scalar",
+        "mode-frequencies-scalar",
         "zero-mode-frequency",
         "nan-mode-frequency",
         "K_dd-ragged",
@@ -449,8 +453,8 @@ def test_hand_built_system_accepts_lists():
         ([[9.0, 0.0], [0.0, math.nan]], [[1.0], [1.0]], r"K_dd must be finite, got .* \(grid row 1\)"),
         ([[math.inf, 0.0], [0.0, 9.0]], [[1.0], [1.0]], r"K_dd must be finite, got .* \(grid row 0\)"),
         (np.eye(2), [[1.0], [-math.inf]], r"coupling must be finite, got \[-inf\] \(grid row 1\)"),
-        (np.eye(2), [[1.0], [complex(math.nan, 1.0)]], r"coupling \(real part\) must be finite, got \[nan\] \(grid row 1\)"),
-        (np.eye(2), [[complex(1.0, math.inf)], [1.0]], r"coupling \(imaginary part\) must be finite, got \[inf\] \(grid row 0\)"),
+        (np.eye(2), [[1.0], [complex(math.nan, 1.0)]], r"coupling must be finite, got \[nan  1\.\] \(grid row 1\)"),
+        (np.eye(2), [[complex(1.0, math.inf)], [1.0]], r"coupling must be finite, got \[ 1\. inf\] \(grid row 0\)"),
     ],
     ids=["nan-K_dd", "inf-K_dd", "inf-coupling", "nan-complex-coupling-real", "inf-complex-coupling-imaginary"],
 )

@@ -1,6 +1,8 @@
 """Unit-system conversions and coupling-strength helpers."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,14 @@ from conftest import coupling_from_mode_volume, oscillator_strength_to_dipole_mo
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polariton_lab
 from polariton_lab import (
     BoxCavityScene,
+    DipoleLattice,
     DriveSpec,
+    FullSystem,
     HopfieldParams,
+    PermittivityModel,
     PolaritonError,
     collective_reduce,
     contribution_fractions,
@@ -19,6 +25,7 @@ from polariton_lab import (
     dielectric_field_arrays,
     driven_response,
     full_vs_reduced_check,
+    permittivity,
     polarizability_oracle,
     scattering_cross_section,
     truncated_fock_spectrum,
@@ -224,8 +231,8 @@ def test_dipole_dipole_validation():
 
 
 # ---------------------------------------------------------------------------
-# input guards: every entry point rejects a non-finite, out-of-range or
-# fractional argument
+# input guards: every entry point rejects a ragged, complex, non-finite,
+# out-of-range or fractional argument and two equal points
 
 _X = np.array([1.0, 0.0, 0.0])
 _ORACLE = dict(
@@ -322,6 +329,17 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         (lambda: _fock(4, True), "n_levels must be an integer"),
         (lambda: _fock(4.0, 2.0), None),
         (lambda: _same_coupling(coupling_dipole_dipole, (2e3, 5e2), **_PAIR), None),
+        # a complex symmetric stiffness would be solved as another, Hermitian, matrix
+        (lambda: FullSystem([[4.0, 0.5j], [0.5j, 4.0]], [[0.1], [0.2]], [2.0]), r"block K_dd must be real, .* row 0"),
+        (lambda: FullSystem(4.0 * np.eye(2), [[0.1], [0.2]], [2.0 + 0.5j]), r"mode frequency must be real, got \(2"),
+        (lambda: permittivity(PermittivityModel(1.0, 0.1), [0.5, 0.7 + 0.1j]), r"omega must be real, .* row 1"),
+        (lambda: DriveSpec(1.0, 2.9 + 0.1j, 1e3, 1e2), r"omega must be real, got \(2\.9\+0\.1j\)$"),
+        (lambda: _oracle(omega=np.array([2.5, 3.0 + 0.1j])), r"omega must be real, got .* \(grid row 1\)"),
+        (lambda: DipoleLattice([[0.0, 0.0, 1.0], [0.0, 0.0]], _X, 1e3, 3.0, 1.0), "positions is not a rectangular"),
+        (lambda: FabryPerotSpec(206.64, 10.0, ((0, (0.0, 0.0)),)), "mode index n must be an integer >= 1, got 0"),
+        (lambda: cubic_dipole_lattice(_FP, 3.0, (0, 1, 1), 14099.1876, 3.0), "lattice shape must be an integer >= 1"),
+        (lambda: coupling_dipole_dipole(1e3, 1e3, **{**_PAIR, "r_mat": np.zeros(3)}), "r_mat must be distinct"),
+        (lambda: _oracle(r_mat=np.zeros(3)), "r_cav and r_mat must be distinct points"),
     ],
     ids=[
         "oracle-nan-position",
@@ -354,6 +372,16 @@ def _same_coupling(function, strengths, *rest, **kwargs):
         "fock-boolean-n_levels",
         "fock-whole-float-truncation",
         "dipole-dipole-plain-strengths",
+        "full-system-complex-K_dd",
+        "full-system-complex-mode-frequency",
+        "permittivity-complex-frequency",
+        "drive-complex-frequency",
+        "oracle-complex-drive-frequency",
+        "lattice-ragged-positions",
+        "cavity-zero-mode-index",
+        "lattice-zero-shape",
+        "dipole-dipole-equal-positions",
+        "oracle-equal-positions",
     ],
 )
 def test_entry_points_check_their_inputs(call, name):
@@ -363,3 +391,20 @@ def test_entry_points_check_their_inputs(call, name):
         return
     with pytest.raises(PolaritonError, match=name):
         call()
+
+
+@pytest.mark.parametrize("layer", ["models", "driven", "fields", "ensemble", "material", "hopfield"])
+def test_the_layers_leave_their_input_rules_to_the_units_guards(layer):
+    # each input rule is written once, in the guards of ``units``, and a layer reads the
+    # float array a guard returns instead of converting it again
+    source = (Path(polariton_lab.__file__).parent / f"{layer}.py").read_text()
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    assert not [ast.unparse(call) for call in calls if ast.unparse(call.func) in ("np.isfinite", "math.isfinite")]
+    assert not [
+        ast.unparse(call)
+        for call in calls
+        if ast.unparse(call.func) == "np.asarray"
+        and call.args
+        and isinstance(call.args[0], ast.Call)
+        and ast.unparse(call.args[0].func).startswith(("_require", "_as_"))
+    ]
